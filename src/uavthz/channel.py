@@ -22,6 +22,11 @@ SPEED_OF_LIGHT = 3.0e8  # m/s
 LOS_PER_SAMPLE = "per-sample"
 LOS_PER_CALL = "per-call"
 
+# Draws per _sinr_matrix call in outage_probability. Keeps the (S, M, M)
+# temporaries near 0.4 MB for six links whatever the sample count, so peak
+# memory does not grow with S and large calls do not map fresh pages.
+_DRAW_BLOCK = 1536
+
 
 @dataclass
 class ChannelParams:
@@ -208,6 +213,10 @@ def outage_probability(links, uav: Vec3, params: ChannelParams,
     in per-sample mode, an independent Bernoulli LoS state per link; per-call
     mode draws the LoS states once and holds them across samples. The draw
     order is fixed, so results are bit-identical for a given (seed, n_samples).
+    All draws are made up front; the SINR is then evaluated over fixed blocks
+    of draws and the integer failure counts are summed. Every draw's SINR is
+    computed by the same row-wise arithmetic whatever its block, so the result
+    is bit-identical to evaluating all draws in one block.
     """
     if n_samples < 1:
         raise InvalidInputError("n_samples must be >= 1")
@@ -222,9 +231,12 @@ def outage_probability(links, uav: Vec3, params: ChannelParams,
     else:
         flags = rng.random((n_samples, m)) < geom.p_los[None, :]
     alpha = np.where(flags, 1.0, params.nlos_extra_loss)
-    sinr = _sinr_matrix(geom, params, theta_jx, theta_jy, alpha)
-    outage = (sinr < params.sinr_threshold).mean(axis=0)
-    return OutageEstimate(outage, n_samples, seed)
+    failures = np.zeros(m, dtype=np.int64)
+    for lo in range(0, n_samples, _DRAW_BLOCK):
+        hi = lo + _DRAW_BLOCK
+        sinr = _sinr_matrix(geom, params, theta_jx[lo:hi], theta_jy[lo:hi], alpha[lo:hi])
+        failures += np.count_nonzero(sinr < params.sinr_threshold, axis=0)
+    return OutageEstimate(failures / n_samples, n_samples, seed)
 
 
 def max_outage(estimate: OutageEstimate) -> float:

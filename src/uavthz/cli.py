@@ -2,17 +2,19 @@
 
 Every run writes its outputs under --out-dir only, preceded by a manifest
 that echoes the resolved configuration and is finalized with wall-clock
-timings and SHA-256 digests of the produced files. Output tables are CSV
+timings and SHA-256 digests of the produced files, or marked "failed" with
+the error message when the run exits non-zero. Output tables are CSV
 with a '#'-prefixed metadata preamble and 9-significant-digit floats, so a
 repeated run with the same config and seed is byte-identical.
 """
 
 import argparse
+import contextlib
 import hashlib
 import json
 import sys
-import time
 from pathlib import Path
+from time import perf_counter
 
 import numpy as np
 
@@ -52,27 +54,20 @@ def _sha256(path: Path) -> str:
 
 
 class Manifest:
-    """Run metadata written before the work starts and finalized after it ends."""
+    """Run metadata written before the work starts and finalized after it ends.
 
-    def __init__(self, out_dir: Path, command: str, cfg: RunConfig, seed: int):
+    It is written as soon as the output directory exists, so a run whose
+    config fails to load or validate still leaves a manifest that says so.
+    """
+
+    def __init__(self, out_dir: Path, command: str, seed: int):
         self.path = out_dir / "manifest.json"
-        self.started = time.time()
+        self.started = perf_counter()
         self.data = {
             "version": uavthz.__version__,
             "command": command,
             "seed": seed,
             "status": "running",
-            "config": serialize_config(cfg),
-            "config_sha256": hashlib.sha256(
-                serialize_config(cfg).encode()).hexdigest(),
-            "resolved_si": {
-                "noise_power_w": cfg.channel_params().noise_power_w,
-                "tx_power_w": cfg.env_config().tx_power_w,
-                "sinr_threshold_linear": cfg.channel_params().sinr_threshold,
-                "vibration_std_rad": cfg.channel_params().vibration_std_rad,
-                "carrier_hz": cfg.channel_params().carrier_hz,
-                "action_scale_m": cfg.env_config().action_scale,
-            },
             "outputs": {},
         }
         self._write()
@@ -81,9 +76,31 @@ class Manifest:
         self.path.write_text(json.dumps(self.data, indent=2, sort_keys=True) + "\n",
                              encoding="utf-8")
 
+    def record_config(self, cfg: RunConfig):
+        """Echo the resolved configuration; raises if it fails validation."""
+        text = serialize_config(cfg)
+        params, env_cfg = cfg.channel_params(), cfg.env_config()
+        self.data["config"] = text
+        self.data["config_sha256"] = hashlib.sha256(text.encode()).hexdigest()
+        self.data["resolved_si"] = {
+            "noise_power_w": params.noise_power_w,
+            "tx_power_w": env_cfg.tx_power_w,
+            "sinr_threshold_linear": params.sinr_threshold,
+            "vibration_std_rad": params.vibration_std_rad,
+            "carrier_hz": params.carrier_hz,
+            "action_scale_m": env_cfg.action_scale,
+        }
+        self._write()
+
+    def fail(self, message: str):
+        self.data["status"] = "failed"
+        self.data["error"] = message
+        self.data["wall_clock_s"] = perf_counter() - self.started
+        self._write()
+
     def finalize(self, out_dir: Path, extra: dict | None = None):
         self.data["status"] = "complete"
-        self.data["wall_clock_s"] = time.time() - self.started
+        self.data["wall_clock_s"] = perf_counter() - self.started
         if extra:
             self.data.update(extra)
         for f in sorted(out_dir.rglob("*")):
@@ -114,12 +131,9 @@ def moving_average(values, window: int):
 
 def save_checkpoint(ck_dir: Path, agent: td3.Td3Agent, cfg: RunConfig, seed: int) -> None:
     ck_dir.mkdir(parents=True, exist_ok=True)
-    neural.save_net(ck_dir / "actor.npz", agent.actor, agent.adam_actor)
-    neural.save_net(ck_dir / "actor_target.npz", agent.actor_target)
-    neural.save_net(ck_dir / "critic1.npz", agent.critic1, agent.adam_critic1)
-    neural.save_net(ck_dir / "critic1_target.npz", agent.critic1_target)
-    neural.save_net(ck_dir / "critic2.npz", agent.critic2, agent.adam_critic2)
-    neural.save_net(ck_dir / "critic2_target.npz", agent.critic2_target)
+    for name in _NET_FILES:
+        neural.save_net(ck_dir / f"{name}.npz", getattr(agent, name),
+                        getattr(agent, f"adam_{name}", None))
     (ck_dir / "config.txt").write_text(serialize_config(cfg), encoding="utf-8")
     (ck_dir / "meta.json").write_text(
         json.dumps({"version": uavthz.__version__, "agent_seed": seed,
@@ -134,23 +148,16 @@ def load_checkpoint(ck_dir: Path, cfg: RunConfig) -> td3.Td3Agent:
         raise ConfigError(f"no checkpoint at {ck_dir}")
     meta = json.loads(meta_path.read_text(encoding="utf-8"))
     agent = _build_agent(cfg, int(meta.get("agent_seed", 0)))
-    nets = {}
-    adams = {}
     for name in _NET_FILES:
-        nets[name], adams[name] = neural.load_net(ck_dir / f"{name}.npz")
-    expected = agent.actor.architecture()
-    if nets["actor"].architecture() != expected:
-        raise ConfigError(
-            f"checkpoint actor architecture {nets['actor'].architecture()} "
-            f"does not match config architecture {expected}")
-    agent.actor = nets["actor"]
-    agent.actor_target = nets["actor_target"]
-    agent.critic1, agent.critic1_target = nets["critic1"], nets["critic1_target"]
-    agent.critic2, agent.critic2_target = nets["critic2"], nets["critic2_target"]
-    for name, attr in (("actor", "adam_actor"), ("critic1", "adam_critic1"),
-                       ("critic2", "adam_critic2")):
-        if adams[name] is not None:
-            setattr(agent, attr, adams[name])
+        net, adam = neural.load_net(ck_dir / f"{name}.npz")
+        expected = getattr(agent, name).architecture()
+        if net.architecture() != expected:
+            raise ConfigError(
+                f"checkpoint {name} architecture {net.architecture()} "
+                f"does not match config architecture {expected}")
+        setattr(agent, name, net)
+        if adam is not None:
+            setattr(agent, f"adam_{name}", adam)
     agent.critic_updates = int(meta.get("critic_updates", 0))
     agent.actor_updates = int(meta.get("actor_updates", 0))
     return agent
@@ -158,8 +165,7 @@ def load_checkpoint(ck_dir: Path, cfg: RunConfig) -> td3.Td3Agent:
 
 # ------------------------------------------------------------------ subcommands
 
-def cmd_train(cfg: RunConfig, seed: int, out_dir: Path) -> int:
-    manifest = Manifest(out_dir, "train", cfg, seed)
+def cmd_train(cfg: RunConfig, seed: int, out_dir: Path, manifest: Manifest) -> int:
     env = _build_env(cfg)
     env.reset(seed)
     agent = _build_agent(cfg, seed)
@@ -184,8 +190,8 @@ def _sbs_layout_rows(env: Environment):
     return [(i, p[0], p[1]) for i, p in enumerate(env.topology.positions())]
 
 
-def cmd_eval(cfg: RunConfig, checkpoint: Path, scenario_seed: int, out_dir: Path) -> int:
-    manifest = Manifest(out_dir, "eval", cfg, scenario_seed)
+def cmd_eval(cfg: RunConfig, checkpoint: Path, scenario_seed: int, out_dir: Path,
+             manifest: Manifest) -> int:
     agent = load_checkpoint(checkpoint, cfg)
     env = _build_env(cfg)
     env.reset(scenario_seed)
@@ -219,13 +225,10 @@ def cmd_eval(cfg: RunConfig, checkpoint: Path, scenario_seed: int, out_dir: Path
 
 
 def cmd_baseline(cfg: RunConfig, scenario_seed: int, out_dir: Path,
-                 mc_samples: int | None = None) -> int:
-    manifest = Manifest(out_dir, "baseline", cfg, scenario_seed)
+                 manifest: Manifest) -> int:
     env = _build_env(cfg)
     env.reset(scenario_seed)
     spec = cfg.grid_spec(scenario_seed + 1)
-    if mc_samples is not None:
-        spec.mc_samples = mc_samples
     params = cfg.channel_params()
     rows = []
     best_pos, best_val = None, np.inf
@@ -346,7 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_config(args) -> RunConfig:
     cfg = load_config(args.config) if args.config is not None else RunConfig()
-    if getattr(args, "mc_samples", None):
+    if args.mc_samples is not None:
+        if args.mc_samples < 1:
+            raise ConfigError(f"--mc-samples must be >= 1, got {args.mc_samples}")
         cfg.mc_samples_train = args.mc_samples
         cfg.mc_samples_eval = args.mc_samples
         cfg.grid_mc_samples = args.mc_samples
@@ -355,29 +360,36 @@ def _resolve_config(args) -> RunConfig:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    manifest = None
     try:
-        cfg = _resolve_config(args)
         if args.command == "linkbudget":
-            return cmd_linkbudget(cfg, args.uav, args.sbs)
+            return cmd_linkbudget(_resolve_config(args), args.uav, args.sbs)
         out_dir = args.out_dir
         out_dir.mkdir(parents=True, exist_ok=True)
+        seed = args.seed
+        if getattr(args, "scenario_seed", None) is not None:
+            seed = args.scenario_seed
+        manifest = Manifest(out_dir, args.command, seed)
+        cfg = _resolve_config(args)
+        manifest.record_config(cfg)
         if args.command == "train":
-            return cmd_train(cfg, args.seed, out_dir)
-        scenario = args.scenario_seed if args.scenario_seed is not None else args.seed
+            return cmd_train(cfg, seed, out_dir, manifest)
         if args.command == "eval":
-            return cmd_eval(cfg, args.checkpoint, scenario, out_dir)
-        if args.command == "baseline":
-            return cmd_baseline(cfg, scenario, out_dir, args.mc_samples)
-        raise ConfigError(f"unknown command {args.command}")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+            return cmd_eval(cfg, args.checkpoint, seed, out_dir, manifest)
+        return cmd_baseline(cfg, seed, out_dir, manifest)
+    except (ConfigError, InvalidInputError) as exc:
+        message, code = f"config error: {exc}", EXIT_CONFIG
     except NumericFailureError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        message, code = f"numeric failure: {exc}", EXIT_NUMERIC
     except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        message, code = f"i/o error: {exc}", EXIT_IO
+    print(message, file=sys.stderr)
+    if manifest is not None:
+        # The error is already reported; a manifest that cannot be rewritten
+        # (the same I/O fault) must not turn the exit code into a traceback.
+        with contextlib.suppress(OSError):
+            manifest.fail(message)
+    return code
 
 
 if __name__ == "__main__":

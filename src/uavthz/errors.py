@@ -9,10 +9,6 @@ class GeometryDegenerateError(InvalidInputError):
     """Geometry is degenerate for the requested quantity (e.g. UAV at or below ground level)."""
 
 
-class OutOfHemisphereError(InvalidInputError):
-    """A two-axis angle pair has no matching (theta, phi) direction in the forward hemisphere."""
-
-
 class NumericFailureError(ArithmeticError):
     """A numerical routine failed hard (non-finite gradients, non-convergent quadrature)."""
 

@@ -176,6 +176,20 @@ class TestOutageProbability:
             bound = 3 * np.sqrt(max(pa * (1 - pa), 1e-9) / n) * 2
             assert abs(pa - pb) <= bound
 
+    @pytest.mark.parametrize("los_mode", [channel.LOS_PER_SAMPLE, channel.LOS_PER_CALL])
+    def test_blocked_draws_equal_one_block(self, monkeypatch, los_mode):
+        p = make_params(los_mode=los_mode)
+        links = [make_link(40, 40), make_link(48, 44), make_link(110, 100)]
+        uav = vec3(70, 70, 75)
+        block = channel._DRAW_BLOCK
+        sizes = (1, block - 1, block, block + 1, 2 * block + 1)
+        blocked = [channel.outage_probability(links, uav, p, s, 9) for s in sizes]
+        monkeypatch.setattr(channel, "_DRAW_BLOCK", max(sizes))
+        for s, got in zip(sizes, blocked):
+            want = channel.outage_probability(links, uav, p, s, 9)
+            assert np.array_equal(got.per_link_outage, want.per_link_outage)
+        assert 0.0 < channel.max_outage(blocked[-1]) < 1.0
+
     def test_threshold_monotonicity(self):
         links = [make_link(40, 40), make_link(48, 44), make_link(110, 100)]
         uav = vec3(70, 70, 75)
