@@ -54,15 +54,19 @@ class ArrayAntennaConfig:
         return (self.n_side, self.spacing_over_lambda)
 
 
-def _axis_ratio(n: int, psi):
+def _axis_ratio(n: int, psi, periodic: bool):
     """sin(n*psi/2) / (n*sin(psi/2)) with every removable singularity filled.
 
-    Reduces psi modulo 2*pi and evaluates the reduced argument as a quotient
-    of normalized sincs, which is exact away from the singular points and
-    smooth through them (the reduced denominator sinc is bounded below by
-    2/pi). The sign flips by (-1)^(m*(n-1)) across period m.
+    With periodic set, reduces psi modulo 2*pi and evaluates the reduced
+    argument as a quotient of normalized sincs, which is exact away from the
+    singular points and smooth through them (the reduced denominator sinc is
+    bounded below by 2/pi). The sign flips by (-1)^(m*(n-1)) across period m.
+    Without it, psi must lie in [-pi, pi], where the period index m is always
+    0, so skipping the reduction gives the same bits.
     """
     psi = np.asarray(psi, dtype=float)
+    if not periodic:
+        return np.sinc(n * psi / TWO_PI) / np.sinc(psi / TWO_PI)
     m = np.round(psi / TWO_PI)
     r = psi - TWO_PI * m
     ratio = np.sinc(n * r / TWO_PI) / np.sinc(r / TWO_PI)
@@ -71,8 +75,11 @@ def _axis_ratio(n: int, psi):
 
 
 def _factor_from_psi(cfg: ArrayAntennaConfig, psi_x, psi_y):
-    rx = _axis_ratio(cfg.n_side, psi_x)
-    ry = _axis_ratio(cfg.n_side, psi_y)
+    # |psi| <= k*d_a on every caller, so the period reduction is only needed
+    # for spacings above lambda/2 (k*d_a > pi).
+    periodic = TWO_PI * cfg.spacing_over_lambda > np.pi
+    rx = _axis_ratio(cfg.n_side, psi_x, periodic)
+    ry = _axis_ratio(cfg.n_side, psi_y, periodic)
     return (rx * ry) ** 2
 
 

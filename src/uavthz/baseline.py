@@ -55,13 +55,19 @@ def scan_grid(topology: Topology, params: ChannelParams, spec: GridSearchSpec):
 
 
 def grid_search_best_position(topology: Topology, params: ChannelParams,
-                              spec: GridSearchSpec) -> tuple[Vec3, float]:
-    """Lattice point with the lowest worst-link outage, ties broken lexicographically."""
+                              spec: GridSearchSpec) -> tuple[Vec3, float, list]:
+    """Lattice point with the lowest worst-link outage, ties broken lexicographically.
+
+    Returns (best position, its worst-link outage, every (position,
+    max_outage) row of the scan in lattice order).
+    """
+    rows = []
     best_pos, best_val = None, np.inf
     for pos, val in scan_grid(topology, params, spec):
+        rows.append((pos, val))
         if val < best_val:
             best_pos, best_val = pos, val
-    return best_pos, float(best_val)
+    return best_pos, float(best_val), rows
 
 
 def static_center_policy(topology: Topology,

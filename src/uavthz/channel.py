@@ -6,9 +6,17 @@ magnitude entering the SINR is (lambda / (4*pi*L))^4 * exp(-K*L). Ground
 stations steer perfectly at the UAV (gain equals their normalization
 constant); the UAV side is evaluated at the angular offsets implied by link
 geometry plus the UAV's Gaussian orientation jitter.
+
+All links of a scenario share one UAV array, and the per-axis angle between
+the links to stations i and j is symmetric in (i, j). Each draw therefore
+needs the UAV pattern at 1 + M(M-1)/2 distinct offsets (16 for six links):
+the jitter alone, which gives every link's desired gain, and the jitter plus
+the angles of each unordered station pair, which gives the interference.
+Link geometry (lengths, elevations, pair angles) is evaluated for all
+stations at once.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,10 +30,10 @@ SPEED_OF_LIGHT = 3.0e8  # m/s
 LOS_PER_SAMPLE = "per-sample"
 LOS_PER_CALL = "per-call"
 
-# Draws per _sinr_matrix call in outage_probability. Keeps the (S, M, M)
-# temporaries near 0.4 MB for six links whatever the sample count, so peak
-# memory does not grow with S and large calls do not map fresh pages.
-_DRAW_BLOCK = 1536
+# Draws per _sinr_matrix call in outage_probability. Bounds the per-block
+# temporaries (the (S, 16) gain table is 128 KB for six links, the (S, M)
+# interference sums 48 KB) so peak memory does not grow with S.
+_DRAW_BLOCK = 1024
 
 
 @dataclass
@@ -101,68 +109,78 @@ class OutageEstimate:
             raise InvalidInputError("outage probabilities must lie in [0, 1]")
 
 
-def free_space_term(params: ChannelParams, length: float) -> float:
-    """(lambda / (4*pi*L))^2, the free-space factor of the channel amplitude."""
-    if length <= 0:
+def _check_length(length):
+    if np.any(np.asarray(length) <= 0):
         raise InvalidInputError(f"link length must be positive, got {length}")
-    return (params.wavelength / (4.0 * np.pi * length)) ** 2
 
 
-def absorption_term(params: ChannelParams, length: float) -> float:
-    """exp(-K*L/2), the molecular-absorption factor of the channel amplitude."""
-    if length <= 0:
-        raise InvalidInputError(f"link length must be positive, got {length}")
-    return float(np.exp(-0.5 * params.absorption_coeff * length))
+def free_space_term(params: ChannelParams, length):
+    """(lambda / (4*pi*L))^2, the free-space factor of the channel amplitude, elementwise in L."""
+    _check_length(length)
+    return (params.wavelength / (4.0 * np.pi * np.asarray(length))) ** 2
 
 
-def path_loss(params: ChannelParams, length: float) -> float:
+def absorption_term(params: ChannelParams, length):
+    """exp(-K*L/2), the molecular-absorption factor of the channel amplitude, elementwise in L."""
+    _check_length(length)
+    return np.exp(-0.5 * params.absorption_coeff * np.asarray(length))
+
+
+def path_loss(params: ChannelParams, length):
     """Squared channel magnitude |h_L|^2 = (lambda/(4*pi*L))^4 * exp(-K*L)."""
     return (free_space_term(params, length) * absorption_term(params, length)) ** 2
 
 
-def los_probability(params: ChannelParams, elevation: float) -> float:
-    """Line-of-sight probability at the given elevation angle (radians)."""
+def los_probability(params: ChannelParams, elevation):
+    """Line-of-sight probability at the given elevation angle(s) (radians)."""
     deg = np.degrees(elevation)
-    return float(1.0 / (1.0 + params.los_alpha * np.exp(-params.los_b * (deg - params.los_alpha))))
+    return 1.0 / (1.0 + params.los_alpha * np.exp(-params.los_b * (deg - params.los_alpha)))
 
 
 @dataclass
 class _LinkGeometry:
-    """Everything about a (links, uav) pair that does not depend on random draws."""
+    """Everything about a (links, uav) pair that does not depend on random draws.
+
+    The UAV gain is looked up at (S, 1 + M(M-1)/2) per-axis offsets per block
+    of draws: column 0 is the jitter alone (the desired gain, shared by every
+    link) and column 1 + p adds the axis angles of unordered station pair p.
+    column[i, j] is the table column of interferer j at link i (i != j).
+    """
 
     tx_power: np.ndarray          # (M,)
     path_loss_sq: np.ndarray      # (M,) |h_L|^2 per link
     sbs_g0: np.ndarray            # (M,) receiving-side normalization constant
     p_los: np.ndarray             # (M,)
-    theta_x: np.ndarray           # (M, M) pairwise axis angles, zero diagonal
-    theta_y: np.ndarray           # (M, M)
-    uav_cfgs: list = field(default_factory=list)
+    offset_x: np.ndarray          # (1 + M(M-1)/2,) zero, then pair axis angles
+    offset_y: np.ndarray          # (1 + M(M-1)/2,)
+    column: np.ndarray            # (M, M) int, symmetric
+    uav_array: ArrayAntennaConfig
 
 
 def _precompute(links, uav: Vec3, params: ChannelParams) -> _LinkGeometry:
-    uav = as_vec3(uav)
     if len(links) < 1:
         raise InvalidInputError("need at least one link")
+    uav_array = links[0].uav_array
+    if any(lk.uav_array != uav_array for lk in links):
+        raise InvalidInputError("all links must share one UAV array")
     m = len(links)
+    sbs = np.array([lk.sbs_position for lk in links])
     tx = np.array([lk.tx_power_w for lk in links])
-    pl = np.array([path_loss(params, geometry.link_length(uav, lk.sbs_position)) for lk in links])
+    pl = path_loss(params, geometry.link_length(uav, sbs))
     g0s = np.array([
         antenna.normalization_constant(
-            ArrayAntennaConfig(lk.sbs_array_n_side, lk.uav_array.spacing_over_lambda,
+            ArrayAntennaConfig(lk.sbs_array_n_side, uav_array.spacing_over_lambda,
                                params.carrier_hz))
         for lk in links
     ])
-    p_los = np.array([
-        los_probability(params, geometry.elevation_angle(uav, lk.sbs_position)) for lk in links
-    ])
-    thx = np.zeros((m, m))
-    thy = np.zeros((m, m))
-    for i in range(m):
-        for j in range(m):
-            if i != j:
-                thx[i, j], thy[i, j] = geometry.spatial_angles(
-                    uav, links[i].sbs_position, links[j].sbs_position)
-    return _LinkGeometry(tx, pl, g0s, p_los, thx, thy, [lk.uav_array for lk in links])
+    p_los = los_probability(params, geometry.elevation_angle(uav, sbs))
+    thx, thy = geometry.pair_axis_angles(uav, sbs)
+    upper = np.triu_indices(m, 1)
+    column = np.zeros((m, m), dtype=np.intp)
+    column[upper] = np.arange(1, len(upper[0]) + 1)
+    column = column + column.T
+    return _LinkGeometry(tx, pl, g0s, p_los, np.concatenate(([0.0], thx[upper])),
+                         np.concatenate(([0.0], thy[upper])), column, uav_array)
 
 
 def _sinr_matrix(geom: _LinkGeometry, params: ChannelParams,
@@ -171,26 +189,22 @@ def _sinr_matrix(geom: _LinkGeometry, params: ChannelParams,
     """Linear SINR for S orientation draws and M links.
 
     theta_jx/theta_jy: jitter draws of shape (S,); alpha: per-sample LoS
-    attenuation of shape (S, M). Returns (S, M).
+    attenuation of shape (S, M). Returns (S, M). Interference is summed into
+    an (S, M) array over interferers j = 0..M-1 in order.
     """
-    s = theta_jx.shape[0]
-    m = len(geom.uav_cfgs)
-    desired_gain = np.empty((s, m))
-    for i, cfg in enumerate(geom.uav_cfgs):
-        desired_gain[:, i] = antenna.gain_at_axis_offsets(cfg, theta_jx, theta_jy)
-    # term[s, i, j]: power received on link i from interferer j's beam
-    term = np.empty((s, m, m))
-    for j, cfg in enumerate(geom.uav_cfgs):
-        off_x = geom.theta_x[:, j][None, :] + theta_jx[:, None]   # (S, M) rows = i
-        off_y = geom.theta_y[:, j][None, :] + theta_jy[:, None]
-        gain_ij = antenna.gain_at_axis_offsets(cfg, off_x, off_y)
-        term[:, :, j] = (geom.tx_power[j] * geom.path_loss_sq[j]
-                         * alpha[:, j, None] * geom.sbs_g0[None, :] * gain_ij)
-    idx = np.arange(m)
+    gain = antenna.gain_at_axis_offsets(geom.uav_array,
+                                        theta_x=theta_jx[:, None] + geom.offset_x,
+                                        theta_y=theta_jy[:, None] + geom.offset_y)
+    m = geom.column.shape[0]
+    interference = np.zeros((theta_jx.shape[0], m))
+    for j in range(m):
+        # power received on every link i from interferer j's beam
+        term = (geom.tx_power[j] * geom.path_loss_sq[j]
+                * alpha[:, j, None] * geom.sbs_g0[None, :] * gain[:, geom.column[:, j]])
+        term[:, j] = 0.0
+        interference += term
     signal = (geom.tx_power[None, :] * alpha * geom.path_loss_sq[None, :]
-              * geom.sbs_g0[None, :] * desired_gain)
-    term[:, idx, idx] = 0.0
-    interference = term.sum(axis=2)
+              * geom.sbs_g0[None, :] * gain[:, :1])
     return signal / (interference + params.noise_power_w)
 
 

@@ -230,15 +230,11 @@ def cmd_baseline(cfg: RunConfig, scenario_seed: int, out_dir: Path,
     env.reset(scenario_seed)
     spec = cfg.grid_spec(scenario_seed + 1)
     params = cfg.channel_params()
-    rows = []
-    best_pos, best_val = None, np.inf
-    for pos, val in baseline.scan_grid(env.topology, params, spec):
-        rows.append((pos[0], pos[1], pos[2], val))
-        if val < best_val:
-            best_pos, best_val = pos, val
+    best_pos, best_val, scan = baseline.grid_search_best_position(env.topology, params, spec)
     meta = {"seed": scenario_seed, "version": uavthz.__version__,
             "mc_samples": spec.mc_samples, "mc_seed": spec.seed}
-    write_csv(out_dir / "grid_scan.csv", meta, ("x", "y", "z", "max_outage"), rows)
+    write_csv(out_dir / "grid_scan.csv", meta, ("x", "y", "z", "max_outage"),
+              [(*pos, val) for pos, val in scan])
     center = baseline.static_center_policy(env.topology, cfg.kinematic_limits())
     center_est = channel.outage_probability(env.topology.sbs_list, center, params,
                                             spec.mc_samples, spec.seed)
@@ -256,7 +252,10 @@ def cmd_baseline(cfg: RunConfig, scenario_seed: int, out_dir: Path,
 
 
 def _parse_xyz(text: str, n: int):
-    parts = [float(p) for p in text.split(",")]
+    try:
+        parts = [float(p) for p in text.split(",")]
+    except ValueError:
+        parts = []
     if len(parts) != n:
         raise ConfigError(f"expected {n} comma-separated numbers, got {text!r}")
     return parts

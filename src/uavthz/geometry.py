@@ -1,8 +1,8 @@
-"""3D kinematics of the UAV and angular geometry between the UAV and ground stations.
+"""Kinematic envelope of the UAV and angular geometry between the UAV and ground stations.
 
-Positions are plain numpy arrays of shape (3,) in meters; velocities and
-accelerations use the same layout in m/s and m/s^2. All functions here are
-pure and safe to call concurrently.
+Positions are plain numpy arrays of shape (3,) in meters; the positions of
+M ground stations stack into an (M, 3) array, and the link functions accept
+either form. All functions here are pure and safe to call concurrently.
 """
 
 from dataclasses import dataclass
@@ -32,6 +32,16 @@ def as_vec3(v) -> Vec3:
     return a
 
 
+def as_points(v) -> np.ndarray:
+    """Coerce to a finite float array of one (3,) or several (M, 3) positions."""
+    a = np.asarray(v, dtype=float)
+    if a.ndim not in (1, 2) or a.shape[-1] != 3:
+        raise InvalidInputError(f"expected (3,) or (M, 3) positions, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise InvalidInputError(f"non-finite position components: {a}")
+    return a
+
+
 @dataclass
 class KinematicLimits:
     """Speed, acceleration and altitude envelope of the vehicle."""
@@ -48,101 +58,51 @@ class KinematicLimits:
             raise InvalidInputError("need 0 < h_min < h_max")
 
 
-@dataclass
-class UavKinematicState:
-    """Instantaneous position (m), velocity (m/s) and acceleration (m/s^2)."""
-
-    position: Vec3
-    velocity: Vec3
-    acceleration: Vec3
-
-    def __post_init__(self):
-        self.position = as_vec3(self.position)
-        self.velocity = as_vec3(self.velocity)
-        self.acceleration = as_vec3(self.acceleration)
-
-
-def update_position(state: UavKinematicState, dt: float) -> Vec3:
-    """Advance the position by dt under constant acceleration.
-
-    Returns p + v*dt + 0.5*a*dt**2 componentwise. Altitude clamping is the
-    caller's responsibility.
-    """
-    if not np.isfinite(dt) or dt <= 0:
-        raise InvalidInputError(f"dt must be positive and finite, got {dt}")
-    return state.position + state.velocity * dt + 0.5 * state.acceleration * dt * dt
-
-
-def _axis_angle(u: float, a: float, b: float, z: float) -> float:
+def _axis_angle(u, a, b, z):
     # Angle between the (a - u, -z) and (b - u, -z) directions in one
     # vertical plane, written in the law-of-cosines form with the acos
-    # argument clamped against floating-point overshoot.
+    # argument clamped against floating-point overshoot. Elementwise; the
+    # result is symmetric in (a, b) bit for bit and exactly 0 where a == b.
     da, db = u - a, u - b
     num = da * da + db * db + 2.0 * z * z - (a - b) ** 2
     den = 2.0 * np.sqrt((da * da + z * z) * (db * db + z * z))
-    return float(np.arccos(np.clip(num / den, -1.0, 1.0)))
+    return np.arccos(np.clip(num / den, -1.0, 1.0))
 
 
-def spatial_angles(uav: Vec3, s_i: Vec3, s_j: Vec3) -> tuple[float, float]:
-    """Per-axis angular separation between the links to two ground stations.
+def pair_axis_angles(uav: Vec3, sbs_positions) -> tuple[np.ndarray, np.ndarray]:
+    """Per-axis angular separations between the links to every pair of ground stations.
 
-    Returns (theta_x, theta_y), each in [0, pi]: the angles between the two
-    link directions projected onto the x-z and y-z vertical planes.
+    sbs_positions is (M, 3). Returns (theta_x, theta_y), each an (M, M)
+    symmetric matrix with zero diagonal and entries in [0, pi]: entry (i, j)
+    is the angle between the links to stations i and j projected onto the
+    x-z (resp. y-z) vertical plane.
     """
-    uav, s_i, s_j = as_vec3(uav), as_vec3(s_i), as_vec3(s_j)
+    uav, pts = as_vec3(uav), as_points(sbs_positions)
+    if pts.ndim != 2:
+        raise InvalidInputError(f"expected (M, 3) station positions, got shape {pts.shape}")
     if uav[2] <= 0:
         raise GeometryDegenerateError(f"UAV altitude must be positive, got {uav[2]}")
-    tx = _axis_angle(uav[0], s_i[0], s_j[0], uav[2])
-    ty = _axis_angle(uav[1], s_i[1], s_j[1], uav[2])
+    tx = _axis_angle(uav[0], pts[:, 0, None], pts[None, :, 0], uav[2])
+    ty = _axis_angle(uav[1], pts[:, 1, None], pts[None, :, 1], uav[2])
     return tx, ty
 
 
-def elevation_angle(uav: Vec3, sbs: Vec3) -> float:
-    """Elevation of the UAV as seen from a ground station, in (0, pi/2].
+def elevation_angle(uav: Vec3, sbs) -> float | np.ndarray:
+    """Elevation of the UAV as seen from one (3,) or several (M, 3) ground stations.
 
-    Directly overhead (zero horizontal offset) returns exactly pi/2.
+    Each value lies in (0, pi/2]; directly overhead (zero horizontal offset)
+    returns exactly pi/2.
     """
-    uav, sbs = as_vec3(uav), as_vec3(sbs)
+    uav, sbs = as_vec3(uav), as_points(sbs)
     if uav[2] <= 0:
         raise GeometryDegenerateError(f"UAV altitude must be positive, got {uav[2]}")
-    horiz = float(np.hypot(uav[0] - sbs[0], uav[1] - sbs[1]))
-    return float(np.arctan2(uav[2], horiz))
+    horiz = np.hypot(uav[0] - sbs[..., 0], uav[1] - sbs[..., 1])
+    return np.arctan2(uav[2], horiz)
 
 
-def link_length(uav: Vec3, sbs: Vec3) -> float:
-    """Euclidean distance between the two endpoints."""
-    return float(np.linalg.norm(as_vec3(uav) - as_vec3(sbs)))
-
-
-def min_pair_separation(uav: Vec3, sbs_positions) -> float:
-    """Smallest pairwise link separation over all station pairs.
-
-    Each pair is scored by the larger of its two per-axis angles (a beam
-    suppresses an interferer once either axis offset leaves the main lobe),
-    and the minimum over pairs is returned. Requires at least two stations.
-    """
-    positions = [as_vec3(p) for p in sbs_positions]
-    if len(positions) < 2:
-        raise InvalidInputError("need at least two stations for pairwise separation")
-    best = np.inf
-    for i in range(len(positions)):
-        for j in range(i + 1, len(positions)):
-            tx, ty = spatial_angles(uav, positions[i], positions[j])
-            best = min(best, max(tx, ty))
-    return float(best)
-
-
-def trajectory_time(waypoints, speeds) -> float:
-    """Total travel time along a piecewise-linear path, one speed per segment."""
-    pts = [as_vec3(w) for w in waypoints]
-    spd = [float(s) for s in speeds]
-    if len(pts) != len(spd) + 1:
-        raise InvalidInputError(
-            f"{len(pts)} waypoints need {max(len(pts) - 1, 0)} speeds, got {len(spd)}"
-        )
-    if any(not np.isfinite(s) or s <= 0 for s in spd):
-        raise InvalidInputError("segment speeds must be positive and finite")
-    total = 0.0
-    for k, v in enumerate(spd):
-        total += float(np.linalg.norm(pts[k + 1] - pts[k])) / v
-    return total
+def link_length(uav: Vec3, sbs) -> float | np.ndarray:
+    """Euclidean distance from the UAV to one (3,) or several (M, 3) endpoints."""
+    d = as_vec3(uav) - as_points(sbs)
+    # vecdot is the same dot product np.linalg.norm takes of one vector, so
+    # stacked and single lengths equal np.linalg.norm bit for bit.
+    return np.sqrt(np.vecdot(d, d))

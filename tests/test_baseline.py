@@ -28,15 +28,18 @@ class TestGridSearch:
     def test_trivial_single_point_grid(self):
         env = scenario()
         spec = cheap_spec(x_steps=1, y_steps=1, z_steps=1)
-        pos, val = baseline.grid_search_best_position(env.topology, env.params, spec)
+        pos, val, _ = baseline.grid_search_best_position(env.topology, env.params, spec)
         assert np.allclose(pos, (0.0, 0.0, 30.0))
         assert 0.0 <= val <= 1.0
 
     def test_oracle_dominates_any_grid_point(self):
         env = scenario(1)
         spec = cheap_spec()
-        _, best = baseline.grid_search_best_position(env.topology, env.params, spec)
-        for _, val in baseline.scan_grid(env.topology, env.params, spec):
+        _, best, rows = baseline.grid_search_best_position(env.topology, env.params, spec)
+        scanned = list(baseline.scan_grid(env.topology, env.params, spec))
+        assert len(rows) == len(scanned) == 5 * 5 * 3
+        for (pos, val), (want_pos, want_val) in zip(rows, scanned):
+            assert np.array_equal(pos, want_pos) and val == want_val
             assert best <= val
 
     def test_nested_refinement_never_worse(self):
@@ -44,8 +47,8 @@ class TestGridSearch:
         env = scenario(2)
         coarse = cheap_spec(x_steps=3, y_steps=3, z_steps=2)
         fine = cheap_spec(x_steps=5, y_steps=5, z_steps=3)
-        _, v_coarse = baseline.grid_search_best_position(env.topology, env.params, coarse)
-        _, v_fine = baseline.grid_search_best_position(env.topology, env.params, fine)
+        _, v_coarse, _ = baseline.grid_search_best_position(env.topology, env.params, coarse)
+        _, v_fine, _ = baseline.grid_search_best_position(env.topology, env.params, fine)
         assert v_fine <= v_coarse + 1e-12
 
     def test_shared_seed_reproducible(self):
@@ -59,7 +62,7 @@ class TestGridSearch:
         # zero-vibration, certain LoS, tiny threshold: every grid point scores 0
         env = scenario(4)
         params = ChannelParams(vibration_std_rad=0.0, los_alpha=0.0, sinr_threshold=1e-30)
-        pos, val = baseline.grid_search_best_position(env.topology, params, cheap_spec())
+        pos, val, _ = baseline.grid_search_best_position(env.topology, params, cheap_spec())
         assert val == 0.0
         assert np.allclose(pos, (0.0, 0.0, 30.0))
 
@@ -69,7 +72,7 @@ class TestGridSearch:
         env = scenario(5, n_stations=1)
         sbs = env.topology.positions()[0]
         spec = cheap_spec(x_steps=7, y_steps=7, z_steps=3, mc_samples=800)
-        pos, _ = baseline.grid_search_best_position(env.topology, env.params, spec)
+        pos, _, _ = baseline.grid_search_best_position(env.topology, env.params, spec)
         cell = 150.0 / 6
         assert abs(pos[0] - sbs[0]) <= cell and abs(pos[1] - sbs[1]) <= cell
 
@@ -100,7 +103,7 @@ class TestStaticCenter:
     def test_oracle_beats_static_center(self):
         env = scenario(8)
         spec = cheap_spec(x_steps=7, y_steps=7, z_steps=3)
-        _, best = baseline.grid_search_best_position(env.topology, env.params, spec)
+        _, best, _ = baseline.grid_search_best_position(env.topology, env.params, spec)
         center = baseline.static_center_policy(env.topology)
         center_val = channel.max_outage(channel.outage_probability(
             env.topology.sbs_list, center, env.params, spec.mc_samples, spec.seed))

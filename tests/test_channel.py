@@ -12,8 +12,86 @@ def make_params(**kw) -> ChannelParams:
     return ChannelParams(**kw)
 
 
-def make_link(x, y, n_uav=20, n_sbs=10, power=0.01, los=True):
-    return LinkState(vec3(x, y, 0.0), power, ArrayAntennaConfig(n_uav), n_sbs, los)
+def make_link(x, y, n_uav=20, n_sbs=10, power=0.01, los=True, spacing=0.5):
+    return LinkState(vec3(x, y, 0.0), power, ArrayAntennaConfig(n_uav, spacing), n_sbs, los)
+
+
+# Reference kernel: one pattern evaluation per (link, interferer) pair with the
+# period reduction always applied, a full (S, M, M) interference tensor and a
+# scalar loop over station pairs for the link geometry. The library kernel
+# must reproduce it bit for bit.
+
+def oracle_axis_angle(u, a, b, z):
+    da, db = u - a, u - b
+    num = da * da + db * db + 2.0 * z * z - (a - b) ** 2
+    den = 2.0 * np.sqrt((da * da + z * z) * (db * db + z * z))
+    return float(np.arccos(np.clip(num / den, -1.0, 1.0)))
+
+
+def oracle_precompute(links, uav, params):
+    m = len(links)
+    tx = np.array([lk.tx_power_w for lk in links])
+    pl = np.array([channel.path_loss(params, geometry.link_length(uav, lk.sbs_position))
+                   for lk in links])
+    g0s = np.array([
+        antenna.normalization_constant(
+            ArrayAntennaConfig(lk.sbs_array_n_side, lk.uav_array.spacing_over_lambda,
+                               params.carrier_hz))
+        for lk in links
+    ])
+    p_los = np.array([
+        channel.los_probability(params, geometry.elevation_angle(uav, lk.sbs_position))
+        for lk in links
+    ])
+    thx = np.zeros((m, m))
+    thy = np.zeros((m, m))
+    for i in range(m):
+        for j in range(m):
+            if i != j:
+                si, sj = links[i].sbs_position, links[j].sbs_position
+                thx[i, j] = oracle_axis_angle(uav[0], si[0], sj[0], uav[2])
+                thy[i, j] = oracle_axis_angle(uav[1], si[1], sj[1], uav[2])
+    return tx, pl, g0s, p_los, thx, thy, [lk.uav_array for lk in links]
+
+
+def oracle_gain(cfg, theta_x, theta_y):
+    kd = 2.0 * np.pi * cfg.spacing_over_lambda
+    rx = antenna._axis_ratio(cfg.n_side, kd * np.sin(theta_x), True)
+    ry = antenna._axis_ratio(cfg.n_side, kd * np.sin(theta_y), True)
+    return antenna.normalization_constant(cfg) * (rx * ry) ** 2
+
+
+def oracle_sinr(geom, params, theta_jx, theta_jy, alpha):
+    tx, pl, g0s, _, thx, thy, cfgs = geom
+    s, m = theta_jx.shape[0], len(cfgs)
+    desired_gain = np.empty((s, m))
+    for i, cfg in enumerate(cfgs):
+        desired_gain[:, i] = oracle_gain(cfg, theta_jx, theta_jy)
+    term = np.empty((s, m, m))
+    for j, cfg in enumerate(cfgs):
+        off_x = thx[:, j][None, :] + theta_jx[:, None]
+        off_y = thy[:, j][None, :] + theta_jy[:, None]
+        gain_ij = oracle_gain(cfg, off_x, off_y)
+        term[:, :, j] = tx[j] * pl[j] * alpha[:, j, None] * g0s[None, :] * gain_ij
+    idx = np.arange(m)
+    signal = tx[None, :] * alpha * pl[None, :] * g0s[None, :] * desired_gain
+    term[:, idx, idx] = 0.0
+    return signal / (term.sum(axis=2) + params.noise_power_w)
+
+
+def oracle_outage(links, uav, params, n_samples, seed):
+    geom = oracle_precompute(links, uav, params)
+    m = len(links)
+    rng = np.random.default_rng(seed)
+    theta_jx = rng.normal(0.0, params.vibration_std_rad, size=n_samples)
+    theta_jy = rng.normal(0.0, params.vibration_std_rad, size=n_samples)
+    if params.los_mode == channel.LOS_PER_CALL:
+        flags = np.broadcast_to(rng.random(m)[None, :] < geom[3][None, :], (n_samples, m))
+    else:
+        flags = rng.random((n_samples, m)) < geom[3][None, :]
+    alpha = np.where(flags, 1.0, params.nlos_extra_loss)
+    sinr = oracle_sinr(geom, params, theta_jx, theta_jy, alpha)
+    return np.count_nonzero(sinr < params.sinr_threshold, axis=0) / n_samples
 
 
 class TestPathLoss:
@@ -102,11 +180,6 @@ class TestInstantaneousSinr:
             L = np.sqrt(((uav - sbs) ** 2).sum())
             return (lam / (4 * np.pi * L)) ** 4 * np.exp(-p.absorption_coeff * L)
 
-        def axis_angle(u, a, b, z):
-            num = (u - a) ** 2 + (u - b) ** 2 + 2 * z * z - (a - b) ** 2
-            den = 2 * np.sqrt(((u - a) ** 2 + z * z) * ((u - b) ** 2 + z * z))
-            return np.arccos(np.clip(num / den, -1, 1))
-
         def uav_gain(tx, ty):
             def ratio(psi):
                 if abs(np.sin(psi / 2)) < 1e-12:
@@ -118,8 +191,8 @@ class TestInstantaneousSinr:
         jx, jy = 0.01, -0.02
         sinr = []
         for me, other in ((s1, s2), (s2, s1)):
-            tx = axis_angle(uav[0], me[0], other[0], uav[2])
-            ty = axis_angle(uav[1], me[1], other[1], uav[2])
+            tx = oracle_axis_angle(uav[0], me[0], other[0], uav[2])
+            ty = oracle_axis_angle(uav[1], me[1], other[1], uav[2])
             signal = 0.01 * hl2(me) * g0_s * uav_gain(jx, jy)
             interf = 0.01 * hl2(other) * g0_s * uav_gain(tx + jx, ty + jy)
             sinr.append(signal / (interf + p.noise_power_w))
@@ -211,6 +284,62 @@ class TestOutageProbability:
     def test_rejects_zero_samples(self):
         with pytest.raises(InvalidInputError):
             channel.outage_probability([make_link(1, 1)], vec3(0, 0, 50), make_params(), 0, 0)
+
+KERNEL_CASES = {
+    "one link": ([(50, 60)], (70, 75, 80), 0.5),
+    "two links": ([(40, 40), (110, 95)], (75, 70, 85), 0.5),
+    "six links": ([(12, 30), (40, 44), (48, 44), (75, 140), (110, 95), (140, 10)],
+                  (70, 70, 75), 0.5),
+    "station under the UAV": ([(70, 70), (40, 44), (110, 95)], (70, 70, 60), 0.5),
+    "spacing 0.7 (period reduction)": ([(12, 30), (40, 44), (75, 140), (110, 95)],
+                                       (70, 70, 75), 0.7),
+}
+
+
+class TestKernelMatchesReference:
+    @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+    def test_geometry_and_sinr_bit_identical(self, case):
+        stations, uav, spacing = KERNEL_CASES[case]
+        links = [make_link(x, y, spacing=spacing) for x, y in stations]
+        uav = vec3(*uav)
+        p = make_params()
+        ref = oracle_precompute(links, uav, p)
+        geom = channel._precompute(links, uav, p)
+        assert np.array_equal(geom.tx_power, ref[0])
+        assert np.array_equal(geom.path_loss_sq, ref[1])
+        assert np.array_equal(geom.sbs_g0, ref[2])
+        assert np.array_equal(geom.p_los, ref[3])
+        m = len(links)
+        pairs = ~np.eye(m, dtype=bool)
+        for offset, theta in ((geom.offset_x, ref[4]), (geom.offset_y, ref[5])):
+            assert offset[0] == 0.0 and offset.shape == (1 + m * (m - 1) // 2,)
+            assert np.array_equal(offset[geom.column][pairs], theta[pairs])
+        if spacing > 0.5:
+            # some |psi| = k*d*|sin(offset)| exceed pi, so the reduction acts
+            assert np.any(2 * np.pi * spacing * np.sin(geom.offset_x) > np.pi)
+        rng = np.random.default_rng(5)
+        s = 4000
+        jx = rng.normal(0.0, 0.05, s)
+        jy = rng.normal(0.0, 0.05, s)
+        alpha = np.where(rng.random((s, m)) < 0.6, 1.0, p.nlos_extra_loss)
+        got = channel._sinr_matrix(geom, p, jx, jy, alpha)
+        assert np.array_equal(got, oracle_sinr(ref, p, jx, jy, alpha))
+
+    @pytest.mark.parametrize("los_mode", [channel.LOS_PER_SAMPLE, channel.LOS_PER_CALL])
+    @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+    def test_outage_bit_identical(self, case, los_mode):
+        stations, uav, spacing = KERNEL_CASES[case]
+        links = [make_link(x, y, spacing=spacing) for x, y in stations]
+        p = make_params(los_mode=los_mode, vibration_std_rad=np.deg2rad(4.0))
+        n = 2 * channel._DRAW_BLOCK + 7
+        got = channel.outage_probability(links, vec3(*uav), p, n, 17).per_link_outage
+        want = oracle_outage(links, vec3(*uav), p, n, 17)
+        assert np.array_equal(got, want)
+
+    def test_mixed_uav_arrays_rejected(self):
+        links = [make_link(40, 40), make_link(110, 95, n_uav=8)]
+        with pytest.raises(InvalidInputError, match="one UAV array"):
+            channel.outage_probability(links, vec3(75, 70, 85), make_params(), 10, 0)
 
 
 class TestMaxOutage:

@@ -93,6 +93,16 @@ def test_bad_config_exits_2_with_failed_manifest(tmp_path, capsys, command, extr
     assert data["error"] == err.strip()
 
 
+@pytest.mark.parametrize("flags", [
+    ("--uav", "a,b,c", "--sbs", "1,2"),
+    ("--uav", "75,75,80", "--sbs", "x,2"),
+])
+def test_bad_linkbudget_coordinates_exit_2(capsys, flags):
+    assert cli.main(["linkbudget", *flags]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: expected ") and err.count("\n") == 1
+
+
 def test_mc_samples_flag_is_applied(tmp_path):
     out = tmp_path / "out"
     assert cli.main(["baseline", "--config", str(write_config(tmp_path)),

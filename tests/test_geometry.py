@@ -5,87 +5,84 @@ from hypothesis import strategies as st
 
 from uavthz import geometry
 from uavthz.errors import GeometryDegenerateError, InvalidInputError
-from uavthz.geometry import UavKinematicState, vec3
+from uavthz.geometry import vec3
 
 coord = st.floats(-200.0, 200.0)
 altitude = st.floats(1.0, 300.0)
+stations = st.lists(st.tuples(coord, coord), min_size=1, max_size=7)
 
 
-def kin(p, v, a):
-    return UavKinematicState(vec3(*p), vec3(*v), vec3(*a))
+def ground(xy):
+    return np.array([(x, y, 0.0) for x, y in xy])
 
 
-class TestUpdatePosition:
-    def test_direct_substitution(self):
-        out = geometry.update_position(kin((10, 0, 50), (2, 0, 0), (4, 0, 0)), 1.0)
-        assert np.allclose(out, (14, 0, 50))
-
-    def test_zero_motion_identity(self):
-        out = geometry.update_position(kin((5, 6, 7), (0, 0, 0), (0, 0, 0)), 3.7)
-        assert np.allclose(out, (5, 6, 7))
-
-    def test_hand_evaluated_quadratic(self):
-        # 1*2 + 0.5*2*4 = 6 per axis
-        out = geometry.update_position(kin((0, 0, 0), (1, 1, 1), (2, 2, 2)), 2.0)
-        assert np.allclose(out, (6, 6, 6))
-
-    def test_rejects_nonpositive_dt(self):
-        with pytest.raises(InvalidInputError):
-            geometry.update_position(kin((0, 0, 0), (1, 0, 0), (0, 0, 0)), 0.0)
-
+class TestPositions:
     def test_rejects_nonfinite(self):
         with pytest.raises(InvalidInputError):
-            kin((np.nan, 0, 0), (0, 0, 0), (0, 0, 0))
+            geometry.as_vec3((np.nan, 0, 0))
+        with pytest.raises(InvalidInputError):
+            geometry.as_points([(0, 0, 0), (1, np.inf, 0)])
 
-    @given(coord, coord, coord, st.floats(0.01, 10.0))
-    def test_half_steps_match_full_step(self, px, vx, ax, dt):
-        # quadratic motion: two half-steps at constant acceleration equal one full step
-        state = kin((px, 0, 1), (vx, 0, 0), (ax, 0, 0))
-        full = geometry.update_position(state, dt)
-        mid_pos = geometry.update_position(state, dt / 2)
-        mid_vel = state.velocity + state.acceleration * (dt / 2)
-        two = geometry.update_position(
-            UavKinematicState(mid_pos, mid_vel, state.acceleration), dt / 2)
-        assert np.allclose(full, two, rtol=1e-9, atol=1e-9)
+    def test_rejects_bad_shape(self):
+        for bad in (np.zeros(2), np.zeros((2, 2)), np.zeros((2, 3, 3))):
+            with pytest.raises(InvalidInputError):
+                geometry.as_points(bad)
 
 
 class TestSpatialAngles:
     def test_same_station_gives_zero(self):
         s = vec3(10, 20, 0)
-        assert geometry.spatial_angles(vec3(0, 0, 50), s, s) == (0.0, 0.0)
+        tx, ty = geometry.pair_axis_angles(vec3(0, 0, 50), [s, s])
+        assert not tx.any() and not ty.any()
 
     def test_orthogonal_links_x(self):
-        tx, ty = geometry.spatial_angles(vec3(0, 0, 50), vec3(-50, 0, 0), vec3(50, 0, 0))
+        tx, ty = geometry.pair_axis_angles(vec3(0, 0, 50), [vec3(-50, 0, 0), vec3(50, 0, 0)])
         # link vectors (-50,0,-50) and (50,0,-50) are orthogonal in the x-z plane
-        assert tx == pytest.approx(np.pi / 2, abs=1e-12)
-        assert ty == pytest.approx(0.0, abs=1e-12)
+        assert tx[0, 1] == pytest.approx(np.pi / 2, abs=1e-12)
+        assert ty[0, 1] == pytest.approx(0.0, abs=1e-12)
 
     def test_orthogonal_links_y(self):
-        tx, ty = geometry.spatial_angles(vec3(0, 0, 50), vec3(0, -50, 0), vec3(0, 50, 0))
-        assert ty == pytest.approx(np.pi / 2, abs=1e-12)
-        assert tx == pytest.approx(0.0, abs=1e-12)
+        tx, ty = geometry.pair_axis_angles(vec3(0, 0, 50), [vec3(0, -50, 0), vec3(0, 50, 0)])
+        assert ty[0, 1] == pytest.approx(np.pi / 2, abs=1e-12)
+        assert tx[0, 1] == pytest.approx(0.0, abs=1e-12)
 
     def test_degenerate_altitude(self):
         with pytest.raises(GeometryDegenerateError):
-            geometry.spatial_angles(vec3(0, 0, 0), vec3(1, 0, 0), vec3(0, 1, 0))
+            geometry.pair_axis_angles(vec3(0, 0, 0), [vec3(1, 0, 0), vec3(0, 1, 0)])
 
-    @given(coord, coord, altitude, coord, coord, coord, coord)
+    def test_needs_a_station_matrix(self):
+        with pytest.raises(InvalidInputError):
+            geometry.pair_axis_angles(vec3(0, 0, 50), vec3(1, 0, 0))
+
+    @given(coord, coord, altitude, stations)
     @settings(max_examples=100)
-    def test_symmetric_in_station_order(self, ux, uy, uz, ax, ay, bx, by):
-        u = vec3(ux, uy, uz)
-        a, b = vec3(ax, ay, 0), vec3(bx, by, 0)
-        assert geometry.spatial_angles(u, a, b) == geometry.spatial_angles(u, b, a)
+    def test_symmetric_in_station_order(self, ux, uy, uz, xy):
+        u, pts = vec3(ux, uy, uz), ground(xy)
+        tx, ty = geometry.pair_axis_angles(u, pts)
+        assert np.array_equal(tx, tx.T) and np.array_equal(ty, ty.T)
+        order = np.arange(len(pts))[::-1]
+        rx, ry = geometry.pair_axis_angles(u, pts[order])
+        assert np.array_equal(rx, tx[np.ix_(order, order)])
+        assert np.array_equal(ry, ty[np.ix_(order, order)])
 
-    @given(coord, coord, altitude, coord, coord)
-    def test_self_pair_is_zero(self, ux, uy, uz, ax, ay):
-        a = vec3(ax, ay, 0)
-        tx, ty = geometry.spatial_angles(vec3(ux, uy, uz), a, a)
-        assert tx == 0.0 and ty == 0.0
+    @given(coord, coord, altitude, stations)
+    def test_self_pair_is_zero(self, ux, uy, uz, xy):
+        tx, ty = geometry.pair_axis_angles(vec3(ux, uy, uz), ground(xy))
+        assert not np.diag(tx).any() and not np.diag(ty).any()
 
-    @given(coord, coord, altitude, coord, coord, coord, coord)
-    def test_range(self, ux, uy, uz, ax, ay, bx, by):
-        tx, ty = geometry.spatial_angles(vec3(ux, uy, uz), vec3(ax, ay, 0), vec3(bx, by, 0))
-        assert 0.0 <= tx <= np.pi and 0.0 <= ty <= np.pi
+    @given(coord, coord, altitude, stations)
+    def test_range(self, ux, uy, uz, xy):
+        for theta in geometry.pair_axis_angles(vec3(ux, uy, uz), ground(xy)):
+            assert np.all((0.0 <= theta) & (theta <= np.pi))
+
+    @given(coord, coord, altitude, stations)
+    def test_each_pair_independent_of_the_others(self, ux, uy, uz, xy):
+        u, pts = vec3(ux, uy, uz), ground(xy)
+        tx, ty = geometry.pair_axis_angles(u, pts)
+        for i in range(len(pts)):
+            for j in range(len(pts)):
+                px, py = geometry.pair_axis_angles(u, pts[[i, j]])
+                assert tx[i, j] == px[0, 1] and ty[i, j] == py[0, 1]
 
 
 class TestElevationAngle:
@@ -137,47 +134,19 @@ class TestLinkLength:
         u = vec3(12, -7, 80)
         assert geometry.link_length(u, vec3(0, 0, 0)) >= u[2]
 
+    @given(coord, coord, altitude, stations)
+    def test_stacked_stations_match_one_at_a_time(self, ux, uy, uz, xy):
+        u, pts = vec3(ux, uy, uz), ground(xy)
+        lengths = geometry.link_length(u, pts)
+        elevations = geometry.elevation_angle(u, pts)
+        assert lengths.shape == elevations.shape == (len(pts),)
+        for k, p in enumerate(pts):
+            assert lengths[k] == geometry.link_length(u, p)
+            assert elevations[k] == geometry.elevation_angle(u, p)
 
-class TestTrajectoryTime:
-    def test_single_waypoint(self):
-        assert geometry.trajectory_time([vec3(1, 2, 3)], []) == 0.0
-
-    def test_eight_meters_at_eight(self):
-        assert geometry.trajectory_time([vec3(0, 0, 50), vec3(8, 0, 50)], [8.0]) == pytest.approx(1.0)
-
-    def test_two_segments(self):
-        pts = [vec3(0, 0, 50), vec3(3, 4, 50), vec3(3, 4, 62)]
-        assert geometry.trajectory_time(pts, [5.0, 6.0]) == pytest.approx(3.0)
-
-    def test_rejects_nonpositive_speed(self):
-        with pytest.raises(InvalidInputError):
-            geometry.trajectory_time([vec3(0, 0, 0), vec3(1, 0, 0)], [0.0])
-
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(InvalidInputError):
-            geometry.trajectory_time([vec3(0, 0, 0), vec3(1, 0, 0)], [1.0, 1.0])
-
-    @given(st.lists(st.tuples(coord, coord, altitude), min_size=2, max_size=6),
-           st.integers(1, 4))
-    def test_additive_under_concatenation(self, pts, split):
-        pts = [vec3(*p) for p in pts]
-        speeds = [3.0] * (len(pts) - 1)
-        split = min(split, len(pts) - 1)
-        whole = geometry.trajectory_time(pts, speeds)
-        left = geometry.trajectory_time(pts[:split + 1], speeds[:split])
-        right = geometry.trajectory_time(pts[split:], speeds[split:])
-        assert whole == pytest.approx(left + right, rel=1e-12, abs=1e-12)
-
-
-class TestMinPairSeparation:
-    def test_needs_two_stations(self):
-        with pytest.raises(InvalidInputError):
-            geometry.min_pair_separation(vec3(0, 0, 50), [vec3(1, 1, 0)])
-
-    def test_closest_pair_dominates(self):
-        u = vec3(75, 75, 80)
-        tight = [vec3(40, 40, 0), vec3(44, 42, 0)]
-        spread = vec3(120, 30, 0)
-        sep = geometry.min_pair_separation(u, tight + [spread])
-        tx, ty = geometry.spatial_angles(u, tight[0], tight[1])
-        assert sep == pytest.approx(max(tx, ty))
+    def test_matches_vector_norm(self):
+        rng = np.random.default_rng(0)
+        u = vec3(3.0, -2.0, 40.0)
+        pts = rng.normal(size=(200, 3)) * 50.0
+        want = [np.linalg.norm(u - p) for p in pts]
+        assert np.array_equal(geometry.link_length(u, pts), want)
