@@ -276,3 +276,19 @@ class Environment:
             for _ in range(m_c)
         ]
         return replace(topology, sbs_list=survivors + fresh)
+
+    def episode_time(self, actions, speeds=None) -> tuple[float, bool]:
+        """Travel time of an action sequence and whether it fits the mean change interval.
+
+        Speeds default to peak speed per segment, matching step() accounting.
+        """
+        disps = [a.displacement if isinstance(a, EnvAction) else as_vec3(a) for a in actions]
+        if not disps:
+            return 0.0, True
+        waypoints = [np.zeros(3)]
+        for d in disps:
+            waypoints.append(waypoints[-1] + d)
+        if speeds is None:
+            speeds = [self.config.limits.v_max] * len(disps)
+        total = geometry.trajectory_time(waypoints, speeds)
+        return total, total <= self.config.mean_change_interval

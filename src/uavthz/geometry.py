@@ -106,3 +106,19 @@ def link_length(uav: Vec3, sbs) -> float | np.ndarray:
     # vecdot is the same dot product np.linalg.norm takes of one vector, so
     # stacked and single lengths equal np.linalg.norm bit for bit.
     return np.sqrt(np.vecdot(d, d))
+
+
+def trajectory_time(waypoints, speeds) -> float:
+    """Total travel time along a piecewise-linear path, one speed per segment."""
+    pts = [as_vec3(w) for w in waypoints]
+    spd = [float(s) for s in speeds]
+    if len(pts) != len(spd) + 1:
+        raise InvalidInputError(
+            f"{len(pts)} waypoints need {max(len(pts) - 1, 0)} speeds, got {len(spd)}"
+        )
+    if any(not np.isfinite(s) or s <= 0 for s in spd):
+        raise InvalidInputError("segment speeds must be positive and finite")
+    total = 0.0
+    for k, v in enumerate(spd):
+        total += float(np.linalg.norm(pts[k + 1] - pts[k])) / v
+    return total

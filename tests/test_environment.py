@@ -211,6 +211,36 @@ class TestEvolveTopology:
             Topology([], 150, 150)
 
 
+class TestEpisodeTime:
+    def test_ten_steps_of_ten_meters(self):
+        env = small_env()
+        env.reset(0)
+        actions = [EnvAction(vec3(10.0, 0.0, 0.0))] * 10
+        total, ok = env.episode_time(actions)
+        assert total == pytest.approx(12.5)
+        assert ok  # 12.5 <= 27.5
+
+    def test_empty_sequence(self):
+        env = small_env()
+        env.reset(0)
+        assert env.episode_time([]) == (0.0, True)
+
+    def test_peak_speed_accounting(self):
+        env = small_env()
+        env.reset(0)
+        actions = [EnvAction(vec3(0.0, 8.0, 0.0))] * 3
+        total, _ = env.episode_time(actions)
+        assert total == pytest.approx(3.0)
+
+    def test_budget_violation_flagged(self):
+        env = small_env()
+        env.reset(0)
+        actions = [EnvAction(vec3(10.0, 0.0, 0.0))] * 30
+        total, ok = env.episode_time(actions)
+        assert total == pytest.approx(37.5)
+        assert not ok
+
+
 class TestRestartEpisode:
     def test_returns_to_epoch_start(self):
         env = small_env()
