@@ -89,9 +89,10 @@ class LinkState:
 
 @dataclass
 class SinrSample:
-    """Per-link linear SINR values for one orientation realization."""
+    """Per-link linear SINR and interference power (W) for one orientation realization."""
 
     per_link_sinr: np.ndarray
+    per_link_interference_w: np.ndarray
     orientation: tuple[float, float]
 
 
@@ -185,12 +186,12 @@ def _precompute(links, uav: Vec3, params: ChannelParams) -> _LinkGeometry:
 
 def _sinr_matrix(geom: _LinkGeometry, params: ChannelParams,
                  theta_jx: np.ndarray, theta_jy: np.ndarray,
-                 alpha: np.ndarray) -> np.ndarray:
-    """Linear SINR for S orientation draws and M links.
+                 alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Linear SINR and interference power (W) for S orientation draws and M links.
 
     theta_jx/theta_jy: jitter draws of shape (S,); alpha: per-sample LoS
-    attenuation of shape (S, M). Returns (S, M). Interference is summed into
-    an (S, M) array over interferers j = 0..M-1 in order.
+    attenuation of shape (S, M). Returns two (S, M) arrays. Interference is
+    summed into an (S, M) array over interferers j = 0..M-1 in order.
     """
     gain = antenna.gain_at_axis_offsets(geom.uav_array,
                                         theta_x=theta_jx[:, None] + geom.offset_x,
@@ -205,7 +206,7 @@ def _sinr_matrix(geom: _LinkGeometry, params: ChannelParams,
         interference += term
     signal = (geom.tx_power[None, :] * alpha * geom.path_loss_sq[None, :]
               * geom.sbs_g0[None, :] * gain[:, :1])
-    return signal / (interference + params.noise_power_w)
+    return signal / (interference + params.noise_power_w), interference
 
 
 def instantaneous_sinr(links, uav: Vec3, orientation: tuple[float, float],
@@ -215,8 +216,8 @@ def instantaneous_sinr(links, uav: Vec3, orientation: tuple[float, float],
     tx = np.array([float(orientation[0])])
     ty = np.array([float(orientation[1])])
     alpha = np.where([[lk.los_flag for lk in links]], 1.0, params.nlos_extra_loss)
-    sinr = _sinr_matrix(geom, params, tx, ty, alpha)[0]
-    return SinrSample(sinr, (float(orientation[0]), float(orientation[1])))
+    sinr, interference = _sinr_matrix(geom, params, tx, ty, alpha)
+    return SinrSample(sinr[0], interference[0], (float(orientation[0]), float(orientation[1])))
 
 
 def outage_probability(links, uav: Vec3, params: ChannelParams,
@@ -248,7 +249,7 @@ def outage_probability(links, uav: Vec3, params: ChannelParams,
     failures = np.zeros(m, dtype=np.int64)
     for lo in range(0, n_samples, _DRAW_BLOCK):
         hi = lo + _DRAW_BLOCK
-        sinr = _sinr_matrix(geom, params, theta_jx[lo:hi], theta_jy[lo:hi], alpha[lo:hi])
+        sinr, _ = _sinr_matrix(geom, params, theta_jx[lo:hi], theta_jy[lo:hi], alpha[lo:hi])
         failures += np.count_nonzero(sinr < params.sinr_threshold, axis=0)
     return OutageEstimate(failures / n_samples, n_samples, seed)
 

@@ -31,8 +31,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
 
-_NET_FILES = ("actor", "actor_target", "critic1", "critic1_target",
-              "critic2", "critic2_target")
+_NET_FILES = ("actor", "actor_target", "critics", "critics_target")
 
 
 def _fmt(value) -> str:
@@ -50,7 +49,13 @@ def write_csv(path: Path, meta: dict, header, rows) -> None:
 
 
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with path.open("rb") as fh:
+        # Read in pieces: a whole checkpoint block in one bytes object would
+        # set the process's peak memory.
+        for piece in iter(lambda: fh.read(1 << 16), b""):
+            digest.update(piece)
+    return digest.hexdigest()
 
 
 class Manifest:
@@ -291,7 +296,6 @@ def cmd_linkbudget(cfg: RunConfig, uav_xyz: str, sbs_list: list[str]) -> int:
               f"{'freespace_db':>13} {'pathloss_db':>12} {'gain_db':>9} "
               f"{'intf_dbm':>10} {'sinr_db':>8}  verdict")
     print(header)
-    noise = params.noise_power_w
     for i, lk in enumerate(links):
         length = geometry.link_length(uav, lk.sbs_position)
         elev = geometry.elevation_angle(uav, lk.sbs_position)
@@ -299,10 +303,9 @@ def cmd_linkbudget(cfg: RunConfig, uav_xyz: str, sbs_list: list[str]) -> int:
         hlf = channel.free_space_term(params, length)
         pl2 = channel.path_loss(params, length)
         sinr = sample.per_link_sinr[i]
-        signal = (lk.tx_power_w * pl2 * g0_sbs * g0_uav)
-        interference = signal / sinr - noise if sinr > 0 else np.inf
+        interference = sample.per_link_interference_w[i]
         verdict = "pass" if sinr >= params.sinr_threshold else "FAIL"
-        intf_dbm = 10 * np.log10(max(interference, 1e-300) * 1e3)
+        intf_dbm = 10 * np.log10(interference * 1e3) if interference > 0 else -np.inf
         print(f"{i + 1:>4} {length:>10.3f} {np.degrees(elev):>9.3f} {p_los:>7.4f} "
               f"{10 * np.log10(hlf):>13.2f} {10 * np.log10(pl2):>12.2f} "
               f"{10 * np.log10(g0_sbs * g0_uav):>9.2f} {intf_dbm:>10.2f} "

@@ -1,8 +1,10 @@
-"""Minimal dense feed-forward substrate: forward pass, exact backprop, Adam, Polyak.
+"""Dense feed-forward nets on flat parameter blocks: forward pass, exact backprop, Adam, Polyak.
 
-Everything is float64 numpy; networks are plain dataclass values whose
-parameters are mutated in place by the optimizer ops. Shapes follow
-(batch, features); 1-D inputs are treated as a single sample.
+Everything is float64 numpy. A net's weights and biases live in one contiguous
+block, layer by layer, and `weights[l]`, `biases[l]` are views into it. A (K, n)
+block stacks K nets of one architecture (the twin critics) that map a shared
+(batch, in) input to (K, batch, out). Adam, Polyak, clone and checkpoints act on
+whole blocks, elementwise, in the order of a per-layer update. 1-D input is one sample.
 """
 
 from dataclasses import dataclass, field
@@ -14,30 +16,66 @@ from uavthz.errors import InvalidInputError, NumericFailureError
 ACT_LINEAR = "linear"
 ACT_TANH = "tanh"
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+
+_ADAM_PIECE = 32768     # elements per piece of the Adam chain (256 KB of scratch)
 
 
-@dataclass
+def _block_size(layer_dims) -> tuple[tuple, int]:
+    """Validated layer sizes and the parameter count of one net."""
+    dims = tuple(int(d) for d in layer_dims)
+    if len(dims) < 2 or any(d < 1 for d in dims):
+        raise InvalidInputError(f"bad layer dims {dims}")
+    return dims, sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims[:-1], dims[1:]))
+
+
+def _layer_views(block: np.ndarray, dims: tuple) -> tuple[list, list]:
+    """Per-layer weight (..., fan_in, fan_out) and bias (..., fan_out) views of a block."""
+    weights, biases, off = [], [], 0
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        end = off + fan_in * fan_out
+        weights.append(block[..., off:end].reshape(*block.shape[:-1], fan_in, fan_out))
+        biases.append(block[..., end:end + fan_out])
+        off = end + fan_out
+    return weights, biases
+
+
+@dataclass(eq=False)
 class DenseNet:
-    """Fully connected ReLU network with a linear or scaled-tanh output layer."""
+    """Fully connected ReLU net(s) with a linear or scaled-tanh output layer."""
 
     layer_dims: tuple
-    weights: list          # weights[l]: (layer_dims[l], layer_dims[l+1])
-    biases: list           # biases[l]: (layer_dims[l+1],)
+    params: np.ndarray     # (n_params,) or (K, n_params), C-contiguous float64
     output_activation: str = ACT_LINEAR
     output_scale: float = 1.0
-    init_seed: int = 0
+    weights: list = field(init=False, repr=False)   # views into params
+    biases: list = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.layer_dims, n = _block_size(self.layer_dims)
+        if self.output_activation not in (ACT_LINEAR, ACT_TANH):
+            raise InvalidInputError(f"unknown output activation {self.output_activation!r}")
+        p = self.params
+        if not (p.dtype == np.float64 and p.ndim in (1, 2) and p.shape[-1] == n
+                and p.flags.c_contiguous):
+            raise InvalidInputError(f"need a C-contiguous float64 block (n,) or (K, n), n = {n}")
+        self.weights, self.biases = _layer_views(p, self.layer_dims)
 
     def architecture(self):
-        return (tuple(self.layer_dims), self.output_activation, self.output_scale)
+        return self.params.shape[:-1], self.layer_dims, self.output_activation, self.output_scale
+
+    def row(self, k: int) -> "DenseNet":
+        """Net k of a stack, sharing its parameters."""
+        return DenseNet(self.layer_dims, self.params[k], self.output_activation,
+                        self.output_scale)
 
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators and step counter for one network."""
+    """First/second moment blocks shaped like the net's params, and the step counter."""
 
-    first_moment: list
-    second_moment: list
+    first_moment: np.ndarray
+    second_moment: np.ndarray
     step_count: int = 0
     learning_rate: float = 1e-4
     beta1: float = 0.9
@@ -45,159 +83,140 @@ class AdamState:
     epsilon: float = 1e-8
 
 
-def init_net(layer_dims, seed: int, output_activation: str = ACT_LINEAR,
+def init_net(layer_dims, seed, output_activation: str = ACT_LINEAR,
              output_scale: float = 1.0) -> DenseNet:
-    """Seeded initialization, uniform in +-1/sqrt(fan_in) per layer."""
-    dims = tuple(int(d) for d in layer_dims)
-    if len(dims) < 2 or any(d < 1 for d in dims):
-        raise InvalidInputError(f"bad layer dims {dims}")
-    if output_activation not in (ACT_LINEAR, ACT_TANH):
-        raise InvalidInputError(f"unknown output activation {output_activation!r}")
-    rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        bound = 1.0 / np.sqrt(fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        biases.append(rng.uniform(-bound, bound, size=fan_out))
-    return DenseNet(dims, weights, biases, output_activation, output_scale, seed)
+    """Seeded initialization, uniform in +-1/sqrt(fan_in) per layer.
+
+    A tuple of seeds gives a stack whose row k equals init_net(layer_dims, seed[k]).
+    """
+    seeds = seed if isinstance(seed, tuple) else (seed,)
+    dims, n = _block_size(layer_dims)
+    params = np.empty((len(seeds), n))
+    for row, s in zip(params, seeds):
+        rng = np.random.default_rng(s)
+        for w, b in zip(*_layer_views(row, dims)):
+            bound = 1.0 / np.sqrt(w.shape[0])
+            w[...] = rng.uniform(-bound, bound, size=w.shape)
+            b[...] = rng.uniform(-bound, bound, size=b.shape)
+    return DenseNet(dims, params if isinstance(seed, tuple) else params[0],
+                    output_activation, output_scale)
 
 
 def init_adam(net: DenseNet, learning_rate: float) -> AdamState:
-    m = [np.zeros_like(w) for w in net.weights] + [np.zeros_like(b) for b in net.biases]
-    v = [np.zeros_like(w) for w in net.weights] + [np.zeros_like(b) for b in net.biases]
-    return AdamState(m, v, 0, learning_rate)
+    return AdamState(np.zeros_like(net.params), np.zeros_like(net.params), 0, learning_rate)
 
 
-def _check_input(net: DenseNet, x) -> tuple[np.ndarray, bool]:
+def forward(net: DenseNet, x, tape: list | None = None):
+    """Deterministic forward pass; 1-D input gives a 1-D output.
+
+    A `tape` list receives what `backward` needs: every layer's input, then
+    tanh of the output pre-activation (None for a linear output).
+    """
     x = np.asarray(x, dtype=float)
     squeezed = x.ndim == 1
-    if squeezed:
-        x = x[None, :]
-    if x.ndim != 2 or x.shape[1] != net.layer_dims[0]:
-        raise InvalidInputError(
-            f"input shape {x.shape} incompatible with input dim {net.layer_dims[0]}")
-    return x, squeezed
-
-
-def _forward_cached(net: DenseNet, x: np.ndarray):
-    """Returns (output, activations, pre_output) with activations[l] = input of layer l."""
-    acts = [x]
-    h = x
+    acts = [x[None, :] if squeezed else x]
+    if acts[0].ndim != 2 or acts[0].shape[1] != net.layer_dims[0]:
+        raise InvalidInputError(f"input shape {x.shape} incompatible with input dim "
+                                f"{net.layer_dims[0]}")
     for w, b in zip(net.weights[:-1], net.biases[:-1]):
-        h = np.maximum(h @ w + b, 0.0)
-        acts.append(h)
-    z = h @ net.weights[-1] + net.biases[-1]
-    if net.output_activation == ACT_TANH:
-        y = net.output_scale * np.tanh(z)
-    else:
-        y = z
-    return y, acts, z
+        h = acts[-1] @ w
+        h += b[..., None, :]
+        acts.append(np.maximum(h, 0.0, out=h))
+    z = acts[-1] @ net.weights[-1] + net.biases[-1][..., None, :]
+    t = np.tanh(z) if net.output_activation == ACT_TANH else None
+    y = z if t is None else net.output_scale * t
+    if tape is not None:
+        tape[:] = [*acts, t]
+    return y[..., 0, :] if squeezed else y
 
 
-def forward(net: DenseNet, x):
-    """Deterministic forward pass; 1-D input gives a 1-D output."""
-    x2, squeezed = _check_input(net, x)
-    y, _, _ = _forward_cached(net, x2)
-    return y[0] if squeezed else y
+def backward(net: DenseNet, tape: list, output_grad, wrt_input: bool = False):
+    """Exact reverse-mode gradient of sum(output * output_grad) for a taped forward.
 
-
-def backward(net: DenseNet, x, output_grad):
-    """Exact reverse-mode gradients of sum(output * output_grad).
-
-    Returns (weight_grads, bias_grads, input_grad); gradients are summed over
-    the batch, so any 1/batch factor belongs in output_grad.
+    The gradient is with respect to the parameters, shaped like net.params
+    and summed over the batch (any 1/batch factor belongs in output_grad),
+    or, with `wrt_input`, with respect to the input alone.
     """
-    x2, squeezed = _check_input(net, x)
+    *acts, t = tape
     g = np.asarray(output_grad, dtype=float)
-    if squeezed and g.ndim == 1:
-        g = g[None, :]
-    if g.shape != (x2.shape[0], net.layer_dims[-1]):
-        raise InvalidInputError(
-            f"output_grad shape {g.shape} incompatible with output dim {net.layer_dims[-1]}")
-    y, acts, z = _forward_cached(net, x2)
-    if net.output_activation == ACT_TANH:
-        t = np.tanh(z)
-        delta = g * net.output_scale * (1.0 - t * t)
-    else:
-        delta = g.copy()
-    n_layers = len(net.weights)
-    w_grads = [None] * n_layers
-    b_grads = [None] * n_layers
-    for l in range(n_layers - 1, -1, -1):
-        w_grads[l] = acts[l].T @ delta
-        b_grads[l] = delta.sum(axis=0)
-        delta = delta @ net.weights[l].T
+    expected = (*net.params.shape[:-1], acts[0].shape[0], net.layer_dims[-1])
+    if g.shape != expected:
+        raise InvalidInputError(f"output_grad shape {g.shape} != output shape {expected}")
+    delta = g if t is None else g * net.output_scale * (1.0 - t * t)
+    if not wrt_input:
+        grad = np.empty_like(net.params)
+        w_grads, b_grads = _layer_views(grad, net.layer_dims)
+    for l in range(len(net.weights) - 1, -1, -1):
+        if not wrt_input:
+            np.matmul(np.swapaxes(acts[l], -1, -2), delta, out=w_grads[l])
+            np.sum(delta, axis=-2, out=b_grads[l])
+        if l > 0 or wrt_input:
+            delta = delta @ np.swapaxes(net.weights[l], -1, -2)
         if l > 0:
-            delta = delta * (acts[l] > 0)
-    input_grad = delta[0] if squeezed else delta
-    return w_grads, b_grads, input_grad
+            np.multiply(delta, acts[l] > 0, out=delta)
+    return delta if wrt_input else grad
 
 
-def adam_step(net: DenseNet, w_grads, b_grads, state: AdamState) -> None:
-    """One bias-corrected Adam update in place; aborts loudly on non-finite gradients."""
-    grads = list(w_grads) + list(b_grads)
-    params = list(net.weights) + list(net.biases)
-    if len(grads) != len(params):
-        raise InvalidInputError("gradient list does not match parameter list")
-    for g in grads:
-        if not np.all(np.isfinite(g)):
-            raise NumericFailureError("non-finite gradient in Adam step")
+def adam_step(net: DenseNet, grad: np.ndarray, state: AdamState) -> None:
+    """One bias-corrected Adam update in place; aborts loudly on non-finite gradients.
+
+    `grad` is overwritten. The chain runs over pieces of the block with one
+    piece-sized scratch: a block-sized one is a large short-lived allocation
+    that the C allocator hands back and faults in again on every step.
+    """
+    if grad.shape != net.params.shape:
+        raise InvalidInputError(f"gradient shape {grad.shape} != {net.params.shape}")
+    if not np.isfinite(grad).all():
+        raise NumericFailureError("non-finite gradient in Adam step")
     state.step_count += 1
-    t = state.step_count
-    c1 = 1.0 - state.beta1 ** t
-    c2 = 1.0 - state.beta2 ** t
-    for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
-        if p.shape != g.shape:
-            raise InvalidInputError(f"gradient shape {g.shape} != parameter shape {p.shape}")
+    c1 = 1.0 - state.beta1 ** state.step_count
+    c2 = 1.0 - state.beta2 ** state.step_count
+    flat = [a.reshape(-1) for a in (net.params, grad, state.first_moment, state.second_moment)]
+    buf = np.empty(min(grad.size, _ADAM_PIECE))
+    for lo in range(0, grad.size, _ADAM_PIECE):
+        p, g, m, v = (a[lo:lo + _ADAM_PIECE] for a in flat)
+        s = buf[:g.size]
+        np.multiply(g, 1.0 - state.beta1, out=s)
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        m += s
+        np.multiply(g, 1.0 - state.beta2, out=s)
+        s *= g
         v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + state.epsilon)
+        v += s
+        # lr * (m / c1) / (sqrt(v / c2) + eps), in that order
+        np.divide(m, c1, out=s)
+        s *= state.learning_rate
+        np.divide(v, c2, out=g)
+        np.sqrt(g, out=g)
+        g += state.epsilon
+        s /= g
+        p -= s
 
 
-def polyak_update(target: DenseNet, online: DenseNet, tau: float) -> DenseNet:
+def polyak_update(target: DenseNet, online: DenseNet, tau: float) -> None:
     """target <- tau*online + (1-tau)*target, elementwise, in place."""
     if target.architecture() != online.architecture():
         raise InvalidInputError("target and online network architectures differ")
     if not 0.0 <= tau <= 1.0:
         raise InvalidInputError(f"tau must lie in [0, 1], got {tau}")
-    for tp, op in zip(target.weights + target.biases, online.weights + online.biases):
-        tp *= 1.0 - tau
-        tp += tau * op
-    return target
+    target.params *= 1.0 - tau
+    target.params += tau * online.params
 
 
 def clone_net(net: DenseNet) -> DenseNet:
-    return DenseNet(tuple(net.layer_dims), [w.copy() for w in net.weights],
-                    [b.copy() for b in net.biases], net.output_activation,
-                    net.output_scale, net.init_seed)
+    return DenseNet(net.layer_dims, net.params.copy(), net.output_activation,
+                    net.output_scale)
 
 
 def save_net(path, net: DenseNet, adam: AdamState | None = None) -> None:
-    """Checkpoint a network (and optionally its Adam state) to an .npz file.
-
-    The dump holds a version tag, the layer sizes, the init seed and every
-    parameter array in layer order; float64 payloads round-trip bit-exactly.
-    """
-    payload = {
-        "version": np.array(CHECKPOINT_VERSION),
-        "layer_dims": np.array(net.layer_dims),
-        "output_activation": np.array(net.output_activation),
-        "output_scale": np.array(net.output_scale),
-        "init_seed": np.array(net.init_seed),
-        "n_layers": np.array(len(net.weights)),
-    }
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        payload[f"w{i}"] = w
-        payload[f"b{i}"] = b
+    """Checkpoint a net, and its Adam state if given, to .npz; floats round-trip bit-exactly."""
+    payload = {"version": np.array(CHECKPOINT_VERSION), "layer_dims": np.array(net.layer_dims),
+               "output_activation": np.array(net.output_activation),
+               "output_scale": np.array(net.output_scale), "params": net.params}
     if adam is not None:
-        payload["adam_step"] = np.array(adam.step_count)
-        payload["adam_lr"] = np.array(adam.learning_rate)
-        payload["adam_betas_eps"] = np.array([adam.beta1, adam.beta2, adam.epsilon])
-        for i, (m, v) in enumerate(zip(adam.first_moment, adam.second_moment)):
-            payload[f"adam_m{i}"] = m
-            payload[f"adam_v{i}"] = v
+        payload.update(adam_step=np.array(adam.step_count), adam_m=adam.first_moment,
+                       adam_v=adam.second_moment, adam_lr_betas_eps=np.array(
+                           [adam.learning_rate, adam.beta1, adam.beta2, adam.epsilon]))
     np.savez(path, **payload)
 
 
@@ -206,18 +225,12 @@ def load_net(path) -> tuple[DenseNet, AdamState | None]:
     with np.load(path, allow_pickle=False) as data:
         version = int(data["version"])
         if version != CHECKPOINT_VERSION:
-            raise InvalidInputError(f"unsupported checkpoint version {version}")
-        dims = tuple(int(d) for d in data["layer_dims"])
-        n_layers = int(data["n_layers"])
-        weights = [data[f"w{i}"] for i in range(n_layers)]
-        biases = [data[f"b{i}"] for i in range(n_layers)]
-        net = DenseNet(dims, weights, biases, str(data["output_activation"]),
-                       float(data["output_scale"]), int(data["init_seed"]))
+            raise InvalidInputError(f"{path}: unsupported checkpoint version {version}, "
+                                    f"expected {CHECKPOINT_VERSION}")
+        net = DenseNet(tuple(data["layer_dims"]), data["params"],
+                       str(data["output_activation"]), float(data["output_scale"]))
         adam = None
         if "adam_step" in data:
-            m = [data[f"adam_m{i}"] for i in range(2 * n_layers)]
-            v = [data[f"adam_v{i}"] for i in range(2 * n_layers)]
-            b1, b2, eps = (float(x) for x in data["adam_betas_eps"])
-            adam = AdamState(m, v, int(data["adam_step"]), float(data["adam_lr"]),
-                             b1, b2, eps)
+            adam = AdamState(data["adam_m"], data["adam_v"], int(data["adam_step"]),
+                             *(float(x) for x in data["adam_lr_betas_eps"]))
     return net, adam

@@ -2,12 +2,15 @@
 
 Twin critics with clipped double-Q bootstrapping, Gaussian target-policy
 smoothing, delayed actor/target updates, a uniform ring replay buffer, and
-Gaussian exploration noise. Networks operate in a normalized space: positions
-mapped per axis to [-1, 1], actions to the unit ball; denormalization to
-meters happens only at the environment boundary.
+Gaussian exploration noise. The two critics are one stacked network (row 0
+is critic 1, row 1 critic 2) with one stacked target and one Adam state, so
+a critic step is one batched forward, one backward and one Adam pass; the
+actor step reads critic 1 through a row view. Networks operate in a
+normalized space: positions mapped per axis to [-1, 1], actions to the unit
+ball; denormalization to meters happens only at the environment boundary.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -133,13 +136,10 @@ class Td3Agent:
 
     actor: DenseNet
     actor_target: DenseNet
-    critic1: DenseNet
-    critic2: DenseNet
-    critic1_target: DenseNet
-    critic2_target: DenseNet
+    critics: DenseNet          # critic 1 and critic 2, stacked along axis 0
+    critics_target: DenseNet
     adam_actor: AdamState
-    adam_critic1: AdamState
-    adam_critic2: AdamState
+    adam_critics: AdamState
     buffer: ReplayBuffer
     normalizer: Normalizer
     hp: Td3Hyperparams
@@ -158,18 +158,14 @@ class Td3Agent:
         # born saturated toward the altitude rejection band freezes there.
         actor.weights[-1] *= hp.actor_head_scale
         actor.biases[-1] *= hp.actor_head_scale
-        critic1 = neural.init_net(critic_dims, _seed_int(s_c1))
-        critic2 = neural.init_net(critic_dims, _seed_int(s_c2))
+        critics = neural.init_net(critic_dims, (_seed_int(s_c1), _seed_int(s_c2)))
         return cls(
             actor=actor,
             actor_target=neural.clone_net(actor),
-            critic1=critic1,
-            critic2=critic2,
-            critic1_target=neural.clone_net(critic1),
-            critic2_target=neural.clone_net(critic2),
+            critics=critics,
+            critics_target=neural.clone_net(critics),
             adam_actor=neural.init_adam(actor, hp.actor_lr),
-            adam_critic1=neural.init_adam(critic1, hp.critic_lr),
-            adam_critic2=neural.init_adam(critic2, hp.critic_lr),
+            adam_critics=neural.init_adam(critics, hp.critic_lr),
             buffer=ReplayBuffer(hp.buffer_capacity, _seed_int(s_buf)),
             normalizer=normalizer,
             hp=hp,
@@ -181,7 +177,7 @@ def _seed_int(ss: np.random.SeedSequence) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def select_action(agent: Td3Agent, norm_state, explore: bool, rng=None) -> EnvAction:
+def select_action(agent: Td3Agent, norm_state, explore: bool) -> EnvAction:
     """Policy action for a normalized state, denormalized to meters.
 
     With explore set, adds zero-mean Gaussian noise to the normalized action
@@ -189,23 +185,21 @@ def select_action(agent: Td3Agent, norm_state, explore: bool, rng=None) -> EnvAc
     """
     a = neural.forward(agent.actor, np.asarray(norm_state, dtype=float))
     if explore:
-        gen = agent.rng if rng is None else rng
-        a = a + gen.normal(0.0, agent.hp.exploration_noise_std, size=ACTION_DIM)
+        a = a + agent.rng.normal(0.0, agent.hp.exploration_noise_std, size=ACTION_DIM)
     a = _project_unit_ball(a)
     return EnvAction(agent.normalizer.denorm_action(a))
 
 
-def random_action(agent: Td3Agent, rng=None) -> EnvAction:
+def random_action(agent: Td3Agent) -> EnvAction:
     """Random draw from the action ball (warm-up exploration).
 
     The radius is uniform in [0, 1] rather than volume-uniform so that small
     displacements are well represented; the optimal action at a good start
     is near zero and the critic needs data there.
     """
-    gen = agent.rng if rng is None else rng
-    direction = gen.normal(size=ACTION_DIM)
+    direction = agent.rng.normal(size=ACTION_DIM)
     direction /= max(np.linalg.norm(direction), 1e-12)
-    radius = gen.uniform(0.0, 1.0)
+    radius = agent.rng.uniform(0.0, 1.0)
     return EnvAction(agent.normalizer.denorm_action(direction * radius))
 
 
@@ -220,21 +214,16 @@ def critic_update(agent: Td3Agent, minibatch) -> tuple[float, float]:
     noise = np.clip(noise, -hp.target_noise_clip, hp.target_noise_clip)
     next_a = _project_unit_ball(next_a + noise)
     next_in = np.concatenate([next_states, next_a], axis=1)
-    q1t = neural.forward(agent.critic1_target, next_in)[:, 0]
-    q2t = neural.forward(agent.critic2_target, next_in)[:, 0]
-    y = rewards + hp.discount * np.minimum(q1t, q2t)
-    batch_in = np.concatenate([states, actions], axis=1)
-    losses = []
-    for critic, adam in ((agent.critic1, agent.adam_critic1),
-                         (agent.critic2, agent.adam_critic2)):
-        q = neural.forward(critic, batch_in)[:, 0]
-        err = q - y
-        losses.append(float(np.mean(err ** 2)))
-        gout = (2.0 * err / err.size)[:, None]
-        w_grads, b_grads, _ = neural.backward(critic, batch_in, gout)
-        neural.adam_step(critic, w_grads, b_grads, adam)
+    q_next = neural.forward(agent.critics_target, next_in)[..., 0]
+    y = rewards + hp.discount * np.minimum(q_next[0], q_next[1])
+    tape = []
+    q = neural.forward(agent.critics, np.concatenate([states, actions], axis=1), tape)
+    err = q[..., 0] - y
+    losses = np.mean(err ** 2, axis=1)
+    grad = neural.backward(agent.critics, tape, (2.0 * err / err.shape[1])[..., None])
+    neural.adam_step(agent.critics, grad, agent.adam_critics)
     agent.critic_updates += 1
-    return losses[0], losses[1]
+    return float(losses[0]), float(losses[1])
 
 
 def actor_update(agent: Td3Agent, minibatch) -> float:
@@ -247,32 +236,30 @@ def actor_update(agent: Td3Agent, minibatch) -> float:
     """
     states = minibatch[0]
     batch = states.shape[0]
-    raw = neural.forward(agent.actor, states)
+    actor_tape, critic_tape = [], []
+    raw = neural.forward(agent.actor, states, actor_tape)
     norms = np.linalg.norm(raw, axis=1, keepdims=True)
     outside = norms[:, 0] > 1.0
     a = np.where(outside[:, None], raw / np.maximum(norms, 1e-12), raw)
-    critic_in = np.concatenate([states, a], axis=1)
-    q = neural.forward(agent.critic1, critic_in)[:, 0]
-    gout = np.full((batch, 1), -1.0 / batch)
-    _, _, input_grad = neural.backward(agent.critic1, critic_in, gout)
-    g = input_grad[:, STATE_DIM:]
+    critic1 = agent.critics.row(0)
+    q = neural.forward(critic1, np.concatenate([states, a], axis=1), critic_tape)[:, 0]
+    g = neural.backward(critic1, critic_tape, np.full((batch, 1), -1.0 / batch),
+                        wrt_input=True)[:, STATE_DIM:]
     if np.any(outside):
         # d(a/r)/da = (I - a_hat a_hat^T)/r: drop the radial component
         radial = np.sum(g * a, axis=1, keepdims=True) * a
         g_proj = (g - radial) / norms
         g = np.where(outside[:, None], g_proj, g)
-    w_grads, b_grads, _ = neural.backward(agent.actor, states, g)
-    neural.adam_step(agent.actor, w_grads, b_grads, agent.adam_actor)
+    grad = neural.backward(agent.actor, actor_tape, g)
+    neural.adam_step(agent.actor, grad, agent.adam_actor)
     agent.actor_updates += 1
     return float(np.mean(q))
 
 
 def sync_targets(agent: Td3Agent) -> None:
-    """Polyak-average all three target networks toward their online twins."""
-    tau = agent.hp.tau
-    neural.polyak_update(agent.critic1_target, agent.critic1, tau)
-    neural.polyak_update(agent.critic2_target, agent.critic2, tau)
-    neural.polyak_update(agent.actor_target, agent.actor, tau)
+    """Polyak-average the target actor and both target critics toward their online twins."""
+    neural.polyak_update(agent.critics_target, agent.critics, agent.hp.tau)
+    neural.polyak_update(agent.actor_target, agent.actor, agent.hp.tau)
 
 
 def update(agent: Td3Agent, minibatch) -> tuple[float, float]:

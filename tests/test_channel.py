@@ -156,6 +156,7 @@ class TestInstantaneousSinr:
         g0_s = antenna.normalization_constant(ArrayAntennaConfig(10))
         expected = lk.tx_power_w * channel.path_loss(p, 80.0) * g0_s * g0_u / p.noise_power_w
         assert out.per_link_sinr[0] == pytest.approx(expected, rel=1e-12)
+        assert out.per_link_interference_w[0] == 0.0
 
     def test_colocated_symmetric_links(self):
         p = make_params()
@@ -189,14 +190,16 @@ class TestInstantaneousSinr:
             return g0_u * (ratio(px) * ratio(py)) ** 2
 
         jx, jy = 0.01, -0.02
-        sinr = []
+        sinr, interference = [], []
         for me, other in ((s1, s2), (s2, s1)):
             tx = oracle_axis_angle(uav[0], me[0], other[0], uav[2])
             ty = oracle_axis_angle(uav[1], me[1], other[1], uav[2])
             signal = 0.01 * hl2(me) * g0_s * uav_gain(jx, jy)
             interf = 0.01 * hl2(other) * g0_s * uav_gain(tx + jx, ty + jy)
             sinr.append(signal / (interf + p.noise_power_w))
+            interference.append(interf)
         assert out.per_link_sinr == pytest.approx(sinr, rel=1e-10)
+        assert out.per_link_interference_w == pytest.approx(interference, rel=1e-10, abs=0.0)
 
     def test_interference_removal_never_hurts(self):
         p = make_params()
@@ -322,7 +325,7 @@ class TestKernelMatchesReference:
         jx = rng.normal(0.0, 0.05, s)
         jy = rng.normal(0.0, 0.05, s)
         alpha = np.where(rng.random((s, m)) < 0.6, 1.0, p.nlos_extra_loss)
-        got = channel._sinr_matrix(geom, p, jx, jy, alpha)
+        got, _ = channel._sinr_matrix(geom, p, jx, jy, alpha)
         assert np.array_equal(got, oracle_sinr(ref, p, jx, jy, alpha))
 
     @pytest.mark.parametrize("los_mode", [channel.LOS_PER_SAMPLE, channel.LOS_PER_CALL])

@@ -5,6 +5,18 @@ from uavthz import neural
 from uavthz.errors import InvalidInputError, NumericFailureError
 
 
+def from_layers(dims, layers, **kw):
+    """A net whose parameter block holds the given (weight, bias) pairs."""
+    return neural.DenseNet(dims, np.concatenate([a.ravel() for pair in layers for a in pair]),
+                           **kw)
+
+
+def taped(net, x):
+    tape = []
+    neural.forward(net, x, tape)
+    return tape
+
+
 class TestForward:
     def test_all_zero_parameters_give_zero(self):
         net = neural.init_net((4, 8, 2), 0)
@@ -15,7 +27,7 @@ class TestForward:
         assert np.array_equal(neural.forward(net, np.ones(4)), np.zeros(2))
 
     def test_identity_passthrough(self):
-        net = neural.DenseNet((3, 3), [np.eye(3)], [np.zeros(3)])
+        net = from_layers((3, 3), [(np.eye(3), np.zeros(3))])
         x = np.array([0.4, -1.2, 2.0])
         assert np.array_equal(neural.forward(net, x), x)
 
@@ -45,16 +57,18 @@ class TestForward:
 class TestBackward:
     def test_zero_output_grad(self):
         net = neural.init_net((3, 5, 2), 1)
-        wg, bg, xg = neural.backward(net, np.ones(3), np.zeros(2))
-        assert all(np.all(g == 0) for g in wg + bg)
-        assert np.all(xg == 0)
+        tape = taped(net, np.ones((1, 3)))
+        grad = neural.backward(net, tape, np.zeros((1, 2)))
+        xg = neural.backward(net, tape, np.zeros((1, 2)), wrt_input=True)
+        assert grad.shape == net.params.shape and np.all(grad == 0)
+        assert xg.shape == (1, 3) and np.all(xg == 0)
 
     def test_single_linear_layer_outer_product(self):
-        net = neural.DenseNet((3, 1), [np.zeros((3, 1))], [np.zeros(1)])
-        x = np.array([1.0, 2.0, 3.0])
-        wg, bg, _ = neural.backward(net, x, np.array([2.0]))
-        assert np.allclose(wg[0][:, 0], 2.0 * x)
-        assert bg[0][0] == 2.0
+        net = neural.DenseNet((3, 1), np.zeros(4))
+        x = np.array([[1.0, 2.0, 3.0]])
+        grad = neural.backward(net, taped(net, x), np.array([[2.0]]))
+        assert np.allclose(grad[:3], 2.0 * x[0])
+        assert grad[3] == 2.0
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_central_finite_differences(self, seed):
@@ -63,25 +77,27 @@ class TestBackward:
         net = neural.init_net((3, 8, 4, 1), seed, act, 1.3)
         x = rng.normal(size=(4, 3))
         gout = rng.normal(size=(4, 1))
-        wg, bg, _ = neural.backward(net, x, gout)
+        tape = taped(net, x)
+        grad = neural.backward(net, tape, gout)
+        xg = neural.backward(net, tape, gout, wrt_input=True)
 
-        def objective():
-            return float(np.sum(neural.forward(net, x) * gout))
+        def objective(inputs):
+            return float(np.sum(neural.forward(net, inputs) * gout))
 
-        h = 1e-5
-        for params, grads in ((net.weights, wg), (net.biases, bg)):
-            for arr, g in zip(params, grads):
-                flat = arr.reshape(-1)
-                gflat = g.reshape(-1)
-                for k in rng.choice(flat.size, size=min(12, flat.size), replace=False):
-                    old = flat[k]
-                    flat[k] = old + h
-                    up = objective()
-                    flat[k] = old - h
-                    dn = objective()
-                    flat[k] = old
-                    fd = (up - dn) / (2 * h)
-                    assert gflat[k] == pytest.approx(fd, rel=1e-4, abs=1e-8)
+        def central_difference(arr, k, h=1e-5):
+            old = arr.flat[k]
+            arr.flat[k] = old + h
+            up = objective(x)
+            arr.flat[k] = old - h
+            dn = objective(x)
+            arr.flat[k] = old
+            return (up - dn) / (2 * h)
+
+        for k in rng.choice(net.params.size, size=36, replace=False):
+            assert grad[k] == pytest.approx(central_difference(net.params, k),
+                                            rel=1e-4, abs=1e-8)
+        for k in range(x.size):
+            assert xg.flat[k] == pytest.approx(central_difference(x, k), rel=1e-4, abs=1e-8)
 
 
 class TestAdam:
@@ -89,34 +105,38 @@ class TestAdam:
         net = neural.init_net((2, 4, 1), 3)
         before = [w.copy() for w in net.weights]
         state = neural.init_adam(net, 1e-3)
-        neural.adam_step(net, [np.zeros_like(w) for w in net.weights],
-                         [np.zeros_like(b) for b in net.biases], state)
+        neural.adam_step(net, np.zeros_like(net.params), state)
         assert all(np.array_equal(a, b) for a, b in zip(before, net.weights))
         assert state.step_count == 1
 
     def test_first_step_closed_form(self):
         # bias-corrected first step equals lr * g / (|g| + eps_hat)
-        net = neural.DenseNet((1, 1), [np.array([[1.0]])], [np.array([0.0])])
+        net = neural.DenseNet((1, 1), np.array([1.0, 0.0]))
         state = neural.init_adam(net, 0.5)
         g = 3.0
-        neural.adam_step(net, [np.array([[g]])], [np.array([0.0])], state)
+        neural.adam_step(net, np.array([g, 0.0]), state)
         expected = 1.0 - 0.5 * g / (abs(g) + state.epsilon)
         assert net.weights[0][0, 0] == pytest.approx(expected, rel=1e-9)
 
     def test_quadratic_convergence(self):
-        net = neural.DenseNet((1, 1), [np.array([[0.0]])], [np.array([1.0])])
+        net = neural.DenseNet((1, 1), np.array([0.0, 1.0]))
         state = neural.init_adam(net, 0.01)
         for _ in range(100):
             w = net.biases[0][0]
-            neural.adam_step(net, [np.zeros((1, 1))], [np.array([2.0 * w])], state)
+            neural.adam_step(net, np.array([0.0, 2.0 * w]), state)
         assert abs(net.biases[0][0]) < 0.5
 
     def test_nonfinite_gradient_aborts(self):
         net = neural.init_net((2, 2), 0)
+        before = net.params.copy()
         state = neural.init_adam(net, 1e-3)
-        with pytest.raises(NumericFailureError):
-            neural.adam_step(net, [np.array([[np.nan, 0], [0, 0]])],
-                             [np.zeros(2)], state)
+        for bad in (np.nan, np.inf):
+            grad = np.zeros_like(net.params)
+            grad[-1] = bad
+            with pytest.raises(NumericFailureError):
+                neural.adam_step(net, grad, state)
+        assert state.step_count == 0
+        assert np.array_equal(net.params, before) and not state.first_moment.any()
 
 
 class TestPolyak:
@@ -132,8 +152,8 @@ class TestPolyak:
         assert all(np.array_equal(x, y) for x, y in zip(before, a.weights))
 
     def test_scalar_mixture(self):
-        a = neural.DenseNet((1, 1), [np.array([[0.0]])], [np.array([0.0])])
-        b = neural.DenseNet((1, 1), [np.array([[1.0]])], [np.array([1.0])])
+        a = neural.DenseNet((1, 1), np.zeros(2))
+        b = neural.DenseNet((1, 1), np.ones(2))
         neural.polyak_update(a, b, 0.01)
         assert a.weights[0][0, 0] == pytest.approx(0.01)
 
@@ -163,22 +183,68 @@ class TestDeterminismAndCheckpoint:
     def test_checkpoint_round_trip_bit_exact(self, tmp_path):
         net = neural.init_net((4, 9, 3), 21, neural.ACT_TANH, 0.7)
         adam = neural.init_adam(net, 2e-4)
-        neural.adam_step(net, [np.full_like(w, 0.1) for w in net.weights],
-                         [np.full_like(b, -0.2) for b in net.biases], adam)
+        neural.adam_step(net, np.random.default_rng(2).normal(size=net.params.shape), adam)
         path = tmp_path / "net.npz"
         neural.save_net(path, net, adam)
         loaded, loaded_adam = neural.load_net(path)
-        assert loaded.layer_dims == net.layer_dims
-        assert loaded.output_activation == net.output_activation
-        assert loaded.output_scale == net.output_scale
-        for a, b in zip(loaded.weights + loaded.biases, net.weights + net.biases):
-            assert a.tobytes() == b.tobytes()
+        assert loaded.architecture() == net.architecture()
+        assert loaded.params.tobytes() == net.params.tobytes()
         assert loaded_adam.step_count == 1
-        for a, b in zip(loaded_adam.first_moment, adam.first_moment):
-            assert a.tobytes() == b.tobytes()
+        assert loaded_adam.first_moment.tobytes() == adam.first_moment.tobytes()
+        assert loaded_adam.second_moment.tobytes() == adam.second_moment.tobytes()
         # save the restored net again: byte-identical parameters round-trip
         path2 = tmp_path / "net2.npz"
         neural.save_net(path2, loaded, loaded_adam)
         again, _ = neural.load_net(path2)
-        for a, b in zip(again.weights + again.biases, net.weights + net.biases):
-            assert a.tobytes() == b.tobytes()
+        assert again.params.tobytes() == net.params.tobytes()
+
+
+class TestStack:
+    DIMS = (6, 16, 8, 1)
+
+    def test_rows_equal_single_nets(self):
+        stack = neural.init_net(self.DIMS, (11, 12))
+        assert stack.params.shape == (2, neural.init_net(self.DIMS, 0).params.size)
+        for k, seed in enumerate((11, 12)):
+            assert stack.params[k].tobytes() == neural.init_net(self.DIMS, seed).params.tobytes()
+
+    def test_views_share_the_block(self):
+        for net in (neural.init_net(self.DIMS, 1), neural.init_net(self.DIMS, (1, 2))):
+            for arr in net.weights + net.biases:
+                assert np.shares_memory(arr, net.params)
+            assert sum(a.size for a in net.weights + net.biases) == net.params.size
+            net.biases[-1][...] = 7.0
+            assert np.all(net.params[..., -1] == 7.0)
+
+    @pytest.mark.parametrize("act", [neural.ACT_LINEAR, neural.ACT_TANH])
+    def test_forward_and_backward_match_rows_bit_for_bit(self, act):
+        rng = np.random.default_rng(4)
+        stack = neural.init_net(self.DIMS, (5, 6), act, 1.5)
+        x = rng.normal(size=(9, 6))
+        gout = rng.normal(size=(2, 9, 1))
+        tape = []
+        y = neural.forward(stack, x, tape)
+        grad = neural.backward(stack, tape, gout)
+        xg = neural.backward(stack, tape, gout, wrt_input=True)
+        assert y.shape == (2, 9, 1) and grad.shape == stack.params.shape and xg.shape == (2, 9, 6)
+        for k in range(2):
+            row = stack.row(k)
+            assert np.shares_memory(row.params, stack.params)
+            assert y[k].tobytes() == neural.forward(row, x).tobytes()
+            row_tape = taped(row, x)
+            assert grad[k].tobytes() == neural.backward(row, row_tape, gout[k]).tobytes()
+            assert xg[k].tobytes() == neural.backward(row, row_tape, gout[k],
+                                                      wrt_input=True).tobytes()
+
+    def test_output_grad_shape_checked(self):
+        stack = neural.init_net(self.DIMS, (5, 6))
+        with pytest.raises(InvalidInputError):
+            neural.backward(stack, taped(stack, np.zeros((3, 6))), np.zeros((3, 1)))
+
+    @pytest.mark.parametrize("params", [
+        np.zeros(10), np.zeros(257, dtype=np.float32), np.zeros((2, 2, 257)),
+        np.zeros((257, 2)).T,
+    ])
+    def test_rejects_bad_blocks(self, params):
+        with pytest.raises(InvalidInputError):
+            neural.DenseNet(self.DIMS, params)

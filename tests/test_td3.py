@@ -1,3 +1,6 @@
+import copy
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -5,7 +8,7 @@ from scipy import stats
 from uavthz import neural, td3
 from uavthz.channel import ChannelParams
 from uavthz.environment import EnvConfig, Environment
-from uavthz.errors import InvalidInputError
+from uavthz.errors import InvalidInputError, NumericFailureError
 from uavthz.td3 import (Normalizer, ReplayBuffer, Td3Agent, Td3Hyperparams,
                         Transition)
 
@@ -127,22 +130,24 @@ class TestCriticUpdate:
         rng = np.random.default_rng(1)
         batch = random_batch(rng)
         states, actions, rewards, _ = batch
-        q_before = neural.forward(agent.critic1, np.concatenate([states, actions], axis=1))[:, 0]
+        q_before = neural.forward(agent.critics.row(0),
+                                  np.concatenate([states, actions], axis=1))[:, 0]
         expected_loss = float(np.mean((q_before - rewards) ** 2))
         loss1, _ = td3.critic_update(agent, batch)
         assert loss1 == pytest.approx(expected_loss, rel=1e-6)
 
     def test_identical_critic_targets_min_is_first(self):
         agent = make_agent(9, target_noise_std=0.0)
-        agent.critic2_target = neural.clone_net(agent.critic1_target)
+        agent.critics_target.params[1] = agent.critics_target.params[0]
         rng = np.random.default_rng(2)
         states, actions, rewards, next_states = random_batch(rng)
         next_a = neural.forward(agent.actor_target, next_states)
         next_a = next_a / np.maximum(np.linalg.norm(next_a, axis=1, keepdims=True), 1.0)
-        q1t = neural.forward(agent.critic1_target,
+        q1t = neural.forward(agent.critics_target.row(0),
                              np.concatenate([next_states, next_a], axis=1))[:, 0]
         y = rewards + agent.hp.discount * q1t
-        q = neural.forward(agent.critic1, np.concatenate([states, actions], axis=1))[:, 0]
+        q = neural.forward(agent.critics.row(0),
+                           np.concatenate([states, actions], axis=1))[:, 0]
         expected_loss = float(np.mean((q - y) ** 2))
         loss1, _ = td3.critic_update(agent, (states, actions, rewards, next_states))
         assert loss1 == pytest.approx(expected_loss, rel=1e-6)
@@ -159,11 +164,11 @@ class TestCriticUpdate:
         a2 = a2 / np.maximum(np.linalg.norm(a2, axis=1, keepdims=True), 1.0)
         nin = np.concatenate([next_states, a2], axis=1)
         y = rewards + 0.5 * np.minimum(
-            neural.forward(agent.critic1_target, nin)[:, 0],
-            neural.forward(agent.critic2_target, nin)[:, 0])
+            neural.forward(agent.critics_target.row(0), nin)[:, 0],
+            neural.forward(agent.critics_target.row(1), nin)[:, 0])
         sin = np.concatenate([states, actions], axis=1)
-        manual1 = float(np.mean((neural.forward(agent.critic1, sin)[:, 0] - y) ** 2))
-        manual2 = float(np.mean((neural.forward(agent.critic2, sin)[:, 0] - y) ** 2))
+        manual1 = float(np.mean((neural.forward(agent.critics.row(0), sin)[:, 0] - y) ** 2))
+        manual2 = float(np.mean((neural.forward(agent.critics.row(1), sin)[:, 0] - y) ** 2))
         loss1, loss2 = td3.critic_update(agent, batch)
         assert loss1 == pytest.approx(manual1, rel=1e-9)
         assert loss2 == pytest.approx(manual2, rel=1e-9)
@@ -175,29 +180,33 @@ class TestCriticUpdate:
         next_a = neural.forward(agent.actor_target, next_states)
         next_a = next_a / np.maximum(np.linalg.norm(next_a, axis=1, keepdims=True), 1.0)
         nin = np.concatenate([next_states, next_a], axis=1)
-        q1t = neural.forward(agent.critic1_target, nin)[:, 0]
-        q2t = neural.forward(agent.critic2_target, nin)[:, 0]
+        q1t = neural.forward(agent.critics_target.row(0), nin)[:, 0]
+        q2t = neural.forward(agent.critics_target.row(1), nin)[:, 0]
         y = rewards + agent.hp.discount * np.minimum(q1t, q2t)
         assert np.all(y <= rewards + agent.hp.discount * q1t + 1e-12)
         assert np.all(y <= rewards + agent.hp.discount * q2t + 1e-12)
 
     def test_targets_untouched_by_critic_update(self):
         agent = make_agent(12)
-        frozen = [w.copy() for w in agent.critic1_target.weights]
+        frozen = agent.critics_target.params.copy()
         rng = np.random.default_rng(4)
         for _ in range(3):
             td3.critic_update(agent, random_batch(rng))
-        assert all(np.array_equal(a, b) for a, b in zip(frozen, agent.critic1_target.weights))
+        assert np.array_equal(frozen, agent.critics_target.params)
+
+    def test_nonfinite_gradient_raises(self):
+        agent = make_agent(12)
+        agent.critics.params[1, 0] = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(NumericFailureError):
+            td3.critic_update(agent, random_batch(np.random.default_rng(4)))
+        assert agent.critic_updates == 0 and agent.adam_critics.step_count == 0
 
 
 class TestActorUpdate:
     def test_constant_critic_gives_zero_gradient(self):
         agent = make_agent(13)
-        for w in agent.critic1.weights:
-            w[:] = 0.0
-        for b in agent.critic1.biases:
-            b[:] = 0.0
-        agent.critic1.biases[-1][0] = 3.0
+        agent.critics.params[0] = 0.0
+        agent.critics.row(0).biases[-1][0] = 3.0
         before = [w.copy() for w in agent.actor.weights]
         td3.actor_update(agent, (np.random.default_rng(5).uniform(-1, 1, (4, 3)),
                                  None, None, None))
@@ -220,7 +229,9 @@ class TestActorUpdate:
         b1[1] = 1.0
         w2 = np.zeros((8, 1))
         w2[0, 0] = -1.0
-        agent.critic1 = neural.DenseNet((6, 16, 8, 1), [w0, w1, w2], [b0, b1, np.zeros(1)])
+        critic1 = agent.critics.row(0)
+        for view, value in zip(critic1.weights + critic1.biases, (w0, w1, w2, b0, b1, 0.0)):
+            view[...] = value
         agent.adam_actor = neural.init_adam(agent.actor, 1e-2)
         states = np.zeros((8, 3))
         for _ in range(2500):
@@ -230,10 +241,9 @@ class TestActorUpdate:
 
     def test_critics_untouched_by_actor_update(self):
         agent = make_agent(15)
-        frozen = [w.copy() for w in agent.critic1.weights + agent.critic2.weights]
+        frozen = agent.critics.params.copy()
         td3.actor_update(agent, (np.zeros((4, 3)), None, None, None))
-        current = agent.critic1.weights + agent.critic2.weights
-        assert all(np.array_equal(a, b) for a, b in zip(frozen, current))
+        assert np.array_equal(frozen, agent.critics.params)
 
 
 class TestDelayContract:
@@ -276,10 +286,10 @@ class TestTrainLoop:
         env = self._env()
         hp = tiny_hp(actor_lr=0.0, critic_lr=0.0)
         agent = Td3Agent.create(Normalizer(150, 150, 30, 130, 10.0), hp, 21)
-        before = [w.copy() for w in agent.actor.weights + agent.critic1.weights]
+        before = [agent.actor.params.copy(), agent.critics.params.copy()]
         td3.train(env, agent, hp)
-        after = agent.actor.weights + agent.critic1.weights
-        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+        assert np.array_equal(before[0], agent.actor.params)
+        assert np.array_equal(before[1], agent.critics.params)
 
     def test_fixed_seed_reproduces_reward_series(self):
         series = []
@@ -334,3 +344,216 @@ class TestGreedyRollout:
         times = [pt.time for pt in trace]
         assert times == sorted(times)
         assert times[-1] <= 10 * 10.0 / 8.0 + 1e-9
+
+
+# ---------------------------------------------------------------- reference update
+# The previous implementation, kept as an oracle: per-layer weight and bias
+# lists, two separate critics with their own Adam states, and a backward pass
+# that repeats the forward pass.
+
+@dataclass
+class RefNet:
+    weights: list
+    biases: list
+    output_activation: str
+    output_scale: float
+
+
+@dataclass
+class RefAdam:
+    first_moment: list
+    second_moment: list
+    step_count: int
+    learning_rate: float
+    beta1: float = 0.9
+    beta2: float = 0.999
+    epsilon: float = 1e-8
+
+
+def ref_net(net, k=None) -> RefNet:
+    """Per-layer copies of a net, or of row k of a stacked net."""
+    src = net if k is None else net.row(k)
+    return RefNet([w.copy() for w in src.weights], [b.copy() for b in src.biases],
+                  src.output_activation, src.output_scale)
+
+
+def ref_adam(state, dims, k=None) -> RefAdam:
+    """Per-layer copies (weights, then biases) of an Adam state, or of row k of a stack."""
+    def lists(block):
+        weights, biases = neural._layer_views(block if k is None else block[k], dims)
+        return [a.copy() for a in weights + biases]
+    return RefAdam(lists(state.first_moment), lists(state.second_moment), state.step_count,
+                   state.learning_rate, state.beta1, state.beta2, state.epsilon)
+
+
+def ref_forward_cached(net, x):
+    acts = [x]
+    h = x
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        h = np.maximum(h @ w + b, 0.0)
+        acts.append(h)
+    z = h @ net.weights[-1] + net.biases[-1]
+    y = net.output_scale * np.tanh(z) if net.output_activation == neural.ACT_TANH else z
+    return y, acts, z
+
+
+def ref_forward(net, x):
+    return ref_forward_cached(net, np.asarray(x, dtype=float))[0]
+
+
+def ref_backward(net, x, g):
+    _, acts, z = ref_forward_cached(net, x)
+    if net.output_activation == neural.ACT_TANH:
+        t = np.tanh(z)
+        delta = g * net.output_scale * (1.0 - t * t)
+    else:
+        delta = g.copy()
+    n_layers = len(net.weights)
+    w_grads, b_grads = [None] * n_layers, [None] * n_layers
+    for l in range(n_layers - 1, -1, -1):
+        w_grads[l] = acts[l].T @ delta
+        b_grads[l] = delta.sum(axis=0)
+        delta = delta @ net.weights[l].T
+        if l > 0:
+            delta = delta * (acts[l] > 0)
+    return w_grads, b_grads, delta
+
+
+def ref_adam_step(net, w_grads, b_grads, state):
+    grads = list(w_grads) + list(b_grads)
+    for g in grads:
+        if not np.all(np.isfinite(g)):
+            raise NumericFailureError("non-finite gradient in Adam step")
+    state.step_count += 1
+    t = state.step_count
+    c1 = 1.0 - state.beta1 ** t
+    c2 = 1.0 - state.beta2 ** t
+    for p, g, m, v in zip(net.weights + net.biases, grads, state.first_moment,
+                          state.second_moment):
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * g * g
+        p -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + state.epsilon)
+
+
+def ref_polyak_update(target, online, tau):
+    for tp, op in zip(target.weights + target.biases, online.weights + online.biases):
+        tp *= 1.0 - tau
+        tp += tau * op
+
+
+class RefAgent:
+    """The six nets and three Adam states of an agent, copied before any update."""
+
+    def __init__(self, agent):
+        critic_dims = agent.critics.layer_dims
+        self.critic1, self.critic2 = ref_net(agent.critics, 0), ref_net(agent.critics, 1)
+        self.critic1_target = ref_net(agent.critics_target, 0)
+        self.critic2_target = ref_net(agent.critics_target, 1)
+        self.adam_critic1 = ref_adam(agent.adam_critics, critic_dims, 0)
+        self.adam_critic2 = ref_adam(agent.adam_critics, critic_dims, 1)
+        self.actor, self.actor_target = ref_net(agent.actor), ref_net(agent.actor_target)
+        self.adam_actor = ref_adam(agent.adam_actor, agent.actor.layer_dims)
+        self.hp = agent.hp
+        self.rng = copy.deepcopy(agent.rng)
+        self.critic_updates = 0
+        self.projected_batches = 0
+
+
+def ref_critic_update(agent, minibatch):
+    states, actions, rewards, next_states = minibatch
+    hp = agent.hp
+    next_a = ref_forward(agent.actor_target, next_states)
+    noise = agent.rng.normal(0.0, hp.target_noise_std, size=next_a.shape)
+    noise = np.clip(noise, -hp.target_noise_clip, hp.target_noise_clip)
+    next_a = td3._project_unit_ball(next_a + noise)
+    next_in = np.concatenate([next_states, next_a], axis=1)
+    q1t = ref_forward(agent.critic1_target, next_in)[:, 0]
+    q2t = ref_forward(agent.critic2_target, next_in)[:, 0]
+    y = rewards + hp.discount * np.minimum(q1t, q2t)
+    batch_in = np.concatenate([states, actions], axis=1)
+    losses = []
+    for critic, adam in ((agent.critic1, agent.adam_critic1),
+                         (agent.critic2, agent.adam_critic2)):
+        q = ref_forward(critic, batch_in)[:, 0]
+        err = q - y
+        losses.append(float(np.mean(err ** 2)))
+        w_grads, b_grads, _ = ref_backward(critic, batch_in, (2.0 * err / err.size)[:, None])
+        ref_adam_step(critic, w_grads, b_grads, adam)
+    agent.critic_updates += 1
+    return losses[0], losses[1]
+
+
+def ref_actor_update(agent, minibatch):
+    states = minibatch[0]
+    batch = states.shape[0]
+    raw = ref_forward(agent.actor, states)
+    norms = np.linalg.norm(raw, axis=1, keepdims=True)
+    outside = norms[:, 0] > 1.0
+    a = np.where(outside[:, None], raw / np.maximum(norms, 1e-12), raw)
+    critic_in = np.concatenate([states, a], axis=1)
+    q = ref_forward(agent.critic1, critic_in)[:, 0]
+    _, _, input_grad = ref_backward(agent.critic1, critic_in, np.full((batch, 1), -1.0 / batch))
+    g = input_grad[:, td3.STATE_DIM:]
+    if np.any(outside):
+        agent.projected_batches += 1
+        radial = np.sum(g * a, axis=1, keepdims=True) * a
+        g = np.where(outside[:, None], (g - radial) / norms, g)
+    w_grads, b_grads, _ = ref_backward(agent.actor, states, g)
+    ref_adam_step(agent.actor, w_grads, b_grads, agent.adam_actor)
+    return float(np.mean(q))
+
+
+def ref_update(agent, minibatch):
+    losses = ref_critic_update(agent, minibatch)
+    if agent.critic_updates % agent.hp.policy_delay == 0:
+        ref_actor_update(agent, minibatch)
+        tau = agent.hp.tau
+        ref_polyak_update(agent.critic1_target, agent.critic1, tau)
+        ref_polyak_update(agent.critic2_target, agent.critic2, tau)
+        ref_polyak_update(agent.actor_target, agent.actor, tau)
+    return losses
+
+
+def assert_same_net(ref, net):
+    for a, b in zip(ref.weights + ref.biases, net.weights + net.biases):
+        assert a.tobytes() == b.tobytes()
+
+
+def assert_same_adam(ref, state, dims, k=None):
+    got = ref_adam(state, dims, k)
+    assert got.step_count == ref.step_count
+    for a, b in zip(ref.first_moment + ref.second_moment, got.first_moment + got.second_moment):
+        assert a.tobytes() == b.tobytes()
+
+
+class TestUpdateMatchesReference:
+    """Stacked critics on flat blocks against the list-based two-critic update."""
+
+    @pytest.mark.parametrize("hidden,head_scale", [
+        ((256, 128), 0.01),   # the default nets
+        ((24,), 0.01),
+        ((24, 16, 8), 0.01),
+        ((24,), 100.0),       # a saturated actor: its actions leave the unit ball
+    ])
+    def test_300_updates_bit_for_bit(self, hidden, head_scale):
+        agent = make_agent(31, hidden_dims=hidden, batch_size=32, warmup_steps=64,
+                           actor_head_scale=head_scale)
+        ref = RefAgent(agent)
+        rng = np.random.default_rng(32)
+        for _ in range(300):
+            batch = random_batch(rng, 32)
+            assert td3.update(agent, batch) == ref_update(ref, batch)
+        assert agent.actor_updates == 150
+        if head_scale > 1.0:
+            assert ref.projected_batches > 100
+        for k, (online, target) in enumerate(((ref.critic1, ref.critic1_target),
+                                              (ref.critic2, ref.critic2_target))):
+            assert_same_net(online, agent.critics.row(k))
+            assert_same_net(target, agent.critics_target.row(k))
+        assert_same_net(ref.actor, agent.actor)
+        assert_same_net(ref.actor_target, agent.actor_target)
+        assert_same_adam(ref.adam_critic1, agent.adam_critics, agent.critics.layer_dims, 0)
+        assert_same_adam(ref.adam_critic2, agent.adam_critics, agent.critics.layer_dims, 1)
+        assert_same_adam(ref.adam_actor, agent.adam_actor, agent.actor.layer_dims)
