@@ -13,8 +13,16 @@ comes from the poles. Rungs start at 256 x 512 and double until two
 consecutive ones agree to 1e-4 relative; the finer rung is kept. Against the
 exact lattice-sum directivity this delivers 2e-12 relative error for N = 1 and
 2.4e-6 for N = 20 at d = lambda/2.
+
+The pattern is evaluated by in-place ufunc chains over caller-supplied
+buffers (PatternScratch), in exactly the operation order of the np.sinc
+expression sinc(n*psi/2pi) / sinc(psi/2pi), so the bits are those of that
+expression while a caller evaluating many blocks allocates nothing per block.
+The per-axis ratio is only ever squared, so its sign across periods of psi
+is not computed.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +30,8 @@ import numpy as np
 from uavthz.errors import InvalidInputError, NumericFailureError
 
 TWO_PI = 2.0 * np.pi
+# What np.sinc puts in place of a zero argument before dividing.
+_EPS = np.finfo(float).eps
 
 # Quadrature ladder for the normalization integral: base grid, doubled until
 # consecutive rungs agree to _QUAD_RTOL relative.
@@ -54,33 +64,79 @@ class ArrayAntennaConfig:
         return (self.n_side, self.spacing_over_lambda)
 
 
-def _axis_ratio(n: int, psi, periodic: bool):
-    """sin(n*psi/2) / (n*sin(psi/2)) with every removable singularity filled.
+class PatternScratch:
+    """Reusable buffers for the in-place pattern chain of up to `size` directions.
+
+    Holds three float arrays and one boolean mask. views(shape) hands out
+    contiguous leading slices of each, shaped as requested, so one instance
+    serves every block of a scan, the last short block included.
+    """
+
+    def __init__(self, size: int):
+        self._floats = np.empty((3, size))
+        self._mask = np.empty(size, dtype=bool)
+
+    def views(self, shape):
+        n = math.prod(shape)
+        return ([f[:n].reshape(shape) for f in self._floats],
+                self._mask[:n].reshape(shape))
+
+
+def _sinc_of_scaled(y, out, mask):
+    """out = sin(y) / y with every zero of y replaced by eps; y is overwritten.
+
+    This is np.sinc after its `pi * x` step: where(x, x, eps), then
+    sin(y) / y, so the bits match np.sinc(x) for y = pi * x.
+    """
+    np.equal(y, 0.0, out=mask)
+    np.copyto(y, _EPS, where=mask)
+    np.sin(y, out=out)
+    np.divide(out, y, out=out)
+
+
+def _axis_ratio(n: int, psi, periodic: bool, out, tmp, mask):
+    """out = sin(n*psi/2) / (n*sin(psi/2)) up to sign, every removable singularity filled.
 
     With periodic set, reduces psi modulo 2*pi and evaluates the reduced
-    argument as a quotient of normalized sincs, which is exact away from the
+    argument r as a quotient of normalized sincs, which is exact away from the
     singular points and smooth through them (the reduced denominator sinc is
-    bounded below by 2/pi). The sign flips by (-1)^(m*(n-1)) across period m.
-    Without it, psi must lie in [-pi, pi], where the period index m is always
-    0, so skipping the reduction gives the same bits.
+    bounded below by 2/pi). Across period m the ratio also changes sign by
+    (-1)^(m*(n-1)); the power pattern only uses its square, so that sign is
+    left out. Without periodic set, psi must lie in [-pi, pi], where m is
+    always 0, so skipping the reduction gives the same bits.
+
+    Runs in place: psi is overwritten, tmp and mask are scratch of psi's
+    shape. The operation order is that of
+    np.sinc(n * r / TWO_PI) / np.sinc(r / TWO_PI), so the result is
+    bit-identical to that allocating expression.
     """
-    psi = np.asarray(psi, dtype=float)
-    if not periodic:
-        return np.sinc(n * psi / TWO_PI) / np.sinc(psi / TWO_PI)
-    m = np.round(psi / TWO_PI)
-    r = psi - TWO_PI * m
-    ratio = np.sinc(n * r / TWO_PI) / np.sinc(r / TWO_PI)
-    sign = np.where((m * (n - 1)) % 2 == 0, 1.0, -1.0)
-    return ratio * sign
+    if periodic:
+        np.divide(psi, TWO_PI, out=out)
+        np.rint(out, out=out)                   # m, the period index
+        np.multiply(out, TWO_PI, out=out)
+        np.subtract(psi, out, out=psi)          # r = psi - 2*pi*m
+    np.multiply(psi, n, out=out)
+    np.divide(out, TWO_PI, out=out)
+    np.multiply(out, np.pi, out=out)
+    _sinc_of_scaled(out, tmp, mask)             # numerator sinc in tmp
+    np.divide(psi, TWO_PI, out=psi)
+    np.multiply(psi, np.pi, out=psi)
+    _sinc_of_scaled(psi, out, mask)             # denominator sinc in out
+    np.divide(tmp, out, out=out)
 
 
-def _factor_from_psi(cfg: ArrayAntennaConfig, psi_x, psi_y):
+def _factor_from_psi(cfg: ArrayAntennaConfig, psi_x, psi_y, out, tmp, mask):
+    """out = (rx * ry)^2 from the per-axis phases; psi_x and psi_y are overwritten.
+
+    tmp and mask are scratch of out's shape.
+    """
     # |psi| <= k*d_a on every caller, so the period reduction is only needed
     # for spacings above lambda/2 (k*d_a > pi).
     periodic = TWO_PI * cfg.spacing_over_lambda > np.pi
-    rx = _axis_ratio(cfg.n_side, psi_x, periodic)
-    ry = _axis_ratio(cfg.n_side, psi_y, periodic)
-    return (rx * ry) ** 2
+    _axis_ratio(cfg.n_side, psi_x, periodic, out, tmp, mask)
+    _axis_ratio(cfg.n_side, psi_y, periodic, psi_x, tmp, mask)
+    np.multiply(out, psi_x, out=out)
+    np.square(out, out=out)
 
 
 def array_factor(cfg: ArrayAntennaConfig, theta, phi):
@@ -91,25 +147,42 @@ def array_factor(cfg: ArrayAntennaConfig, theta, phi):
     """
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    kd = TWO_PI * cfg.spacing_over_lambda
-    st = np.sin(theta)
-    psi_x = kd * st * np.cos(phi)
-    psi_y = kd * st * np.sin(phi)
-    out = _factor_from_psi(cfg, psi_x, psi_y)
+    shape = np.broadcast_shapes(theta.shape, phi.shape)
+    (psi_x, psi_y, tmp), mask = PatternScratch(math.prod(shape)).views(shape)
+    kd_st = TWO_PI * cfg.spacing_over_lambda * np.sin(theta)
+    np.multiply(kd_st, np.cos(phi), out=psi_x)
+    np.multiply(kd_st, np.sin(phi), out=psi_y)
+    out = np.empty(shape)
+    _factor_from_psi(cfg, psi_x, psi_y, out, tmp, mask)
     return float(out) if out.ndim == 0 else out
 
 
-def gain_at_axis_offsets(cfg: ArrayAntennaConfig, theta_x, theta_y):
+def gain_at_axis_offsets(cfg: ArrayAntennaConfig, theta_x, theta_y, out=None, scratch=None):
     """Gain at per-axis angular offsets from boresight.
 
     The pattern depends on direction only through the offset sines
     sin(theta)*cos(phi) = sin(theta_x) and sin(theta)*sin(phi) = sin(theta_y),
     so this is total in (theta_x, theta_y).
+
+    out (an array of the broadcast shape) and scratch (a PatternScratch of at
+    least that size) are filled in place when given; a caller that evaluates
+    many blocks passes the same ones each time, so no block allocates.
     """
+    theta_x = np.asarray(theta_x, dtype=float)
+    theta_y = np.asarray(theta_y, dtype=float)
+    shape = np.broadcast_shapes(theta_x.shape, theta_y.shape)
+    if scratch is None:
+        scratch = PatternScratch(math.prod(shape))
+    if out is None:
+        out = np.empty(shape)
+    (psi_x, psi_y, tmp), mask = scratch.views(shape)
     kd = TWO_PI * cfg.spacing_over_lambda
-    psi_x = kd * np.sin(np.asarray(theta_x, dtype=float))
-    psi_y = kd * np.sin(np.asarray(theta_y, dtype=float))
-    out = normalization_constant(cfg) * _factor_from_psi(cfg, psi_x, psi_y)
+    np.sin(theta_x, out=psi_x)
+    np.multiply(psi_x, kd, out=psi_x)
+    np.sin(theta_y, out=psi_y)
+    np.multiply(psi_y, kd, out=psi_y)
+    _factor_from_psi(cfg, psi_x, psi_y, out, tmp, mask)
+    np.multiply(out, normalization_constant(cfg), out=out)
     return float(out) if out.ndim == 0 else out
 
 

@@ -3,8 +3,10 @@
 The grid search evaluates the worst-link outage on a full 3D lattice with a
 single shared Monte-Carlo seed, so comparisons between grid points (and
 against any policy scored with the same seed) are free of sampling noise.
+The whole lattice is one channel.outage_scan, which draws once.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,30 +45,36 @@ class GridSearchSpec:
 
 
 def scan_grid(topology: Topology, params: ChannelParams, spec: GridSearchSpec):
-    """Yield (position, max_outage) for every lattice point in lexicographic order."""
-    xs, ys, zs = spec.axes()
-    for x in xs:
-        for y in ys:
-            for z in zs:
-                pos = geometry.vec3(float(x), float(y), float(z))
-                est = channel.outage_probability(topology.sbs_list, pos, params,
-                                                 spec.mc_samples, spec.seed)
-                yield pos, channel.max_outage(est)
+    """Yield (position, max_outage) for every lattice point in lexicographic order.
+
+    The lattice is one outage scan: its draws are made once and every point
+    reuses them and the scan's block workspace.
+    """
+    points = [geometry.vec3(float(x), float(y), float(z))
+              for x, y, z in itertools.product(*spec.axes())]
+    estimates = channel.outage_scan(topology.sbs_list, points, params,
+                                    spec.mc_samples, spec.seed)
+    for pos, est in zip(points, estimates):
+        yield pos, channel.max_outage(est)
 
 
 def grid_search_best_position(topology: Topology, params: ChannelParams,
-                              spec: GridSearchSpec) -> tuple[Vec3, float, list]:
+                              spec: GridSearchSpec, progress=None) -> tuple[Vec3, float, list]:
     """Lattice point with the lowest worst-link outage, ties broken lexicographically.
 
     Returns (best position, its worst-link outage, every (position,
-    max_outage) row of the scan in lattice order).
+    max_outage) row of the scan in lattice order). progress, when given, is
+    called as progress(k, n) after the k-th of the n lattice points.
     """
+    n = spec.x_steps * spec.y_steps * spec.z_steps
     rows = []
     best_pos, best_val = None, np.inf
     for pos, val in scan_grid(topology, params, spec):
         rows.append((pos, val))
         if val < best_val:
             best_pos, best_val = pos, val
+        if progress is not None:
+            progress(len(rows), n)
     return best_pos, float(best_val), rows
 
 

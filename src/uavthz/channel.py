@@ -14,6 +14,13 @@ the jitter alone, which gives every link's desired gain, and the jitter plus
 the angles of each unordered station pair, which gives the interference.
 Link geometry (lengths, elevations, pair angles) is evaluated for all
 stations at once.
+
+outage_scan is the one Monte-Carlo outage path; outage_probability is its
+one-position case. A scan makes its random draws once and shares them across
+its positions (common random numbers), and evaluates them in fixed blocks in
+one workspace allocated per scan: the pattern and the SINR are in-place ufunc
+chains over that workspace, so no block allocates anything that grows with
+its size.
 """
 
 from dataclasses import dataclass
@@ -30,9 +37,9 @@ SPEED_OF_LIGHT = 3.0e8  # m/s
 LOS_PER_SAMPLE = "per-sample"
 LOS_PER_CALL = "per-call"
 
-# Draws per _sinr_matrix call in outage_probability. Bounds the per-block
-# temporaries (the (S, 16) gain table is 128 KB for six links, the (S, M)
-# interference sums 48 KB) so peak memory does not grow with S.
+# Draws per _sinr_matrix call in outage_scan. Sizes the scan's one workspace
+# (the (S, 16) gain table is 128 KB for six links, the (S, M) interference
+# sums 48 KB) so memory does not grow with S.
 _DRAW_BLOCK = 1024
 
 
@@ -184,29 +191,63 @@ def _precompute(links, uav: Vec3, params: ChannelParams) -> _LinkGeometry:
                          np.concatenate(([0.0], thy[upper])), column, uav_array)
 
 
+class _Workspace:
+    """Buffers for one block of draws, reused by every block and position of a scan.
+
+    rows is the block capacity; a shorter block uses the leading rows of each
+    buffer, which are contiguous, so no block allocates anything that grows
+    with its size.
+    """
+
+    def __init__(self, rows: int, m: int):
+        k = 1 + m * (m - 1) // 2
+        self.theta_x, self.theta_y, self.gain = np.empty((3, rows, k))
+        self.pattern = antenna.PatternScratch(rows * k)
+        self.alpha, self.term, self.gathered, self.interference, self.sinr = (
+            np.empty((5, rows, m)))
+        self.flags = np.empty((rows, m), dtype=bool)
+        self.scale = np.empty((rows, 1))
+
+
 def _sinr_matrix(geom: _LinkGeometry, params: ChannelParams,
                  theta_jx: np.ndarray, theta_jy: np.ndarray,
-                 alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                 alpha: np.ndarray, work: _Workspace) -> tuple[np.ndarray, np.ndarray]:
     """Linear SINR and interference power (W) for S orientation draws and M links.
 
     theta_jx/theta_jy: jitter draws of shape (S,); alpha: per-sample LoS
-    attenuation of shape (S, M). Returns two (S, M) arrays. Interference is
-    summed into an (S, M) array over interferers j = 0..M-1 in order.
+    attenuation of shape (S, M); work: a workspace of at least S rows.
+    Returns two (S, M) views into work, valid until its next use.
+    Interference is summed over interferers j = 0..M-1 in order, with the
+    operation order of the allocating expression
+    tx_j * pl_j * alpha_j * g0 * gain, so every value is bit-identical to it.
     """
-    gain = antenna.gain_at_axis_offsets(geom.uav_array,
-                                        theta_x=theta_jx[:, None] + geom.offset_x,
-                                        theta_y=theta_jy[:, None] + geom.offset_y)
-    m = geom.column.shape[0]
-    interference = np.zeros((theta_jx.shape[0], m))
-    for j in range(m):
+    s = theta_jx.shape[0]
+    theta_x, theta_y, gain = work.theta_x[:s], work.theta_y[:s], work.gain[:s]
+    np.add(theta_jx[:, None], geom.offset_x, out=theta_x)
+    np.add(theta_jy[:, None], geom.offset_y, out=theta_y)
+    antenna.gain_at_axis_offsets(geom.uav_array, theta_x=theta_x, theta_y=theta_y,
+                                 out=gain, scratch=work.pattern)
+    term, gathered, scale = work.term[:s], work.gathered[:s], work.scale[:s]
+    interference = work.interference[:s]
+    interference.fill(0.0)
+    for j in range(geom.column.shape[0]):
         # power received on every link i from interferer j's beam
-        term = (geom.tx_power[j] * geom.path_loss_sq[j]
-                * alpha[:, j, None] * geom.sbs_g0[None, :] * gain[:, geom.column[:, j]])
+        np.multiply(alpha[:, j, None], geom.tx_power[j] * geom.path_loss_sq[j], out=scale)
+        np.multiply(scale, geom.sbs_g0, out=term)
+        # mode="clip" lets take write straight into gathered; the indices are
+        # always in range
+        np.take(gain, geom.column[:, j], axis=1, out=gathered, mode="clip")
+        np.multiply(term, gathered, out=term)
         term[:, j] = 0.0
-        interference += term
-    signal = (geom.tx_power[None, :] * alpha * geom.path_loss_sq[None, :]
-              * geom.sbs_g0[None, :] * gain[:, :1])
-    return signal / (interference + params.noise_power_w), interference
+        np.add(interference, term, out=interference)
+    sinr = work.sinr[:s]
+    np.multiply(alpha, geom.tx_power, out=sinr)
+    np.multiply(sinr, geom.path_loss_sq, out=sinr)
+    np.multiply(sinr, geom.sbs_g0, out=sinr)
+    np.multiply(sinr, gain[:, :1], out=sinr)
+    np.add(interference, params.noise_power_w, out=term)
+    np.divide(sinr, term, out=sinr)
+    return sinr, interference
 
 
 def instantaneous_sinr(links, uav: Vec3, orientation: tuple[float, float],
@@ -216,42 +257,63 @@ def instantaneous_sinr(links, uav: Vec3, orientation: tuple[float, float],
     tx = np.array([float(orientation[0])])
     ty = np.array([float(orientation[1])])
     alpha = np.where([[lk.los_flag for lk in links]], 1.0, params.nlos_extra_loss)
-    sinr, interference = _sinr_matrix(geom, params, tx, ty, alpha)
+    sinr, interference = _sinr_matrix(geom, params, tx, ty, alpha, _Workspace(1, len(links)))
     return SinrSample(sinr[0], interference[0], (float(orientation[0]), float(orientation[1])))
+
+
+def outage_scan(links, uavs, params: ChannelParams, n_samples: int, seed: int):
+    """Yield the Monte-Carlo outage per link at each UAV position of `uavs`, in order.
+
+    Every position sees the same draws (common random numbers): the jitter
+    from N(0, sigma^2) per axis, then the LoS uniforms, one per link and
+    sample in per-sample mode or one per link in per-call mode (held across
+    samples). The draws are made once per scan; a position only changes which
+    uniforms fall below its LoS probabilities. Each estimate is therefore
+    bit-identical to a scan of that position alone, for a given
+    (seed, n_samples).
+
+    The SINR is evaluated over fixed blocks of draws in one workspace that is
+    allocated once per scan, and the integer failure counts are summed. Every
+    draw's SINR is computed by the same row-wise arithmetic whatever its
+    block, so the result is bit-identical to evaluating all draws in one
+    block.
+    """
+    if n_samples < 1:
+        raise InvalidInputError("n_samples must be >= 1")
+    m = len(links)
+    per_call = params.los_mode == LOS_PER_CALL
+    rng = np.random.default_rng(seed)
+    theta_jx = rng.normal(0.0, params.vibration_std_rad, size=n_samples)
+    theta_jy = rng.normal(0.0, params.vibration_std_rad, size=n_samples)
+    uniforms = rng.random(m if per_call else (n_samples, m))
+    rows = min(_DRAW_BLOCK, n_samples)
+    work = _Workspace(rows, m)
+    for uav in uavs:
+        geom = _precompute(links, uav, params)
+        if per_call:
+            # one LoS state per link, held by every row of every block
+            np.copyto(work.alpha, np.where(uniforms < geom.p_los, 1.0, params.nlos_extra_loss))
+        failures = np.zeros(m, dtype=np.int64)
+        for lo in range(0, n_samples, rows):
+            hi = min(lo + rows, n_samples)
+            alpha, flags = work.alpha[:hi - lo], work.flags[:hi - lo]
+            if not per_call:
+                np.less(uniforms[lo:hi], geom.p_los, out=flags)
+                alpha.fill(params.nlos_extra_loss)
+                np.copyto(alpha, 1.0, where=flags)
+            sinr, _ = _sinr_matrix(geom, params, theta_jx[lo:hi], theta_jy[lo:hi], alpha, work)
+            np.less(sinr, params.sinr_threshold, out=flags)
+            failures += np.count_nonzero(flags, axis=0)
+        yield OutageEstimate(failures / n_samples, n_samples, seed)
 
 
 def outage_probability(links, uav: Vec3, params: ChannelParams,
                        n_samples: int, seed: int) -> OutageEstimate:
-    """Monte-Carlo outage per link: fraction of draws with SINR below threshold.
+    """Monte-Carlo outage per link at one position: fraction of draws with SINR below threshold.
 
-    Each sample draws the orientation jitter from N(0, sigma^2) per axis and,
-    in per-sample mode, an independent Bernoulli LoS state per link; per-call
-    mode draws the LoS states once and holds them across samples. The draw
-    order is fixed, so results are bit-identical for a given (seed, n_samples).
-    All draws are made up front; the SINR is then evaluated over fixed blocks
-    of draws and the integer failure counts are summed. Every draw's SINR is
-    computed by the same row-wise arithmetic whatever its block, so the result
-    is bit-identical to evaluating all draws in one block.
+    The one-position case of outage_scan; see there for the draws.
     """
-    if n_samples < 1:
-        raise InvalidInputError("n_samples must be >= 1")
-    geom = _precompute(links, uav, params)
-    m = len(links)
-    rng = np.random.default_rng(seed)
-    theta_jx = rng.normal(0.0, params.vibration_std_rad, size=n_samples)
-    theta_jy = rng.normal(0.0, params.vibration_std_rad, size=n_samples)
-    if params.los_mode == LOS_PER_CALL:
-        flags = rng.random(m)[None, :] < geom.p_los[None, :]
-        flags = np.broadcast_to(flags, (n_samples, m))
-    else:
-        flags = rng.random((n_samples, m)) < geom.p_los[None, :]
-    alpha = np.where(flags, 1.0, params.nlos_extra_loss)
-    failures = np.zeros(m, dtype=np.int64)
-    for lo in range(0, n_samples, _DRAW_BLOCK):
-        hi = lo + _DRAW_BLOCK
-        sinr, _ = _sinr_matrix(geom, params, theta_jx[lo:hi], theta_jy[lo:hi], alpha[lo:hi])
-        failures += np.count_nonzero(sinr < params.sinr_threshold, axis=0)
-    return OutageEstimate(failures / n_samples, n_samples, seed)
+    return next(outage_scan(links, (uav,), params, n_samples, seed))
 
 
 def max_outage(estimate: OutageEstimate) -> float:

@@ -31,6 +31,9 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
 
+# Least seconds between two progress lines of the baseline scan on stderr.
+PROGRESS_INTERVAL_S = 5.0
+
 _NET_FILES = ("actor", "actor_target", "critics", "critics_target")
 
 
@@ -151,7 +154,12 @@ def load_checkpoint(ck_dir: Path, cfg: RunConfig) -> td3.Td3Agent:
     meta_path = ck_dir / "meta.json"
     if not meta_path.is_file():
         raise ConfigError(f"no checkpoint at {ck_dir}")
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    try:
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8 or not JSON
+        raise ConfigError(f"{meta_path}: not valid JSON: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise ConfigError(f"{meta_path}: expected a JSON object")
     agent = _build_agent(cfg, int(meta.get("agent_seed", 0)))
     for name in _NET_FILES:
         net, adam = neural.load_net(ck_dir / f"{name}.npz")
@@ -201,15 +209,16 @@ def cmd_eval(cfg: RunConfig, checkpoint: Path, scenario_seed: int, out_dir: Path
     env = _build_env(cfg)
     env.reset(scenario_seed)
     trace = td3.greedy_rollout(env, agent, cfg.steps_per_episode)
-    # Re-score every visited position at evaluation-grade sample counts with
-    # one shared seed, so along-trajectory comparisons share their randomness.
+    # Re-score every visited position at evaluation-grade sample counts in one
+    # scan with one shared seed, so along-trajectory comparisons share their
+    # randomness and the draws are made once.
     rescore_seed = scenario_seed + 1
     n_links = len(env.topology.sbs_list)
-    rows = []
-    for pt in trace:
-        est = env.outage_at(pt.position, cfg.mc_samples_eval, rescore_seed)
-        rows.append((pt.step, pt.time, pt.position[0], pt.position[1], pt.position[2],
-                     channel.max_outage(est), *est.per_link_outage))
+    estimates = channel.outage_scan(env.topology.sbs_list, [pt.position for pt in trace],
+                                    env.params, cfg.mc_samples_eval, rescore_seed)
+    rows = [(pt.step, pt.time, pt.position[0], pt.position[1], pt.position[2],
+             channel.max_outage(est), *est.per_link_outage)
+            for pt, est in zip(trace, estimates)]
     header = ("step", "t", "x", "y", "z", "max_outage",
               *(f"outage_{i + 1}" for i in range(n_links)))
     meta = {"seed": scenario_seed, "version": uavthz.__version__,
@@ -235,7 +244,17 @@ def cmd_baseline(cfg: RunConfig, scenario_seed: int, out_dir: Path,
     env.reset(scenario_seed)
     spec = cfg.grid_spec(scenario_seed + 1)
     params = cfg.channel_params()
-    best_pos, best_val, scan = baseline.grid_search_best_position(env.topology, params, spec)
+    started = perf_counter()
+
+    def progress(k, n):
+        nonlocal started
+        now = perf_counter()
+        if now - started >= PROGRESS_INTERVAL_S:
+            print(f"scanned {k}/{n} lattice points", file=sys.stderr)
+            started = now
+
+    best_pos, best_val, scan = baseline.grid_search_best_position(env.topology, params, spec,
+                                                                  progress)
     meta = {"seed": scenario_seed, "version": uavthz.__version__,
             "mc_samples": spec.mc_samples, "mc_seed": spec.seed}
     write_csv(out_dir / "grid_scan.csv", meta, ("x", "y", "z", "max_outage"),

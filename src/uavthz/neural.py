@@ -7,6 +7,7 @@ block stacks K nets of one architecture (the twin critics) that map a shared
 whole blocks, elementwise, in the order of a per-layer update. 1-D input is one sample.
 """
 
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -221,16 +222,29 @@ def save_net(path, net: DenseNet, adam: AdamState | None = None) -> None:
 
 
 def load_net(path) -> tuple[DenseNet, AdamState | None]:
-    """Restore a checkpointed network and, when present, its Adam state."""
-    with np.load(path, allow_pickle=False) as data:
-        version = int(data["version"])
-        if version != CHECKPOINT_VERSION:
-            raise InvalidInputError(f"{path}: unsupported checkpoint version {version}, "
-                                    f"expected {CHECKPOINT_VERSION}")
-        net = DenseNet(tuple(data["layer_dims"]), data["params"],
-                       str(data["output_activation"]), float(data["output_scale"]))
-        adam = None
-        if "adam_step" in data:
-            adam = AdamState(data["adam_m"], data["adam_v"], int(data["adam_step"]),
-                             *(float(x) for x in data["adam_lr_betas_eps"]))
+    """Restore a checkpointed network and, when present, its Adam state.
+
+    A file that is not a checkpoint archive, or that lacks one of its
+    entries, raises InvalidInputError naming the file.
+    """
+    try:
+        data = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:  # text, pickled, empty, damaged
+        raise InvalidInputError(f"{path}: not a checkpoint archive: {exc}") from exc
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise InvalidInputError(f"{path}: not a checkpoint archive")
+    with data:
+        try:
+            version = int(data["version"])
+            if version != CHECKPOINT_VERSION:
+                raise InvalidInputError(f"{path}: unsupported checkpoint version {version}, "
+                                        f"expected {CHECKPOINT_VERSION}")
+            net = DenseNet(tuple(data["layer_dims"]), data["params"],
+                           str(data["output_activation"]), float(data["output_scale"]))
+            adam = None
+            if "adam_step" in data:
+                adam = AdamState(data["adam_m"], data["adam_v"], int(data["adam_step"]),
+                                 *(float(x) for x in data["adam_lr_betas_eps"]))
+        except KeyError as exc:
+            raise InvalidInputError(f"{path}: malformed checkpoint: {exc.args[0]}") from exc
     return net, adam

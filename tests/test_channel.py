@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,9 +19,17 @@ def make_link(x, y, n_uav=20, n_sbs=10, power=0.01, los=True, spacing=0.5):
 
 
 # Reference kernel: one pattern evaluation per (link, interferer) pair with the
-# period reduction always applied, a full (S, M, M) interference tensor and a
-# scalar loop over station pairs for the link geometry. The library kernel
+# period reduction always applied, the allocating np.sinc expression of the
+# pattern, a full (S, M, M) interference tensor, fresh draws per position and
+# a scalar loop over station pairs for the link geometry. The library kernel
 # must reproduce it bit for bit.
+
+def oracle_axis_ratio(n, psi):
+    m = np.round(psi / (2.0 * np.pi))
+    r = psi - 2.0 * np.pi * m
+    ratio = np.sinc(n * r / (2.0 * np.pi)) / np.sinc(r / (2.0 * np.pi))
+    return ratio * np.where((m * (n - 1)) % 2 == 0, 1.0, -1.0)
+
 
 def oracle_axis_angle(u, a, b, z):
     da, db = u - a, u - b
@@ -56,8 +66,8 @@ def oracle_precompute(links, uav, params):
 
 def oracle_gain(cfg, theta_x, theta_y):
     kd = 2.0 * np.pi * cfg.spacing_over_lambda
-    rx = antenna._axis_ratio(cfg.n_side, kd * np.sin(theta_x), True)
-    ry = antenna._axis_ratio(cfg.n_side, kd * np.sin(theta_y), True)
+    rx = oracle_axis_ratio(cfg.n_side, kd * np.sin(theta_x))
+    ry = oracle_axis_ratio(cfg.n_side, kd * np.sin(theta_y))
     return antenna.normalization_constant(cfg) * (rx * ry) ** 2
 
 
@@ -325,8 +335,26 @@ class TestKernelMatchesReference:
         jx = rng.normal(0.0, 0.05, s)
         jy = rng.normal(0.0, 0.05, s)
         alpha = np.where(rng.random((s, m)) < 0.6, 1.0, p.nlos_extra_loss)
-        got, _ = channel._sinr_matrix(geom, p, jx, jy, alpha)
+        got, _ = channel._sinr_matrix(geom, p, jx, jy, alpha, channel._Workspace(s, m))
         assert np.array_equal(got, oracle_sinr(ref, p, jx, jy, alpha))
+
+    @pytest.mark.parametrize("spacing", [0.5, 0.7, 1.3])
+    def test_in_place_gain_matches_sinc_expression(self, spacing):
+        # exact zeros of psi, period boundaries and a short block reusing a
+        # larger scratch; the reference is the allocating np.sinc expression
+        cfg = ArrayAntennaConfig(20, spacing)
+        kd = 2 * np.pi * spacing
+        special = [0.0, -0.0, np.arcsin(min(1.0, np.pi / kd)),
+                   np.arcsin(min(1.0, 2 * np.pi / kd))]
+        rng = np.random.default_rng(11)
+        theta_x = np.concatenate([special, rng.uniform(-1.5, 1.5, 60)]).reshape(8, 8)
+        theta_y = np.concatenate([special[::-1], rng.uniform(-1.5, 1.5, 60)]).reshape(8, 8)
+        scratch = antenna.PatternScratch(128)
+        out = np.empty((8, 8))
+        got = antenna.gain_at_axis_offsets(cfg, theta_x, theta_y, out=out, scratch=scratch)
+        assert got is out
+        assert np.array_equal(out, oracle_gain(cfg, theta_x, theta_y))
+        assert antenna.gain_at_axis_offsets(cfg, 0.0, 0.0) == oracle_gain(cfg, 0.0, 0.0)
 
     @pytest.mark.parametrize("los_mode", [channel.LOS_PER_SAMPLE, channel.LOS_PER_CALL])
     @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
@@ -339,10 +367,66 @@ class TestKernelMatchesReference:
         want = oracle_outage(links, vec3(*uav), p, n, 17)
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("n", [1, "B-1", "B+1", "2B+7"])
+    @pytest.mark.parametrize("spacing", [0.5, 0.7])
+    @pytest.mark.parametrize("los_mode", [channel.LOS_PER_SAMPLE, channel.LOS_PER_CALL])
+    def test_scan_matches_per_position_reference(self, los_mode, spacing, n):
+        block = channel._DRAW_BLOCK
+        n = {"B-1": block - 1, "B+1": block + 1, "2B+7": 2 * block + 7}.get(n, n)
+        stations = [(12, 30), (40, 44), (75, 140), (110, 95)]
+        links = [make_link(x, y, spacing=spacing) for x, y in stations]
+        p = make_params(los_mode=los_mode, vibration_std_rad=np.deg2rad(4.0))
+        positions = [vec3(70 + 9 * k, 60 + 5 * k, 40 + 12 * k) for k in range(7)]
+        want = [oracle_outage(links, uav, p, n, 23) for uav in positions]
+        for k in (1, 2, 7):
+            got = list(channel.outage_scan(links, positions[:k], p, n, 23))
+            assert len(got) == k
+            for est, ref in zip(got, want):
+                assert (est.n_samples, est.seed) == (n, 23)
+                assert np.array_equal(est.per_link_outage, ref)
+
     def test_mixed_uav_arrays_rejected(self):
         links = [make_link(40, 40), make_link(110, 95, n_uav=8)]
         with pytest.raises(InvalidInputError, match="one UAV array"):
             channel.outage_probability(links, vec3(75, 70, 85), make_params(), 10, 0)
+
+
+def scan_peak_bytes(links, positions, p, n):
+    """Peak traced memory of one scan, its estimates discarded as they come."""
+    tracemalloc.start()
+    try:
+        for _ in channel.outage_scan(links, positions, p, n, 4):
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestScanMemory:
+    LINKS = [make_link(12, 30), make_link(40, 44), make_link(75, 140), make_link(110, 95),
+             make_link(140, 10), make_link(48, 44)]
+
+    def setup_method(self):
+        # fill the g0 cache outside the traced region
+        channel.outage_probability(self.LINKS, vec3(70, 70, 75), make_params(), 8, 0)
+
+    def test_peak_does_not_grow_with_positions(self):
+        p = make_params()
+        n = 2 * channel._DRAW_BLOCK + 7
+        positions = [vec3(20 + 3 * k, 30 + 2 * k, 50 + k) for k in range(40)]
+        one = scan_peak_bytes(self.LINKS, positions[:1], p, n)
+        forty = scan_peak_bytes(self.LINKS, positions, p, n)
+        assert forty - one <= 64 * 1024
+
+    def test_only_the_draws_grow_with_samples(self):
+        # two jitter values and one uniform per link and draw; the block
+        # workspace is the same size at both sample counts
+        p = make_params()
+        block = channel._DRAW_BLOCK
+        small = scan_peak_bytes(self.LINKS, [vec3(70, 70, 75)], p, 2 * block)
+        large = scan_peak_bytes(self.LINKS, [vec3(70, 70, 75)], p, 6 * block)
+        draws = 4 * block * 8 * (2 + len(self.LINKS))
+        assert large - small <= draws + 64 * 1024
 
 
 class TestMaxOutage:

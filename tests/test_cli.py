@@ -49,6 +49,13 @@ def run_process(*argv):
                           capture_output=True, text=True, env=env, timeout=120)
 
 
+def copy_checkpoint(src, dst):
+    dst.mkdir()
+    for f in src.iterdir():
+        (dst / f.name).write_bytes(f.read_bytes())
+    return dst
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("trained")
@@ -137,10 +144,7 @@ def test_reruns_are_byte_identical(tmp_path, trained):
 @pytest.mark.parametrize("net", ["actor", "critics_target"])
 def test_checkpoint_net_mismatch_is_named(tmp_path, capsys, trained, net):
     config, out = trained
-    checkpoint = tmp_path / "checkpoint"
-    checkpoint.mkdir()
-    for f in (out / "checkpoint").iterdir():
-        (checkpoint / f.name).write_bytes(f.read_bytes())
+    checkpoint = copy_checkpoint(out / "checkpoint", tmp_path / "checkpoint")
     neural.save_net(checkpoint / f"{net}.npz", neural.init_net((8, 3, 1), 0))
     code = cli.main(["eval", "--config", str(config), "--out-dir", str(tmp_path / "eval"),
                      "--checkpoint", str(checkpoint)])
@@ -150,10 +154,7 @@ def test_checkpoint_net_mismatch_is_named(tmp_path, capsys, trained, net):
 
 def test_old_checkpoint_version_names_the_file(tmp_path, capsys, trained):
     config, out = trained
-    checkpoint = tmp_path / "checkpoint"
-    checkpoint.mkdir()
-    for f in (out / "checkpoint").iterdir():
-        (checkpoint / f.name).write_bytes(f.read_bytes())
+    checkpoint = copy_checkpoint(out / "checkpoint", tmp_path / "checkpoint")
     path = checkpoint / "critics.npz"
     with np.load(path) as data:
         entries = dict(data)
@@ -198,3 +199,56 @@ def test_linkbudget_two_station_interference(tmp_path, capsys):
                 for watts in sample.per_link_interference_w]
     assert printed == expected
     assert all(-230.0 < v < -210.0 for v in printed)
+
+
+def drop_params(path):
+    with np.load(path) as data:
+        entries = {k: v for k, v in data.items() if k != "params"}
+    np.savez(path, **entries)
+
+
+@pytest.mark.parametrize("name,spoil", [
+    ("critics.npz", drop_params),
+    ("actor.npz", lambda path: path.write_text("not an archive\n", encoding="utf-8")),
+    ("meta.json", lambda path: path.write_text("{agent_seed: 3", encoding="utf-8")),
+])
+def test_malformed_checkpoint_file_exits_2_naming_it(tmp_path, capsys, trained, name, spoil):
+    config, out = trained
+    checkpoint = copy_checkpoint(out / "checkpoint", tmp_path / "checkpoint")
+    spoil(checkpoint / name)
+    eval_dir = tmp_path / "eval"
+    code = cli.main(["eval", "--config", str(config), "--out-dir", str(eval_dir),
+                     "--checkpoint", str(checkpoint)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert str(checkpoint / name) in err
+    data = manifest(eval_dir)
+    assert data["status"] == "failed" and data["error"] == err.strip()
+
+
+def test_baseline_progress_is_throttled(tmp_path, monkeypatch, capsys):
+    config = write_config(tmp_path)
+    quiet = tmp_path / "quiet"
+    assert cli.main(["baseline", "--config", str(config), "--out-dir", str(quiet)]) == 0
+    assert capsys.readouterr().err == ""
+    monkeypatch.setattr(cli, "PROGRESS_INTERVAL_S", 0.0)
+    loud = tmp_path / "loud"
+    assert cli.main(["baseline", "--config", str(config), "--out-dir", str(loud)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"scanned {k}/4 lattice points" for k in range(1, 5)]
+    assert captured.out == ""
+    for name in ("grid_scan.csv", "baseline_summary.csv", "sbs_layout.csv"):
+        assert (loud / name).read_bytes() == (quiet / name).read_bytes()
+
+
+def test_baseline_progress_waits_a_full_interval_between_lines(tmp_path, monkeypatch, capsys):
+    # a clock that advances 1 s per reading: with a 1.5 s interval every
+    # second lattice point is reported
+    ticks = iter(range(10_000))
+    monkeypatch.setattr(cli, "perf_counter", lambda: float(next(ticks)))
+    monkeypatch.setattr(cli, "PROGRESS_INTERVAL_S", 1.5)
+    assert cli.main(["baseline", "--config", str(write_config(tmp_path)),
+                     "--out-dir", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "scanned 2/4 lattice points", "scanned 4/4 lattice points"]
