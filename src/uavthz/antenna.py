@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from uavthz.errors import InvalidInputError, NumericFailureError
+from uavthz.errors import NumericFailureError, require
 
 TWO_PI = 2.0 * np.pi
 # What np.sinc puts in place of a zero argument before dividing.
@@ -43,25 +43,19 @@ _QUAD_CHUNK_ROWS = 256
 
 @dataclass(frozen=True)
 class ArrayAntennaConfig:
-    """Square array description: N elements per side, spacing as a fraction of wavelength."""
+    """Square array description: N elements per side, spacing as a fraction of wavelength.
+
+    The pattern depends on k*d_a = 2*pi*spacing_over_lambda, never on the
+    carrier itself, so the carrier is not part of the description.
+    """
 
     n_side: int
-    spacing_over_lambda: float = 0.5
-    carrier_hz: float = 140e9
+    spacing_over_lambda: float
 
     def __post_init__(self):
-        if self.n_side < 1:
-            raise InvalidInputError(f"n_side must be >= 1, got {self.n_side}")
-        if self.spacing_over_lambda <= 0:
-            raise InvalidInputError("spacing_over_lambda must be positive")
-        if self.carrier_hz <= 0:
-            raise InvalidInputError("carrier_hz must be positive")
-
-    @property
-    def _pattern_key(self):
-        # The pattern depends on k*d_a = 2*pi*spacing_over_lambda, never on
-        # the carrier itself.
-        return (self.n_side, self.spacing_over_lambda)
+        require(self.n_side >= 1, f"n_side must be >= 1, got {self.n_side}", "n_side")
+        require(self.spacing_over_lambda > 0, "spacing_over_lambda must be positive",
+                "spacing_over_lambda")
 
 
 class PatternScratch:
@@ -211,7 +205,7 @@ def _sphere_integral(cfg: ArrayAntennaConfig, n_theta: int, n_phi: int) -> float
     return 16.0 * total + h * h / 12.0 * TWO_PI * poles
 
 
-_G0_CACHE: dict[tuple, float] = {}
+_G0_CACHE: dict[ArrayAntennaConfig, float] = {}
 
 
 def normalization_constant(cfg: ArrayAntennaConfig) -> float:
@@ -226,8 +220,7 @@ def normalization_constant(cfg: ArrayAntennaConfig) -> float:
     configuration; a rare duplicate computation by a concurrent caller is
     harmless because the computation is deterministic.
     """
-    key = cfg._pattern_key
-    cached = _G0_CACHE.get(key)
+    cached = _G0_CACHE.get(cfg)
     if cached is not None:
         return cached
     n_theta, n_phi = _QUAD_BASE
@@ -237,7 +230,7 @@ def normalization_constant(cfg: ArrayAntennaConfig) -> float:
         cur = _sphere_integral(cfg, n_theta, n_phi)
         if abs(cur - prev) <= _QUAD_RTOL * abs(cur):
             g0 = 4.0 * np.pi / cur
-            _G0_CACHE[key] = g0
+            _G0_CACHE[cfg] = g0
             return g0
         prev = cur
     raise NumericFailureError(

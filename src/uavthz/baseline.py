@@ -14,7 +14,7 @@ import numpy as np
 from uavthz import channel, geometry
 from uavthz.channel import ChannelParams
 from uavthz.environment import Topology
-from uavthz.errors import InvalidInputError
+from uavthz.errors import require
 from uavthz.geometry import KinematicLimits, Vec3
 
 
@@ -22,21 +22,19 @@ from uavthz.geometry import KinematicLimits, Vec3
 class GridSearchSpec:
     """Lattice shape and Monte-Carlo budget of the placement oracle."""
 
-    x_steps: int = 15
-    y_steps: int = 15
-    z_steps: int = 5
-    x_range: tuple = (0.0, 150.0)
-    y_range: tuple = (0.0, 150.0)
-    z_range: tuple = (30.0, 130.0)
-    mc_samples: int = 10_000
-    seed: int = 0
+    x_steps: int
+    y_steps: int
+    z_steps: int
+    x_range: tuple
+    y_range: tuple
+    z_range: tuple
+    mc_samples: int
+    seed: int
 
     def __post_init__(self):
         # A 1-count axis is allowed and collapses to the lower bound.
-        if min(self.x_steps, self.y_steps, self.z_steps) < 1:
-            raise InvalidInputError("grid step counts must be >= 1")
-        if self.mc_samples < 1:
-            raise InvalidInputError("mc_samples must be >= 1")
+        for name in ("x_steps", "y_steps", "z_steps", "mc_samples"):
+            require(getattr(self, name) >= 1, f"{name} must be >= 1", name)
 
     def axes(self):
         return (np.linspace(*self.x_range, self.x_steps),
@@ -78,12 +76,8 @@ def grid_search_best_position(topology: Topology, params: ChannelParams,
     return best_pos, float(best_val), rows
 
 
-def static_center_policy(topology: Topology,
-                         limits: KinematicLimits | None = None) -> Vec3:
+def static_center_policy(topology: Topology, limits: KinematicLimits) -> Vec3:
     """Centroid of the active stations at the midpoint of the altitude window."""
-    if not topology.sbs_list:
-        raise InvalidInputError("topology has no stations")
-    limits = limits or KinematicLimits()
     centroid = topology.positions().mean(axis=0)
     return geometry.vec3(float(centroid[0]), float(centroid[1]),
                          0.5 * (limits.h_min + limits.h_max))

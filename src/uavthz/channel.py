@@ -29,7 +29,7 @@ import numpy as np
 
 from uavthz import antenna, geometry
 from uavthz.antenna import ArrayAntennaConfig
-from uavthz.errors import InvalidInputError
+from uavthz.errors import InvalidInputError, require
 from uavthz.geometry import Vec3, as_vec3
 
 SPEED_OF_LIGHT = 3.0e8  # m/s
@@ -45,31 +45,30 @@ _DRAW_BLOCK = 1024
 
 @dataclass
 class ChannelParams:
-    """Propagation and detection constants for every link in a scenario."""
+    """Propagation and detection constants for every link in a scenario, in SI units."""
 
-    carrier_hz: float = 140e9
-    absorption_coeff: float = 1e-3        # 1/m
-    noise_power_w: float = 1e-22          # W (-190 dBm)
-    sinr_threshold: float = 10 ** 0.5     # linear (5 dB)
-    los_alpha: float = 9.61
-    los_b: float = 0.16
-    nlos_extra_loss: float = 0.01         # linear (-20 dB)
-    vibration_std_rad: float = np.deg2rad(2.0)
-    los_mode: str = LOS_PER_SAMPLE
+    carrier_hz: float
+    absorption_coeff: float               # 1/m
+    noise_power_w: float
+    sinr_threshold: float                 # linear
+    los_alpha: float
+    los_b: float
+    nlos_extra_loss: float                # linear
+    vibration_std_rad: float
+    los_mode: str
 
     def __post_init__(self):
-        if self.carrier_hz <= 0 or self.noise_power_w <= 0 or self.sinr_threshold <= 0:
-            raise InvalidInputError("carrier, noise power and SINR threshold must be positive")
-        if self.absorption_coeff < 0:
-            raise InvalidInputError("absorption coefficient must be >= 0")
-        if not 0.0 <= self.nlos_extra_loss <= 1.0:
-            raise InvalidInputError("nlos_extra_loss must lie in [0, 1]")
-        if self.vibration_std_rad < 0:
-            raise InvalidInputError("vibration std must be >= 0")
-        if self.los_alpha < 0 or self.los_b < 0:
-            raise InvalidInputError("LoS constants must be >= 0")
-        if self.los_mode not in (LOS_PER_SAMPLE, LOS_PER_CALL):
-            raise InvalidInputError(f"unknown los_mode {self.los_mode!r}")
+        for name in ("carrier_hz", "noise_power_w", "sinr_threshold"):
+            require(getattr(self, name) > 0, f"{name} must be positive", name)
+        require(self.absorption_coeff >= 0, "absorption coefficient must be >= 0",
+                "absorption_coeff")
+        require(0.0 <= self.nlos_extra_loss <= 1.0, "nlos_extra_loss must lie in [0, 1]",
+                "nlos_extra_loss")
+        require(self.vibration_std_rad >= 0, "vibration std must be >= 0", "vibration_std_rad")
+        for name in ("los_alpha", "los_b"):
+            require(getattr(self, name) >= 0, f"{name} must be >= 0", name)
+        require(self.los_mode in (LOS_PER_SAMPLE, LOS_PER_CALL),
+                f"unknown los_mode {self.los_mode!r}", "los_mode")
 
     @property
     def wavelength(self) -> float:
@@ -88,8 +87,6 @@ class LinkState:
 
     def __post_init__(self):
         self.sbs_position = as_vec3(self.sbs_position)
-        if self.tx_power_w <= 0:
-            raise InvalidInputError("tx_power_w must be positive")
         if self.sbs_array_n_side < 1:
             raise InvalidInputError("sbs_array_n_side must be >= 1")
 
@@ -177,8 +174,7 @@ def _precompute(links, uav: Vec3, params: ChannelParams) -> _LinkGeometry:
     pl = path_loss(params, geometry.link_length(uav, sbs))
     g0s = np.array([
         antenna.normalization_constant(
-            ArrayAntennaConfig(lk.sbs_array_n_side, uav_array.spacing_over_lambda,
-                               params.carrier_hz))
+            ArrayAntennaConfig(lk.sbs_array_n_side, uav_array.spacing_over_lambda))
         for lk in links
     ])
     p_los = los_probability(params, geometry.elevation_angle(uav, sbs))

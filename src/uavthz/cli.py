@@ -13,6 +13,7 @@ import contextlib
 import hashlib
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 from time import perf_counter
 
@@ -85,7 +86,7 @@ class Manifest:
                              encoding="utf-8")
 
     def record_config(self, cfg: RunConfig):
-        """Echo the resolved configuration; raises if it fails validation."""
+        """Echo the resolved configuration, which was checked when it was built."""
         text = serialize_config(cfg)
         params, env_cfg = cfg.channel_params(), cfg.env_config()
         self.data["config"] = text
@@ -227,11 +228,11 @@ def cmd_eval(cfg: RunConfig, checkpoint: Path, scenario_seed: int, out_dir: Path
     write_csv(out_dir / "sbs_layout.csv",
               {"seed": scenario_seed, "version": uavthz.__version__},
               ("index", "x", "y"), _sbs_layout_rows(env))
-    episode_time = trace[-1].time
+    flight_time = trace[-1].time
     manifest.finalize(out_dir, {
-        "episode_time_s": episode_time,
-        "time_budget_s": env.config.mean_change_interval,
-        "time_budget_satisfied": bool(episode_time <= env.config.mean_change_interval),
+        "episode_time_s": flight_time,
+        "time_budget_s": env.config.time_budget,
+        "time_budget_satisfied": bool(flight_time <= env.config.time_budget),
         "initial_max_outage": rows[0][5],
         "final_max_outage": rows[-1][5],
     })
@@ -291,8 +292,7 @@ def cmd_linkbudget(cfg: RunConfig, uav_xyz: str, sbs_list: list[str]) -> int:
     params = cfg.channel_params()
     env_cfg = cfg.env_config()
     uav = geometry.vec3(*_parse_xyz(uav_xyz, 3))
-    uav_array = ArrayAntennaConfig(cfg.uav_n_side, cfg.spacing_over_lambda,
-                                   params.carrier_hz)
+    uav_array = env_cfg.uav_array
     links = []
     for i, text in enumerate(sbs_list):
         x, y = _parse_xyz(text, 2)
@@ -306,9 +306,7 @@ def cmd_linkbudget(cfg: RunConfig, uav_xyz: str, sbs_list: list[str]) -> int:
     except InvalidInputError as exc:
         raise ConfigError(f"degenerate geometry: {exc}") from exc
     g0_uav = normalization_constant(uav_array)
-    g0_sbs = normalization_constant(ArrayAntennaConfig(cfg.sbs_n_side,
-                                                       cfg.spacing_over_lambda,
-                                                       params.carrier_hz))
+    g0_sbs = normalization_constant(ArrayAntennaConfig(cfg.sbs_n_side, cfg.spacing_over_lambda))
     print(f"uav: ({uav[0]:g}, {uav[1]:g}, {uav[2]:g})   "
           f"carrier {cfg.carrier_ghz:g} GHz   threshold {cfg.sinr_threshold_db:g} dB")
     header = (f"{'link':>4} {'length_m':>10} {'elev_deg':>9} {'p_los':>7} "
@@ -370,13 +368,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_config(args) -> RunConfig:
     cfg = load_config(args.config) if args.config is not None else RunConfig()
-    if args.mc_samples is not None:
-        if args.mc_samples < 1:
-            raise ConfigError(f"--mc-samples must be >= 1, got {args.mc_samples}")
-        cfg.mc_samples_train = args.mc_samples
-        cfg.mc_samples_eval = args.mc_samples
-        cfg.grid_mc_samples = args.mc_samples
-    return cfg
+    if args.mc_samples is None:
+        return cfg
+    n = args.mc_samples
+    try:
+        return replace(cfg, mc_samples_train=n, mc_samples_eval=n, grid_mc_samples=n)
+    except ConfigError as exc:
+        raise ConfigError(f"--mc-samples {n}: {exc}") from exc
 
 
 def main(argv=None) -> int:

@@ -1,17 +1,25 @@
-"""Run configuration: one flat key = value text file covering every module.
+"""Run configuration: one flat `section.key = value` text file covering every module.
 
-Interface units are operator-friendly (dBm for powers, degrees for the
-vibration std, GHz for the carrier) and are converted to SI when the
-simulation objects are built. Unknown keys are rejected by name.
+Each RunConfig field declares its dotted key, its default and its unit: the
+class and field of the simulation object it sets, and the conversion `si`
+from its operator-friendly unit (dBm for powers, dB for the SINR threshold,
+degrees for the vibration std, GHz for the carrier) to that field's SI unit.
+
+A RunConfig checks itself whole when it is built: it builds every object once,
+so each object's own checks run, without computing a g0 or allocating a
+network. A bad file therefore fails before any work, and the command exits 2
+with one line that names the dotted key. Unknown and duplicate keys and
+non-finite numbers are rejected by name as well.
 """
 
-from dataclasses import dataclass, fields
+import math
+from dataclasses import dataclass, field, fields
+from pathlib import Path
 
-import numpy as np
-
-from uavthz.channel import ChannelParams
+from uavthz.baseline import GridSearchSpec
+from uavthz.channel import LOS_PER_SAMPLE, ChannelParams
 from uavthz.environment import EnvConfig
-from uavthz.errors import ConfigError
+from uavthz.errors import ConfigError, InvalidInputError
 from uavthz.geometry import KinematicLimits
 from uavthz.td3 import Normalizer, Td3Hyperparams
 
@@ -24,204 +32,144 @@ def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
 
-@dataclass
-class RunConfig:
-    # service area and station dynamics
-    area_x_m: float = 150.0
-    area_y_m: float = 150.0
-    m_s_min: int = 2
-    m_s_max: int = 6
-    m_d_max: int = 2
-    t_min_s: float = 20.0
-    t_max_s: float = 35.0
-    # radio and channel
-    carrier_ghz: float = 140.0
-    tx_power_dbm: float = 10.0
-    absorption_per_m: float = 1e-3
-    noise_power_dbm: float = -190.0
-    sinr_threshold_db: float = 5.0
-    los_alpha: float = 9.61
-    los_b: float = 0.16
-    nlos_extra_loss: float = 0.01
-    vibration_std_deg: float = 2.0
-    los_mode: str = "per-sample"
-    # antennas
-    uav_n_side: int = 20
-    sbs_n_side: int = 10
-    spacing_over_lambda: float = 0.5
-    # kinematics
-    v_max_mps: float = 8.0
-    a_max_mps2: float = 4.0
-    h_min_m: float = 30.0
-    h_max_m: float = 130.0
-    dt_s: float = 1.0
-    # environment scoring
-    mc_samples_train: int = 500
-    mc_samples_eval: int = 100_000
-    reward_floor: float = 1e-9
-    outage_alarm_threshold: float = 0.1
-    clamp_horizontal: bool = False
-    clamp_z_only: bool = False
-    freeze_topology: bool = True
-    # agent
-    hidden1: int = 256
-    hidden2: int = 128
-    actor_lr: float = 1e-4
-    critic_lr: float = 1e-4
-    discount: float = 0.9
-    tau: float = 0.01
-    policy_delay: int = 2
-    batch_size: int = 32
-    buffer_capacity: int = 1000
-    episodes: int = 150
-    steps_per_episode: int = 10
-    exploration_noise: float = 0.1
-    target_noise: float = 0.2
-    target_noise_clip: float = 0.5
-    warmup_steps: int = 256
-    # baseline oracle
-    grid_x: int = 15
-    grid_y: int = 15
-    grid_z: int = 5
-    grid_mc_samples: int = 10_000
+def _key(key: str, default, cls=None, name=None, si=None):
+    # Sets field `name` (default: the field's own name) of class cls through the
+    # unit conversion si; fields that set one target pass it a tuple, in order.
+    return field(default=default, metadata={"key": key, "cls": cls, "name": name, "si": si})
 
-    # ------------------------------------------------------------------ builders
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Every setting of a run, one field per config key, checked whole when built."""
+
+    area_x_m: float = _key("area.x_m", 150.0, EnvConfig, "area_x")
+    area_y_m: float = _key("area.y_m", 150.0, EnvConfig, "area_y")
+    m_s_min: int = _key("topology.m_s_min", 2, EnvConfig)
+    m_s_max: int = _key("topology.m_s_max", 6, EnvConfig)
+    t_min_s: float = _key("topology.t_min_s", 20.0, EnvConfig, "t_min")
+    t_max_s: float = _key("topology.t_max_s", 35.0, EnvConfig, "t_max")
+    carrier_ghz: float = _key("channel.carrier_ghz", 140.0, ChannelParams, "carrier_hz",
+                              lambda ghz: ghz * 1e9)
+    tx_power_dbm: float = _key("channel.tx_power_dbm", 10.0, EnvConfig, "tx_power_w",
+                               dbm_to_watts)
+    absorption_per_m: float = _key("channel.absorption_per_m", 1e-3, ChannelParams,
+                                   "absorption_coeff")
+    noise_power_dbm: float = _key("channel.noise_power_dbm", -190.0, ChannelParams,
+                                  "noise_power_w", dbm_to_watts)
+    sinr_threshold_db: float = _key("channel.sinr_threshold_db", 5.0, ChannelParams,
+                                    "sinr_threshold", db_to_linear)
+    los_alpha: float = _key("channel.los_alpha", 9.61, ChannelParams)
+    los_b: float = _key("channel.los_b", 0.16, ChannelParams)
+    nlos_extra_loss: float = _key("channel.nlos_extra_loss", 0.01, ChannelParams)
+    vibration_std_deg: float = _key("channel.vibration_std_deg", 2.0, ChannelParams,
+                                    "vibration_std_rad", math.radians)
+    los_mode: str = _key("channel.los_mode", LOS_PER_SAMPLE, ChannelParams)
+    uav_n_side: int = _key("antenna.uav_n_side", 20, EnvConfig)
+    sbs_n_side: int = _key("antenna.sbs_n_side", 10, EnvConfig)
+    spacing_over_lambda: float = _key("antenna.spacing_over_lambda", 0.5, EnvConfig)
+    v_max_mps: float = _key("kinematics.v_max_mps", 8.0, KinematicLimits, "v_max")
+    a_max_mps2: float = _key("kinematics.a_max_mps2", 4.0, KinematicLimits, "a_max")
+    h_min_m: float = _key("kinematics.h_min_m", 30.0, KinematicLimits, "h_min")
+    h_max_m: float = _key("kinematics.h_max_m", 130.0, KinematicLimits, "h_max")
+    dt_s: float = _key("kinematics.dt_s", 1.0, EnvConfig, "dt")
+    mc_samples_train: int = _key("env.mc_samples_train", 500, EnvConfig, "mc_samples")
+    mc_samples_eval: int = _key("env.mc_samples_eval", 100_000)
+    reward_floor: float = _key("env.reward_floor", 1e-9, EnvConfig)
+    outage_alarm_threshold: float = _key("env.outage_alarm_threshold", 0.1, EnvConfig)
+    clamp_horizontal: bool = _key("env.clamp_horizontal", False, EnvConfig)
+    clamp_z_only: bool = _key("env.clamp_z_only", False, EnvConfig)
+    freeze_topology: bool = _key("env.freeze_topology", True, EnvConfig)
+    hidden1: int = _key("td3.hidden1", 256, Td3Hyperparams, "hidden_dims")
+    hidden2: int = _key("td3.hidden2", 128, Td3Hyperparams, "hidden_dims")
+    actor_lr: float = _key("td3.actor_lr", 1e-4, Td3Hyperparams)
+    critic_lr: float = _key("td3.critic_lr", 1e-4, Td3Hyperparams)
+    discount: float = _key("td3.discount", 0.9, Td3Hyperparams)
+    tau: float = _key("td3.tau", 0.01, Td3Hyperparams)
+    policy_delay: int = _key("td3.policy_delay", 2, Td3Hyperparams)
+    batch_size: int = _key("td3.batch_size", 32, Td3Hyperparams)
+    buffer_capacity: int = _key("td3.buffer_capacity", 1000, Td3Hyperparams)
+    episodes: int = _key("td3.episodes", 150, Td3Hyperparams)
+    steps_per_episode: int = _key("td3.steps_per_episode", 10, Td3Hyperparams)
+    exploration_noise: float = _key("td3.exploration_noise", 0.1, Td3Hyperparams,
+                                    "exploration_noise_std")
+    target_noise: float = _key("td3.target_noise", 0.2, Td3Hyperparams, "target_noise_std")
+    target_noise_clip: float = _key("td3.target_noise_clip", 0.5, Td3Hyperparams)
+    warmup_steps: int = _key("td3.warmup_steps", 256, Td3Hyperparams)
+    grid_x: int = _key("baseline.grid_x", 15, GridSearchSpec, "x_steps")
+    grid_y: int = _key("baseline.grid_y", 15, GridSearchSpec, "y_steps")
+    grid_z: int = _key("baseline.grid_z", 5, GridSearchSpec, "z_steps")
+    grid_mc_samples: int = _key("baseline.mc_samples", 10_000, GridSearchSpec, "mc_samples")
+
+    def __post_init__(self):
+        self.normalizer()          # builds the environment and its kinematic limits
+        self.channel_params()
+        self.hyperparams()
+        self.grid_spec(0)
+        if self.mc_samples_eval < 1:
+            raise ConfigError(self._describe(["mc_samples_eval"], "must be >= 1"))
+
+    def _describe(self, names, message: str) -> str:
+        named = [f"{f.metadata['key']} = {_text(getattr(self, f.name))}"
+                 for f in fields(self) if f.name in names]
+        return f"{', '.join(named)}: {message}" if named else message
+
+    def _build(self, cls, **extra):
+        """cls from the fields that set it, plus extra; a failed check names their keys."""
+        mine = [f for f in fields(self) if f.metadata["cls"] is cls]
+        args = {}
+        for f in mine:
+            value, si = getattr(self, f.name), f.metadata["si"]
+            args.setdefault(f.metadata["name"] or f.name, []).append(si(value) if si else value)
+        try:
+            return cls(**{k: v[0] if len(v) == 1 else tuple(v) for k, v in args.items()}, **extra)
+        except InvalidInputError as exc:
+            raise ConfigError(self._describe(
+                [f.name for f in mine if (f.metadata["name"] or f.name) in exc.fields],
+                str(exc))) from exc
 
     def channel_params(self) -> ChannelParams:
-        return ChannelParams(
-            carrier_hz=self.carrier_ghz * 1e9,
-            absorption_coeff=self.absorption_per_m,
-            noise_power_w=dbm_to_watts(self.noise_power_dbm),
-            sinr_threshold=db_to_linear(self.sinr_threshold_db),
-            los_alpha=self.los_alpha,
-            los_b=self.los_b,
-            nlos_extra_loss=self.nlos_extra_loss,
-            vibration_std_rad=float(np.deg2rad(self.vibration_std_deg)),
-            los_mode=self.los_mode,
-        )
+        return self._build(ChannelParams)
 
     def kinematic_limits(self) -> KinematicLimits:
-        return KinematicLimits(self.v_max_mps, self.a_max_mps2, self.h_min_m, self.h_max_m)
+        return self._build(KinematicLimits)
 
     def env_config(self) -> EnvConfig:
-        return EnvConfig(
-            area_x=self.area_x_m, area_y=self.area_y_m,
-            m_s_min=self.m_s_min, m_s_max=self.m_s_max, m_d_max=self.m_d_max,
-            t_min=self.t_min_s, t_max=self.t_max_s, dt=self.dt_s,
-            limits=self.kinematic_limits(),
-            tx_power_w=dbm_to_watts(self.tx_power_dbm),
-            uav_n_side=self.uav_n_side, sbs_n_side=self.sbs_n_side,
-            spacing_over_lambda=self.spacing_over_lambda,
-            mc_samples=self.mc_samples_train,
-            reward_floor=self.reward_floor,
-            outage_alarm_threshold=self.outage_alarm_threshold,
-            clamp_horizontal=self.clamp_horizontal,
-            clamp_z_only=self.clamp_z_only,
-            freeze_topology=self.freeze_topology,
-        )
+        return self._build(EnvConfig, limits=self.kinematic_limits())
 
     def hyperparams(self) -> Td3Hyperparams:
-        return Td3Hyperparams(
-            hidden_dims=(self.hidden1, self.hidden2),
-            actor_lr=self.actor_lr, critic_lr=self.critic_lr,
-            discount=self.discount, tau=self.tau, policy_delay=self.policy_delay,
-            batch_size=self.batch_size, buffer_capacity=self.buffer_capacity,
-            exploration_noise_std=self.exploration_noise,
-            target_noise_std=self.target_noise,
-            target_noise_clip=self.target_noise_clip,
-            warmup_steps=self.warmup_steps,
-            episodes=self.episodes, steps_per_episode=self.steps_per_episode,
-        )
+        return self._build(Td3Hyperparams)
 
     def normalizer(self) -> Normalizer:
-        return Normalizer(self.area_x_m, self.area_y_m, self.h_min_m, self.h_max_m,
-                          self.env_config().action_scale)
+        env = self.env_config()
+        return Normalizer(env.area_x, env.area_y, env.limits.h_min, env.limits.h_max,
+                          env.action_scale)
 
-    def grid_spec(self, seed: int):
-        from uavthz.baseline import GridSearchSpec
-        return GridSearchSpec(self.grid_x, self.grid_y, self.grid_z,
-                              (0.0, self.area_x_m), (0.0, self.area_y_m),
-                              (self.h_min_m, self.h_max_m),
-                              self.grid_mc_samples, seed)
+    def grid_spec(self, seed: int) -> GridSearchSpec:
+        return self._build(GridSearchSpec, seed=seed, x_range=(0.0, self.area_x_m),
+                           y_range=(0.0, self.area_y_m), z_range=(self.h_min_m, self.h_max_m))
 
 
-# Dotted config key -> dataclass field. Sections group related knobs; the
-# mapping is the single source of truth for parsing and serialization.
-_KEY_TO_FIELD = {
-    "area.x_m": "area_x_m",
-    "area.y_m": "area_y_m",
-    "topology.m_s_min": "m_s_min",
-    "topology.m_s_max": "m_s_max",
-    "topology.m_d_max": "m_d_max",
-    "topology.t_min_s": "t_min_s",
-    "topology.t_max_s": "t_max_s",
-    "channel.carrier_ghz": "carrier_ghz",
-    "channel.tx_power_dbm": "tx_power_dbm",
-    "channel.absorption_per_m": "absorption_per_m",
-    "channel.noise_power_dbm": "noise_power_dbm",
-    "channel.sinr_threshold_db": "sinr_threshold_db",
-    "channel.los_alpha": "los_alpha",
-    "channel.los_b": "los_b",
-    "channel.nlos_extra_loss": "nlos_extra_loss",
-    "channel.vibration_std_deg": "vibration_std_deg",
-    "channel.los_mode": "los_mode",
-    "antenna.uav_n_side": "uav_n_side",
-    "antenna.sbs_n_side": "sbs_n_side",
-    "antenna.spacing_over_lambda": "spacing_over_lambda",
-    "kinematics.v_max_mps": "v_max_mps",
-    "kinematics.a_max_mps2": "a_max_mps2",
-    "kinematics.h_min_m": "h_min_m",
-    "kinematics.h_max_m": "h_max_m",
-    "kinematics.dt_s": "dt_s",
-    "env.mc_samples_train": "mc_samples_train",
-    "env.mc_samples_eval": "mc_samples_eval",
-    "env.reward_floor": "reward_floor",
-    "env.outage_alarm_threshold": "outage_alarm_threshold",
-    "env.clamp_horizontal": "clamp_horizontal",
-    "env.clamp_z_only": "clamp_z_only",
-    "env.freeze_topology": "freeze_topology",
-    "td3.hidden1": "hidden1",
-    "td3.hidden2": "hidden2",
-    "td3.actor_lr": "actor_lr",
-    "td3.critic_lr": "critic_lr",
-    "td3.discount": "discount",
-    "td3.tau": "tau",
-    "td3.policy_delay": "policy_delay",
-    "td3.batch_size": "batch_size",
-    "td3.buffer_capacity": "buffer_capacity",
-    "td3.episodes": "episodes",
-    "td3.steps_per_episode": "steps_per_episode",
-    "td3.exploration_noise": "exploration_noise",
-    "td3.target_noise": "target_noise",
-    "td3.target_noise_clip": "target_noise_clip",
-    "td3.warmup_steps": "warmup_steps",
-    "baseline.grid_x": "grid_x",
-    "baseline.grid_y": "grid_y",
-    "baseline.grid_z": "grid_z",
-    "baseline.mc_samples": "grid_mc_samples",
-}
-
-_FIELD_TO_KEY = {v: k for k, v in _KEY_TO_FIELD.items()}
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+_FIELDS = {f.metadata["key"]: f for f in fields(RunConfig)}
 
 
-def _parse_value(key: str, field_name: str, raw: str):
-    ftype = _FIELD_TYPES[field_name]
-    raw = raw.strip()
+def _text(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+_BOOLS = {**dict.fromkeys(("true", "1", "yes", "on"), True),
+          **dict.fromkeys(("false", "0", "no", "off"), False)}
+
+
+def _parse_value(f, raw: str):
     try:
-        if ftype in (bool, "bool"):
-            if raw.lower() in ("true", "1", "yes", "on"):
-                return True
-            if raw.lower() in ("false", "0", "no", "off"):
-                return False
+        value = _BOOLS[raw.lower()] if f.type is bool else f.type(raw)
+        if f.type is float and not math.isfinite(value):
             raise ValueError(raw)
-        if ftype in (int, "int"):
-            return int(raw)
-        if ftype in (float, "float"):
-            return float(raw)
-        return raw
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key}: {raw!r}") from exc
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(f"bad value for {f.metadata['key']}: {raw!r}") from exc
+    return value
 
 
 def parse_config(text: str) -> RunConfig:
@@ -234,43 +182,29 @@ def parse_config(text: str) -> RunConfig:
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in _KEY_TO_FIELD:
+        if key not in _FIELDS:
             raise ConfigError(f"unknown config key: {key}")
-        field_name = _KEY_TO_FIELD[key]
-        if field_name in values:
+        f = _FIELDS[key]
+        if f.name in values:
             raise ConfigError(f"duplicate config key: {key}")
-        values[field_name] = _parse_value(key, field_name, raw)
-    try:
-        return RunConfig(**values)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        values[f.name] = _parse_value(f, raw)
+    return RunConfig(**values)
 
 
 def load_config(path) -> RunConfig:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_config(fh.read())
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    return parse_config(text)
 
 
 def serialize_config(cfg: RunConfig) -> str:
     """Canonical text form; parse(serialize(cfg)) reproduces cfg exactly."""
     lines = []
-    section = None
-    for f in fields(RunConfig):
-        key = _FIELD_TO_KEY[f.name]
-        sec = key.split(".", 1)[0]
-        if sec != section:
-            if section is not None:
-                lines.append("")
-            section = sec
-        value = getattr(cfg, f.name)
-        if isinstance(value, bool):
-            text = "true" if value else "false"
-        elif isinstance(value, float):
-            text = repr(value)
-        else:
-            text = str(value)
-        lines.append(f"{key} = {text}")
+    for prev, f in zip([None, *fields(RunConfig)], fields(RunConfig)):
+        key = f.metadata["key"]
+        if prev is not None and prev.metadata["key"].split(".")[0] != key.split(".")[0]:
+            lines.append("")
+        lines.append(f"{key} = {_text(getattr(cfg, f.name))}")
     return "\n".join(lines) + "\n"

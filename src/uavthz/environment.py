@@ -1,44 +1,31 @@
-"""Dynamic-topology MDP: state, bounded continuous action, altitude-clamped
-transition, outage-based reward, and random topology evolution.
+"""Topology MDP: state, bounded continuous action, altitude-clamped transition
+and outage-based reward.
 
-One environment instance is a sequential state machine: reset() starts a new
+One environment instance is a sequential state machine: reset() draws a
 topology epoch (the UAV keeps its position across epochs, starting at the
 area center on the very first call), and step() advances the UAV by a bounded
 3D displacement, scoring the new position by Monte-Carlo outage.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from uavthz import channel, geometry
 from uavthz.antenna import ArrayAntennaConfig
 from uavthz.channel import ChannelParams, LinkState, OutageEstimate
-from uavthz.errors import InvalidInputError
+from uavthz.errors import InvalidInputError, require
 from uavthz.geometry import KinematicLimits, Vec3, as_vec3
 
 
 @dataclass
 class Topology:
-    """Active ground stations plus the parameters governing their random evolution."""
+    """The active ground stations."""
 
     sbs_list: list
-    area_x: float = 150.0
-    area_y: float = 150.0
-    m_s_min: int = 2
-    m_s_max: int = 6
-    t_min: float = 20.0
-    t_max: float = 35.0
-    m_d_max: int = 2
 
     def __post_init__(self):
-        if not 1 <= len(self.sbs_list) <= self.m_s_max:
-            raise InvalidInputError(
-                f"topology must hold 1..{self.m_s_max} stations, got {len(self.sbs_list)}")
-        for lk in self.sbs_list:
-            x, y, z = lk.sbs_position
-            if not (0 <= x <= self.area_x and 0 <= y <= self.area_y and z == 0):
-                raise InvalidInputError(f"station {lk.sbs_position} outside the service area")
+        require(len(self.sbs_list) >= 1, "topology has no stations", "sbs_list")
 
     def positions(self) -> np.ndarray:
         return np.array([lk.sbs_position for lk in self.sbs_list])
@@ -74,37 +61,44 @@ class StepResult:
 
 @dataclass
 class EnvConfig:
-    """Service area, station dynamics, kinematic envelope and scoring knobs."""
+    """Service area, station count, kinematic envelope, antennas and scoring knobs, in SI units."""
 
-    area_x: float = 150.0
-    area_y: float = 150.0
-    m_s_min: int = 2
-    m_s_max: int = 6
-    m_d_max: int = 2
-    t_min: float = 20.0
-    t_max: float = 35.0
-    dt: float = 1.0
-    limits: KinematicLimits = field(default_factory=KinematicLimits)
-    tx_power_w: float = 0.01
-    uav_n_side: int = 20
-    sbs_n_side: int = 10
-    spacing_over_lambda: float = 0.5
-    mc_samples: int = 500
-    reward_floor: float = 1e-9
-    outage_alarm_threshold: float = 0.1
-    clamp_horizontal: bool = False
-    clamp_z_only: bool = False
-    freeze_topology: bool = False
+    area_x: float
+    area_y: float
+    m_s_min: int
+    m_s_max: int
+    t_min: float
+    t_max: float
+    dt: float
+    limits: KinematicLimits
+    tx_power_w: float
+    uav_n_side: int
+    sbs_n_side: int
+    spacing_over_lambda: float
+    mc_samples: int
+    reward_floor: float
+    outage_alarm_threshold: float
+    clamp_horizontal: bool
+    clamp_z_only: bool
+    freeze_topology: bool
 
     def __post_init__(self):
-        if not 1 <= self.m_s_min <= self.m_s_max:
-            raise InvalidInputError("need 1 <= m_s_min <= m_s_max")
-        if not 0 <= self.m_d_max <= self.m_s_max:
-            raise InvalidInputError("need 0 <= m_d_max <= m_s_max")
-        if not 0 < self.t_min <= self.t_max:
-            raise InvalidInputError("need 0 < t_min <= t_max")
-        if self.dt <= 0:
-            raise InvalidInputError("dt must be positive")
+        for name in ("area_x", "area_y", "dt", "tx_power_w", "reward_floor"):
+            require(getattr(self, name) > 0, f"{name} must be positive", name)
+        require(1 <= self.m_s_min <= self.m_s_max, "need 1 <= m_s_min <= m_s_max",
+                "m_s_min", "m_s_max")
+        require(0 < self.t_min <= self.t_max, "need 0 < t_min <= t_max", "t_min", "t_max")
+        require(self.mc_samples >= 1, "mc_samples must be >= 1", "mc_samples")
+        for side in ("uav_n_side", "sbs_n_side"):
+            try:
+                ArrayAntennaConfig(getattr(self, side), self.spacing_over_lambda)
+            except InvalidInputError as exc:
+                raise InvalidInputError(
+                    str(exc), *(side if f == "n_side" else f for f in exc.fields)) from exc
+
+    @property
+    def uav_array(self) -> ArrayAntennaConfig:
+        return ArrayAntennaConfig(self.uav_n_side, self.spacing_over_lambda)
 
     @property
     def action_scale(self) -> float:
@@ -112,7 +106,8 @@ class EnvConfig:
         return self.limits.v_max * self.dt + 0.5 * self.limits.a_max * self.dt ** 2
 
     @property
-    def mean_change_interval(self) -> float:
+    def time_budget(self) -> float:
+        """Flight-time budget of one episode: the mean topology change interval."""
         return 0.5 * (self.t_min + self.t_max)
 
 
@@ -137,39 +132,28 @@ class Environment:
         self.config = config
         self.params = params
         self.topology: Topology | None = None
-        self.change_interval: float | None = None
         self._uav_position: Vec3 | None = None
         self.epoch_start: Vec3 | None = None
         self._step_seed_rng = None
-        self.time_elapsed = 0.0
         self.alarm_steps = 0   # steps with any per-link outage above the alarm threshold
         self.total_steps = 0
 
     # -- construction helpers -------------------------------------------------
 
-    def _uav_array(self) -> ArrayAntennaConfig:
-        return ArrayAntennaConfig(self.config.uav_n_side, self.config.spacing_over_lambda,
-                                  self.params.carrier_hz)
-
-    def _make_link(self, x: float, y: float) -> LinkState:
-        return LinkState(geometry.vec3(x, y, 0.0), self.config.tx_power_w,
-                         self._uav_array(), self.config.sbs_n_side)
-
     def _draw_topology(self, rng) -> Topology:
         cfg = self.config
         m_s = int(rng.integers(cfg.m_s_min, cfg.m_s_max + 1))
-        links = [
-            self._make_link(float(rng.uniform(0.0, cfg.area_x)),
-                            float(rng.uniform(0.0, cfg.area_y)))
+        return Topology([
+            LinkState(geometry.vec3(float(rng.uniform(0.0, cfg.area_x)),
+                                    float(rng.uniform(0.0, cfg.area_y)), 0.0),
+                      cfg.tx_power_w, cfg.uav_array, cfg.sbs_n_side)
             for _ in range(m_s)
-        ]
-        return Topology(links, cfg.area_x, cfg.area_y, cfg.m_s_min, cfg.m_s_max,
-                        cfg.t_min, cfg.t_max, cfg.m_d_max)
+        ])
 
     # -- MDP surface -----------------------------------------------------------
 
     def reset(self, seed: int) -> tuple[EnvState, Topology]:
-        """Start a topology epoch: fresh stations and change interval, continuous UAV position.
+        """Start a topology epoch: fresh stations, continuous UAV position.
 
         With freeze_topology set, repeated resets keep the first drawn
         topology (single-scenario training) while reseeding the step stream.
@@ -177,7 +161,6 @@ class Environment:
         rng = np.random.default_rng([seed, 0])
         if self.topology is None or not self.config.freeze_topology:
             self.topology = self._draw_topology(rng)
-            self.change_interval = float(rng.uniform(self.config.t_min, self.config.t_max))
         if self._uav_position is None:
             lim = self.config.limits
             self._uav_position = geometry.vec3(
@@ -185,7 +168,6 @@ class Environment:
                 0.5 * (lim.h_min + lim.h_max))
         self.epoch_start = self._uav_position.copy()
         self._step_seed_rng = np.random.default_rng([seed, 1])
-        self.time_elapsed = 0.0
         return EnvState(self._uav_position.copy()), self.topology
 
     def restart_episode(self) -> EnvState:
@@ -194,7 +176,6 @@ class Environment:
         if self.epoch_start is None:
             raise InvalidInputError("environment not reset")
         self._uav_position = self.epoch_start.copy()
-        self.time_elapsed = 0.0
         return EnvState(self._uav_position.copy())
 
     @property
@@ -239,7 +220,6 @@ class Environment:
         reward = outage_to_reward(worst, self.config.reward_floor)
         elapsed = float(np.linalg.norm(nxt - cur)) / lim.v_max
         self._uav_position = nxt
-        self.time_elapsed += elapsed
         self.total_steps += 1
         if np.any(outage.per_link_outage >= self.config.outage_alarm_threshold):
             self.alarm_steps += 1
@@ -252,43 +232,3 @@ class Environment:
         return channel.outage_probability(self.topology.sbs_list, as_vec3(position),
                                           self.params, n_samples, seed)
 
-    def evolve_topology(self, topology: Topology, rng) -> Topology:
-        """Disconnect a random subset of stations and connect fresh ones.
-
-        Removes m_d ~ U{0..m_d_max} stations, then adds m_c fresh uniform
-        positions with m_c bounded both by the survivor count and by the free
-        station slots, so the result never exceeds the cap. When a removal
-        empties the set, at least one station connects so the result stays
-        valid.
-        """
-        if not topology.sbs_list:
-            raise InvalidInputError("cannot evolve an empty topology")
-        m_s = len(topology.sbs_list)
-        m_d = int(rng.integers(0, min(topology.m_d_max, m_s) + 1))
-        keep = rng.choice(m_s, size=m_s - m_d, replace=False)
-        survivors = [topology.sbs_list[i] for i in sorted(int(k) for k in keep)]
-        m_c_hi = min(m_s - m_d, topology.m_s_max - (m_s - m_d))
-        m_c_lo = 1 if m_d == m_s else 0
-        m_c = int(rng.integers(m_c_lo, max(m_c_hi, m_c_lo) + 1))
-        fresh = [
-            self._make_link(float(rng.uniform(0.0, topology.area_x)),
-                            float(rng.uniform(0.0, topology.area_y)))
-            for _ in range(m_c)
-        ]
-        return replace(topology, sbs_list=survivors + fresh)
-
-    def episode_time(self, actions, speeds=None) -> tuple[float, bool]:
-        """Travel time of an action sequence and whether it fits the mean change interval.
-
-        Speeds default to peak speed per segment, matching step() accounting.
-        """
-        disps = [a.displacement if isinstance(a, EnvAction) else as_vec3(a) for a in actions]
-        if not disps:
-            return 0.0, True
-        waypoints = [np.zeros(3)]
-        for d in disps:
-            waypoints.append(waypoints[-1] + d)
-        if speeds is None:
-            speeds = [self.config.limits.v_max] * len(disps)
-        total = geometry.trajectory_time(waypoints, speeds)
-        return total, total <= self.config.mean_change_interval

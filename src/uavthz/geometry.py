@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from uavthz.errors import GeometryDegenerateError, InvalidInputError
+from uavthz.errors import GeometryDegenerateError, InvalidInputError, require
 
 Vec3 = np.ndarray
 
@@ -46,16 +46,15 @@ def as_points(v) -> np.ndarray:
 class KinematicLimits:
     """Speed, acceleration and altitude envelope of the vehicle."""
 
-    v_max: float = 8.0    # m/s
-    a_max: float = 4.0    # m/s^2
-    h_min: float = 30.0   # m
-    h_max: float = 130.0  # m
+    v_max: float    # m/s
+    a_max: float    # m/s^2
+    h_min: float    # m
+    h_max: float    # m
 
     def __post_init__(self):
-        if self.v_max <= 0 or self.a_max <= 0:
-            raise InvalidInputError("v_max and a_max must be positive")
-        if not 0 < self.h_min < self.h_max:
-            raise InvalidInputError("need 0 < h_min < h_max")
+        for name in ("v_max", "a_max"):
+            require(getattr(self, name) > 0, f"{name} must be positive", name)
+        require(0 < self.h_min < self.h_max, "need 0 < h_min < h_max", "h_min", "h_max")
 
 
 def _axis_angle(u, a, b, z):
@@ -107,18 +106,3 @@ def link_length(uav: Vec3, sbs) -> float | np.ndarray:
     # stacked and single lengths equal np.linalg.norm bit for bit.
     return np.sqrt(np.vecdot(d, d))
 
-
-def trajectory_time(waypoints, speeds) -> float:
-    """Total travel time along a piecewise-linear path, one speed per segment."""
-    pts = [as_vec3(w) for w in waypoints]
-    spd = [float(s) for s in speeds]
-    if len(pts) != len(spd) + 1:
-        raise InvalidInputError(
-            f"{len(pts)} waypoints need {max(len(pts) - 1, 0)} speeds, got {len(spd)}"
-        )
-    if any(not np.isfinite(s) or s <= 0 for s in spd):
-        raise InvalidInputError("segment speeds must be positive and finite")
-    total = 0.0
-    for k, v in enumerate(spd):
-        total += float(np.linalg.norm(pts[k + 1] - pts[k])) / v
-    return total

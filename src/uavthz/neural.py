@@ -77,8 +77,8 @@ class AdamState:
 
     first_moment: np.ndarray
     second_moment: np.ndarray
-    step_count: int = 0
-    learning_rate: float = 1e-4
+    step_count: int
+    learning_rate: float
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8

@@ -16,39 +16,56 @@ import numpy as np
 
 from uavthz import neural
 from uavthz.environment import EnvAction, Environment, outage_to_reward
-from uavthz.errors import InvalidInputError
+from uavthz.errors import InvalidInputError, require
 from uavthz.neural import AdamState, DenseNet
 
 STATE_DIM = 3
 ACTION_DIM = 3
+# Shrink factor on the actor's output-layer initialization: a near-zero
+# initial policy keeps early actions unsaturated; a policy born saturated
+# toward the altitude rejection band freezes there.
+ACTOR_HEAD_SCALE = 0.01
+# Factor on the rewards entering the replay buffer, so critic targets stay
+# order-one; the logged episode reward keeps the environment's scale.
+REWARD_SCALE = 0.1
 
 
 @dataclass
 class Td3Hyperparams:
-    hidden_dims: tuple = (256, 128)
-    actor_lr: float = 1e-4
-    critic_lr: float = 1e-4
-    discount: float = 0.9
-    tau: float = 0.01
-    policy_delay: int = 2
-    batch_size: int = 32
-    buffer_capacity: int = 1000
-    exploration_noise_std: float = 0.1   # fraction of the action scale
-    target_noise_std: float = 0.2        # fraction
-    target_noise_clip: float = 0.5       # fraction
-    warmup_steps: int = 256
-    episodes: int = 150
-    steps_per_episode: int = 10
-    actor_head_scale: float = 0.01       # shrink factor on the actor's output layer init
-    reward_scale: float = 0.1            # factor applied to rewards entering the buffer
+    """Network widths, optimizer and exploration settings and the training schedule.
+
+    The noise settings are fractions of the action scale.
+    """
+
+    hidden_dims: tuple
+    actor_lr: float
+    critic_lr: float
+    discount: float
+    tau: float
+    policy_delay: int
+    batch_size: int
+    buffer_capacity: int
+    exploration_noise_std: float
+    target_noise_std: float
+    target_noise_clip: float
+    warmup_steps: int
+    episodes: int
+    steps_per_episode: int
 
     def __post_init__(self):
-        if not 0.0 < self.discount < 1.0:
-            raise InvalidInputError("discount must lie in (0, 1)")
-        if self.policy_delay < 1:
-            raise InvalidInputError("policy_delay must be >= 1")
-        if self.warmup_steps <= self.batch_size:
-            raise InvalidInputError("warmup must exceed the batch size")
+        require(all(h >= 1 for h in self.hidden_dims), "hidden layer widths must be >= 1",
+                "hidden_dims")
+        for name in ("actor_lr", "critic_lr"):
+            require(getattr(self, name) > 0, f"{name} must be positive", name)
+        require(0.0 < self.discount < 1.0, "discount must lie in (0, 1)", "discount")
+        require(0.0 < self.tau <= 1.0, "tau must lie in (0, 1]", "tau")
+        for name in ("policy_delay", "batch_size", "buffer_capacity", "episodes",
+                     "steps_per_episode"):
+            require(getattr(self, name) >= 1, f"{name} must be >= 1", name)
+        for name in ("exploration_noise_std", "target_noise_std", "target_noise_clip"):
+            require(getattr(self, name) >= 0, f"{name} must be >= 0", name)
+        require(self.warmup_steps > self.batch_size, "warmup must exceed the batch size",
+                "warmup_steps", "batch_size")
 
 
 @dataclass
@@ -90,8 +107,6 @@ class ReplayBuffer:
     """Fixed-capacity ring storage with uniform random minibatch sampling."""
 
     def __init__(self, capacity: int, seed: int):
-        if capacity < 1:
-            raise InvalidInputError("capacity must be >= 1")
         self.capacity = capacity
         self.rng_seed = seed
         self._rng = np.random.default_rng(seed)
@@ -154,10 +169,8 @@ class Td3Agent:
         actor_dims = (STATE_DIM, *hp.hidden_dims, ACTION_DIM)
         critic_dims = (STATE_DIM + ACTION_DIM, *hp.hidden_dims, 1)
         actor = neural.init_net(actor_dims, _seed_int(s_actor), neural.ACT_TANH, 1.0)
-        # A near-zero initial policy keeps early actions unsaturated; a policy
-        # born saturated toward the altitude rejection band freezes there.
-        actor.weights[-1] *= hp.actor_head_scale
-        actor.biases[-1] *= hp.actor_head_scale
+        actor.weights[-1] *= ACTOR_HEAD_SCALE
+        actor.biases[-1] *= ACTOR_HEAD_SCALE
         critics = neural.init_net(critic_dims, (_seed_int(s_c1), _seed_int(s_c2)))
         return cls(
             actor=actor,
@@ -305,10 +318,8 @@ def train(env: Environment, agent: Td3Agent, hp: Td3Hyperparams | None = None):
                 action = select_action(agent, ns, explore=True)
             result = env.step(action)
             nxt = result.next_state.uav_position
-            # Rewards are stored pre-scaled so critic targets stay order-one;
-            # the logged episode reward keeps the environment's scale.
             agent.buffer.add(Transition(ns, norm.norm_action(action.displacement),
-                                        hp.reward_scale * result.reward,
+                                        REWARD_SCALE * result.reward,
                                         norm.norm_state(nxt)))
             state = nxt
             ep_reward += result.reward

@@ -10,8 +10,8 @@ from uavthz.errors import InvalidInputError, NumericFailureError
 TESTED_N = (1, 2, 4, 8, 20)
 
 
-def cfg(n, **kw):
-    return ArrayAntennaConfig(n, **kw)
+def cfg(n, spacing_over_lambda=0.5):
+    return ArrayAntennaConfig(n, spacing_over_lambda)
 
 
 class OutOfHemisphereError(InvalidInputError):
@@ -221,6 +221,6 @@ class TestGain:
 
     def test_invalid_config(self):
         with pytest.raises(InvalidInputError):
-            ArrayAntennaConfig(0)
+            ArrayAntennaConfig(0, 0.5)
         with pytest.raises(InvalidInputError):
             ArrayAntennaConfig(4, spacing_over_lambda=0.0)

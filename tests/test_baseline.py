@@ -1,19 +1,20 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from uavthz import baseline, channel
-from uavthz.baseline import GridSearchSpec
-from uavthz.channel import ChannelParams
-from uavthz.environment import EnvConfig, Environment, Topology
+from uavthz.config import RunConfig
+from uavthz.environment import Environment, Topology
 from uavthz.errors import InvalidInputError
-from uavthz.geometry import KinematicLimits
+
+LIMITS = RunConfig().kinematic_limits()
 
 
 def scenario(seed=0, n_stations=2):
-    env = Environment(EnvConfig(m_s_min=n_stations, m_s_max=n_stations,
-                                m_d_max=min(2, n_stations),
-                                uav_n_side=8, sbs_n_side=4, mc_samples=100),
-                      ChannelParams())
+    env = Environment(replace(RunConfig().env_config(), m_s_min=n_stations, m_s_max=n_stations,
+                              uav_n_side=8, sbs_n_side=4, mc_samples=100),
+                      RunConfig().channel_params())
     env.reset(seed)
     return env
 
@@ -21,7 +22,7 @@ def scenario(seed=0, n_stations=2):
 def cheap_spec(**kw):
     base = dict(x_steps=5, y_steps=5, z_steps=3, mc_samples=400, seed=11)
     base.update(kw)
-    return GridSearchSpec(**base)
+    return replace(RunConfig().grid_spec(0), **base)
 
 
 class TestGridSearch:
@@ -61,7 +62,8 @@ class TestGridSearch:
     def test_lexicographic_tie_break(self):
         # zero-vibration, certain LoS, tiny threshold: every grid point scores 0
         env = scenario(4)
-        params = ChannelParams(vibration_std_rad=0.0, los_alpha=0.0, sinr_threshold=1e-30)
+        params = replace(RunConfig().channel_params(), vibration_std_rad=0.0, los_alpha=0.0,
+                         sinr_threshold=1e-30)
         pos, val, _ = baseline.grid_search_best_position(env.topology, params, cheap_spec())
         assert val == 0.0
         assert np.allclose(pos, (0.0, 0.0, 30.0))
@@ -78,33 +80,33 @@ class TestGridSearch:
 
     def test_step_count_validation(self):
         with pytest.raises(InvalidInputError):
-            GridSearchSpec(x_steps=0)
+            replace(RunConfig().grid_spec(0), x_steps=0)
 
 
 class TestStaticCenter:
     def test_single_station(self):
         env = scenario(6, n_stations=1)
         sbs = env.topology.positions()[0]
-        pos = baseline.static_center_policy(env.topology)
+        pos = baseline.static_center_policy(env.topology, LIMITS)
         assert np.allclose(pos, (sbs[0], sbs[1], 80.0))
 
     def test_two_station_midpoint(self):
         env = scenario(7)
         topo = env.topology
         expected = topo.positions().mean(axis=0)
-        pos = baseline.static_center_policy(topo, KinematicLimits())
+        pos = baseline.static_center_policy(topo, LIMITS)
         assert np.allclose(pos[:2], expected[:2])
         assert pos[2] == 80.0
 
     def test_empty_topology_rejected(self):
         with pytest.raises(InvalidInputError):
-            Topology([], 150, 150)
+            Topology([])
 
     def test_oracle_beats_static_center(self):
         env = scenario(8)
         spec = cheap_spec(x_steps=7, y_steps=7, z_steps=3)
         _, best, _ = baseline.grid_search_best_position(env.topology, env.params, spec)
-        center = baseline.static_center_policy(env.topology)
+        center = baseline.static_center_policy(env.topology, LIMITS)
         center_val = channel.max_outage(channel.outage_probability(
             env.topology.sbs_list, center, env.params, spec.mc_samples, spec.seed))
         # the argmin over the grid cannot exceed any fixed comparator scored

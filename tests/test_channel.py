@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,12 +7,13 @@ import pytest
 from uavthz import antenna, channel, geometry
 from uavthz.antenna import ArrayAntennaConfig
 from uavthz.channel import ChannelParams, LinkState, OutageEstimate
+from uavthz.config import RunConfig
 from uavthz.errors import InvalidInputError
 from uavthz.geometry import vec3
 
 
 def make_params(**kw) -> ChannelParams:
-    return ChannelParams(**kw)
+    return replace(RunConfig().channel_params(), **kw)
 
 
 def make_link(x, y, n_uav=20, n_sbs=10, power=0.01, los=True, spacing=0.5):
@@ -45,8 +47,7 @@ def oracle_precompute(links, uav, params):
                    for lk in links])
     g0s = np.array([
         antenna.normalization_constant(
-            ArrayAntennaConfig(lk.sbs_array_n_side, lk.uav_array.spacing_over_lambda,
-                               params.carrier_hz))
+            ArrayAntennaConfig(lk.sbs_array_n_side, lk.uav_array.spacing_over_lambda))
         for lk in links
     ])
     p_los = np.array([
@@ -163,7 +164,7 @@ class TestInstantaneousSinr:
         uav = vec3(50.0, 50.0, 80.0)
         out = channel.instantaneous_sinr([lk], uav, (0.0, 0.0), p)
         g0_u = antenna.normalization_constant(lk.uav_array)
-        g0_s = antenna.normalization_constant(ArrayAntennaConfig(10))
+        g0_s = antenna.normalization_constant(ArrayAntennaConfig(10, 0.5))
         expected = lk.tx_power_w * channel.path_loss(p, 80.0) * g0_s * g0_u / p.noise_power_w
         assert out.per_link_sinr[0] == pytest.approx(expected, rel=1e-12)
         assert out.per_link_interference_w[0] == 0.0
@@ -184,8 +185,8 @@ class TestInstantaneousSinr:
         out = channel.instantaneous_sinr(links, uav, (0.01, -0.02), p)
 
         lam = 3.0e8 / p.carrier_hz
-        g0_u = antenna.normalization_constant(ArrayAntennaConfig(20))
-        g0_s = antenna.normalization_constant(ArrayAntennaConfig(10))
+        g0_u = antenna.normalization_constant(ArrayAntennaConfig(20, 0.5))
+        g0_s = antenna.normalization_constant(ArrayAntennaConfig(10, 0.5))
 
         def hl2(sbs):
             L = np.sqrt(((uav - sbs) ** 2).sum())

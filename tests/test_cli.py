@@ -104,6 +104,29 @@ def test_bad_config_exits_2_with_failed_manifest(tmp_path, capsys, command, extr
     assert data["error"] == err.strip()
 
 
+@pytest.mark.parametrize("command,flags", [
+    ("train", ()),
+    ("eval", ("--checkpoint", "missing")),
+    ("baseline", ()),
+    ("linkbudget", ("--uav", "75,75,80", "--sbs", "40,40")),
+])
+def test_bad_value_exits_2_on_every_command(tmp_path, capsys, command, flags):
+    # A td3 value is checked even by the commands that never train.
+    config = write_config(tmp_path, "td3.discount = 1.5\n")
+    out = tmp_path / "out"
+    argv = [command, "--config", str(config), *flags]
+    if command != "linkbudget":
+        argv += ["--out-dir", str(out)]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == "config error: td3.discount = 1.5: discount must lie in (0, 1)\n"
+    assert captured.out == ""
+    if command != "linkbudget":
+        assert [f.name for f in out.iterdir()] == ["manifest.json"]
+        data = manifest(out)
+        assert data["status"] == "failed" and data["error"] == captured.err.strip()
+
+
 @pytest.mark.parametrize("flags", [
     ("--uav", "a,b,c", "--sbs", "1,2"),
     ("--uav", "75,75,80", "--sbs", "x,2"),
@@ -112,6 +135,15 @@ def test_bad_linkbudget_coordinates_exit_2(capsys, flags):
     assert cli.main(["linkbudget", *flags]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: expected ") and err.count("\n") == 1
+
+
+def test_mc_samples_flag_is_checked_like_the_file(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["train", "--config", str(write_config(tmp_path)), "--out-dir", str(out),
+                     "--mc-samples", "0"]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == ("config error: --mc-samples 0: env.mc_samples_train = 0: "
+                                       "mc_samples must be >= 1\n")
+    assert [f.name for f in out.iterdir()] == ["manifest.json"]
 
 
 def test_mc_samples_flag_is_applied(tmp_path):
@@ -190,7 +222,7 @@ def test_linkbudget_two_station_interference(tmp_path, capsys):
     printed = linkbudget_interference_dbm(capsys, config, *stations)
     cfg = load_config(config)
     params = cfg.channel_params()
-    uav_array = ArrayAntennaConfig(cfg.uav_n_side, cfg.spacing_over_lambda, params.carrier_hz)
+    uav_array = ArrayAntennaConfig(cfg.uav_n_side, cfg.spacing_over_lambda)
     links = [LinkState(geometry.vec3(x, y, 0.0), dbm_to_watts(cfg.tx_power_dbm), uav_array,
                        cfg.sbs_n_side) for x, y in stations]
     sample = channel.instantaneous_sinr(links, geometry.vec3(75.0, 75.0, 80.0), (0.0, 0.0),

@@ -1,20 +1,20 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
 
-from uavthz.channel import ChannelParams
-from uavthz.environment import (EnvAction, EnvConfig, Environment, Topology,
-                                outage_to_reward, project_action)
-from uavthz.errors import InvalidInputError
+from uavthz.config import RunConfig
+from uavthz.environment import EnvAction, Environment, outage_to_reward, project_action
 from uavthz.geometry import vec3
 
 
 def small_env(**kw) -> Environment:
     # cheap Monte-Carlo and small arrays keep steps fast
-    cfg = EnvConfig(mc_samples=60, uav_n_side=4, sbs_n_side=2, **kw)
-    return Environment(cfg, ChannelParams())
+    base = dict(mc_samples=60, uav_n_side=4, sbs_n_side=2, freeze_topology=False)
+    cfg = replace(RunConfig().env_config(), **{**base, **kw})
+    return Environment(cfg, RunConfig().channel_params())
 
 
 class TestReset:
@@ -23,7 +23,6 @@ class TestReset:
         _, ta = a.reset(7)
         _, tb = b.reset(7)
         assert np.array_equal(ta.positions(), tb.positions())
-        assert a.change_interval == b.change_interval
 
     def test_station_count_pinned_range(self):
         env = small_env(m_s_min=4, m_s_max=4)
@@ -56,13 +55,6 @@ class TestReset:
         # mean of U(0,150) is 75 with sigma = 150/sqrt(12)
         bound = 3 * (150 / np.sqrt(12)) / np.sqrt(len(xs))
         assert abs(xs.mean() - 75.0) < bound
-
-    def test_interval_drawn_within_bounds(self):
-        env = small_env()
-        for seed in range(10):
-            env.topology = None
-            env.reset(seed)
-            assert 20.0 <= env.change_interval <= 35.0
 
     def test_freeze_topology_keeps_stations(self):
         env = small_env(freeze_topology=True)
@@ -160,85 +152,6 @@ class TestReward:
         for _ in range(5):
             res = env.step(EnvAction(vec3(3, -2, 1)))
             assert 0.0 <= res.reward <= -np.log(1e-9)
-
-
-class TestEvolveTopology:
-    def test_no_change_when_disabled_and_full(self):
-        # no disconnects allowed and no free slots: evolution is the identity
-        env = small_env(m_s_min=3, m_s_max=3, m_d_max=0)
-        _, topo = env.reset(0)
-        out = env.evolve_topology(topo, np.random.default_rng(0))
-        assert np.array_equal(out.positions(), topo.positions())
-
-    def test_full_replacement_keeps_validity(self):
-        env = small_env(m_s_min=2, m_s_max=3, m_d_max=3)
-        _, topo = env.reset(1)
-        rng = np.random.default_rng(42)
-        for _ in range(50):
-            topo = env.evolve_topology(topo, rng)
-            assert 1 <= len(topo.sbs_list) <= 3
-            for lk in topo.sbs_list:
-                x, y, z = lk.sbs_position
-                assert 0 <= x <= 150 and 0 <= y <= 150 and z == 0
-
-    def test_never_exceeds_station_cap(self):
-        env = small_env(m_s_min=5, m_s_max=5, m_d_max=2)
-        _, topo = env.reset(2)
-        rng = np.random.default_rng(7)
-        for _ in range(100):
-            topo = env.evolve_topology(topo, rng)
-            assert len(topo.sbs_list) <= 5
-
-    def test_disconnect_count_distribution(self):
-        env = small_env(m_s_min=5, m_s_max=5, m_d_max=2)
-        _, topo = env.reset(3)
-        rng = np.random.default_rng(11)
-        counts = {0: 0, 1: 0, 2: 0}
-        trials = 4000
-        for _ in range(trials):
-            out = env.evolve_topology(topo, rng)
-            # removed = 5 - survivors; fresh stations are appended after survivors
-            survivors = sum(any(np.array_equal(lk.sbs_position, orig.sbs_position)
-                                for orig in topo.sbs_list) for lk in out.sbs_list)
-            counts[5 - survivors] += 1
-        chi2 = sum((c - trials / 3) ** 2 / (trials / 3) for c in counts.values())
-        assert chi2 < stats.chi2.ppf(0.99, df=2)
-
-    def test_empty_topology_rejected(self):
-        env = small_env()
-        env.reset(0)
-        with pytest.raises(InvalidInputError):
-            Topology([], 150, 150)
-
-
-class TestEpisodeTime:
-    def test_ten_steps_of_ten_meters(self):
-        env = small_env()
-        env.reset(0)
-        actions = [EnvAction(vec3(10.0, 0.0, 0.0))] * 10
-        total, ok = env.episode_time(actions)
-        assert total == pytest.approx(12.5)
-        assert ok  # 12.5 <= 27.5
-
-    def test_empty_sequence(self):
-        env = small_env()
-        env.reset(0)
-        assert env.episode_time([]) == (0.0, True)
-
-    def test_peak_speed_accounting(self):
-        env = small_env()
-        env.reset(0)
-        actions = [EnvAction(vec3(0.0, 8.0, 0.0))] * 3
-        total, _ = env.episode_time(actions)
-        assert total == pytest.approx(3.0)
-
-    def test_budget_violation_flagged(self):
-        env = small_env()
-        env.reset(0)
-        actions = [EnvAction(vec3(10.0, 0.0, 0.0))] * 30
-        total, ok = env.episode_time(actions)
-        assert total == pytest.approx(37.5)
-        assert not ok
 
 
 class TestRestartEpisode:

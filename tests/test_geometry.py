@@ -151,33 +151,3 @@ class TestLinkLength:
         want = [np.linalg.norm(u - p) for p in pts]
         assert np.array_equal(geometry.link_length(u, pts), want)
 
-
-class TestTrajectoryTime:
-    def test_single_waypoint(self):
-        assert geometry.trajectory_time([vec3(1, 2, 3)], []) == 0.0
-
-    def test_eight_meters_at_eight(self):
-        assert geometry.trajectory_time([vec3(0, 0, 50), vec3(8, 0, 50)], [8.0]) == pytest.approx(1.0)
-
-    def test_two_segments(self):
-        pts = [vec3(0, 0, 50), vec3(3, 4, 50), vec3(3, 4, 62)]
-        assert geometry.trajectory_time(pts, [5.0, 6.0]) == pytest.approx(3.0)
-
-    def test_rejects_nonpositive_speed(self):
-        with pytest.raises(InvalidInputError):
-            geometry.trajectory_time([vec3(0, 0, 0), vec3(1, 0, 0)], [0.0])
-
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(InvalidInputError):
-            geometry.trajectory_time([vec3(0, 0, 0), vec3(1, 0, 0)], [1.0, 1.0])
-
-    @given(st.lists(st.tuples(coord, coord, altitude), min_size=2, max_size=6),
-           st.integers(1, 4))
-    def test_additive_under_concatenation(self, pts, split):
-        pts = [vec3(*p) for p in pts]
-        speeds = [3.0] * (len(pts) - 1)
-        split = min(split, len(pts) - 1)
-        whole = geometry.trajectory_time(pts, speeds)
-        left = geometry.trajectory_time(pts[:split + 1], speeds[:split])
-        right = geometry.trajectory_time(pts[split:], speeds[split:])
-        assert whole == pytest.approx(left + right, rel=1e-12, abs=1e-12)

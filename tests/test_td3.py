@@ -1,23 +1,28 @@
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from uavthz import neural, td3
-from uavthz.channel import ChannelParams
-from uavthz.environment import EnvConfig, Environment
+from uavthz.config import RunConfig
+from uavthz.environment import Environment
 from uavthz.errors import InvalidInputError, NumericFailureError
-from uavthz.td3 import (Normalizer, ReplayBuffer, Td3Agent, Td3Hyperparams,
-                        Transition)
+from uavthz.td3 import Normalizer, ReplayBuffer, Td3Agent, Td3Hyperparams, Transition
 
 
 def tiny_hp(**kw) -> Td3Hyperparams:
     base = dict(hidden_dims=(16, 8), batch_size=4, warmup_steps=6,
                 buffer_capacity=64, episodes=3, steps_per_episode=4)
     base.update(kw)
-    return Td3Hyperparams(**base)
+    return replace(RunConfig().hyperparams(), **base)
+
+
+def small_env(**kw) -> Environment:
+    cfg = replace(RunConfig().env_config(), uav_n_side=4, sbs_n_side=2, m_s_min=2, m_s_max=2,
+                  **kw)
+    return Environment(cfg, RunConfig().channel_params())
 
 
 def make_agent(seed=0, **kw) -> Td3Agent:
@@ -276,16 +281,15 @@ class TestDelayContract:
 
 class TestTrainLoop:
     def _env(self):
-        env = Environment(EnvConfig(mc_samples=40, uav_n_side=4, sbs_n_side=2,
-                                    m_s_min=2, m_s_max=2, clamp_horizontal=True),
-                          ChannelParams())
+        env = small_env(mc_samples=40, clamp_horizontal=True)
         env.reset(0)
         return env
 
     def test_zero_learning_rates_freeze_parameters(self):
         env = self._env()
-        hp = tiny_hp(actor_lr=0.0, critic_lr=0.0)
+        hp = tiny_hp()
         agent = Td3Agent.create(Normalizer(150, 150, 30, 130, 10.0), hp, 21)
+        agent.adam_actor.learning_rate = agent.adam_critics.learning_rate = 0.0
         before = [agent.actor.params.copy(), agent.critics.params.copy()]
         td3.train(env, agent, hp)
         assert np.array_equal(before[0], agent.actor.params)
@@ -311,8 +315,7 @@ class TestTrainLoop:
 
 class TestGreedyRollout:
     def test_zero_actor_is_stationary(self):
-        env = Environment(EnvConfig(mc_samples=30, uav_n_side=4, sbs_n_side=2,
-                                    m_s_min=2, m_s_max=2), ChannelParams())
+        env = small_env(mc_samples=30)
         env.reset(1)
         agent = make_agent(24)
         for w in agent.actor.weights:
@@ -327,8 +330,7 @@ class TestGreedyRollout:
     def test_rollout_deterministic(self):
         traces = []
         for _ in range(2):
-            env = Environment(EnvConfig(mc_samples=30, uav_n_side=4, sbs_n_side=2,
-                                        m_s_min=2, m_s_max=2), ChannelParams())
+            env = small_env(mc_samples=30)
             env.reset(2)
             agent = make_agent(25)
             trace = td3.greedy_rollout(env, agent, 6)
@@ -336,8 +338,7 @@ class TestGreedyRollout:
         assert traces[0] == traces[1]
 
     def test_time_column_is_cumulative_and_bounded(self):
-        env = Environment(EnvConfig(mc_samples=30, uav_n_side=4, sbs_n_side=2,
-                                    m_s_min=2, m_s_max=2), ChannelParams())
+        env = small_env(mc_samples=30)
         env.reset(3)
         agent = make_agent(26)
         trace = td3.greedy_rollout(env, agent, 10)
@@ -537,9 +538,9 @@ class TestUpdateMatchesReference:
         ((24, 16, 8), 0.01),
         ((24,), 100.0),       # a saturated actor: its actions leave the unit ball
     ])
-    def test_300_updates_bit_for_bit(self, hidden, head_scale):
-        agent = make_agent(31, hidden_dims=hidden, batch_size=32, warmup_steps=64,
-                           actor_head_scale=head_scale)
+    def test_300_updates_bit_for_bit(self, monkeypatch, hidden, head_scale):
+        monkeypatch.setattr(td3, "ACTOR_HEAD_SCALE", head_scale)
+        agent = make_agent(31, hidden_dims=hidden, batch_size=32, warmup_steps=64)
         ref = RefAgent(agent)
         rng = np.random.default_rng(32)
         for _ in range(300):
