@@ -1,18 +1,14 @@
-"""Square uniform array radiation pattern: array factor, normalization, gain lookup.
+"""Square uniform array radiation pattern: normalization and gain lookup.
 
 The pattern of an N x N uniform square array is the squared product of two
-uniform-line-source factors, one per array axis. A normalization constant
+uniform-line-source factors, one per array axis. A normalization constant g0
 scales the pattern so the total power radiated over the sphere is 4*pi
-regardless of element count; it is computed once per configuration and cached.
-
-The sphere integral is a composite trapezoid in (theta, phi) plus the
-Euler-Maclaurin endpoint term (h^2/12) * 2*pi * (AF(0, 0) + AF(pi, 0)),
-h = pi / n_theta, which makes it O(h^4): phi is periodic, so the trapezoid is
-already spectrally accurate there, and the pattern's only leading theta error
-comes from the poles. Rungs start at 256 x 512 and double until two
-consecutive ones agree to 1e-4 relative; the finer rung is kept. Against the
-exact lattice-sum directivity this delivers 2e-12 relative error for N = 1 and
-2.4e-6 for N = 20 at d = lambda/2.
+regardless of element count. It has a closed form: the pattern is
+|sum_m exp(i*k*r_m.u)|^2 / N^4 over the element positions r_m = d*(i, j), and
+the sphere integral of exp(i*K.u) is 4*pi*sin|K|/|K|, so with the element lag
+(p, q) = (i - i', j - j'), which occurs (N-|p|)(N-|q|) times,
+g0 = N^4 / sum_{|p|,|q|<N} (N-|p|)(N-|q|) * sinc(2*(d/lambda)*sqrt(p^2+q^2))
+in np.sinc's normalized convention. It is exact at every spacing.
 
 The pattern is evaluated by in-place ufunc chains over caller-supplied
 buffers (PatternScratch), in exactly the operation order of the np.sinc
@@ -22,23 +18,20 @@ The per-axis ratio is only ever squared, so its sign across periods of psi
 is not computed.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from uavthz.errors import NumericFailureError, require
+from uavthz.errors import require
 
 TWO_PI = 2.0 * np.pi
 # What np.sinc puts in place of a zero argument before dividing.
 _EPS = np.finfo(float).eps
 
-# Quadrature ladder for the normalization integral: base grid, doubled until
-# consecutive rungs agree to _QUAD_RTOL relative.
-_QUAD_BASE = (256, 512)
-_QUAD_RTOL = 1e-4
-_QUAD_MAX_DOUBLINGS = 3
-_QUAD_CHUNK_ROWS = 256
+# Largest array side accepted; g0's lag sum for it takes about 0.1 s and 50 MB.
+MAX_N_SIDE = 1024
 
 
 @dataclass(frozen=True)
@@ -53,7 +46,8 @@ class ArrayAntennaConfig:
     spacing_over_lambda: float
 
     def __post_init__(self):
-        require(self.n_side >= 1, f"n_side must be >= 1, got {self.n_side}", "n_side")
+        require(1 <= self.n_side <= MAX_N_SIDE,
+                f"n_side must lie in [1, {MAX_N_SIDE}], got {self.n_side}", "n_side")
         require(self.spacing_over_lambda > 0, "spacing_over_lambda must be positive",
                 "spacing_over_lambda")
 
@@ -119,38 +113,6 @@ def _axis_ratio(n: int, psi, periodic: bool, out, tmp, mask):
     np.divide(tmp, out, out=out)
 
 
-def _factor_from_psi(cfg: ArrayAntennaConfig, psi_x, psi_y, out, tmp, mask):
-    """out = (rx * ry)^2 from the per-axis phases; psi_x and psi_y are overwritten.
-
-    tmp and mask are scratch of out's shape.
-    """
-    # |psi| <= k*d_a on every caller, so the period reduction is only needed
-    # for spacings above lambda/2 (k*d_a > pi).
-    periodic = TWO_PI * cfg.spacing_over_lambda > np.pi
-    _axis_ratio(cfg.n_side, psi_x, periodic, out, tmp, mask)
-    _axis_ratio(cfg.n_side, psi_y, periodic, psi_x, tmp, mask)
-    np.multiply(out, psi_x, out=out)
-    np.square(out, out=out)
-
-
-def array_factor(cfg: ArrayAntennaConfig, theta, phi):
-    """Normalized power pattern in [0, 1] at spherical direction (theta, phi).
-
-    theta is measured from boresight; the value 1 is reached at boresight.
-    Accepts scalars or broadcastable arrays.
-    """
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    shape = np.broadcast_shapes(theta.shape, phi.shape)
-    (psi_x, psi_y, tmp), mask = PatternScratch(math.prod(shape)).views(shape)
-    kd_st = TWO_PI * cfg.spacing_over_lambda * np.sin(theta)
-    np.multiply(kd_st, np.cos(phi), out=psi_x)
-    np.multiply(kd_st, np.sin(phi), out=psi_y)
-    out = np.empty(shape)
-    _factor_from_psi(cfg, psi_x, psi_y, out, tmp, mask)
-    return float(out) if out.ndim == 0 else out
-
-
 def gain_at_axis_offsets(cfg: ArrayAntennaConfig, theta_x, theta_y, out=None, scratch=None):
     """Gain at per-axis angular offsets from boresight.
 
@@ -175,63 +137,29 @@ def gain_at_axis_offsets(cfg: ArrayAntennaConfig, theta_x, theta_y, out=None, sc
     np.multiply(psi_x, kd, out=psi_x)
     np.sin(theta_y, out=psi_y)
     np.multiply(psi_y, kd, out=psi_y)
-    _factor_from_psi(cfg, psi_x, psi_y, out, tmp, mask)
+    # |psi| <= k*d_a, so the period reduction is only needed for spacings
+    # above lambda/2 (k*d_a > pi).
+    periodic = kd > np.pi
+    _axis_ratio(cfg.n_side, psi_x, periodic, out, tmp, mask)
+    _axis_ratio(cfg.n_side, psi_y, periodic, psi_x, tmp, mask)
+    np.multiply(out, psi_x, out=out)
+    np.square(out, out=out)
     np.multiply(out, normalization_constant(cfg), out=out)
     return float(out) if out.ndim == 0 else out
 
 
-def _sphere_integral(cfg: ArrayAntennaConfig, n_theta: int, n_phi: int) -> float:
-    """Endpoint-corrected trapezoid of array_factor * sin(theta) over the sphere.
-
-    n_theta x n_phi is the full-sphere grid; n_theta must be even and n_phi a
-    multiple of 8. The pattern depends on sin(theta) only and is invariant
-    under phi -> -phi, pi - phi and pi/2 - phi, so the trapezoid is summed
-    over theta in [0, pi/2] and phi in [0, pi/4] and scaled by 16, which in
-    exact arithmetic equals the sum over the full periodic grid.
-    """
-    h = np.pi / n_theta
-    theta = np.linspace(0.0, 0.5 * np.pi, n_theta // 2 + 1)
-    phi = np.linspace(0.0, 0.25 * np.pi, n_phi // 8 + 1)
-    w_theta = np.full(theta.size, h)
-    w_theta[[0, -1]] *= 0.5
-    w_phi = np.full(phi.size, TWO_PI / n_phi)
-    w_phi[[0, -1]] *= 0.5
-    total = 0.0
-    for lo in range(0, theta.size, _QUAD_CHUNK_ROWS):
-        rows = theta[lo:lo + _QUAD_CHUNK_ROWS, None]
-        block = array_factor(cfg, rows, phi[None, :]) * np.sin(rows)
-        total += float(w_theta[lo:lo + _QUAD_CHUNK_ROWS] @ block @ w_phi)
-    poles = array_factor(cfg, 0.0, 0.0) + array_factor(cfg, np.pi, 0.0)
-    return 16.0 * total + h * h / 12.0 * TWO_PI * poles
-
-
-_G0_CACHE: dict[ArrayAntennaConfig, float] = {}
-
-
+@functools.cache
 def normalization_constant(cfg: ArrayAntennaConfig) -> float:
     """Power-normalization constant: 4*pi over the sphere integral of the pattern.
 
-    Each rung is the endpoint-corrected trapezoid of _sphere_integral, which
-    is O(h^4). The ladder starts at 256 x 512 and doubles the grid until two
-    consecutive rungs agree to 1e-4 relative, then keeps the finer rung, whose
-    error is then about 1/15 of that difference (2.4e-6 relative for N = 20
-    at d = lambda/2). If that never happens within _QUAD_MAX_DOUBLINGS
-    doublings, NumericFailureError is raised. The result is cached per pattern
-    configuration; a rare duplicate computation by a concurrent caller is
-    harmless because the computation is deterministic.
+    The closed-form lag sum of the module docstring, folded onto p, q >= 0
+    (the summand is even in each), where a nonzero lag stands for both signs.
+    Exact up to rounding at every spacing; memoised per configuration because
+    every outage evaluation asks for it once per link.
     """
-    cached = _G0_CACHE.get(cfg)
-    if cached is not None:
-        return cached
-    n_theta, n_phi = _QUAD_BASE
-    prev = _sphere_integral(cfg, n_theta, n_phi)
-    for _ in range(_QUAD_MAX_DOUBLINGS):
-        n_theta, n_phi = 2 * n_theta, 2 * n_phi
-        cur = _sphere_integral(cfg, n_theta, n_phi)
-        if abs(cur - prev) <= _QUAD_RTOL * abs(cur):
-            g0 = 4.0 * np.pi / cur
-            _G0_CACHE[cfg] = g0
-            return g0
-        prev = cur
-    raise NumericFailureError(
-        f"pattern quadrature did not converge for n_side={cfg.n_side}")
+    n = cfg.n_side
+    lag = np.arange(n)
+    w = 2.0 * (n - lag)
+    w[0] = n
+    r = np.hypot(lag[:, None], lag[None, :])
+    return float(n ** 4 / (np.outer(w, w) * np.sinc(2.0 * cfg.spacing_over_lambda * r)).sum())

@@ -111,7 +111,7 @@ class EnvConfig:
         return 0.5 * (self.t_min + self.t_max)
 
 
-def outage_to_reward(max_outage: float, floor: float = 1e-9) -> float:
+def outage_to_reward(max_outage: float, floor: float) -> float:
     """Negative log of the worst-link outage, clamped away from zero outage."""
     return float(-np.log(max(max_outage, floor)))
 

@@ -24,7 +24,7 @@ class GeometryDegenerateError(InvalidInputError):
 
 
 class NumericFailureError(ArithmeticError):
-    """A numerical routine failed hard (non-finite gradients, non-convergent quadrature)."""
+    """A numerical routine failed hard (a non-finite gradient in an Adam step)."""
 
 
 class ConfigError(ValueError):

@@ -153,14 +153,16 @@ def test_mc_samples_flag_is_applied(tmp_path):
     assert "mc_samples: 32\n" in (out / "grid_scan.csv").read_text(encoding="utf-8")
 
 
-def test_quadrature_failure_exits_3(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(antenna, "_G0_CACHE", {})
-    monkeypatch.setattr(antenna, "_QUAD_MAX_DOUBLINGS", 0)
+# The first critic step moves every weight by about the learning rate, so the
+# next forward pass overflows (numpy warns on the way) and the next gradient
+# is not finite.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverging_adam_step_exits_3(tmp_path, capsys):
     out = tmp_path / "out"
-    code = cli.main(["baseline", "--config", str(write_config(tmp_path)),
+    code = cli.main(["train", "--config", str(write_config(tmp_path, "td3.critic_lr = 1e308\n")),
                      "--out-dir", str(out)])
     assert code == cli.EXIT_NUMERIC
-    assert capsys.readouterr().err.startswith("numeric failure: ")
+    assert capsys.readouterr().err == "numeric failure: non-finite gradient in Adam step\n"
     assert manifest(out)["status"] == "failed"
 
 
@@ -211,6 +213,12 @@ def linkbudget_interference_dbm(capsys, config, *stations):
 
 def test_linkbudget_one_station_has_no_interference(tmp_path, capsys):
     assert linkbudget_interference_dbm(capsys, write_config(tmp_path), (40, 40)) == [-np.inf]
+
+
+def test_linkbudget_runs_at_the_largest_array(tmp_path, capsys):
+    config = tmp_path / "big.cfg"
+    config.write_text(f"antenna.uav_n_side = {antenna.MAX_N_SIDE}\n", encoding="utf-8")
+    assert len(linkbudget_interference_dbm(capsys, config, (40, 40), (110, 90))) == 2
 
 
 def test_linkbudget_two_station_interference(tmp_path, capsys):

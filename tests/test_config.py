@@ -73,7 +73,8 @@ baseline.grid_z = 5
 baseline.mc_samples = 10000
 """
 
-# One bad line each, and the key the error must name.
+# One bad line each, and the key the error must name; the upper-bound rows name
+# the key with its value, which also keeps their test ids apart.
 BAD_VALUES = [
     ("td3.episodes = 0", "td3.episodes"),
     ("td3.steps_per_episode = 0", "td3.steps_per_episode"),
@@ -92,6 +93,8 @@ BAD_VALUES = [
     ("topology.m_d_max = 2", "topology.m_d_max"),
     ("antenna.uav_n_side = 0", "antenna.uav_n_side"),
     ("antenna.sbs_n_side = 0", "antenna.sbs_n_side"),
+    ("antenna.uav_n_side = 1025", "antenna.uav_n_side = 1025"),
+    ("antenna.sbs_n_side = 1025", "antenna.sbs_n_side = 1025"),
     ("kinematics.h_min_m = 200", "kinematics.h_min_m"),
     ("env.mc_samples_eval = 0", "env.mc_samples_eval"),
     ("channel.los_mode = sometimes", "channel.los_mode"),

@@ -134,15 +134,15 @@ class TestStep:
 
 class TestReward:
     def test_log_reward_example(self):
-        assert outage_to_reward(np.exp(-2.0)) == pytest.approx(2.0)
+        assert outage_to_reward(np.exp(-2.0), 1e-9) == pytest.approx(2.0)
 
     def test_floor_bounds_reward(self):
         assert outage_to_reward(0.0, 1e-9) == pytest.approx(-np.log(1e-9))
-        assert outage_to_reward(1.0) == 0.0
+        assert outage_to_reward(1.0, 1e-9) == 0.0
 
     @given(st.floats(1e-12, 1.0), st.floats(1e-12, 1.0))
     def test_lower_outage_is_strictly_better(self, a, b):
-        ra, rb = outage_to_reward(a), outage_to_reward(b)
+        ra, rb = outage_to_reward(a, 1e-9), outage_to_reward(b, 1e-9)
         if max(a, 1e-9) < max(b, 1e-9):
             assert ra > rb
 

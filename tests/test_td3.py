@@ -3,7 +3,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from uavthz import neural, td3
 from uavthz.config import RunConfig
@@ -79,7 +78,8 @@ class TestReplayBuffer:
                 counts[int(r)] += 1
         expected = draws / cap
         chi2 = float(((counts - expected) ** 2 / expected).sum())
-        assert chi2 < stats.chi2.ppf(0.99, df=cap - 1)
+        # the 0.99 quantile of chi-squared with cap - 1 = 49 degrees of freedom
+        assert chi2 < 74.91947430847816
 
     def test_empty_buffer_rejected(self):
         with pytest.raises(InvalidInputError):
