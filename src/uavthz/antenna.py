@@ -10,12 +10,15 @@ the sphere integral of exp(i*K.u) is 4*pi*sin|K|/|K|, so with the element lag
 g0 = N^4 / sum_{|p|,|q|<N} (N-|p|)(N-|q|) * sinc(2*(d/lambda)*sqrt(p^2+q^2))
 in np.sinc's normalized convention. It is exact at every spacing.
 
-The pattern is evaluated by in-place ufunc chains over caller-supplied
-buffers (PatternScratch), in exactly the operation order of the np.sinc
-expression sinc(n*psi/2pi) / sinc(psi/2pi), so the bits are those of that
-expression while a caller evaluating many blocks allocates nothing per block.
-The per-axis ratio is only ever squared, so its sign across periods of psi
-is not computed.
+The pattern is evaluated in two steps: axis_ratio computes one axis's
+factor by an in-place ufunc chain over caller-supplied buffers
+(PatternScratch), in exactly the operation order of the np.sinc expression
+sinc(n*psi/2pi) / sinc(psi/2pi), and gain_from_axis_ratios forms
+g0 * (ratio_x * ratio_y)^2. The bits are those of the allocating expression,
+while a caller evaluating many blocks allocates nothing per block, and a
+caller whose directions share one axis's offsets computes that factor once.
+The factor is only ever squared, so its sign across periods of psi is not
+computed.
 """
 
 import functools
@@ -53,15 +56,15 @@ class ArrayAntennaConfig:
 
 
 class PatternScratch:
-    """Reusable buffers for the in-place pattern chain of up to `size` directions.
+    """Reusable buffers for the in-place axis_ratio chain of up to `size` directions.
 
-    Holds three float arrays and one boolean mask. views(shape) hands out
+    Holds two float arrays and one boolean mask. views(shape) hands out
     contiguous leading slices of each, shaped as requested, so one instance
     serves every block of a scan, the last short block included.
     """
 
     def __init__(self, size: int):
-        self._floats = np.empty((3, size))
+        self._floats = np.empty((2, size))
         self._mask = np.empty(size, dtype=bool)
 
     def views(self, shape):
@@ -82,28 +85,37 @@ def _sinc_of_scaled(y, out, mask):
     np.divide(out, y, out=out)
 
 
-def _axis_ratio(n: int, psi, periodic: bool, out, tmp, mask):
-    """out = sin(n*psi/2) / (n*sin(psi/2)) up to sign, every removable singularity filled.
+def axis_ratio(cfg: ArrayAntennaConfig, theta, out, scratch: PatternScratch):
+    """out = the per-axis pattern factor at angular offsets theta from boresight.
 
-    With periodic set, reduces psi modulo 2*pi and evaluates the reduced
-    argument r as a quotient of normalized sincs, which is exact away from the
-    singular points and smooth through them (the reduced denominator sinc is
-    bounded below by 2/pi). Across period m the ratio also changes sign by
-    (-1)^(m*(n-1)); the power pattern only uses its square, so that sign is
-    left out. Without periodic set, psi must lie in [-pi, pi], where m is
-    always 0, so skipping the reduction gives the same bits.
+    The factor is sin(n*psi/2) / (n*sin(psi/2)) at psi = k*d_a*sin(theta),
+    up to sign, with every removable singularity filled; the gain is g0 times
+    the squared product of the two axes' factors (gain_from_axis_ratios).
+    theta broadcasts to out's shape; scratch holds at least out.size
+    directions. Returns out.
 
-    Runs in place: psi is overwritten, tmp and mask are scratch of psi's
-    shape. The operation order is that of
+    For spacings above lambda/2 (k*d_a > pi), psi is reduced modulo 2*pi and
+    the reduced argument r is evaluated as a quotient of normalized sincs,
+    which is exact away from the singular points and smooth through them (the
+    reduced denominator sinc is bounded below by 2/pi). Across period m the
+    factor also changes sign by (-1)^(m*(n-1)); only its square is used, so
+    that sign is left out. At smaller spacings |psi| <= k*d_a <= pi, where m
+    is always 0, so skipping the reduction gives the same bits.
+
+    The operation order is that of
     np.sinc(n * r / TWO_PI) / np.sinc(r / TWO_PI), so the result is
     bit-identical to that allocating expression.
     """
-    if periodic:
+    (psi, tmp), mask = scratch.views(out.shape)
+    kd = TWO_PI * cfg.spacing_over_lambda
+    np.sin(theta, out=psi)
+    np.multiply(psi, kd, out=psi)
+    if kd > np.pi:
         np.divide(psi, TWO_PI, out=out)
         np.rint(out, out=out)                   # m, the period index
         np.multiply(out, TWO_PI, out=out)
         np.subtract(psi, out, out=psi)          # r = psi - 2*pi*m
-    np.multiply(psi, n, out=out)
+    np.multiply(psi, cfg.n_side, out=out)
     np.divide(out, TWO_PI, out=out)
     np.multiply(out, np.pi, out=out)
     _sinc_of_scaled(out, tmp, mask)             # numerator sinc in tmp
@@ -111,40 +123,34 @@ def _axis_ratio(n: int, psi, periodic: bool, out, tmp, mask):
     np.multiply(psi, np.pi, out=psi)
     _sinc_of_scaled(psi, out, mask)             # denominator sinc in out
     np.divide(tmp, out, out=out)
+    return out
 
 
-def gain_at_axis_offsets(cfg: ArrayAntennaConfig, theta_x, theta_y, out=None, scratch=None):
+def gain_from_axis_ratios(cfg: ArrayAntennaConfig, ratio_x, ratio_y, out):
+    """out = g0 * (ratio_x * ratio_y)^2, the gain from its two axis_ratio factors.
+
+    out may be either input. Returns out.
+    """
+    np.multiply(ratio_x, ratio_y, out=out)
+    np.square(out, out=out)
+    np.multiply(out, normalization_constant(cfg), out=out)
+    return out
+
+
+def gain_at_axis_offsets(cfg: ArrayAntennaConfig, theta_x, theta_y):
     """Gain at per-axis angular offsets from boresight.
 
     The pattern depends on direction only through the offset sines
     sin(theta)*cos(phi) = sin(theta_x) and sin(theta)*sin(phi) = sin(theta_y),
     so this is total in (theta_x, theta_y).
-
-    out (an array of the broadcast shape) and scratch (a PatternScratch of at
-    least that size) are filled in place when given; a caller that evaluates
-    many blocks passes the same ones each time, so no block allocates.
     """
     theta_x = np.asarray(theta_x, dtype=float)
     theta_y = np.asarray(theta_y, dtype=float)
     shape = np.broadcast_shapes(theta_x.shape, theta_y.shape)
-    if scratch is None:
-        scratch = PatternScratch(math.prod(shape))
-    if out is None:
-        out = np.empty(shape)
-    (psi_x, psi_y, tmp), mask = scratch.views(shape)
-    kd = TWO_PI * cfg.spacing_over_lambda
-    np.sin(theta_x, out=psi_x)
-    np.multiply(psi_x, kd, out=psi_x)
-    np.sin(theta_y, out=psi_y)
-    np.multiply(psi_y, kd, out=psi_y)
-    # |psi| <= k*d_a, so the period reduction is only needed for spacings
-    # above lambda/2 (k*d_a > pi).
-    periodic = kd > np.pi
-    _axis_ratio(cfg.n_side, psi_x, periodic, out, tmp, mask)
-    _axis_ratio(cfg.n_side, psi_y, periodic, psi_x, tmp, mask)
-    np.multiply(out, psi_x, out=out)
-    np.square(out, out=out)
-    np.multiply(out, normalization_constant(cfg), out=out)
+    scratch = PatternScratch(math.prod(shape))
+    ratio_x = axis_ratio(cfg, theta_x, np.empty(shape), scratch)
+    ratio_y = axis_ratio(cfg, theta_y, np.empty(shape), scratch)
+    out = gain_from_axis_ratios(cfg, ratio_x, ratio_y, ratio_x)
     return float(out) if out.ndim == 0 else out
 
 

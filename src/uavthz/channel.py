@@ -15,12 +15,22 @@ the angles of each unordered station pair, which gives the interference.
 Link geometry (lengths, elevations, pair angles) is evaluated for all
 stations at once.
 
+The gain at a column is g0 * (ratio_x * ratio_y)^2, the squared product of
+two per-axis factors (antenna.axis_ratio). The x-axis pair angles depend on
+the UAV's (x, z) alone and the y-axis ones on its (y, z), so the x-factor
+table of a block of draws is the same for every position with the same x and
+altitude, and likewise for y.
+
 outage_scan is the one Monte-Carlo outage path; outage_probability is its
 one-position case. A scan makes its random draws once and shares them across
-its positions (common random numbers), and evaluates them in fixed blocks in
-one workspace allocated per scan: the pattern and the SINR are in-place ufunc
-chains over that workspace, so no block allocates anything that grows with
-its size.
+its positions (common random numbers). It groups the positions by exact
+altitude; per group, the blocks of draws are the outer loop: per block it
+builds one x-factor table per distinct x and one y-factor table per distinct
+y of the group, then, per position, forms the gain table from its two tables
+and runs the SINR. A 15 x 15 altitude of the baseline lattice thus needs 30
+factor tables per block instead of 450. Everything runs as in-place ufunc
+chains over one workspace allocated per scan, so no block allocates anything
+that grows with its size.
 """
 
 from dataclasses import dataclass
@@ -41,6 +51,10 @@ LOS_PER_CALL = "per-call"
 # (the (S, 16) gain table is 128 KB for six links, the (S, M) interference
 # sums 48 KB) so memory does not grow with S.
 _DRAW_BLOCK = 1024
+# Most per-axis factor tables (one per distinct x or y of an altitude group)
+# that outage_scan keeps at once: 8 MB of (_DRAW_BLOCK, 16) tables for six
+# links. A default baseline altitude needs 30.
+_MAX_RATIO_TABLES = 64
 
 
 @dataclass
@@ -197,7 +211,7 @@ class _Workspace:
 
     def __init__(self, rows: int, m: int):
         k = 1 + m * (m - 1) // 2
-        self.theta_x, self.theta_y, self.gain = np.empty((3, rows, k))
+        self.theta, self.gain = np.empty((2, rows, k))
         self.pattern = antenna.PatternScratch(rows * k)
         self.alpha, self.term, self.gathered, self.interference, self.sinr = (
             np.empty((5, rows, m)))
@@ -205,24 +219,33 @@ class _Workspace:
         self.scale = np.empty((rows, 1))
 
 
-def _sinr_matrix(geom: _LinkGeometry, params: ChannelParams,
-                 theta_jx: np.ndarray, theta_jy: np.ndarray,
-                 alpha: np.ndarray, work: _Workspace) -> tuple[np.ndarray, np.ndarray]:
+def _ratio_table(uav_array: ArrayAntennaConfig, jitter: np.ndarray, offset: np.ndarray,
+                 out: np.ndarray, work: _Workspace) -> np.ndarray:
+    """out[s, c] = the UAV's axis_ratio factor at jitter[s] + offset[c], one axis.
+
+    jitter is (S,), offset one position's offset_x or offset_y and out
+    (S, 1 + M(M-1)/2). Returns out.
+    """
+    theta = work.theta[:jitter.shape[0]]
+    np.add(jitter[:, None], offset, out=theta)
+    return antenna.axis_ratio(uav_array, theta, out, work.pattern)
+
+
+def _sinr_matrix(geom: _LinkGeometry, params: ChannelParams, ratio_x: np.ndarray,
+                 ratio_y: np.ndarray, alpha: np.ndarray,
+                 work: _Workspace) -> tuple[np.ndarray, np.ndarray]:
     """Linear SINR and interference power (W) for S orientation draws and M links.
 
-    theta_jx/theta_jy: jitter draws of shape (S,); alpha: per-sample LoS
-    attenuation of shape (S, M); work: a workspace of at least S rows.
+    ratio_x/ratio_y: the position's per-axis factor tables of shape
+    (S, 1 + M(M-1)/2) (_ratio_table); alpha: per-sample LoS attenuation of
+    shape (S, M); work: a workspace of at least S rows.
     Returns two (S, M) views into work, valid until its next use.
     Interference is summed over interferers j = 0..M-1 in order, with the
     operation order of the allocating expression
     tx_j * pl_j * alpha_j * g0 * gain, so every value is bit-identical to it.
     """
-    s = theta_jx.shape[0]
-    theta_x, theta_y, gain = work.theta_x[:s], work.theta_y[:s], work.gain[:s]
-    np.add(theta_jx[:, None], geom.offset_x, out=theta_x)
-    np.add(theta_jy[:, None], geom.offset_y, out=theta_y)
-    antenna.gain_at_axis_offsets(geom.uav_array, theta_x=theta_x, theta_y=theta_y,
-                                 out=gain, scratch=work.pattern)
+    s = ratio_x.shape[0]
+    gain = antenna.gain_from_axis_ratios(geom.uav_array, ratio_x, ratio_y, work.gain[:s])
     term, gathered, scale = work.term[:s], work.gathered[:s], work.scale[:s]
     interference = work.interference[:s]
     interference.fill(0.0)
@@ -250,15 +273,44 @@ def instantaneous_sinr(links, uav: Vec3, orientation: tuple[float, float],
                        params: ChannelParams) -> SinrSample:
     """Per-link SINR for one fixed orientation and the links' own LoS flags."""
     geom = _precompute(links, uav, params)
+    work = _Workspace(1, len(links))
     tx = np.array([float(orientation[0])])
     ty = np.array([float(orientation[1])])
+    ratio_x, ratio_y = np.empty((2, 1, geom.offset_x.shape[0]))
+    _ratio_table(geom.uav_array, tx, geom.offset_x, ratio_x, work)
+    _ratio_table(geom.uav_array, ty, geom.offset_y, ratio_y, work)
     alpha = np.where([[lk.los_flag for lk in links]], 1.0, params.nlos_extra_loss)
-    sinr, interference = _sinr_matrix(geom, params, tx, ty, alpha, _Workspace(1, len(links)))
+    sinr, interference = _sinr_matrix(geom, params, ratio_x, ratio_y, alpha, work)
     return SinrSample(sinr[0], interference[0], (float(orientation[0]), float(orientation[1])))
 
 
-def outage_scan(links, uavs, params: ChannelParams, n_samples: int, seed: int):
-    """Yield the Monte-Carlo outage per link at each UAV position of `uavs`, in order.
+def _altitude_groups(uavs):
+    """Position indices grouped by exact altitude, each group in list order.
+
+    Groups come in order of their altitude's first appearance. A group is
+    split where keeping it whole would need more than _MAX_RATIO_TABLES
+    distinct x and y values together, so the scan's ratio tables stay bounded
+    for any position list.
+    """
+    by_altitude = {}
+    for i, uav in enumerate(uavs):
+        by_altitude.setdefault(uav[2], []).append(i)
+    for indices in by_altitude.values():
+        group, xs, ys = [], set(), set()
+        for i in indices:
+            x, y = uavs[i][0], uavs[i][1]
+            if len(xs | {x}) + len(ys | {y}) > _MAX_RATIO_TABLES:
+                yield group
+                group, xs, ys = [], set(), set()
+            group.append(i)
+            xs.add(x)
+            ys.add(y)
+        yield group
+
+
+def outage_scan(links, uavs, params: ChannelParams, n_samples: int, seed: int,
+                progress=None) -> list[OutageEstimate]:
+    """Monte-Carlo outage per link at each UAV position of `uavs`, in order.
 
     Every position sees the same draws (common random numbers): the jitter
     from N(0, sigma^2) per axis, then the LoS uniforms, one per link and
@@ -268,14 +320,19 @@ def outage_scan(links, uavs, params: ChannelParams, n_samples: int, seed: int):
     bit-identical to a scan of that position alone, for a given
     (seed, n_samples).
 
-    The SINR is evaluated over fixed blocks of draws in one workspace that is
-    allocated once per scan, and the integer failure counts are summed. Every
-    draw's SINR is computed by the same row-wise arithmetic whatever its
-    block, so the result is bit-identical to evaluating all draws in one
-    block.
+    Positions are evaluated by altitude group (_altitude_groups), over fixed
+    blocks of draws in one workspace allocated once per scan: per block, one
+    x-factor table per distinct x and one y-factor table per distinct y of
+    the group, then per position the gain and the SINR, whose integer failure
+    counts are summed. Every draw's SINR is computed by the same row-wise
+    arithmetic whatever its block and whichever position built its tables,
+    so the result is bit-identical to evaluating all draws of each position
+    alone in one block. progress, when given, is called as progress(k, n)
+    for each of the n positions as its group completes.
     """
     if n_samples < 1:
         raise InvalidInputError("n_samples must be >= 1")
+    uavs = [as_vec3(uav) for uav in uavs]
     m = len(links)
     per_call = params.los_mode == LOS_PER_CALL
     rng = np.random.default_rng(seed)
@@ -284,23 +341,43 @@ def outage_scan(links, uavs, params: ChannelParams, n_samples: int, seed: int):
     uniforms = rng.random(m if per_call else (n_samples, m))
     rows = min(_DRAW_BLOCK, n_samples)
     work = _Workspace(rows, m)
-    for uav in uavs:
-        geom = _precompute(links, uav, params)
-        if per_call:
-            # one LoS state per link, held by every row of every block
-            np.copyto(work.alpha, np.where(uniforms < geom.p_los, 1.0, params.nlos_extra_loss))
-        failures = np.zeros(m, dtype=np.int64)
+    failures = np.zeros((len(uavs), m), dtype=np.int64)
+    done = 0
+    for group in _altitude_groups(uavs):
+        geoms = [_precompute(links, uavs[i], params) for i in group]
+        # the x-axis pair angles depend on the UAV's (x, z) alone, the y-axis
+        # ones on (y, z) (geometry.pair_axis_angles), so positions of one
+        # altitude that share x share their x-factor table, and likewise y
+        offsets_x, offsets_y = {}, {}
+        for i, geom in zip(group, geoms):
+            offsets_x.setdefault(uavs[i][0], geom.offset_x)
+            offsets_y.setdefault(uavs[i][1], geom.offset_y)
+        k = work.theta.shape[1]
+        table_x = dict(zip(offsets_x, np.empty((len(offsets_x), rows, k))))
+        table_y = dict(zip(offsets_y, np.empty((len(offsets_y), rows, k))))
+        uav_array = geoms[0].uav_array
         for lo in range(0, n_samples, rows):
-            hi = min(lo + rows, n_samples)
-            alpha, flags = work.alpha[:hi - lo], work.flags[:hi - lo]
-            if not per_call:
-                np.less(uniforms[lo:hi], geom.p_los, out=flags)
+            s = min(rows, n_samples - lo)
+            for x, offset in offsets_x.items():
+                _ratio_table(uav_array, theta_jx[lo:lo + s], offset, table_x[x][:s], work)
+            for y, offset in offsets_y.items():
+                _ratio_table(uav_array, theta_jy[lo:lo + s], offset, table_y[y][:s], work)
+            # per-call uniforms broadcast over the block's rows
+            drawn = uniforms if per_call else uniforms[lo:lo + s]
+            alpha, flags = work.alpha[:s], work.flags[:s]
+            for i, geom in zip(group, geoms):
+                np.less(drawn, geom.p_los, out=flags)
                 alpha.fill(params.nlos_extra_loss)
                 np.copyto(alpha, 1.0, where=flags)
-            sinr, _ = _sinr_matrix(geom, params, theta_jx[lo:hi], theta_jy[lo:hi], alpha, work)
-            np.less(sinr, params.sinr_threshold, out=flags)
-            failures += np.count_nonzero(flags, axis=0)
-        yield OutageEstimate(failures / n_samples, n_samples, seed)
+                sinr, _ = _sinr_matrix(geom, params, table_x[uavs[i][0]][:s],
+                                       table_y[uavs[i][1]][:s], alpha, work)
+                np.less(sinr, params.sinr_threshold, out=flags)
+                failures[i] += np.count_nonzero(flags, axis=0)
+        if progress is not None:
+            for _ in group:
+                done += 1
+                progress(done, len(uavs))
+    return [OutageEstimate(f / n_samples, n_samples, seed) for f in failures]
 
 
 def outage_probability(links, uav: Vec3, params: ChannelParams,
@@ -309,7 +386,7 @@ def outage_probability(links, uav: Vec3, params: ChannelParams,
 
     The one-position case of outage_scan; see there for the draws.
     """
-    return next(outage_scan(links, (uav,), params, n_samples, seed))
+    return outage_scan(links, (uav,), params, n_samples, seed)[0]
 
 
 def max_outage(estimate: OutageEstimate) -> float:

@@ -276,11 +276,18 @@ def sync_targets(agent: Td3Agent) -> None:
 
 
 def update(agent: Td3Agent, minibatch) -> tuple[float, float]:
-    """Critic step plus, every policy_delay-th call, the delayed actor/target step."""
-    losses = critic_update(agent, minibatch)
-    if agent.critic_updates % agent.hp.policy_delay == 0:
-        actor_update(agent, minibatch)
-        sync_targets(agent)
+    """Critic step plus, every policy_delay-th call, the delayed actor/target step.
+
+    A diverging net overflows in its forward and backward passes before its
+    gradient turns non-finite; the finite check in neural.adam_step reports
+    that as one NumericFailureError, so numpy's overflow and invalid-value
+    warnings are silenced here.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        losses = critic_update(agent, minibatch)
+        if agent.critic_updates % agent.hp.policy_delay == 0:
+            actor_update(agent, minibatch)
+            sync_targets(agent)
     return losses
 
 

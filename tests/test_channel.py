@@ -310,6 +310,37 @@ KERNEL_CASES = {
 }
 
 
+# Position lists whose points share an x or a y at one altitude, so the scan
+# shares factor tables between them.
+SHARED_AXIS_LAYOUTS = {
+    # the lexicographic order baseline.scan_grid uses
+    "3x3x2 lattice": [(x, y, z) for x in (20, 75, 130) for y in (30, 80, 130)
+                      for z in (40, 90)],
+    # repeated altitudes in no particular order
+    "unordered": [(90, 60, 70), (40, 60, 45), (90, 110, 45), (40, 110, 70),
+                  (65, 60, 70), (90, 60, 45), (40, 35, 70)],
+    # a rejected move repeats the previous position exactly
+    "duplicate": [(70, 60, 80), (70, 60, 80), (95, 60, 80), (95, 60, 80)],
+}
+
+
+def check_scan_against_oracle(positions, los_mode, spacing, n):
+    """Scans of the first 1, 2 and all positions equal per-position oracle calls bit for bit."""
+    block = channel._DRAW_BLOCK
+    n = {"B-1": block - 1, "B+1": block + 1, "2B+7": 2 * block + 7}.get(n, n)
+    stations = [(12, 30), (40, 44), (75, 140), (110, 95)]
+    links = [make_link(x, y, spacing=spacing) for x, y in stations]
+    p = make_params(los_mode=los_mode, vibration_std_rad=np.deg2rad(4.0))
+    positions = [vec3(*uav) for uav in positions]
+    want = [oracle_outage(links, uav, p, n, 23) for uav in positions]
+    for k in (1, 2, len(positions)):
+        got = channel.outage_scan(links, positions[:k], p, n, 23)
+        assert len(got) == k
+        for est, ref in zip(got, want):
+            assert (est.n_samples, est.seed) == (n, 23)
+            assert np.array_equal(est.per_link_outage, ref)
+
+
 class TestKernelMatchesReference:
     @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
     def test_geometry_and_sinr_bit_identical(self, case):
@@ -336,7 +367,11 @@ class TestKernelMatchesReference:
         jx = rng.normal(0.0, 0.05, s)
         jy = rng.normal(0.0, 0.05, s)
         alpha = np.where(rng.random((s, m)) < 0.6, 1.0, p.nlos_extra_loss)
-        got, _ = channel._sinr_matrix(geom, p, jx, jy, alpha, channel._Workspace(s, m))
+        work = channel._Workspace(s, m)
+        ratio_x, ratio_y = (channel._ratio_table(geom.uav_array, jitter, offset,
+                                                 np.empty((s, offset.shape[0])), work)
+                            for jitter, offset in ((jx, geom.offset_x), (jy, geom.offset_y)))
+        got, _ = channel._sinr_matrix(geom, p, ratio_x, ratio_y, alpha, work)
         assert np.array_equal(got, oracle_sinr(ref, p, jx, jy, alpha))
 
     @pytest.mark.parametrize("spacing", [0.5, 0.7, 1.3])
@@ -350,12 +385,17 @@ class TestKernelMatchesReference:
         rng = np.random.default_rng(11)
         theta_x = np.concatenate([special, rng.uniform(-1.5, 1.5, 60)]).reshape(8, 8)
         theta_y = np.concatenate([special[::-1], rng.uniform(-1.5, 1.5, 60)]).reshape(8, 8)
-        scratch = antenna.PatternScratch(128)
-        out = np.empty((8, 8))
-        got = antenna.gain_at_axis_offsets(cfg, theta_x, theta_y, out=out, scratch=scratch)
-        assert got is out
-        assert np.array_equal(out, oracle_gain(cfg, theta_x, theta_y))
+        want = oracle_gain(cfg, theta_x, theta_y)
+        assert np.array_equal(antenna.gain_at_axis_offsets(cfg, theta_x, theta_y), want)
         assert antenna.gain_at_axis_offsets(cfg, 0.0, 0.0) == oracle_gain(cfg, 0.0, 0.0)
+        # the in-place steps the scan takes, with a scratch larger than the block
+        scratch = antenna.PatternScratch(128)
+        ratio_x, ratio_y = np.empty((2, 8, 8))
+        assert antenna.axis_ratio(cfg, theta_x, ratio_x, scratch) is ratio_x
+        assert antenna.axis_ratio(cfg, theta_y, ratio_y, scratch) is ratio_y
+        out = np.empty((8, 8))
+        assert antenna.gain_from_axis_ratios(cfg, ratio_x, ratio_y, out) is out
+        assert np.array_equal(out, want)
 
     @pytest.mark.parametrize("los_mode", [channel.LOS_PER_SAMPLE, channel.LOS_PER_CALL])
     @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
@@ -372,19 +412,40 @@ class TestKernelMatchesReference:
     @pytest.mark.parametrize("spacing", [0.5, 0.7])
     @pytest.mark.parametrize("los_mode", [channel.LOS_PER_SAMPLE, channel.LOS_PER_CALL])
     def test_scan_matches_per_position_reference(self, los_mode, spacing, n):
-        block = channel._DRAW_BLOCK
-        n = {"B-1": block - 1, "B+1": block + 1, "2B+7": 2 * block + 7}.get(n, n)
-        stations = [(12, 30), (40, 44), (75, 140), (110, 95)]
-        links = [make_link(x, y, spacing=spacing) for x, y in stations]
-        p = make_params(los_mode=los_mode, vibration_std_rad=np.deg2rad(4.0))
-        positions = [vec3(70 + 9 * k, 60 + 5 * k, 40 + 12 * k) for k in range(7)]
-        want = [oracle_outage(links, uav, p, n, 23) for uav in positions]
-        for k in (1, 2, 7):
-            got = list(channel.outage_scan(links, positions[:k], p, n, 23))
-            assert len(got) == k
-            for est, ref in zip(got, want):
-                assert (est.n_samples, est.seed) == (n, 23)
-                assert np.array_equal(est.per_link_outage, ref)
+        # no two positions share x, y or altitude
+        positions = [(70 + 9 * k, 60 + 5 * k, 40 + 12 * k) for k in range(7)]
+        check_scan_against_oracle(positions, los_mode, spacing, n)
+
+    @pytest.mark.parametrize("n", [1, "B-1", "B+1", "2B+7"])
+    @pytest.mark.parametrize("spacing", [0.5, 0.7])
+    @pytest.mark.parametrize("los_mode", [channel.LOS_PER_SAMPLE, channel.LOS_PER_CALL])
+    @pytest.mark.parametrize("layout", sorted(SHARED_AXIS_LAYOUTS))
+    def test_shared_axis_scan_matches_per_position_reference(self, layout, los_mode,
+                                                            spacing, n):
+        check_scan_against_oracle(SHARED_AXIS_LAYOUTS[layout], los_mode, spacing, n)
+
+    def test_altitude_groups_split_above_the_table_limit(self, monkeypatch):
+        monkeypatch.setattr(channel, "_MAX_RATIO_TABLES", 5)
+        uavs = [vec3(x, y, z) for z in (80, 60) for x in (10, 20, 30) for y in (1, 2)]
+        # at z = 80 (indices 0-5): x = 10, 20 and y = 1, 2 fill four tables,
+        # x = 30 makes five; the z = 60 positions form the next group
+        assert list(channel._altitude_groups(uavs)) == [[0, 1, 2, 3, 4, 5],
+                                                        [6, 7, 8, 9, 10, 11]]
+        monkeypatch.setattr(channel, "_MAX_RATIO_TABLES", 4)
+        assert list(channel._altitude_groups(uavs)) == [[0, 1, 2, 3], [4, 5],
+                                                        [6, 7, 8, 9], [10, 11]]
+        p = make_params()
+        links = [make_link(12, 30), make_link(40, 44), make_link(110, 95)]
+        for est, uav in zip(channel.outage_scan(links, uavs, p, 300, 5), uavs):
+            assert np.array_equal(est.per_link_outage, oracle_outage(links, uav, p, 300, 5))
+
+    def test_progress_reports_each_position_as_its_group_completes(self):
+        links = [make_link(12, 30), make_link(110, 95)]
+        uavs = [vec3(70, 60, 50), vec3(80, 60, 90), vec3(70, 65, 50)]
+        calls = []
+        channel.outage_scan(links, uavs, make_params(), 50, 1,
+                            progress=lambda k, n: calls.append((k, n)))
+        assert calls == [(1, 3), (2, 3), (3, 3)]
 
     def test_mixed_uav_arrays_rejected(self):
         links = [make_link(40, 40), make_link(110, 95, n_uav=8)]
@@ -393,7 +454,7 @@ class TestKernelMatchesReference:
 
 
 def scan_peak_bytes(links, positions, p, n):
-    """Peak traced memory of one scan, its estimates discarded as they come."""
+    """Peak traced memory of one scan, its estimates included."""
     tracemalloc.start()
     try:
         for _ in channel.outage_scan(links, positions, p, n, 4):
@@ -428,6 +489,22 @@ class TestScanMemory:
         large = scan_peak_bytes(self.LINKS, [vec3(70, 70, 75)], p, 6 * block)
         draws = 4 * block * 8 * (2 + len(self.LINKS))
         assert large - small <= draws + 64 * 1024
+
+    def test_lattice_peak_within_its_ratio_tables(self):
+        # an nx x ny lattice at one altitude keeps one x-factor table per x
+        # and one y-factor table per y on top of a one-point scan
+        p = make_params()
+        block, m = channel._DRAW_BLOCK, len(self.LINKS)
+        nx, ny = 5, 4
+        lattice = [vec3(20 + 25 * i, 30 + 30 * j, 75) for i in range(nx) for j in range(ny)]
+        tables = (nx + ny) * block * (1 + m * (m - 1) // 2) * 8
+        peaks = {}
+        for n in (2 * block, 6 * block):
+            one = scan_peak_bytes(self.LINKS, lattice[:1], p, n)
+            peaks[n] = scan_peak_bytes(self.LINKS, lattice, p, n)
+            assert peaks[n] - one <= tables + 64 * 1024
+        draws = 4 * block * 8 * (2 + m)
+        assert peaks[6 * block] - peaks[2 * block] <= draws + 64 * 1024
 
 
 class TestMaxOutage:

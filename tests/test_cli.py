@@ -154,15 +154,23 @@ def test_mc_samples_flag_is_applied(tmp_path):
 
 
 # The first critic step moves every weight by about the learning rate, so the
-# next forward pass overflows (numpy warns on the way) and the next gradient
-# is not finite.
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# next forward pass overflows and the next gradient is not finite. The TD3
+# update silences numpy's warnings on the way: the failure is reported once.
 def test_diverging_adam_step_exits_3(tmp_path, capsys):
     out = tmp_path / "out"
     code = cli.main(["train", "--config", str(write_config(tmp_path, "td3.critic_lr = 1e308\n")),
                      "--out-dir", str(out)])
     assert code == cli.EXIT_NUMERIC
     assert capsys.readouterr().err == "numeric failure: non-finite gradient in Adam step\n"
+    assert manifest(out)["status"] == "failed"
+
+
+def test_diverging_adam_step_prints_one_line(tmp_path):
+    out = tmp_path / "out"
+    proc = run_process("train", "--config", write_config(tmp_path, "td3.critic_lr = 1e308\n"),
+                       "--out-dir", out)
+    assert proc.returncode == cli.EXIT_NUMERIC
+    assert proc.stderr == "numeric failure: non-finite gradient in Adam step\n"
     assert manifest(out)["status"] == "failed"
 
 

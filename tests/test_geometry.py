@@ -84,6 +84,16 @@ class TestSpatialAngles:
                 px, py = geometry.pair_axis_angles(u, pts[[i, j]])
                 assert tx[i, j] == px[0, 1] and ty[i, j] == py[0, 1]
 
+    # channel.outage_scan shares one x-factor table between positions with the
+    # same (x, z) and one y-factor table between those with the same (y, z)
+    @given(coord, coord, coord, altitude, stations)
+    @settings(max_examples=100)
+    def test_each_axis_depends_on_its_coordinate_and_altitude_alone(self, a, b, c, uz, xy):
+        pts = ground(xy)
+        tx, ty = geometry.pair_axis_angles(vec3(a, b, uz), pts)
+        assert np.array_equal(tx, geometry.pair_axis_angles(vec3(a, c, uz), pts)[0])
+        assert np.array_equal(ty, geometry.pair_axis_angles(vec3(c, b, uz), pts)[1])
+
 
 class TestElevationAngle:
     def test_directly_overhead(self):
