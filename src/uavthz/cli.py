@@ -188,8 +188,9 @@ def cmd_train(cfg: RunConfig, seed: int, out_dir: Path, manifest: Manifest) -> i
     avg = moving_average(rewards, 40)
     write_csv(out_dir / "rewards.csv",
               {"seed": seed, "version": uavthz.__version__},
-              ("episode", "reward", "moving_avg_40"),
-              [(lg.episode, lg.reward, avg[i]) for i, lg in enumerate(logs)])
+              ("episode", "reward", "moving_avg_40", "mean_max_outage"),
+              [(lg.episode, lg.reward, avg[i], lg.mean_max_outage)
+               for i, lg in enumerate(logs)])
     save_checkpoint(out_dir / "checkpoint", agent, cfg, seed)
     manifest.finalize(out_dir, {
         "episodes": len(logs),

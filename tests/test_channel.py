@@ -1,3 +1,5 @@
+import functools
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -22,9 +24,10 @@ def make_link(x, y, n_uav=20, n_sbs=10, power=0.01, los=True, spacing=0.5):
 
 # Reference kernel: one pattern evaluation per (link, interferer) pair with the
 # period reduction always applied, the allocating np.sinc expression of the
-# pattern, a full (S, M, M) interference tensor, fresh draws per position and
-# a scalar loop over station pairs for the link geometry. The library kernel
-# must reproduce it bit for bit.
+# pattern, a full (S, M, M) interference tensor, fresh draws per position,
+# built from their definition with allocating expressions, and a scalar loop
+# over station pairs for the link geometry. The library kernel must reproduce
+# it bit for bit.
 
 def oracle_axis_ratio(n, psi):
     m = np.round(psi / (2.0 * np.pi))
@@ -90,16 +93,48 @@ def oracle_sinr(geom, params, theta_jx, theta_jy, alpha):
     return signal / (term.sum(axis=2) + params.noise_power_w)
 
 
-def oracle_outage(links, uav, params, n_samples, seed):
-    geom = oracle_precompute(links, uav, params)
-    m = len(links)
+def oracle_lattice_generator(n):
+    # every candidate up to n + 1 (which is always coprime to n), nearest first
+    g = n * (math.sqrt(5.0) - 1.0) / 2.0
+    return min((a for a in range(1, n + 2) if math.gcd(a, n) == 1),
+               key=lambda a: (abs(a - g), a))
+
+
+def oracle_draws(params, m, n, seed):
+    """The scan's draws from their definition, in the documented order.
+
+    A Cranley-Patterson shifted rank-1 lattice through Box-Muller for the
+    jitter; a Latin hypercube for per-sample LoS uniforms.
+    """
     rng = np.random.default_rng(seed)
-    theta_jx = rng.normal(0.0, params.vibration_std_rad, size=n_samples)
-    theta_jy = rng.normal(0.0, params.vibration_std_rad, size=n_samples)
+    shift = rng.random(2)
     if params.los_mode == channel.LOS_PER_CALL:
-        flags = np.broadcast_to(rng.random(m)[None, :] < geom[3][None, :], (n_samples, m))
+        uniforms = rng.random(m)
     else:
-        flags = rng.random((n_samples, m)) < geom[3][None, :]
+        v = rng.random((n, m))
+        perms = np.stack([rng.permutation(n) for _ in range(m)], axis=1)
+        uniforms = (perms + v) / n
+    s = np.arange(n)
+    u1 = (s / n + shift[0]) % 1.0
+    u2 = ((s * oracle_lattice_generator(n)) % n / n + shift[1]) % 1.0
+    r = params.vibration_std_rad * np.sqrt(-2.0 * np.log1p(-u1))
+    angle = 2.0 * np.pi * u2
+    return r * np.cos(angle), r * np.sin(angle), uniforms
+
+
+def plain_draws(params, m, n, seed):
+    """Plain Monte-Carlo draws for per-sample LoS: Gaussian jitter, independent uniforms."""
+    rng = np.random.default_rng(seed)
+    theta_jx = rng.normal(0.0, params.vibration_std_rad, size=n)
+    theta_jy = rng.normal(0.0, params.vibration_std_rad, size=n)
+    return theta_jx, theta_jy, rng.random((n, m))
+
+
+def oracle_outage(links, uav, params, n_samples, seed, draws=oracle_draws):
+    geom = oracle_precompute(links, uav, params)
+    theta_jx, theta_jy, uniforms = draws(params, len(links), n_samples, seed)
+    # per-call uniforms broadcast over the samples
+    flags = np.broadcast_to(uniforms < geom[3], (n_samples, len(links)))
     alpha = np.where(flags, 1.0, params.nlos_extra_loss)
     sinr = oracle_sinr(geom, params, theta_jx, theta_jy, alpha)
     return np.count_nonzero(sinr < params.sinr_threshold, axis=0) / n_samples
@@ -451,6 +486,107 @@ class TestKernelMatchesReference:
         links = [make_link(40, 40), make_link(110, 95, n_uav=8)]
         with pytest.raises(InvalidInputError, match="one UAV array"):
             channel.outage_probability(links, vec3(75, 70, 85), make_params(), 10, 0)
+
+
+# Geometries for the bias test. BIAS_LOS puts every LoS probability between
+# 0.4 and 0.63, so neither LoS state is rare: 50 per-call seeds, each holding
+# one LoS pattern, then see every pattern often enough for their mean to be
+# near normal. Per-link outages lie between 0.19 and 0.65.
+BIAS_LOS = {"los_b": 0.05}
+BIAS_GEOMETRIES = {
+    "four links": ([(12, 30), (40, 44), (75, 140), (110, 95)], (70, 70, 75)),
+    "three links, close pair": ([(40, 40), (48, 44), (110, 100)], (70, 70, 75)),
+    "two links, low UAV": ([(50, 60), (100, 60)], (75, 62, 50)),
+}
+
+
+@functools.cache
+def plain_reference(geometry, spacing, n_samples=200_000):
+    """(links, uav, per-link outage) from plain Monte-Carlo draws at n_samples.
+
+    Plain draws (Gaussian jitter, independent per-sample LoS uniforms) go
+    through the library kernel, which the bit-for-bit tests above pin to
+    the oracle. Per-call LoS has the same expected outage, so one reference
+    serves both modes.
+    """
+    stations, uav = BIAS_GEOMETRIES[geometry]
+    links = [make_link(x, y, spacing=spacing) for x, y in stations]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(channel, "_draws", plain_draws)
+        est = channel.outage_probability(links, vec3(*uav), make_params(**BIAS_LOS),
+                                         n_samples, 99)
+    return links, vec3(*uav), est.per_link_outage
+
+
+def box_muller_inverse(theta_x, theta_y, sigma):
+    """The (u1, u2) in [0, 1)^2 that Box-Muller maps to (theta_x, theta_y)."""
+    u1 = -np.expm1(-(theta_x ** 2 + theta_y ** 2) / (2 * sigma ** 2))
+    return u1, np.arctan2(theta_y, theta_x) / (2 * np.pi) % 1.0
+
+
+class TestVarianceReducedDraws:
+    @pytest.mark.parametrize("los_mode", [channel.LOS_PER_SAMPLE, channel.LOS_PER_CALL])
+    @pytest.mark.parametrize("spacing", [0.5, 0.7])
+    @pytest.mark.parametrize("geometry", sorted(BIAS_GEOMETRIES))
+    def test_mean_over_seeds_matches_plain_monte_carlo(self, geometry, spacing, los_mode):
+        links, uav, ref = plain_reference(geometry, spacing)
+        p = make_params(los_mode=los_mode, **BIAS_LOS)
+        est = np.array([channel.outage_probability(links, uav, p, 500, seed).per_link_outage
+                        for seed in range(50)])
+        se_mean = est.std(axis=0, ddof=1) / np.sqrt(len(est))
+        se_ref = np.sqrt(ref * (1 - ref) / 200_000)
+        assert np.all(np.abs(est.mean(axis=0) - ref) <= 4 * np.hypot(se_mean, se_ref))
+
+    def test_worst_link_std_at_most_half_of_plain_monte_carlo(self):
+        stations = [(12, 30), (40, 44), (48, 44), (75, 140), (110, 95), (140, 10)]
+        links = [make_link(x, y) for x, y in stations]
+        uav, p = vec3(70, 70, 75), make_params()
+        new = [channel.max_outage(channel.outage_probability(links, uav, p, 500, seed))
+               for seed in range(30)]
+        plain = [oracle_outage(links, uav, p, 500, seed, draws=plain_draws).max()
+                 for seed in range(30)]
+        assert np.std(new, ddof=1) <= 0.5 * np.std(plain, ddof=1)
+
+    @pytest.mark.parametrize("n", [1, 2, 500, 610, 2 * channel._DRAW_BLOCK + 7])
+    def test_draws_are_a_shifted_lattice_and_a_latin_hypercube(self, n):
+        p = make_params()
+        theta_x, theta_y, uniforms = channel._draws(p, 3, n, 8)
+        bins = np.arange(n + 1) / n
+        for column in uniforms.T:
+            # the k-th smallest value lies in [k/n, (k+1)/n)
+            ordered = np.sort(column)
+            assert np.all((bins[:-1] <= ordered) & (ordered < bins[1:]))
+        if n >= 500:
+            # and is uniform within its stratum
+            within = uniforms * n % 1.0
+            assert abs(within.mean() - 0.5) < 4 * np.sqrt(1 / 12 / within.size)
+            assert abs(within.var() - 1 / 12) < 0.01
+        # both uniforms of point s sit at frac(s*(1, a)/n + shift)
+        u1, u2 = box_muller_inverse(theta_x, theta_y, p.vibration_std_rad)
+        s = np.arange(n)
+        for u, lattice in ((u1, s / n), (u2, s * oracle_lattice_generator(n) / n)):
+            offset = (u - lattice) % 1.0
+            assert np.all(np.abs((offset - offset[0] + 0.5) % 1.0 - 0.5) < 1e-9)
+        assert np.all((0.0 <= u1) & (u1 < 1.0))
+
+    def test_lattice_shift_is_uniform_and_independent_between_axes(self):
+        # lattice point 0 is the shift itself
+        p = make_params()
+        shifts = np.array([
+            box_muller_inverse(*channel._draws(p, 2, 7, seed)[:2], p.vibration_std_rad)
+            for seed in range(200)])[:, :, 0]
+        assert np.all(np.abs(shifts.mean(axis=0) - 0.5) < 4 * np.sqrt(1 / 12 / 200))
+        assert abs(np.corrcoef(shifts.T)[0, 1]) < 4 / np.sqrt(200)
+
+    def test_lattice_generator_is_the_nearest_coprime(self):
+        for n in range(1, 400):
+            assert channel._lattice_generator(n) == oracle_lattice_generator(n)
+        fib = [1, 2]
+        while fib[-1] < 200_000:
+            fib.append(fib[-1] + fib[-2])
+        # Fibonacci n gives the Fibonacci lattice
+        for prev, n in zip(fib, fib[1:]):
+            assert channel._lattice_generator(n) == prev
 
 
 def scan_peak_bytes(links, positions, p, n):

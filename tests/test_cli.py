@@ -183,6 +183,16 @@ def test_reruns_are_byte_identical(tmp_path, trained):
     assert outputs and manifest(second)["outputs"] == outputs
 
 
+def test_rewards_csv_reports_each_episodes_mean_worst_link_outage(trained):
+    _, out = trained
+    lines = [ln for ln in (out / "rewards.csv").read_text(encoding="utf-8").splitlines()
+             if not ln.startswith("#")]
+    assert lines[0] == "episode,reward,moving_avg_40,mean_max_outage"
+    rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
+    assert len(rows) == 3
+    assert all(np.isfinite(row).all() and 0.0 <= row[3] <= 1.0 for row in rows)
+
+
 @pytest.mark.parametrize("net", ["actor", "critics_target"])
 def test_checkpoint_net_mismatch_is_named(tmp_path, capsys, trained, net):
     config, out = trained
