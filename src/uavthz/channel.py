@@ -7,6 +7,12 @@ stations steer perfectly at the UAV (gain equals their normalization
 constant); the UAV side is evaluated at the angular offsets implied by link
 geometry plus the UAV's Gaussian orientation jitter.
 
+There is one LoS model. In every Monte-Carlo draw, each link is in line of
+sight independently with probability los_probability(its elevation);
+otherwise its power, as a desired link and as an interferer, is scaled by
+nlos_extra_loss. The one-orientation instantaneous_sinr takes every link in
+line of sight.
+
 All links of a scenario share one UAV array, and the per-axis angle between
 the links to stations i and j is symmetric in (i, j). Each draw therefore
 needs the UAV pattern at 1 + M(M-1)/2 distinct offsets (16 for six links):
@@ -25,10 +31,10 @@ outage_scan is the one Monte-Carlo outage path; outage_probability is its
 one-position case. A scan makes its random draws once and shares them across
 its positions (common random numbers). The draws are variance-reduced and
 unbiased: the jitter is a randomly shifted rank-1 lattice (Cranley-Patterson)
-mapped to Gaussians by Box-Muller, and the per-sample LoS uniforms form a
-Latin hypercube; at 500 draws the std of the worst-link outage over seeds is
-about a third of plain Monte Carlo's. outage_scan gives the construction and
-the order in which the generator is read.
+mapped to Gaussians by Box-Muller, and the LoS uniforms, one per draw and
+link, form a Latin hypercube; at 500 draws the std of the worst-link outage
+over seeds is about a third of plain Monte Carlo's. outage_scan gives the
+construction and the one order in which the generator is read.
 
 The scan groups the positions by exact altitude; per group, the blocks of
 draws are the outer loop: per block it builds one x-factor table per
@@ -52,9 +58,6 @@ from uavthz.geometry import Vec3, as_vec3
 
 SPEED_OF_LIGHT = 3.0e8  # m/s
 
-LOS_PER_SAMPLE = "per-sample"
-LOS_PER_CALL = "per-call"
-
 # Draws per _sinr_matrix call in outage_scan. Sizes the scan's one workspace
 # (the (S, 16) gain table is 128 KB for six links, the (S, M) interference
 # sums 48 KB) so memory does not grow with S.
@@ -77,7 +80,6 @@ class ChannelParams:
     los_b: float
     nlos_extra_loss: float                # linear
     vibration_std_rad: float
-    los_mode: str
 
     def __post_init__(self):
         for name in ("carrier_hz", "noise_power_w", "sinr_threshold"):
@@ -89,8 +91,6 @@ class ChannelParams:
         require(self.vibration_std_rad >= 0, "vibration std must be >= 0", "vibration_std_rad")
         for name in ("los_alpha", "los_b"):
             require(getattr(self, name) >= 0, f"{name} must be >= 0", name)
-        require(self.los_mode in (LOS_PER_SAMPLE, LOS_PER_CALL),
-                f"unknown los_mode {self.los_mode!r}", "los_mode")
 
     @property
     def wavelength(self) -> float:
@@ -105,7 +105,6 @@ class LinkState:
     tx_power_w: float
     uav_array: ArrayAntennaConfig
     sbs_array_n_side: int
-    los_flag: bool = True  # True = line of sight
 
     def __post_init__(self):
         self.sbs_position = as_vec3(self.sbs_position)
@@ -119,7 +118,6 @@ class SinrSample:
 
     per_link_sinr: np.ndarray
     per_link_interference_w: np.ndarray
-    orientation: tuple[float, float]
 
 
 @dataclass
@@ -279,7 +277,7 @@ def _sinr_matrix(geom: _LinkGeometry, params: ChannelParams, ratio_x: np.ndarray
 
 def instantaneous_sinr(links, uav: Vec3, orientation: tuple[float, float],
                        params: ChannelParams) -> SinrSample:
-    """Per-link SINR for one fixed orientation and the links' own LoS flags."""
+    """Per-link SINR for one fixed orientation, every link in line of sight."""
     geom = _precompute(links, uav, params)
     work = _Workspace(1, len(links))
     tx = np.array([float(orientation[0])])
@@ -287,9 +285,9 @@ def instantaneous_sinr(links, uav: Vec3, orientation: tuple[float, float],
     ratio_x, ratio_y = np.empty((2, 1, geom.offset_x.shape[0]))
     _ratio_table(geom.uav_array, tx, geom.offset_x, ratio_x, work)
     _ratio_table(geom.uav_array, ty, geom.offset_y, ratio_y, work)
-    alpha = np.where([[lk.los_flag for lk in links]], 1.0, params.nlos_extra_loss)
-    sinr, interference = _sinr_matrix(geom, params, ratio_x, ratio_y, alpha, work)
-    return SinrSample(sinr[0], interference[0], (float(orientation[0]), float(orientation[1])))
+    sinr, interference = _sinr_matrix(geom, params, ratio_x, ratio_y, np.ones((1, len(links))),
+                                      work)
+    return SinrSample(sinr[0], interference[0])
 
 
 def _altitude_groups(uavs):
@@ -339,20 +337,19 @@ def _draws(params: ChannelParams, m: int, n: int,
            seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(theta_jx, theta_jy, uniforms): the random draws of one scan of n samples and m links.
 
-    See outage_scan for the estimator and the order in which the generator
-    is read. Built in place: beyond the three results, it holds at most one
-    n-vector and one boolean mask at a time.
+    theta_jx and theta_jy are (n,) and uniforms is (n, m). See outage_scan for
+    the estimator and the order in which the generator is read: the shift,
+    the (n, m) uniforms, then one permutation per link. Built in place:
+    beyond the three results, it holds at most one n-vector and one boolean
+    mask at a time.
     """
     rng = np.random.default_rng(seed)
     shift = rng.random(2)
-    if params.los_mode == LOS_PER_CALL:
-        uniforms = rng.random(m)
-    else:
-        uniforms = rng.random((n, m))
-        for j in range(m):
-            column = uniforms[:, j]
-            np.add(column, rng.permutation(n), out=column)
-        np.divide(uniforms, n, out=uniforms)
+    uniforms = rng.random((n, m))
+    for j in range(m):
+        column = uniforms[:, j]
+        np.add(column, rng.permutation(n), out=column)
+    np.divide(uniforms, n, out=uniforms)
     # lattice point s: u = frac((s, s*a mod n) / n + shift)
     index = np.arange(n)
     u1 = np.divide(index, n)
@@ -383,9 +380,11 @@ def outage_scan(links, uavs, params: ChannelParams, n_samples: int, seed: int,
     """Monte-Carlo outage per link at each UAV position of `uavs`, in order.
 
     Every position sees the same draws (common random numbers), made once per
-    scan by _draws; a position only changes which uniforms fall below its LoS
-    probabilities. Each estimate is therefore bit-identical to a scan of that
-    position alone, for a given (seed, n_samples).
+    scan by _draws; a position only changes which LoS uniforms fall below its
+    LoS probabilities: link j of draw s is in line of sight when its uniform
+    is below p_los of link j at that position. Each estimate is therefore
+    bit-identical to a scan of that position alone, for a given
+    (seed, n_samples).
 
     The draws are variance-reduced but every sample keeps the plain
     Monte-Carlo distribution, so each estimate is unbiased:
@@ -398,16 +397,15 @@ def outage_scan(links, uavs, params: ChannelParams, n_samples: int, seed: int,
       makes every point uniform on the square, so every draw is N(0, sigma^2)
       per axis, independent between the axes; the lattice spreads the n
       points evenly, which removes most of the jitter's sampling noise.
-    - LoS, per-sample mode: a Latin hypercube. Link j's uniform at sample s
-      is (pi_j(s) + v_sj) / n with an independent random permutation pi_j
-      and v_sj ~ U[0, 1), so each link's column has exactly one value in
-      every [k/n, (k+1)/n), and each value is uniform on [0, 1) and
-      independent of the jitter and of the other links. Per-call mode draws
-      one uniform per link, held across samples.
+    - LoS: a Latin hypercube. Link j's uniform at sample s is
+      (pi_j(s) + v_sj) / n with an independent random permutation pi_j and
+      v_sj ~ U[0, 1), so each link's column has exactly one value in every
+      [k/n, (k+1)/n), and each value is uniform on [0, 1) and independent of
+      the jitter and of the other links.
 
     The generator default_rng(seed) is read in one fixed order: the shift
-    (random(2)), then the LoS uniforms (random(m) per call, random((n, m))
-    per sample), then, per sample only, permutation(n) for link 0, 1, ...
+    (random(2)), then v (random((n, m))), then permutation(n) for link
+    0, 1, ..., m - 1.
 
     Positions are evaluated by altitude group (_altitude_groups), over fixed
     blocks of draws in one workspace allocated once per scan: per block, one
@@ -423,7 +421,6 @@ def outage_scan(links, uavs, params: ChannelParams, n_samples: int, seed: int,
         raise InvalidInputError("n_samples must be >= 1")
     uavs = [as_vec3(uav) for uav in uavs]
     m = len(links)
-    per_call = params.los_mode == LOS_PER_CALL
     theta_jx, theta_jy, uniforms = _draws(params, m, n_samples, seed)
     rows = min(_DRAW_BLOCK, n_samples)
     work = _Workspace(rows, m)
@@ -448,8 +445,7 @@ def outage_scan(links, uavs, params: ChannelParams, n_samples: int, seed: int,
                 _ratio_table(uav_array, theta_jx[lo:lo + s], offset, table_x[x][:s], work)
             for y, offset in offsets_y.items():
                 _ratio_table(uav_array, theta_jy[lo:lo + s], offset, table_y[y][:s], work)
-            # per-call uniforms broadcast over the block's rows
-            drawn = uniforms if per_call else uniforms[lo:lo + s]
+            drawn = uniforms[lo:lo + s]
             alpha, flags = work.alpha[:s], work.flags[:s]
             for i, geom in zip(group, geoms):
                 np.less(drawn, geom.p_los, out=flags)

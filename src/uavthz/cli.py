@@ -151,6 +151,15 @@ def save_checkpoint(ck_dir: Path, agent: td3.Td3Agent, cfg: RunConfig, seed: int
         encoding="utf-8")
 
 
+def _meta_int(meta: dict, key: str, meta_path: Path) -> int:
+    """meta[key], 0 when absent; anything but a non-negative JSON integer is a ConfigError."""
+    value = meta.get(key, 0)
+    if type(value) is not int or value < 0:  # bool is an int subclass
+        raise ConfigError(f"{meta_path}: {key} must be a non-negative integer, "
+                          f"got {json.dumps(value)}")
+    return value
+
+
 def load_checkpoint(ck_dir: Path, cfg: RunConfig) -> td3.Td3Agent:
     meta_path = ck_dir / "meta.json"
     if not meta_path.is_file():
@@ -161,7 +170,7 @@ def load_checkpoint(ck_dir: Path, cfg: RunConfig) -> td3.Td3Agent:
         raise ConfigError(f"{meta_path}: not valid JSON: {exc}") from exc
     if not isinstance(meta, dict):
         raise ConfigError(f"{meta_path}: expected a JSON object")
-    agent = _build_agent(cfg, int(meta.get("agent_seed", 0)))
+    agent = _build_agent(cfg, _meta_int(meta, "agent_seed", meta_path))
     for name in _NET_FILES:
         net, adam = neural.load_net(ck_dir / f"{name}.npz")
         expected = getattr(agent, name).architecture()
@@ -172,8 +181,8 @@ def load_checkpoint(ck_dir: Path, cfg: RunConfig) -> td3.Td3Agent:
         setattr(agent, name, net)
         if adam is not None:
             setattr(agent, f"adam_{name}", adam)
-    agent.critic_updates = int(meta.get("critic_updates", 0))
-    agent.actor_updates = int(meta.get("actor_updates", 0))
+    agent.critic_updates = _meta_int(meta, "critic_updates", meta_path)
+    agent.actor_updates = _meta_int(meta, "actor_updates", meta_path)
     return agent
 
 
@@ -183,7 +192,7 @@ def cmd_train(cfg: RunConfig, seed: int, out_dir: Path, manifest: Manifest) -> i
     env = _build_env(cfg)
     env.reset(seed)
     agent = _build_agent(cfg, seed)
-    agent, logs = td3.train(env, agent, cfg.hyperparams())
+    agent, logs = td3.train(env, agent)
     rewards = [lg.reward for lg in logs]
     avg = moving_average(rewards, 40)
     write_csv(out_dir / "rewards.csv",

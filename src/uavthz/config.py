@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from uavthz.baseline import GridSearchSpec
-from uavthz.channel import LOS_PER_SAMPLE, ChannelParams
+from uavthz.channel import ChannelParams
 from uavthz.environment import EnvConfig
 from uavthz.errors import ConfigError, InvalidInputError
 from uavthz.geometry import KinematicLimits
@@ -63,7 +63,6 @@ class RunConfig:
     nlos_extra_loss: float = _key("channel.nlos_extra_loss", 0.01, ChannelParams)
     vibration_std_deg: float = _key("channel.vibration_std_deg", 2.0, ChannelParams,
                                     "vibration_std_rad", math.radians)
-    los_mode: str = _key("channel.los_mode", LOS_PER_SAMPLE, ChannelParams)
     uav_n_side: int = _key("antenna.uav_n_side", 20, EnvConfig)
     sbs_n_side: int = _key("antenna.sbs_n_side", 10, EnvConfig)
     spacing_over_lambda: float = _key("antenna.spacing_over_lambda", 0.5, EnvConfig)
@@ -77,8 +76,6 @@ class RunConfig:
     reward_floor: float = _key("env.reward_floor", 1e-9, EnvConfig)
     outage_alarm_threshold: float = _key("env.outage_alarm_threshold", 0.1, EnvConfig)
     clamp_horizontal: bool = _key("env.clamp_horizontal", False, EnvConfig)
-    clamp_z_only: bool = _key("env.clamp_z_only", False, EnvConfig)
-    freeze_topology: bool = _key("env.freeze_topology", True, EnvConfig)
     hidden1: int = _key("td3.hidden1", 256, Td3Hyperparams, "hidden_dims")
     hidden2: int = _key("td3.hidden2", 128, Td3Hyperparams, "hidden_dims")
     actor_lr: float = _key("td3.actor_lr", 1e-4, Td3Hyperparams)

@@ -1,10 +1,12 @@
-"""Topology MDP: state, bounded continuous action, altitude-clamped transition
+"""Topology MDP: state, bounded continuous action, altitude-bounded transition
 and outage-based reward.
 
-One environment instance is a sequential state machine: reset() draws a
-topology epoch (the UAV keeps its position across epochs, starting at the
-area center on the very first call), and step() advances the UAV by a bounded
-3D displacement, scoring the new position by Monte-Carlo outage.
+One environment instance is a sequential state machine over one topology per
+reset: reset(seed) draws the stations from the seed and places the UAV at the
+start point, the area center at mid altitude; step() advances the UAV by a
+bounded 3D displacement, scoring the new position by Monte-Carlo outage; and
+restart_episode() returns the UAV to the start point for the next training
+episode on the same stations.
 """
 
 from dataclasses import dataclass
@@ -42,16 +44,6 @@ class EnvState:
 
 
 @dataclass
-class EnvAction:
-    """Requested 3D displacement in meters for one step."""
-
-    displacement: Vec3
-
-    def __post_init__(self):
-        self.displacement = as_vec3(self.displacement)
-
-
-@dataclass
 class StepResult:
     next_state: EnvState
     reward: float
@@ -79,8 +71,6 @@ class EnvConfig:
     reward_floor: float
     outage_alarm_threshold: float
     clamp_horizontal: bool
-    clamp_z_only: bool
-    freeze_topology: bool
 
     def __post_init__(self):
         for name in ("area_x", "area_y", "dt", "tx_power_w", "reward_floor"):
@@ -133,7 +123,6 @@ class Environment:
         self.params = params
         self.topology: Topology | None = None
         self._uav_position: Vec3 | None = None
-        self.epoch_start: Vec3 | None = None
         self._step_seed_rng = None
         self.alarm_steps = 0   # steps with any per-link outage above the alarm threshold
         self.total_steps = 0
@@ -153,29 +142,26 @@ class Environment:
     # -- MDP surface -----------------------------------------------------------
 
     def reset(self, seed: int) -> tuple[EnvState, Topology]:
-        """Start a topology epoch: fresh stations, continuous UAV position.
+        """Draw the topology from [seed, 0] and place the UAV at the start point.
 
-        With freeze_topology set, repeated resets keep the first drawn
-        topology (single-scenario training) while reseeding the step stream.
+        The per-step Monte-Carlo seeds come from [seed, 1], so a reset with
+        the same seed repeats the run exactly.
         """
-        rng = np.random.default_rng([seed, 0])
-        if self.topology is None or not self.config.freeze_topology:
-            self.topology = self._draw_topology(rng)
-        if self._uav_position is None:
-            lim = self.config.limits
-            self._uav_position = geometry.vec3(
-                0.5 * self.config.area_x, 0.5 * self.config.area_y,
-                0.5 * (lim.h_min + lim.h_max))
-        self.epoch_start = self._uav_position.copy()
+        self.topology = self._draw_topology(np.random.default_rng([seed, 0]))
         self._step_seed_rng = np.random.default_rng([seed, 1])
-        return EnvState(self._uav_position.copy()), self.topology
+        return self.restart_episode(), self.topology
 
     def restart_episode(self) -> EnvState:
-        """Return the UAV to the epoch's start position (training episodes all
-        launch from the point the UAV occupied when the topology appeared)."""
-        if self.epoch_start is None:
+        """Return the UAV to the start point, the area center at mid altitude.
+
+        The stations and the step-seed stream carry on: every training
+        episode flies over the topology of the last reset.
+        """
+        if self.topology is None:
             raise InvalidInputError("environment not reset")
-        self._uav_position = self.epoch_start.copy()
+        lim = self.config.limits
+        self._uav_position = geometry.vec3(0.5 * self.config.area_x, 0.5 * self.config.area_y,
+                                           0.5 * (lim.h_min + lim.h_max))
         return EnvState(self._uav_position.copy())
 
     @property
@@ -187,28 +173,21 @@ class Environment:
     def _next_step_seed(self) -> int:
         return int(self._step_seed_rng.integers(0, 2 ** 63))
 
-    def step(self, action) -> StepResult:
-        """Apply a bounded displacement, score the new position, return the reward.
+    def step(self, displacement) -> StepResult:
+        """Move the UAV by a displacement in meters, score the new position, return the reward.
 
-        The move is rejected outright when the resulting altitude leaves the
-        open (h_min, h_max) window (or, with clamp_z_only, the vertical
-        component is clipped instead). Elapsed time charges the realized
-        displacement at peak speed.
+        The displacement is first shrunk onto the action ball. A move whose
+        altitude leaves the open (h_min, h_max) window is rejected whole: the
+        UAV stays where it is and the step is still scored. Elapsed time
+        charges the realized displacement at peak speed.
         """
         if self.topology is None:
             raise InvalidInputError("environment not reset")
-        disp = action.displacement if isinstance(action, EnvAction) else as_vec3(action)
-        disp = project_action(disp, self.config.action_scale)
+        disp = project_action(displacement, self.config.action_scale)
         cur = self._uav_position
         cand = cur + disp
         lim = self.config.limits
-        if lim.h_min < cand[2] < lim.h_max:
-            nxt = cand
-        elif self.config.clamp_z_only:
-            nxt = cand.copy()
-            nxt[2] = float(np.clip(cand[2], lim.h_min, lim.h_max))
-        else:
-            nxt = cur.copy()
+        nxt = cand if lim.h_min < cand[2] < lim.h_max else cur
         if self.config.clamp_horizontal:
             nxt = nxt.copy()
             nxt[0] = float(np.clip(nxt[0], 0.0, self.config.area_x))

@@ -224,8 +224,9 @@ def save_net(path, net: DenseNet, adam: AdamState | None = None) -> None:
 def load_net(path) -> tuple[DenseNet, AdamState | None]:
     """Restore a checkpointed network and, when present, its Adam state.
 
-    A file that is not a checkpoint archive, or that lacks one of its
-    entries, raises InvalidInputError naming the file.
+    A file that is not a checkpoint archive, lacks one of its entries or
+    holds an entry of the wrong shape or type raises InvalidInputError
+    naming the file.
     """
     try:
         data = np.load(path, allow_pickle=False)
@@ -237,7 +238,7 @@ def load_net(path) -> tuple[DenseNet, AdamState | None]:
         try:
             version = int(data["version"])
             if version != CHECKPOINT_VERSION:
-                raise InvalidInputError(f"{path}: unsupported checkpoint version {version}, "
+                raise InvalidInputError(f"unsupported checkpoint version {version}, "
                                         f"expected {CHECKPOINT_VERSION}")
             net = DenseNet(tuple(data["layer_dims"]), data["params"],
                            str(data["output_activation"]), float(data["output_scale"]))
@@ -247,4 +248,8 @@ def load_net(path) -> tuple[DenseNet, AdamState | None]:
                                  *(float(x) for x in data["adam_lr_betas_eps"]))
         except KeyError as exc:
             raise InvalidInputError(f"{path}: malformed checkpoint: {exc.args[0]}") from exc
+        except InvalidInputError as exc:  # the version or the restored net's own check
+            raise InvalidInputError(f"{path}: {exc}") from exc
+        except (TypeError, ValueError) as exc:  # an entry of the wrong shape or type
+            raise InvalidInputError(f"{path}: malformed checkpoint: {exc}") from exc
     return net, adam

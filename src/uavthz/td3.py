@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from uavthz import neural
-from uavthz.environment import EnvAction, Environment, outage_to_reward
+from uavthz.environment import Environment, outage_to_reward
 from uavthz.errors import InvalidInputError, require
 from uavthz.neural import AdamState, DenseNet
 
@@ -190,8 +190,8 @@ def _seed_int(ss: np.random.SeedSequence) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def select_action(agent: Td3Agent, norm_state, explore: bool) -> EnvAction:
-    """Policy action for a normalized state, denormalized to meters.
+def select_action(agent: Td3Agent, norm_state, explore: bool) -> np.ndarray:
+    """Policy action for a normalized state, as a displacement in meters.
 
     With explore set, adds zero-mean Gaussian noise to the normalized action
     before projecting back onto the action ball; deterministic otherwise.
@@ -200,11 +200,11 @@ def select_action(agent: Td3Agent, norm_state, explore: bool) -> EnvAction:
     if explore:
         a = a + agent.rng.normal(0.0, agent.hp.exploration_noise_std, size=ACTION_DIM)
     a = _project_unit_ball(a)
-    return EnvAction(agent.normalizer.denorm_action(a))
+    return agent.normalizer.denorm_action(a)
 
 
-def random_action(agent: Td3Agent) -> EnvAction:
-    """Random draw from the action ball (warm-up exploration).
+def random_action(agent: Td3Agent) -> np.ndarray:
+    """Random displacement in meters from the action ball (warm-up exploration).
 
     The radius is uniform in [0, 1] rather than volume-uniform so that small
     displacements are well represented; the optimal action at a good start
@@ -213,7 +213,7 @@ def random_action(agent: Td3Agent) -> EnvAction:
     direction = agent.rng.normal(size=ACTION_DIM)
     direction /= max(np.linalg.norm(direction), 1e-12)
     radius = agent.rng.uniform(0.0, 1.0)
-    return EnvAction(agent.normalizer.denorm_action(direction * radius))
+    return agent.normalizer.denorm_action(direction * radius)
 
 
 def critic_update(agent: Td3Agent, minibatch) -> tuple[float, float]:
@@ -296,19 +296,18 @@ class EpisodeLog:
     episode: int
     reward: float
     mean_max_outage: float
-    steps: int
 
 
-def train(env: Environment, agent: Td3Agent, hp: Td3Hyperparams | None = None):
-    """Run the training loop on the environment's current topology.
+def train(env: Environment, agent: Td3Agent):
+    """Run the training loop of agent.hp on the environment's current topology.
 
-    Consecutive steps are grouped into fixed-length episodes for reward
-    reporting; the topology and the UAV position carry across episode
-    boundaries. The first warmup_steps actions are uniform in the action
-    ball, after which every step performs one critic update and every
-    policy_delay-th update also moves the actor and the targets.
+    Every episode restarts the UAV at the environment's start point and runs
+    steps_per_episode steps; the topology carries across episodes. The first
+    warmup_steps actions are random draws from the action ball, after which
+    every step performs one critic update and every policy_delay-th update
+    also moves the actor and the targets.
     """
-    hp = hp or agent.hp
+    hp = agent.hp
     norm = agent.normalizer
     logs: list[EpisodeLog] = []
     global_step = 0
@@ -325,7 +324,7 @@ def train(env: Environment, agent: Td3Agent, hp: Td3Hyperparams | None = None):
                 action = select_action(agent, ns, explore=True)
             result = env.step(action)
             nxt = result.next_state.uav_position
-            agent.buffer.add(Transition(ns, norm.norm_action(action.displacement),
+            agent.buffer.add(Transition(ns, norm.norm_action(action),
                                         REWARD_SCALE * result.reward,
                                         norm.norm_state(nxt)))
             state = nxt
@@ -333,8 +332,7 @@ def train(env: Environment, agent: Td3Agent, hp: Td3Hyperparams | None = None):
             ep_outage += float(result.outage.per_link_outage.max())
             if len(agent.buffer) > hp.batch_size:
                 update(agent, agent.buffer.sample(hp.batch_size))
-        logs.append(EpisodeLog(ep, ep_reward, ep_outage / hp.steps_per_episode,
-                               hp.steps_per_episode))
+        logs.append(EpisodeLog(ep, ep_reward, ep_outage / hp.steps_per_episode))
     return agent, logs
 
 

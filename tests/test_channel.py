@@ -18,8 +18,8 @@ def make_params(**kw) -> ChannelParams:
     return replace(RunConfig().channel_params(), **kw)
 
 
-def make_link(x, y, n_uav=20, n_sbs=10, power=0.01, los=True, spacing=0.5):
-    return LinkState(vec3(x, y, 0.0), power, ArrayAntennaConfig(n_uav, spacing), n_sbs, los)
+def make_link(x, y, n_uav=20, n_sbs=10, power=0.01, spacing=0.5):
+    return LinkState(vec3(x, y, 0.0), power, ArrayAntennaConfig(n_uav, spacing), n_sbs)
 
 
 # Reference kernel: one pattern evaluation per (link, interferer) pair with the
@@ -104,16 +104,13 @@ def oracle_draws(params, m, n, seed):
     """The scan's draws from their definition, in the documented order.
 
     A Cranley-Patterson shifted rank-1 lattice through Box-Muller for the
-    jitter; a Latin hypercube for per-sample LoS uniforms.
+    jitter; a Latin hypercube for the LoS uniforms.
     """
     rng = np.random.default_rng(seed)
     shift = rng.random(2)
-    if params.los_mode == channel.LOS_PER_CALL:
-        uniforms = rng.random(m)
-    else:
-        v = rng.random((n, m))
-        perms = np.stack([rng.permutation(n) for _ in range(m)], axis=1)
-        uniforms = (perms + v) / n
+    v = rng.random((n, m))
+    perms = np.stack([rng.permutation(n) for _ in range(m)], axis=1)
+    uniforms = (perms + v) / n
     s = np.arange(n)
     u1 = (s / n + shift[0]) % 1.0
     u2 = ((s * oracle_lattice_generator(n)) % n / n + shift[1]) % 1.0
@@ -123,7 +120,7 @@ def oracle_draws(params, m, n, seed):
 
 
 def plain_draws(params, m, n, seed):
-    """Plain Monte-Carlo draws for per-sample LoS: Gaussian jitter, independent uniforms."""
+    """Plain Monte-Carlo draws: Gaussian jitter, independent LoS uniforms."""
     rng = np.random.default_rng(seed)
     theta_jx = rng.normal(0.0, params.vibration_std_rad, size=n)
     theta_jy = rng.normal(0.0, params.vibration_std_rad, size=n)
@@ -133,9 +130,7 @@ def plain_draws(params, m, n, seed):
 def oracle_outage(links, uav, params, n_samples, seed, draws=oracle_draws):
     geom = oracle_precompute(links, uav, params)
     theta_jx, theta_jy, uniforms = draws(params, len(links), n_samples, seed)
-    # per-call uniforms broadcast over the samples
-    flags = np.broadcast_to(uniforms < geom[3], (n_samples, len(links)))
-    alpha = np.where(flags, 1.0, params.nlos_extra_loss)
+    alpha = np.where(uniforms < geom[3], 1.0, params.nlos_extra_loss)
     sinr = oracle_sinr(geom, params, theta_jx, theta_jy, alpha)
     return np.count_nonzero(sinr < params.sinr_threshold, axis=0) / n_samples
 
@@ -256,13 +251,17 @@ class TestInstantaneousSinr:
         assert reduced.per_link_sinr[0] >= full.per_link_sinr[0]
         assert reduced.per_link_sinr[1] >= full.per_link_sinr[1]
 
-    def test_nlos_attenuates_signal(self):
-        p = make_params(vibration_std_rad=0.0)
-        uav = vec3(50.0, 50.0, 80.0)
-        los = channel.instantaneous_sinr([make_link(50, 50, los=True)], uav, (0, 0), p)
-        nlos = channel.instantaneous_sinr([make_link(50, 50, los=False)], uav, (0, 0), p)
-        assert nlos.per_link_sinr[0] == pytest.approx(
-            p.nlos_extra_loss * los.per_link_sinr[0], rel=1e-12)
+    def test_nlos_draws_attenuate_signal(self):
+        # one link, no jitter: a threshold between the LoS SINR and
+        # nlos_extra_loss times it fails exactly the NLoS draws
+        links, uav = [make_link(50, 50)], vec3(50.0, 50.0, 80.0)
+        p = make_params(vibration_std_rad=0.0, los_b=0.0)
+        los_sinr = channel.instantaneous_sinr(links, uav, (0, 0), p).per_link_sinr[0]
+        threshold = np.sqrt(p.nlos_extra_loss) * los_sinr
+        for los_alpha, outage in ((0.0, 0.0), (1e300, 1.0)):  # LoS certain, then never
+            q = replace(p, los_alpha=los_alpha, sinr_threshold=threshold)
+            est = channel.outage_probability(links, uav, q, 300, 4)
+            assert est.per_link_outage[0] == outage
 
     def test_requires_a_link(self):
         with pytest.raises(InvalidInputError):
@@ -298,9 +297,8 @@ class TestOutageProbability:
             bound = 3 * np.sqrt(max(pa * (1 - pa), 1e-9) / n) * 2
             assert abs(pa - pb) <= bound
 
-    @pytest.mark.parametrize("los_mode", [channel.LOS_PER_SAMPLE, channel.LOS_PER_CALL])
-    def test_blocked_draws_equal_one_block(self, monkeypatch, los_mode):
-        p = make_params(los_mode=los_mode)
+    def test_blocked_draws_equal_one_block(self, monkeypatch):
+        p = make_params()
         links = [make_link(40, 40), make_link(48, 44), make_link(110, 100)]
         uav = vec3(70, 70, 75)
         block = channel._DRAW_BLOCK
@@ -318,13 +316,6 @@ class TestOutageProbability:
         low = channel.outage_probability(links, uav, make_params(sinr_threshold=1.0), 2000, 5)
         high = channel.outage_probability(links, uav, make_params(sinr_threshold=10.0), 2000, 5)
         assert np.all(high.per_link_outage >= low.per_link_outage)
-
-    def test_per_call_los_mode_freezes_flags(self):
-        # with no vibration, per-call LoS flags make every sample identical
-        p = make_params(vibration_std_rad=0.0, los_mode=channel.LOS_PER_CALL)
-        links = [make_link(30, 30), make_link(120, 110)]
-        est = channel.outage_probability(links, vec3(75, 75, 40), p, 901, 3)
-        assert set(np.unique(est.per_link_outage)).issubset({0.0, 1.0})
 
     def test_estimate_validation(self):
         with pytest.raises(InvalidInputError):
@@ -359,13 +350,13 @@ SHARED_AXIS_LAYOUTS = {
 }
 
 
-def check_scan_against_oracle(positions, los_mode, spacing, n):
+def check_scan_against_oracle(positions, spacing, n):
     """Scans of the first 1, 2 and all positions equal per-position oracle calls bit for bit."""
     block = channel._DRAW_BLOCK
     n = {"B-1": block - 1, "B+1": block + 1, "2B+7": 2 * block + 7}.get(n, n)
     stations = [(12, 30), (40, 44), (75, 140), (110, 95)]
     links = [make_link(x, y, spacing=spacing) for x, y in stations]
-    p = make_params(los_mode=los_mode, vibration_std_rad=np.deg2rad(4.0))
+    p = make_params(vibration_std_rad=np.deg2rad(4.0))
     positions = [vec3(*uav) for uav in positions]
     want = [oracle_outage(links, uav, p, n, 23) for uav in positions]
     for k in (1, 2, len(positions)):
@@ -432,12 +423,11 @@ class TestKernelMatchesReference:
         assert antenna.gain_from_axis_ratios(cfg, ratio_x, ratio_y, out) is out
         assert np.array_equal(out, want)
 
-    @pytest.mark.parametrize("los_mode", [channel.LOS_PER_SAMPLE, channel.LOS_PER_CALL])
     @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
-    def test_outage_bit_identical(self, case, los_mode):
+    def test_outage_bit_identical(self, case):
         stations, uav, spacing = KERNEL_CASES[case]
         links = [make_link(x, y, spacing=spacing) for x, y in stations]
-        p = make_params(los_mode=los_mode, vibration_std_rad=np.deg2rad(4.0))
+        p = make_params(vibration_std_rad=np.deg2rad(4.0))
         n = 2 * channel._DRAW_BLOCK + 7
         got = channel.outage_probability(links, vec3(*uav), p, n, 17).per_link_outage
         want = oracle_outage(links, vec3(*uav), p, n, 17)
@@ -445,19 +435,16 @@ class TestKernelMatchesReference:
 
     @pytest.mark.parametrize("n", [1, "B-1", "B+1", "2B+7"])
     @pytest.mark.parametrize("spacing", [0.5, 0.7])
-    @pytest.mark.parametrize("los_mode", [channel.LOS_PER_SAMPLE, channel.LOS_PER_CALL])
-    def test_scan_matches_per_position_reference(self, los_mode, spacing, n):
+    def test_scan_matches_per_position_reference(self, spacing, n):
         # no two positions share x, y or altitude
         positions = [(70 + 9 * k, 60 + 5 * k, 40 + 12 * k) for k in range(7)]
-        check_scan_against_oracle(positions, los_mode, spacing, n)
+        check_scan_against_oracle(positions, spacing, n)
 
     @pytest.mark.parametrize("n", [1, "B-1", "B+1", "2B+7"])
     @pytest.mark.parametrize("spacing", [0.5, 0.7])
-    @pytest.mark.parametrize("los_mode", [channel.LOS_PER_SAMPLE, channel.LOS_PER_CALL])
     @pytest.mark.parametrize("layout", sorted(SHARED_AXIS_LAYOUTS))
-    def test_shared_axis_scan_matches_per_position_reference(self, layout, los_mode,
-                                                            spacing, n):
-        check_scan_against_oracle(SHARED_AXIS_LAYOUTS[layout], los_mode, spacing, n)
+    def test_shared_axis_scan_matches_per_position_reference(self, layout, spacing, n):
+        check_scan_against_oracle(SHARED_AXIS_LAYOUTS[layout], spacing, n)
 
     def test_altitude_groups_split_above_the_table_limit(self, monkeypatch):
         monkeypatch.setattr(channel, "_MAX_RATIO_TABLES", 5)
@@ -489,9 +476,8 @@ class TestKernelMatchesReference:
 
 
 # Geometries for the bias test. BIAS_LOS puts every LoS probability between
-# 0.4 and 0.63, so neither LoS state is rare: 50 per-call seeds, each holding
-# one LoS pattern, then see every pattern often enough for their mean to be
-# near normal. Per-link outages lie between 0.19 and 0.65.
+# 0.4 and 0.63, so neither LoS state is rare. Per-link outages lie between
+# 0.19 and 0.65.
 BIAS_LOS = {"los_b": 0.05}
 BIAS_GEOMETRIES = {
     "four links": ([(12, 30), (40, 44), (75, 140), (110, 95)], (70, 70, 75)),
@@ -504,10 +490,8 @@ BIAS_GEOMETRIES = {
 def plain_reference(geometry, spacing, n_samples=200_000):
     """(links, uav, per-link outage) from plain Monte-Carlo draws at n_samples.
 
-    Plain draws (Gaussian jitter, independent per-sample LoS uniforms) go
-    through the library kernel, which the bit-for-bit tests above pin to
-    the oracle. Per-call LoS has the same expected outage, so one reference
-    serves both modes.
+    Plain draws (Gaussian jitter, independent LoS uniforms) go through the
+    library kernel, which the bit-for-bit tests above pin to the oracle.
     """
     stations, uav = BIAS_GEOMETRIES[geometry]
     links = [make_link(x, y, spacing=spacing) for x, y in stations]
@@ -525,12 +509,11 @@ def box_muller_inverse(theta_x, theta_y, sigma):
 
 
 class TestVarianceReducedDraws:
-    @pytest.mark.parametrize("los_mode", [channel.LOS_PER_SAMPLE, channel.LOS_PER_CALL])
     @pytest.mark.parametrize("spacing", [0.5, 0.7])
     @pytest.mark.parametrize("geometry", sorted(BIAS_GEOMETRIES))
-    def test_mean_over_seeds_matches_plain_monte_carlo(self, geometry, spacing, los_mode):
+    def test_mean_over_seeds_matches_plain_monte_carlo(self, geometry, spacing):
         links, uav, ref = plain_reference(geometry, spacing)
-        p = make_params(los_mode=los_mode, **BIAS_LOS)
+        p = make_params(**BIAS_LOS)
         est = np.array([channel.outage_probability(links, uav, p, 500, seed).per_link_outage
                         for seed in range(50)])
         se_mean = est.std(axis=0, ddof=1) / np.sqrt(len(est))

@@ -265,10 +265,38 @@ def drop_params(path):
     np.savez(path, **entries)
 
 
+def set_entry(key, value):
+    def spoil(path):
+        with np.load(path) as data:
+            entries = dict(data)
+        np.savez(path, **{**entries, key: np.array(value)})
+    return spoil
+
+
+def set_meta(key, value):
+    def spoil(path):
+        meta = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps({**meta, key: value}), encoding="utf-8")
+    return spoil
+
+
+# A meta.json count must be a non-negative JSON integer, and not a bool.
+BAD_META = [("agent_seed", "x"), ("agent_seed", None), ("agent_seed", [1]),
+            ("agent_seed", 1.5), ("agent_seed", -1), ("critic_updates", True),
+            ("actor_updates", 2.0)]
+
+
 @pytest.mark.parametrize("name,spoil", [
     ("critics.npz", drop_params),
     ("actor.npz", lambda path: path.write_text("not an archive\n", encoding="utf-8")),
     ("meta.json", lambda path: path.write_text("{agent_seed: 3", encoding="utf-8")),
+    *(pytest.param("meta.json", set_meta(key, value), id=f"meta.json-{key}={json.dumps(value)}")
+      for key, value in BAD_META),
+    pytest.param("critics.npz", set_entry("version", [2, 2]), id="critics.npz-version-shape-2"),
+    pytest.param("actor.npz", set_entry("output_scale", [1.0, 1.0]),
+                 id="actor.npz-output_scale-shape-2"),
+    pytest.param("actor_target.npz", set_entry("layer_dims", ["three", "sixteen", "eight"]),
+                 id="actor_target.npz-layer_dims-strings"),
 ])
 def test_malformed_checkpoint_file_exits_2_naming_it(tmp_path, capsys, trained, name, spoil):
     config, out = trained

@@ -8,8 +8,8 @@ from uavthz.errors import ConfigError
 
 NON_DEFAULT = RunConfig(
     area_x_m=120.5, m_s_min=3, carrier_ghz=300.0, noise_power_dbm=-187.25,
-    vibration_std_deg=0.1 + 0.2, los_mode="per-call", uav_n_side=8, clamp_horizontal=True,
-    freeze_topology=False, mc_samples_eval=1234, hidden1=64, actor_lr=3e-4, grid_z=2,
+    vibration_std_deg=0.1 + 0.2, uav_n_side=8, clamp_horizontal=True, mc_samples_eval=1234,
+    hidden1=64, actor_lr=3e-4, grid_z=2,
 )
 
 # The default config as the manifest echoes and hashes it.
@@ -31,7 +31,6 @@ channel.los_alpha = 9.61
 channel.los_b = 0.16
 channel.nlos_extra_loss = 0.01
 channel.vibration_std_deg = 2.0
-channel.los_mode = per-sample
 
 antenna.uav_n_side = 20
 antenna.sbs_n_side = 10
@@ -48,8 +47,6 @@ env.mc_samples_eval = 100000
 env.reward_floor = 1e-09
 env.outage_alarm_threshold = 0.1
 env.clamp_horizontal = false
-env.clamp_z_only = false
-env.freeze_topology = true
 
 td3.hidden1 = 256
 td3.hidden2 = 128
@@ -74,7 +71,8 @@ baseline.mc_samples = 10000
 """
 
 # One bad line each, and the key the error must name; the upper-bound rows name
-# the key with its value, which also keeps their test ids apart.
+# the key with its value, which also keeps their test ids apart. The last rows
+# are keys that earlier versions wrote, with the values they wrote by default.
 BAD_VALUES = [
     ("td3.episodes = 0", "td3.episodes"),
     ("td3.steps_per_episode = 0", "td3.steps_per_episode"),
@@ -97,13 +95,15 @@ BAD_VALUES = [
     ("antenna.sbs_n_side = 1025", "antenna.sbs_n_side = 1025"),
     ("kinematics.h_min_m = 200", "kinematics.h_min_m"),
     ("env.mc_samples_eval = 0", "env.mc_samples_eval"),
-    ("channel.los_mode = sometimes", "channel.los_mode"),
+    ("channel.los_mode = per-sample", "unknown config key: channel.los_mode"),
+    ("env.clamp_z_only = false", "unknown config key: env.clamp_z_only"),
+    ("env.freeze_topology = true", "unknown config key: env.freeze_topology"),
 ]
 
 
 def test_default_text_is_the_canonical_form():
     assert serialize_config(RunConfig()) == DEFAULT_TEXT
-    assert len(DEFAULT_TEXT.splitlines()) == 57
+    assert len(DEFAULT_TEXT.splitlines()) == 54
 
 
 @pytest.mark.parametrize("cfg", [RunConfig(), NON_DEFAULT], ids=["default", "non_default"])

@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uavthz.config import RunConfig
-from uavthz.environment import EnvAction, Environment, outage_to_reward, project_action
+from uavthz.environment import Environment, outage_to_reward, project_action
 from uavthz.geometry import vec3
 
 
 def small_env(**kw) -> Environment:
     # cheap Monte-Carlo and small arrays keep steps fast
-    base = dict(mc_samples=60, uav_n_side=4, sbs_n_side=2, freeze_topology=False)
+    base = dict(mc_samples=60, uav_n_side=4, sbs_n_side=2)
     cfg = replace(RunConfig().env_config(), **{**base, **kw})
     return Environment(cfg, RunConfig().channel_params())
 
@@ -35,20 +35,17 @@ class TestReset:
         state, _ = env.reset(0)
         assert np.allclose(state.uav_position, (75.0, 75.0, 80.0))
 
-    def test_position_carries_across_epochs(self):
+    def test_every_reset_starts_at_area_center(self):
         env = small_env()
         env.reset(0)
-        env.step(EnvAction(vec3(4.0, -3.0, 2.0)))
-        moved = env.state.uav_position.copy()
+        env.step(vec3(4.0, -3.0, 2.0))
         state, _ = env.reset(1)
-        assert np.array_equal(state.uav_position, moved)
+        assert np.array_equal(state.uav_position, vec3(75.0, 75.0, 80.0))
 
     def test_uniform_placement_statistics(self):
         env = small_env()
         xs = []
         for seed in range(400):
-            env.topology = None
-            env.config.freeze_topology = False
             _, topo = env.reset(seed)
             xs.extend(topo.positions()[:, 0])
         xs = np.array(xs)
@@ -56,11 +53,12 @@ class TestReset:
         bound = 3 * (150 / np.sqrt(12)) / np.sqrt(len(xs))
         assert abs(xs.mean() - 75.0) < bound
 
-    def test_freeze_topology_keeps_stations(self):
-        env = small_env(freeze_topology=True)
-        _, t0 = env.reset(0)
-        _, t1 = env.reset(99)
-        assert np.array_equal(t0.positions(), t1.positions())
+    def test_each_reset_draws_its_seeds_topology(self):
+        env = small_env(m_s_min=3, m_s_max=3)
+        first = env.reset(0)[1].positions()
+        other = env.reset(99)[1].positions()
+        again = env.reset(0)[1].positions()
+        assert np.array_equal(first, again) and not np.array_equal(first, other)
 
 
 class TestStep:
@@ -68,27 +66,18 @@ class TestStep:
         env = small_env()
         env.reset(0)
         for _ in range(5):
-            env.step(EnvAction(vec3(0.0, 0.0, 9.9)))  # climb to just under the ceiling
+            env.step(vec3(0.0, 0.0, 9.9))  # climb to just under the ceiling
         before = env.state.uav_position.copy()
         assert before[2] > 125.0
-        res = env.step(EnvAction(vec3(1.0, 2.0, 9.0)))  # breaches h_max: full no-op
+        res = env.step(vec3(1.0, 2.0, 9.0))  # breaches h_max: full no-op
         assert np.array_equal(res.next_state.uav_position, before)
         assert res.elapsed == 0.0
-
-    def test_z_only_clamp_variant(self):
-        env = small_env(clamp_z_only=True)
-        env.reset(0)
-        res = env.step(EnvAction(vec3(0.0, 0.0, 10.0)))
-        for _ in range(6):
-            res = env.step(EnvAction(vec3(0.0, 3.0, 9.5)))
-        assert res.next_state.uav_position[2] == 130.0
-        assert res.next_state.uav_position[1] > 75.0
 
     def test_zero_action_keeps_position_and_time(self):
         env = small_env()
         env.reset(3)
         before = env.state.uav_position.copy()
-        res = env.step(EnvAction(vec3(0.0, 0.0, 0.0)))
+        res = env.step(vec3(0.0, 0.0, 0.0))
         assert np.array_equal(res.next_state.uav_position, before)
         assert res.elapsed == 0.0
 
@@ -100,18 +89,18 @@ class TestStep:
     def test_elapsed_charges_peak_speed(self):
         env = small_env()
         env.reset(0)
-        res = env.step(EnvAction(vec3(8.0, 0.0, 0.0)))
+        res = env.step(vec3(8.0, 0.0, 0.0))
         assert res.elapsed == pytest.approx(1.0)
 
     def test_horizontal_clamp_flag(self):
         env = small_env(clamp_horizontal=True)
         env.reset(0)
         env._uav_position = vec3(149.0, 75.0, 80.0)
-        res = env.step(EnvAction(vec3(9.0, 0.0, 0.0)))
+        res = env.step(vec3(9.0, 0.0, 0.0))
         assert res.next_state.uav_position[0] == 150.0
 
     def test_determinism_same_seed_same_actions(self):
-        actions = [EnvAction(vec3(2, 1, -1)), EnvAction(vec3(-3, 4, 2)), EnvAction(vec3(0, 0, 5))]
+        actions = [vec3(2, 1, -1), vec3(-3, 4, 2), vec3(0, 0, 5)]
         outs = []
         for _ in range(2):
             env = small_env()
@@ -127,7 +116,7 @@ class TestStep:
         env = small_env()
         env.reset(5)
         for mv in moves:
-            env.step(EnvAction(vec3(*mv)))
+            env.step(vec3(*mv))
         z = env.state.uav_position[2]
         assert 30.0 <= z <= 130.0
 
@@ -150,23 +139,16 @@ class TestReward:
         env = small_env()
         env.reset(0)
         for _ in range(5):
-            res = env.step(EnvAction(vec3(3, -2, 1)))
+            res = env.step(vec3(3, -2, 1))
             assert 0.0 <= res.reward <= -np.log(1e-9)
 
 
 class TestRestartEpisode:
-    def test_returns_to_epoch_start(self):
+    def test_returns_to_the_start_point(self):
         env = small_env()
-        start, _ = env.reset(0)
-        env.step(EnvAction(vec3(5, 5, 5)))
-        env.step(EnvAction(vec3(5, -5, 5)))
+        start, topo = env.reset(0)
+        env.step(vec3(5, 5, 5))
+        env.step(vec3(5, -5, 5))
         back = env.restart_episode()
         assert np.array_equal(back.uav_position, start.uav_position)
-
-    def test_epoch_start_moves_with_new_epoch(self):
-        env = small_env()
-        env.reset(0)
-        env.step(EnvAction(vec3(5, 5, 5)))
-        moved = env.state.uav_position.copy()
-        env.reset(1)
-        assert np.array_equal(env.epoch_start, moved)
+        assert env.topology is topo

@@ -92,14 +92,14 @@ class TestSelectAction:
         s = np.array([0.2, -0.1, 0.4])
         a1 = td3.select_action(agent, s, explore=False)
         a2 = td3.select_action(agent, s, explore=False)
-        assert np.array_equal(a1.displacement, a2.displacement)
+        assert np.array_equal(a1, a2)
 
     def test_zero_noise_matches_deterministic(self):
         agent = make_agent(4, exploration_noise_std=0.0)
         s = np.array([0.2, -0.1, 0.4])
         det = td3.select_action(agent, s, explore=False)
         noisy = td3.select_action(agent, s, explore=True)
-        assert np.allclose(det.displacement, noisy.displacement)
+        assert np.allclose(det, noisy)
 
     def test_action_within_ball(self):
         agent = make_agent(5, exploration_noise_std=0.8)
@@ -107,7 +107,7 @@ class TestSelectAction:
         for _ in range(200):
             s = rng.uniform(-1, 1, 3)
             a = td3.select_action(agent, s, explore=True)
-            assert np.linalg.norm(a.displacement) <= 10.0 + 1e-9
+            assert np.linalg.norm(a) <= 10.0 + 1e-9
 
     def test_noise_standard_deviation(self):
         agent = make_agent(6, exploration_noise_std=0.05)
@@ -117,7 +117,7 @@ class TestSelectAction:
         for b in agent.actor.biases:
             b[:] = 0.0
         s = np.zeros(3)
-        draws = np.array([td3.select_action(agent, s, explore=True).displacement
+        draws = np.array([td3.select_action(agent, s, explore=True)
                           for _ in range(10_000)])
         measured = draws.std(axis=0) / 10.0  # back to normalized units
         assert np.all(np.abs(measured - 0.05) < 0.05 * 0.05)
@@ -126,7 +126,7 @@ class TestSelectAction:
         agent = make_agent(7)
         for _ in range(100):
             a = td3.random_action(agent)
-            assert np.linalg.norm(a.displacement) <= 10.0 + 1e-9
+            assert np.linalg.norm(a) <= 10.0 + 1e-9
 
 
 class TestCriticUpdate:
@@ -291,7 +291,7 @@ class TestTrainLoop:
         agent = Td3Agent.create(Normalizer(150, 150, 30, 130, 10.0), hp, 21)
         agent.adam_actor.learning_rate = agent.adam_critics.learning_rate = 0.0
         before = [agent.actor.params.copy(), agent.critics.params.copy()]
-        td3.train(env, agent, hp)
+        td3.train(env, agent)
         assert np.array_equal(before[0], agent.actor.params)
         assert np.array_equal(before[1], agent.critics.params)
 
@@ -300,7 +300,7 @@ class TestTrainLoop:
         for _ in range(2):
             env = self._env()
             agent = Td3Agent.create(Normalizer(150, 150, 30, 130, 10.0), tiny_hp(), 22)
-            _, logs = td3.train(env, agent, tiny_hp())
+            _, logs = td3.train(env, agent)
             series.append([lg.reward for lg in logs])
         assert series[0] == series[1]
 
@@ -308,9 +308,8 @@ class TestTrainLoop:
         env = self._env()
         hp = tiny_hp(episodes=5)
         agent = Td3Agent.create(Normalizer(150, 150, 30, 130, 10.0), hp, 23)
-        _, logs = td3.train(env, agent, hp)
+        _, logs = td3.train(env, agent)
         assert [lg.episode for lg in logs] == list(range(5))
-        assert all(lg.steps == hp.steps_per_episode for lg in logs)
 
 
 class TestGreedyRollout:
