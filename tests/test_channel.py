@@ -336,6 +336,12 @@ KERNEL_CASES = {
 }
 
 
+# LoS parameters for the bit-for-bit tests. The default urban model puts
+# nearly every link in LoS, so its draws barely reach the NLoS branch; a
+# flatter elevation curve makes both states common.
+LOS_REGIMES = {"default LoS": {}, "frequent NLoS": {"los_b": 0.05}}
+
+
 # Position lists whose points share an x or a y at one altitude, so the scan
 # shares factor tables between them.
 SHARED_AXIS_LAYOUTS = {
@@ -350,13 +356,13 @@ SHARED_AXIS_LAYOUTS = {
 }
 
 
-def check_scan_against_oracle(positions, spacing, n):
+def check_scan_against_oracle(positions, los, spacing, n):
     """Scans of the first 1, 2 and all positions equal per-position oracle calls bit for bit."""
     block = channel._DRAW_BLOCK
     n = {"B-1": block - 1, "B+1": block + 1, "2B+7": 2 * block + 7}.get(n, n)
     stations = [(12, 30), (40, 44), (75, 140), (110, 95)]
     links = [make_link(x, y, spacing=spacing) for x, y in stations]
-    p = make_params(vibration_std_rad=np.deg2rad(4.0))
+    p = make_params(vibration_std_rad=np.deg2rad(4.0), **LOS_REGIMES[los])
     positions = [vec3(*uav) for uav in positions]
     want = [oracle_outage(links, uav, p, n, 23) for uav in positions]
     for k in (1, 2, len(positions)):
@@ -423,11 +429,12 @@ class TestKernelMatchesReference:
         assert antenna.gain_from_axis_ratios(cfg, ratio_x, ratio_y, out) is out
         assert np.array_equal(out, want)
 
+    @pytest.mark.parametrize("los", sorted(LOS_REGIMES))
     @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
-    def test_outage_bit_identical(self, case):
+    def test_outage_bit_identical(self, case, los):
         stations, uav, spacing = KERNEL_CASES[case]
         links = [make_link(x, y, spacing=spacing) for x, y in stations]
-        p = make_params(vibration_std_rad=np.deg2rad(4.0))
+        p = make_params(vibration_std_rad=np.deg2rad(4.0), **LOS_REGIMES[los])
         n = 2 * channel._DRAW_BLOCK + 7
         got = channel.outage_probability(links, vec3(*uav), p, n, 17).per_link_outage
         want = oracle_outage(links, vec3(*uav), p, n, 17)
@@ -435,16 +442,18 @@ class TestKernelMatchesReference:
 
     @pytest.mark.parametrize("n", [1, "B-1", "B+1", "2B+7"])
     @pytest.mark.parametrize("spacing", [0.5, 0.7])
-    def test_scan_matches_per_position_reference(self, spacing, n):
+    @pytest.mark.parametrize("los", sorted(LOS_REGIMES))
+    def test_scan_matches_per_position_reference(self, los, spacing, n):
         # no two positions share x, y or altitude
         positions = [(70 + 9 * k, 60 + 5 * k, 40 + 12 * k) for k in range(7)]
-        check_scan_against_oracle(positions, spacing, n)
+        check_scan_against_oracle(positions, los, spacing, n)
 
     @pytest.mark.parametrize("n", [1, "B-1", "B+1", "2B+7"])
     @pytest.mark.parametrize("spacing", [0.5, 0.7])
+    @pytest.mark.parametrize("los", sorted(LOS_REGIMES))
     @pytest.mark.parametrize("layout", sorted(SHARED_AXIS_LAYOUTS))
-    def test_shared_axis_scan_matches_per_position_reference(self, layout, spacing, n):
-        check_scan_against_oracle(SHARED_AXIS_LAYOUTS[layout], spacing, n)
+    def test_shared_axis_scan_matches_per_position_reference(self, layout, los, spacing, n):
+        check_scan_against_oracle(SHARED_AXIS_LAYOUTS[layout], los, spacing, n)
 
     def test_altitude_groups_split_above_the_table_limit(self, monkeypatch):
         monkeypatch.setattr(channel, "_MAX_RATIO_TABLES", 5)
