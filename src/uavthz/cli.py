@@ -204,8 +204,6 @@ def cmd_train(cfg: RunConfig, seed: int, out_dir: Path, manifest: Manifest) -> i
     manifest.finalize(out_dir, {
         "episodes": len(logs),
         "final_moving_avg_40": avg[-1],
-        "alarm_steps": env.alarm_steps,
-        "total_steps": env.total_steps,
     })
     return EXIT_OK
 
@@ -220,9 +218,9 @@ def cmd_eval(cfg: RunConfig, checkpoint: Path, scenario_seed: int, out_dir: Path
     env = _build_env(cfg)
     env.reset(scenario_seed)
     trace = td3.greedy_rollout(env, agent, cfg.steps_per_episode)
-    # Re-score every visited position at evaluation-grade sample counts in one
-    # scan with one shared seed, so along-trajectory comparisons share their
-    # randomness and the draws are made once.
+    # The rollout only moves the UAV; every visited position is scored here,
+    # at evaluation-grade sample counts in one scan with one shared seed, so
+    # along-trajectory comparisons share their randomness.
     rescore_seed = scenario_seed + 1
     n_links = len(env.topology.sbs_list)
     estimates = channel.outage_scan(env.topology.sbs_list, [pt.position for pt in trace],
@@ -239,12 +237,15 @@ def cmd_eval(cfg: RunConfig, checkpoint: Path, scenario_seed: int, out_dir: Path
               {"seed": scenario_seed, "version": uavthz.__version__},
               ("index", "x", "y"), _sbs_layout_rows(env))
     flight_time = trace[-1].time
+    best = min(rows, key=lambda row: row[5])  # the first step at the lowest max outage
     manifest.finalize(out_dir, {
         "episode_time_s": flight_time,
         "time_budget_s": env.config.time_budget,
         "time_budget_satisfied": bool(flight_time <= env.config.time_budget),
         "initial_max_outage": rows[0][5],
         "final_max_outage": rows[-1][5],
+        "best_max_outage": best[5],
+        "best_step": best[0],
     })
     return EXIT_OK
 
@@ -399,6 +400,11 @@ def main(argv=None) -> int:
         if getattr(args, "scenario_seed", None) is not None:
             seed = args.scenario_seed
         manifest = Manifest(out_dir, args.command, seed)
+        for flag in ("seed", "scenario_seed"):
+            value = getattr(args, flag, None)
+            if value is not None and value < 0:
+                # np.random.SeedSequence refuses a negative seed
+                raise ConfigError(f"--{flag.replace('_', '-')} {value}: must be >= 0")
         cfg = _resolve_config(args)
         manifest.record_config(cfg)
         if args.command == "train":

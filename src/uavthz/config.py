@@ -74,7 +74,6 @@ class RunConfig:
     mc_samples_train: int = _key("env.mc_samples_train", 500, EnvConfig, "mc_samples")
     mc_samples_eval: int = _key("env.mc_samples_eval", 100_000)
     reward_floor: float = _key("env.reward_floor", 1e-9, EnvConfig)
-    outage_alarm_threshold: float = _key("env.outage_alarm_threshold", 0.1, EnvConfig)
     clamp_horizontal: bool = _key("env.clamp_horizontal", False, EnvConfig)
     hidden1: int = _key("td3.hidden1", 256, Td3Hyperparams, "hidden_dims")
     hidden2: int = _key("td3.hidden2", 128, Td3Hyperparams, "hidden_dims")

@@ -3,10 +3,11 @@ and outage-based reward.
 
 One environment instance is a sequential state machine over one topology per
 reset: reset(seed) draws the stations from the seed and places the UAV at the
-start point, the area center at mid altitude; step() advances the UAV by a
-bounded 3D displacement, scoring the new position by Monte-Carlo outage; and
-restart_episode() returns the UAV to the start point for the next training
-episode on the same stations.
+start point, the area center at mid altitude; move() advances the UAV by a
+bounded 3D displacement and draws nothing; step() is move() followed by
+scoring the new position by Monte-Carlo outage on the next seed of the reset's
+step-seed stream; and restart_episode() returns the UAV to the start point for
+the next training episode on the same stations.
 """
 
 from dataclasses import dataclass
@@ -69,7 +70,6 @@ class EnvConfig:
     spacing_over_lambda: float
     mc_samples: int
     reward_floor: float
-    outage_alarm_threshold: float
     clamp_horizontal: bool
 
     def __post_init__(self):
@@ -124,8 +124,6 @@ class Environment:
         self.topology: Topology | None = None
         self._uav_position: Vec3 | None = None
         self._step_seed_rng = None
-        self.alarm_steps = 0   # steps with any per-link outage above the alarm threshold
-        self.total_steps = 0
 
     # -- construction helpers -------------------------------------------------
 
@@ -173,36 +171,37 @@ class Environment:
     def _next_step_seed(self) -> int:
         return int(self._step_seed_rng.integers(0, 2 ** 63))
 
-    def step(self, displacement) -> StepResult:
-        """Move the UAV by a displacement in meters, score the new position, return the reward.
+    def move(self, displacement) -> tuple[Vec3, float]:
+        """Move the UAV by a displacement in meters; return the new position and elapsed time.
 
         The displacement is first shrunk onto the action ball. A move whose
         altitude leaves the open (h_min, h_max) window is rejected whole: the
-        UAV stays where it is and the step is still scored. Elapsed time
-        charges the realized displacement at peak speed.
+        UAV stays where it is. With clamp_horizontal the position is then
+        clipped into the service area. Elapsed time charges the realized
+        displacement at peak speed. No Monte-Carlo seed is drawn.
         """
         if self.topology is None:
             raise InvalidInputError("environment not reset")
-        disp = project_action(displacement, self.config.action_scale)
         cur = self._uav_position
-        cand = cur + disp
+        cand = cur + project_action(displacement, self.config.action_scale)
         lim = self.config.limits
         nxt = cand if lim.h_min < cand[2] < lim.h_max else cur
         if self.config.clamp_horizontal:
             nxt = nxt.copy()
             nxt[0] = float(np.clip(nxt[0], 0.0, self.config.area_x))
             nxt[1] = float(np.clip(nxt[1], 0.0, self.config.area_y))
-        outage = channel.outage_probability(
-            self.topology.sbs_list, nxt, self.params,
-            self.config.mc_samples, self._next_step_seed())
-        worst = channel.max_outage(outage)
-        reward = outage_to_reward(worst, self.config.reward_floor)
-        elapsed = float(np.linalg.norm(nxt - cur)) / lim.v_max
         self._uav_position = nxt
-        self.total_steps += 1
-        if np.any(outage.per_link_outage >= self.config.outage_alarm_threshold):
-            self.alarm_steps += 1
-        return StepResult(EnvState(nxt.copy()), reward, outage, elapsed)
+        return nxt.copy(), float(np.linalg.norm(nxt - cur)) / lim.v_max
+
+    def step(self, displacement) -> StepResult:
+        """move(), then score the new position on the next step seed and return the reward.
+
+        A rejected move is scored too, at the position the UAV kept.
+        """
+        position, elapsed = self.move(displacement)
+        outage = self.outage_at(position, self.config.mc_samples, self._next_step_seed())
+        reward = outage_to_reward(channel.max_outage(outage), self.config.reward_floor)
+        return StepResult(EnvState(position), reward, outage, elapsed)
 
     def outage_at(self, position, n_samples: int, seed: int) -> OutageEstimate:
         """Score an arbitrary position against the current topology (pure helper)."""

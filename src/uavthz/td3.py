@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from uavthz import neural
-from uavthz.environment import Environment, outage_to_reward
+from uavthz.environment import Environment
 from uavthz.errors import InvalidInputError, require
 from uavthz.neural import AdamState, DenseNet
 
@@ -93,16 +93,6 @@ class Normalizer:
         return np.asarray(action, dtype=float) * self.action_scale
 
 
-@dataclass
-class Transition:
-    """One replay record; state/action components are normalized to [-1, 1]."""
-
-    state: np.ndarray
-    action: np.ndarray
-    reward: float
-    next_state: np.ndarray
-
-
 class ReplayBuffer:
     """Fixed-capacity ring storage with uniform random minibatch sampling."""
 
@@ -120,15 +110,16 @@ class ReplayBuffer:
     def __len__(self):
         return self._size
 
-    def add(self, tr: Transition) -> None:
-        if not (np.all(np.isfinite(tr.state)) and np.all(np.isfinite(tr.action))
-                and np.isfinite(tr.reward) and np.all(np.isfinite(tr.next_state))):
+    def add(self, state, action, reward: float, next_state) -> None:
+        """Store one transition; state and action components are normalized to [-1, 1]."""
+        if not (np.all(np.isfinite(state)) and np.all(np.isfinite(action))
+                and np.isfinite(reward) and np.all(np.isfinite(next_state))):
             raise InvalidInputError("non-finite transition")
         i = self._cursor
-        self._states[i] = tr.state
-        self._actions[i] = tr.action
-        self._rewards[i] = tr.reward
-        self._next_states[i] = tr.next_state
+        self._states[i] = state
+        self._actions[i] = action
+        self._rewards[i] = reward
+        self._next_states[i] = next_state
         self._cursor = (i + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
@@ -324,9 +315,8 @@ def train(env: Environment, agent: Td3Agent):
                 action = select_action(agent, ns, explore=True)
             result = env.step(action)
             nxt = result.next_state.uav_position
-            agent.buffer.add(Transition(ns, norm.norm_action(action),
-                                        REWARD_SCALE * result.reward,
-                                        norm.norm_state(nxt)))
+            agent.buffer.add(ns, norm.norm_action(action), REWARD_SCALE * result.reward,
+                             norm.norm_state(nxt))
             state = nxt
             ep_reward += result.reward
             ep_outage += float(result.outage.per_link_outage.max())
@@ -341,29 +331,22 @@ class RolloutPoint:
     step: int
     time: float
     position: np.ndarray
-    reward: float
-    outage: np.ndarray
 
 
 def greedy_rollout(env: Environment, agent: Td3Agent, max_steps: int):
     """Noise-free policy rollout from the environment's current state.
 
-    Emits the starting point (step 0, scored in place) followed by one point
-    per step with cumulative flight time.
+    Emits the starting point (step 0) followed by one point per move with
+    cumulative flight time. The UAV only moves: no position is scored and no
+    Monte-Carlo seed is drawn, so the caller scores the visited positions.
     """
     norm = agent.normalizer
-    state = env.state.uav_position
-    start_outage = env.outage_at(state, env.config.mc_samples, env._next_step_seed())
-    trace = [RolloutPoint(0, 0.0, state.copy(),
-                          outage_to_reward(float(start_outage.per_link_outage.max()),
-                                           env.config.reward_floor),
-                          start_outage.per_link_outage.copy())]
+    position = env.state.uav_position
+    trace = [RolloutPoint(0, 0.0, position)]
     t = 0.0
     for k in range(1, max_steps + 1):
-        action = select_action(agent, norm.norm_state(state), explore=False)
-        result = env.step(action)
-        state = result.next_state.uav_position
-        t += result.elapsed
-        trace.append(RolloutPoint(k, t, state.copy(), result.reward,
-                                  result.outage.per_link_outage.copy()))
+        action = select_action(agent, norm.norm_state(position), explore=False)
+        position, elapsed = env.move(action)
+        t += elapsed
+        trace.append(RolloutPoint(k, t, position))
     return trace

@@ -193,6 +193,61 @@ def test_rewards_csv_reports_each_episodes_mean_worst_link_outage(trained):
     assert all(np.isfinite(row).all() and 0.0 <= row[3] <= 1.0 for row in rows)
 
 
+def run_eval(config, trained_out, out):
+    return cli.main(["eval", "--config", str(config), "--seed", "3", "--out-dir", str(out),
+                     "--checkpoint", str(trained_out / "checkpoint")])
+
+
+def test_eval_scores_the_trajectory_in_one_scan(tmp_path, monkeypatch, trained):
+    config, out = trained
+    scan, positions = channel.outage_scan, []
+
+    def counted(links, uavs, *args):
+        positions.append(len(uavs))
+        return scan(links, uavs, *args)
+
+    monkeypatch.setattr(channel, "outage_scan", counted)
+    assert run_eval(config, out, tmp_path / "eval") == cli.EXIT_OK
+    assert positions == [5]  # the start and td3.steps_per_episode = 4 moves
+
+
+def test_eval_manifest_names_the_best_point_of_the_trajectory(tmp_path, trained):
+    config, out = trained
+    eval_dir = tmp_path / "eval"
+    assert run_eval(config, out, eval_dir) == cli.EXIT_OK
+    lines = [ln for ln in (eval_dir / "trajectory.csv").read_text(encoding="utf-8").splitlines()
+             if not ln.startswith("#")]
+    assert lines[0].split(",")[:6] == ["step", "t", "x", "y", "z", "max_outage"]
+    rows = [ln.split(",") for ln in lines[1:]]
+    worst = [float(row[5]) for row in rows]
+    best = min(worst)
+    data = manifest(eval_dir)
+    assert float(f"{data['best_max_outage']:.9g}") == best
+    assert data["best_step"] == int(rows[worst.index(best)][0])
+    assert data["best_max_outage"] <= min(data["initial_max_outage"], data["final_max_outage"])
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("train", "--seed"),
+    ("eval", "--seed"),
+    ("eval", "--scenario-seed"),
+    ("baseline", "--seed"),
+    ("baseline", "--scenario-seed"),
+])
+def test_negative_seed_exits_2_with_failed_manifest(tmp_path, capsys, trained, command, flag):
+    config, trained_out = trained
+    out = tmp_path / "out"
+    argv = [command, "--config", str(config), "--out-dir", str(out), flag, "-1"]
+    if command == "eval":
+        argv += ["--checkpoint", str(trained_out / "checkpoint")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"config error: {flag} -1: must be >= 0\n"
+    assert [f.name for f in out.iterdir()] == ["manifest.json"]
+    data = manifest(out)
+    assert data["status"] == "failed" and data["error"] == err.strip()
+
+
 @pytest.mark.parametrize("net", ["actor", "critics_target"])
 def test_checkpoint_net_mismatch_is_named(tmp_path, capsys, trained, net):
     config, out = trained

@@ -45,7 +45,6 @@ kinematics.dt_s = 1.0
 env.mc_samples_train = 500
 env.mc_samples_eval = 100000
 env.reward_floor = 1e-09
-env.outage_alarm_threshold = 0.1
 env.clamp_horizontal = false
 
 td3.hidden1 = 256
@@ -98,12 +97,13 @@ BAD_VALUES = [
     ("channel.los_mode = per-sample", "unknown config key: channel.los_mode"),
     ("env.clamp_z_only = false", "unknown config key: env.clamp_z_only"),
     ("env.freeze_topology = true", "unknown config key: env.freeze_topology"),
+    ("env.outage_alarm_threshold = 0.1", "unknown config key: env.outage_alarm_threshold"),
 ]
 
 
 def test_default_text_is_the_canonical_form():
     assert serialize_config(RunConfig()) == DEFAULT_TEXT
-    assert len(DEFAULT_TEXT.splitlines()) == 54
+    assert len(DEFAULT_TEXT.splitlines()) == 53
 
 
 @pytest.mark.parametrize("cfg", [RunConfig(), NON_DEFAULT], ids=["default", "non_default"])

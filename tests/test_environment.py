@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from uavthz.config import RunConfig
 from uavthz.environment import Environment, outage_to_reward, project_action
+from uavthz.errors import InvalidInputError
 from uavthz.geometry import vec3
 
 
@@ -119,6 +120,49 @@ class TestStep:
             env.step(vec3(*mv))
         z = env.state.uav_position[2]
         assert 30.0 <= z <= 130.0
+
+
+class TestMove:
+    # Five climbs to just under the ceiling, one climb that breaches it and is
+    # rejected whole, then eastward moves whose eighth crosses x = 150 and is
+    # clamped, and an oversized one that is projected and then clamped to no move.
+    MOVES = ([vec3(0.0, 0.0, 9.9)] * 5 + [vec3(1.0, 2.0, 9.0)] + [vec3(10.0, 0.0, 0.0)] * 8
+             + [vec3(30.0, 0.0, 0.0)])
+
+    def test_move_and_step_give_the_same_path(self):
+        moved, stepped = small_env(clamp_horizontal=True), small_env(clamp_horizontal=True)
+        moved.reset(4)
+        stepped.reset(4)
+        path = [moved.move(d) for d in self.MOVES]
+        results = [stepped.step(d) for d in self.MOVES]
+        for (position, elapsed), res in zip(path, results):
+            assert np.array_equal(position, res.next_state.uav_position)
+            assert elapsed == res.elapsed
+        assert np.array_equal(moved.state.uav_position, stepped.state.uav_position)
+        rejected, clamped = path[5], path[13]
+        assert np.array_equal(rejected[0], path[4][0]) and rejected[1] == 0.0
+        assert clamped[0][0] == 150.0 and clamped[1] == pytest.approx(5.0 / 8.0)
+        assert path[14][1] == 0.0
+
+    def test_move_draws_no_step_seed(self):
+        # Full-size arrays: with the small ones every link is always in outage,
+        # so a skipped step seed would not show.
+        moved, stepped = (small_env(uav_n_side=20, sbs_n_side=10, m_s_min=3, m_s_max=3)
+                          for _ in range(2))
+        moved.reset(0)
+        stepped.reset(0)
+        moved.move(vec3(3.0, -4.0, 2.0))
+        after_move = moved.step(vec3(0.0, 0.0, 0.0))
+        first_step = stepped.step(vec3(3.0, -4.0, 2.0))
+        assert np.array_equal(after_move.next_state.uav_position,
+                              first_step.next_state.uav_position)
+        outage = first_step.outage.per_link_outage
+        assert np.all((0.0 < outage) & (outage < 1.0))
+        assert np.array_equal(after_move.outage.per_link_outage, outage)
+
+    def test_move_needs_a_reset(self):
+        with pytest.raises(InvalidInputError):
+            small_env().move(vec3(1.0, 0.0, 0.0))
 
 
 class TestReward:

@@ -4,11 +4,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pytest
 
-from uavthz import neural, td3
+from uavthz import channel, neural, td3
 from uavthz.config import RunConfig
 from uavthz.environment import Environment
 from uavthz.errors import InvalidInputError, NumericFailureError
-from uavthz.td3 import Normalizer, ReplayBuffer, Td3Agent, Td3Hyperparams, Transition
+from uavthz.td3 import Normalizer, ReplayBuffer, Td3Agent, Td3Hyperparams
 
 
 def tiny_hp(**kw) -> Td3Hyperparams:
@@ -56,20 +56,20 @@ class TestReplayBuffer:
     def test_ring_eviction(self):
         buf = ReplayBuffer(3, seed=0)
         for k in range(5):
-            buf.add(Transition(np.full(3, 0.1), np.zeros(3), float(k), np.zeros(3)))
+            buf.add(np.full(3, 0.1), np.zeros(3), float(k), np.zeros(3))
         assert len(buf) == 3
         assert set(buf._rewards.tolist()) == {2.0, 3.0, 4.0}
 
     def test_rejects_nonfinite(self):
         buf = ReplayBuffer(3, seed=0)
         with pytest.raises(InvalidInputError):
-            buf.add(Transition(np.full(3, np.nan), np.zeros(3), 0.0, np.zeros(3)))
+            buf.add(np.full(3, np.nan), np.zeros(3), 0.0, np.zeros(3))
 
     def test_sampling_uniformity_chi_squared(self):
         cap = 50
         buf = ReplayBuffer(cap, seed=7)
         for k in range(cap):
-            buf.add(Transition(np.zeros(3), np.zeros(3), float(k), np.zeros(3)))
+            buf.add(np.zeros(3), np.zeros(3), float(k), np.zeros(3))
         draws = 100_000
         counts = np.zeros(cap)
         for _ in range(100):
@@ -335,6 +335,14 @@ class TestGreedyRollout:
             trace = td3.greedy_rollout(env, agent, 6)
             traces.append([tuple(pt.position) for pt in trace])
         assert traces[0] == traces[1]
+
+    def test_rollout_makes_no_outage_scan(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(channel, "outage_scan", lambda *a, **k: calls.append(a))
+        env = small_env(mc_samples=30)
+        env.reset(4)
+        trace = td3.greedy_rollout(env, make_agent(27), 6)
+        assert len(trace) == 7 and calls == []
 
     def test_time_column_is_cumulative_and_bounded(self):
         env = small_env(mc_samples=30)
