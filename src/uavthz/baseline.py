@@ -76,6 +76,6 @@ def grid_search_best_position(topology: Topology, params: ChannelParams,
 
 def static_center_policy(topology: Topology, limits: KinematicLimits) -> Vec3:
     """Centroid of the active stations at the midpoint of the altitude window."""
-    centroid = topology.positions().mean(axis=0)
+    centroid = topology.sbs_list.mean(axis=0)
     return geometry.vec3(float(centroid[0]), float(centroid[1]),
                          0.5 * (limits.h_min + limits.h_max))

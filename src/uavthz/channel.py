@@ -2,10 +2,13 @@
 
 The channel amplitude of a link of length L combines free-space loss
 (lambda / (4*pi*L))^2 with molecular absorption exp(-K*L/2), so the squared
-magnitude entering the SINR is (lambda / (4*pi*L))^4 * exp(-K*L). Ground
-stations steer perfectly at the UAV (gain equals their normalization
-constant); the UAV side is evaluated at the angular offsets implied by link
-geometry plus the UAV's Gaussian orientation jitter.
+magnitude entering the SINR is (lambda / (4*pi*L))^4 * exp(-K*L). A
+scenario's M ground stations are one (M, 3) position array, one link each;
+they share one transmit power and one array, and the UAV has one array, all
+declared in ChannelParams. Ground stations steer perfectly at the UAV (gain
+equals their normalization constant); the UAV side is evaluated at the
+angular offsets implied by link geometry plus the UAV's Gaussian orientation
+jitter.
 
 There is one LoS model. In every Monte-Carlo draw, each link is in line of
 sight independently with probability los_probability(its elevation);
@@ -13,13 +16,13 @@ otherwise its power, as a desired link and as an interferer, is scaled by
 nlos_extra_loss. The one-orientation instantaneous_sinr takes every link in
 line of sight.
 
-All links of a scenario share one UAV array, and the per-axis angle between
-the links to stations i and j is symmetric in (i, j). Each draw therefore
-needs the UAV pattern at 1 + M(M-1)/2 distinct offsets (16 for six links):
-the jitter alone, which gives every link's desired gain, and the jitter plus
-the angles of each unordered station pair, which gives the interference.
-Link geometry (lengths, elevations, pair angles) is evaluated for all
-stations at once.
+The per-axis angle between the links to stations i and j is symmetric in
+(i, j), so each draw needs the UAV pattern at 1 + M(M-1)/2 distinct offsets
+(16 for six links): the jitter alone, which gives every link's desired gain,
+and the jitter plus the angles of each unordered station pair, which gives
+the interference. Link geometry (lengths, elevations, pair angles) is
+evaluated for all stations at once per position; the stations' g0, the UAV
+array and the map from station pairs to offsets, once per scan.
 
 The gain at a column is g0 * (ratio_x * ratio_y)^2, the squared product of
 two per-axis factors (antenna.axis_ratio). The x-axis pair angles depend on
@@ -54,7 +57,7 @@ import numpy as np
 from uavthz import antenna, geometry
 from uavthz.antenna import ArrayAntennaConfig
 from uavthz.errors import InvalidInputError, require
-from uavthz.geometry import Vec3, as_vec3
+from uavthz.geometry import Vec3, as_stations, as_vec3
 
 SPEED_OF_LIGHT = 3.0e8  # m/s
 
@@ -70,7 +73,11 @@ _MAX_RATIO_TABLES = 64
 
 @dataclass
 class ChannelParams:
-    """Propagation and detection constants for every link in a scenario, in SI units."""
+    """Propagation, detection and antenna constants shared by every link of a scenario, in SI units.
+
+    Every station transmits tx_power_w through the square array sbs_array;
+    the UAV has uav_array. Both arrays have the spacing spacing_over_lambda.
+    """
 
     carrier_hz: float
     absorption_coeff: float               # 1/m
@@ -80,9 +87,13 @@ class ChannelParams:
     los_b: float
     nlos_extra_loss: float                # linear
     vibration_std_rad: float
+    tx_power_w: float
+    uav_n_side: int
+    sbs_n_side: int
+    spacing_over_lambda: float
 
     def __post_init__(self):
-        for name in ("carrier_hz", "noise_power_w", "sinr_threshold"):
+        for name in ("carrier_hz", "noise_power_w", "sinr_threshold", "tx_power_w"):
             require(getattr(self, name) > 0, f"{name} must be positive", name)
         require(self.absorption_coeff >= 0, "absorption coefficient must be >= 0",
                 "absorption_coeff")
@@ -91,25 +102,24 @@ class ChannelParams:
         require(self.vibration_std_rad >= 0, "vibration std must be >= 0", "vibration_std_rad")
         for name in ("los_alpha", "los_b"):
             require(getattr(self, name) >= 0, f"{name} must be >= 0", name)
+        for side in ("uav_n_side", "sbs_n_side"):
+            try:
+                ArrayAntennaConfig(getattr(self, side), self.spacing_over_lambda)
+            except InvalidInputError as exc:
+                raise InvalidInputError(
+                    str(exc), *(side if f == "n_side" else f for f in exc.fields)) from exc
 
     @property
     def wavelength(self) -> float:
         return SPEED_OF_LIGHT / self.carrier_hz
 
+    @property
+    def uav_array(self) -> ArrayAntennaConfig:
+        return ArrayAntennaConfig(self.uav_n_side, self.spacing_over_lambda)
 
-@dataclass
-class LinkState:
-    """One ground station and the antenna pair serving it."""
-
-    sbs_position: Vec3
-    tx_power_w: float
-    uav_array: ArrayAntennaConfig
-    sbs_array_n_side: int
-
-    def __post_init__(self):
-        self.sbs_position = as_vec3(self.sbs_position)
-        if self.sbs_array_n_side < 1:
-            raise InvalidInputError("sbs_array_n_side must be >= 1")
+    @property
+    def sbs_array(self) -> ArrayAntennaConfig:
+        return ArrayAntennaConfig(self.sbs_n_side, self.spacing_over_lambda)
 
 
 @dataclass
@@ -164,58 +174,47 @@ def los_probability(params: ChannelParams, elevation):
 
 @dataclass
 class _LinkGeometry:
-    """Everything about a (links, uav) pair that does not depend on random draws.
+    """Everything about the stations seen from one UAV position that does not depend on draws.
 
     The UAV gain is looked up at (S, 1 + M(M-1)/2) per-axis offsets per block
     of draws: column 0 is the jitter alone (the desired gain, shared by every
-    link) and column 1 + p adds the axis angles of unordered station pair p.
-    column[i, j] is the table column of interferer j at link i (i != j).
+    link) and column 1 + p adds the axis angles of unordered station pair p
+    (_Workspace.column).
     """
 
-    tx_power: np.ndarray          # (M,)
     path_loss_sq: np.ndarray      # (M,) |h_L|^2 per link
-    sbs_g0: np.ndarray            # (M,) receiving-side normalization constant
     p_los: np.ndarray             # (M,)
     offset_x: np.ndarray          # (1 + M(M-1)/2,) zero, then pair axis angles
     offset_y: np.ndarray          # (1 + M(M-1)/2,)
-    column: np.ndarray            # (M, M) int, symmetric
-    uav_array: ArrayAntennaConfig
 
 
-def _precompute(links, uav: Vec3, params: ChannelParams) -> _LinkGeometry:
-    if len(links) < 1:
-        raise InvalidInputError("need at least one link")
-    uav_array = links[0].uav_array
-    if any(lk.uav_array != uav_array for lk in links):
-        raise InvalidInputError("all links must share one UAV array")
-    m = len(links)
-    sbs = np.array([lk.sbs_position for lk in links])
-    tx = np.array([lk.tx_power_w for lk in links])
-    pl = path_loss(params, geometry.link_length(uav, sbs))
-    g0s = np.array([
-        antenna.normalization_constant(
-            ArrayAntennaConfig(lk.sbs_array_n_side, uav_array.spacing_over_lambda))
-        for lk in links
-    ])
-    p_los = los_probability(params, geometry.elevation_angle(uav, sbs))
+def _precompute(sbs: np.ndarray, uav: Vec3, params: ChannelParams, upper) -> _LinkGeometry:
+    """The link geometry of the (M, 3) stations sbs at uav; upper indexes the station pairs."""
     thx, thy = geometry.pair_axis_angles(uav, sbs)
-    upper = np.triu_indices(m, 1)
-    column = np.zeros((m, m), dtype=np.intp)
-    column[upper] = np.arange(1, len(upper[0]) + 1)
-    column = column + column.T
-    return _LinkGeometry(tx, pl, g0s, p_los, np.concatenate(([0.0], thx[upper])),
-                         np.concatenate(([0.0], thy[upper])), column, uav_array)
+    return _LinkGeometry(path_loss(params, geometry.link_length(uav, sbs)),
+                         los_probability(params, geometry.elevation_angle(uav, sbs)),
+                         np.concatenate(([0.0], thx[upper])), np.concatenate(([0.0], thy[upper])))
 
 
 class _Workspace:
-    """Buffers for one block of draws, reused by every block and position of a scan.
+    """The constants of one scan and the buffers of one block of draws.
 
-    rows is the block capacity; a shorter block uses the leading rows of each
-    buffer, which are contiguous, so no block allocates anything that grows
-    with its size.
+    The constants depend only on params and the station count m: the
+    stations' g0, the UAV array, upper (the unordered station pairs, in
+    triu_indices order) and column[i, j], the gain-table column of interferer
+    j at link i (i != j), symmetric. The buffers are reused by every block
+    and position of the scan: rows is the block capacity; a shorter block
+    uses the leading rows of each buffer, which are contiguous, so no block
+    allocates anything that grows with its size.
     """
 
-    def __init__(self, rows: int, m: int):
+    def __init__(self, params: ChannelParams, rows: int, m: int):
+        self.sbs_g0 = antenna.normalization_constant(params.sbs_array)
+        self.uav_array = params.uav_array
+        self.upper = np.triu_indices(m, 1)
+        column = np.zeros((m, m), dtype=np.intp)
+        column[self.upper] = np.arange(1, len(self.upper[0]) + 1)
+        self.column = column + column.T
         k = 1 + m * (m - 1) // 2
         self.theta, self.gain = np.empty((2, rows, k))
         self.pattern = antenna.PatternScratch(rows * k)
@@ -225,8 +224,8 @@ class _Workspace:
         self.scale = np.empty((rows, 1))
 
 
-def _ratio_table(uav_array: ArrayAntennaConfig, jitter: np.ndarray, offset: np.ndarray,
-                 out: np.ndarray, work: _Workspace) -> np.ndarray:
+def _ratio_table(jitter: np.ndarray, offset: np.ndarray, out: np.ndarray,
+                 work: _Workspace) -> np.ndarray:
     """out[s, c] = the UAV's axis_ratio factor at jitter[s] + offset[c], one axis.
 
     jitter is (S,), offset one position's offset_x or offset_y and out
@@ -234,7 +233,7 @@ def _ratio_table(uav_array: ArrayAntennaConfig, jitter: np.ndarray, offset: np.n
     """
     theta = work.theta[:jitter.shape[0]]
     np.add(jitter[:, None], offset, out=theta)
-    return antenna.axis_ratio(uav_array, theta, out, work.pattern)
+    return antenna.axis_ratio(work.uav_array, theta, out, work.pattern)
 
 
 def _sinr_matrix(geom: _LinkGeometry, params: ChannelParams, ratio_x: np.ndarray,
@@ -248,27 +247,28 @@ def _sinr_matrix(geom: _LinkGeometry, params: ChannelParams, ratio_x: np.ndarray
     Returns two (S, M) views into work, valid until its next use.
     Interference is summed over interferers j = 0..M-1 in order, with the
     operation order of the allocating expression
-    tx_j * pl_j * alpha_j * g0 * gain, so every value is bit-identical to it.
+    tx * pl_j * alpha_j * g0 * gain, so every value is bit-identical to it.
     """
     s = ratio_x.shape[0]
-    gain = antenna.gain_from_axis_ratios(geom.uav_array, ratio_x, ratio_y, work.gain[:s])
+    gain = antenna.gain_from_axis_ratios(work.uav_array, ratio_x, ratio_y, work.gain[:s])
     term, gathered, scale = work.term[:s], work.gathered[:s], work.scale[:s]
     interference = work.interference[:s]
     interference.fill(0.0)
-    for j in range(geom.column.shape[0]):
+    tx = params.tx_power_w
+    for j in range(work.column.shape[0]):
         # power received on every link i from interferer j's beam
-        np.multiply(alpha[:, j, None], geom.tx_power[j] * geom.path_loss_sq[j], out=scale)
-        np.multiply(scale, geom.sbs_g0, out=term)
+        np.multiply(alpha[:, j, None], tx * geom.path_loss_sq[j], out=scale)
+        np.multiply(scale, work.sbs_g0, out=term)
         # mode="clip" lets take write straight into gathered; the indices are
         # always in range
-        np.take(gain, geom.column[:, j], axis=1, out=gathered, mode="clip")
+        np.take(gain, work.column[:, j], axis=1, out=gathered, mode="clip")
         np.multiply(term, gathered, out=term)
         term[:, j] = 0.0
         np.add(interference, term, out=interference)
     sinr = work.sinr[:s]
-    np.multiply(alpha, geom.tx_power, out=sinr)
+    np.multiply(alpha, tx, out=sinr)
     np.multiply(sinr, geom.path_loss_sq, out=sinr)
-    np.multiply(sinr, geom.sbs_g0, out=sinr)
+    np.multiply(sinr, work.sbs_g0, out=sinr)
     np.multiply(sinr, gain[:, :1], out=sinr)
     np.add(interference, params.noise_power_w, out=term)
     np.divide(sinr, term, out=sinr)
@@ -277,15 +277,17 @@ def _sinr_matrix(geom: _LinkGeometry, params: ChannelParams, ratio_x: np.ndarray
 
 def instantaneous_sinr(links, uav: Vec3, orientation: tuple[float, float],
                        params: ChannelParams) -> SinrSample:
-    """Per-link SINR for one fixed orientation, every link in line of sight."""
-    geom = _precompute(links, uav, params)
-    work = _Workspace(1, len(links))
-    tx = np.array([float(orientation[0])])
-    ty = np.array([float(orientation[1])])
+    """Per-link SINR for one fixed orientation, every link in line of sight.
+
+    links is the (M, 3) array of station positions, one link each.
+    """
+    sbs = as_stations(links)
+    work = _Workspace(params, 1, len(sbs))
+    geom = _precompute(sbs, uav, params, work.upper)
     ratio_x, ratio_y = np.empty((2, 1, geom.offset_x.shape[0]))
-    _ratio_table(geom.uav_array, tx, geom.offset_x, ratio_x, work)
-    _ratio_table(geom.uav_array, ty, geom.offset_y, ratio_y, work)
-    sinr, interference = _sinr_matrix(geom, params, ratio_x, ratio_y, np.ones((1, len(links))),
+    _ratio_table(np.array([float(orientation[0])]), geom.offset_x, ratio_x, work)
+    _ratio_table(np.array([float(orientation[1])]), geom.offset_y, ratio_y, work)
+    sinr, interference = _sinr_matrix(geom, params, ratio_x, ratio_y, np.ones((1, len(sbs))),
                                       work)
     return SinrSample(sinr[0], interference[0])
 
@@ -379,6 +381,9 @@ def outage_scan(links, uavs, params: ChannelParams, n_samples: int, seed: int,
                 progress=None) -> list[OutageEstimate]:
     """Monte-Carlo outage per link at each UAV position of `uavs`, in order.
 
+    links is the (M, 3) station array, checked once per scan. Keep the
+    names links and n_samples: the benchmark's tracer binds them to count draws.
+
     Every position sees the same draws (common random numbers), made once per
     scan by _draws; a position only changes which LoS uniforms fall below its
     LoS probabilities: link j of draw s is in line of sight when its uniform
@@ -419,15 +424,16 @@ def outage_scan(links, uavs, params: ChannelParams, n_samples: int, seed: int,
     """
     if n_samples < 1:
         raise InvalidInputError("n_samples must be >= 1")
+    sbs = as_stations(links)
     uavs = [as_vec3(uav) for uav in uavs]
-    m = len(links)
+    m = len(sbs)
     theta_jx, theta_jy, uniforms = _draws(params, m, n_samples, seed)
     rows = min(_DRAW_BLOCK, n_samples)
-    work = _Workspace(rows, m)
+    work = _Workspace(params, rows, m)
     failures = np.zeros((len(uavs), m), dtype=np.int64)
     done = 0
     for group in _altitude_groups(uavs):
-        geoms = [_precompute(links, uavs[i], params) for i in group]
+        geoms = [_precompute(sbs, uavs[i], params, work.upper) for i in group]
         # the x-axis pair angles depend on the UAV's (x, z) alone, the y-axis
         # ones on (y, z) (geometry.pair_axis_angles), so positions of one
         # altitude that share x share their x-factor table, and likewise y
@@ -438,13 +444,12 @@ def outage_scan(links, uavs, params: ChannelParams, n_samples: int, seed: int,
         k = work.theta.shape[1]
         table_x = dict(zip(offsets_x, np.empty((len(offsets_x), rows, k))))
         table_y = dict(zip(offsets_y, np.empty((len(offsets_y), rows, k))))
-        uav_array = geoms[0].uav_array
         for lo in range(0, n_samples, rows):
             s = min(rows, n_samples - lo)
             for x, offset in offsets_x.items():
-                _ratio_table(uav_array, theta_jx[lo:lo + s], offset, table_x[x][:s], work)
+                _ratio_table(theta_jx[lo:lo + s], offset, table_x[x][:s], work)
             for y, offset in offsets_y.items():
-                _ratio_table(uav_array, theta_jy[lo:lo + s], offset, table_y[y][:s], work)
+                _ratio_table(theta_jy[lo:lo + s], offset, table_y[y][:s], work)
             drawn = uniforms[lo:lo + s]
             alpha, flags = work.alpha[:s], work.flags[:s]
             for i, geom in zip(group, geoms):
@@ -466,7 +471,8 @@ def outage_probability(links, uav: Vec3, params: ChannelParams,
                        n_samples: int, seed: int) -> OutageEstimate:
     """Monte-Carlo outage per link at one position: fraction of draws with SINR below threshold.
 
-    The one-position case of outage_scan; see there for the draws.
+    The one-position case of outage_scan; see there for the draws and for
+    links. The tracer binds links and n_samples by name here too.
     """
     return outage_scan(links, (uav,), params, n_samples, seed)[0]
 

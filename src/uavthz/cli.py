@@ -21,8 +21,7 @@ import numpy as np
 
 import uavthz
 from uavthz import baseline, channel, geometry, neural, td3
-from uavthz.antenna import ArrayAntennaConfig, normalization_constant
-from uavthz.channel import LinkState
+from uavthz.antenna import normalization_constant
 from uavthz.config import RunConfig, load_config, serialize_config
 from uavthz.environment import Environment
 from uavthz.errors import ConfigError, InvalidInputError, NumericFailureError
@@ -88,16 +87,16 @@ class Manifest:
     def record_config(self, cfg: RunConfig):
         """Echo the resolved configuration, which was checked when it was built."""
         text = serialize_config(cfg)
-        params, env_cfg = cfg.channel_params(), cfg.env_config()
+        params = cfg.channel_params()
         self.data["config"] = text
         self.data["config_sha256"] = hashlib.sha256(text.encode()).hexdigest()
         self.data["resolved_si"] = {
             "noise_power_w": params.noise_power_w,
-            "tx_power_w": env_cfg.tx_power_w,
+            "tx_power_w": params.tx_power_w,
             "sinr_threshold_linear": params.sinr_threshold,
             "vibration_std_rad": params.vibration_std_rad,
             "carrier_hz": params.carrier_hz,
-            "action_scale_m": env_cfg.action_scale,
+            "action_scale_m": cfg.env_config().action_scale,
         }
         self._write()
 
@@ -209,7 +208,7 @@ def cmd_train(cfg: RunConfig, seed: int, out_dir: Path, manifest: Manifest) -> i
 
 
 def _sbs_layout_rows(env: Environment):
-    return [(i, p[0], p[1]) for i, p in enumerate(env.topology.positions())]
+    return [(i, p[0], p[1]) for i, p in enumerate(env.topology.sbs_list)]
 
 
 def cmd_eval(cfg: RunConfig, checkpoint: Path, scenario_seed: int, out_dir: Path,
@@ -301,32 +300,28 @@ def cmd_linkbudget(cfg: RunConfig, uav_xyz: str, sbs_list: list[str]) -> int:
     if not sbs_list:
         raise ConfigError("linkbudget needs at least one --sbs x,y")
     params = cfg.channel_params()
-    env_cfg = cfg.env_config()
     uav = geometry.vec3(*_parse_xyz(uav_xyz, 3))
-    uav_array = env_cfg.uav_array
-    links = []
+    sbs = np.zeros((len(sbs_list), 3))
     for i, text in enumerate(sbs_list):
-        x, y = _parse_xyz(text, 2)
         try:
-            links.append(LinkState(geometry.vec3(x, y, 0.0), env_cfg.tx_power_w,
-                                   uav_array, cfg.sbs_n_side))
+            sbs[i] = geometry.vec3(*_parse_xyz(text, 2), 0.0)
         except InvalidInputError as exc:
             raise ConfigError(f"link {i + 1}: {exc}") from exc
     try:
-        sample = channel.instantaneous_sinr(links, uav, (0.0, 0.0), params)
+        sample = channel.instantaneous_sinr(sbs, uav, (0.0, 0.0), params)
     except InvalidInputError as exc:
         raise ConfigError(f"degenerate geometry: {exc}") from exc
-    g0_uav = normalization_constant(uav_array)
-    g0_sbs = normalization_constant(ArrayAntennaConfig(cfg.sbs_n_side, cfg.spacing_over_lambda))
+    gain_db = 10 * np.log10(normalization_constant(params.sbs_array)
+                            * normalization_constant(params.uav_array))
     print(f"uav: ({uav[0]:g}, {uav[1]:g}, {uav[2]:g})   "
           f"carrier {cfg.carrier_ghz:g} GHz   threshold {cfg.sinr_threshold_db:g} dB")
     header = (f"{'link':>4} {'length_m':>10} {'elev_deg':>9} {'p_los':>7} "
               f"{'freespace_db':>13} {'pathloss_db':>12} {'gain_db':>9} "
               f"{'intf_dbm':>10} {'sinr_db':>8}  verdict")
     print(header)
-    for i, lk in enumerate(links):
-        length = geometry.link_length(uav, lk.sbs_position)
-        elev = geometry.elevation_angle(uav, lk.sbs_position)
+    for i, station in enumerate(sbs):
+        length = geometry.link_length(uav, station)
+        elev = geometry.elevation_angle(uav, station)
         p_los = channel.los_probability(params, elev)
         hlf = channel.free_space_term(params, length)
         pl2 = channel.path_loss(params, length)
@@ -336,7 +331,7 @@ def cmd_linkbudget(cfg: RunConfig, uav_xyz: str, sbs_list: list[str]) -> int:
         intf_dbm = 10 * np.log10(interference * 1e3) if interference > 0 else -np.inf
         print(f"{i + 1:>4} {length:>10.3f} {np.degrees(elev):>9.3f} {p_los:>7.4f} "
               f"{10 * np.log10(hlf):>13.2f} {10 * np.log10(pl2):>12.2f} "
-              f"{10 * np.log10(g0_sbs * g0_uav):>9.2f} {intf_dbm:>10.2f} "
+              f"{gain_db:>9.2f} {intf_dbm:>10.2f} "
               f"{10 * np.log10(sinr):>8.2f}  {verdict}")
     return EXIT_OK
 

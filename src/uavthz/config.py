@@ -50,7 +50,7 @@ class RunConfig:
     t_max_s: float = _key("topology.t_max_s", 35.0, EnvConfig, "t_max")
     carrier_ghz: float = _key("channel.carrier_ghz", 140.0, ChannelParams, "carrier_hz",
                               lambda ghz: ghz * 1e9)
-    tx_power_dbm: float = _key("channel.tx_power_dbm", 10.0, EnvConfig, "tx_power_w",
+    tx_power_dbm: float = _key("channel.tx_power_dbm", 10.0, ChannelParams, "tx_power_w",
                                dbm_to_watts)
     absorption_per_m: float = _key("channel.absorption_per_m", 1e-3, ChannelParams,
                                    "absorption_coeff")
@@ -63,9 +63,9 @@ class RunConfig:
     nlos_extra_loss: float = _key("channel.nlos_extra_loss", 0.01, ChannelParams)
     vibration_std_deg: float = _key("channel.vibration_std_deg", 2.0, ChannelParams,
                                     "vibration_std_rad", math.radians)
-    uav_n_side: int = _key("antenna.uav_n_side", 20, EnvConfig)
-    sbs_n_side: int = _key("antenna.sbs_n_side", 10, EnvConfig)
-    spacing_over_lambda: float = _key("antenna.spacing_over_lambda", 0.5, EnvConfig)
+    uav_n_side: int = _key("antenna.uav_n_side", 20, ChannelParams)
+    sbs_n_side: int = _key("antenna.sbs_n_side", 10, ChannelParams)
+    spacing_over_lambda: float = _key("antenna.spacing_over_lambda", 0.5, ChannelParams)
     v_max_mps: float = _key("kinematics.v_max_mps", 8.0, KinematicLimits, "v_max")
     a_max_mps2: float = _key("kinematics.a_max_mps2", 4.0, KinematicLimits, "a_max")
     h_min_m: float = _key("kinematics.h_min_m", 30.0, KinematicLimits, "h_min")

@@ -15,23 +15,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from uavthz import channel, geometry
-from uavthz.antenna import ArrayAntennaConfig
-from uavthz.channel import ChannelParams, LinkState, OutageEstimate
+from uavthz.channel import ChannelParams, OutageEstimate
 from uavthz.errors import InvalidInputError, require
-from uavthz.geometry import KinematicLimits, Vec3, as_vec3
+from uavthz.geometry import KinematicLimits, Vec3, as_stations, as_vec3
 
 
 @dataclass
 class Topology:
-    """The active ground stations."""
+    """The active ground stations: their positions in meters, one row each.
 
-    sbs_list: list
+    sbs_list is a finite (M, 3) array with M >= 1, on the ground (z = 0)
+    when drawn by the environment. It is what the channel functions take as
+    their links; the stations' transmit power and array are in ChannelParams.
+    """
+
+    sbs_list: np.ndarray
 
     def __post_init__(self):
-        require(len(self.sbs_list) >= 1, "topology has no stations", "sbs_list")
-
-    def positions(self) -> np.ndarray:
-        return np.array([lk.sbs_position for lk in self.sbs_list])
+        self.sbs_list = as_stations(self.sbs_list)
 
 
 @dataclass
@@ -54,7 +55,10 @@ class StepResult:
 
 @dataclass
 class EnvConfig:
-    """Service area, station count, kinematic envelope, antennas and scoring knobs, in SI units."""
+    """Service area, station count, kinematic envelope and scoring knobs, in SI units.
+
+    The antennas and the transmit power are channel constants (ChannelParams).
+    """
 
     area_x: float
     area_y: float
@@ -64,31 +68,17 @@ class EnvConfig:
     t_max: float
     dt: float
     limits: KinematicLimits
-    tx_power_w: float
-    uav_n_side: int
-    sbs_n_side: int
-    spacing_over_lambda: float
     mc_samples: int
     reward_floor: float
     clamp_horizontal: bool
 
     def __post_init__(self):
-        for name in ("area_x", "area_y", "dt", "tx_power_w", "reward_floor"):
+        for name in ("area_x", "area_y", "dt", "reward_floor"):
             require(getattr(self, name) > 0, f"{name} must be positive", name)
         require(1 <= self.m_s_min <= self.m_s_max, "need 1 <= m_s_min <= m_s_max",
                 "m_s_min", "m_s_max")
         require(0 < self.t_min <= self.t_max, "need 0 < t_min <= t_max", "t_min", "t_max")
         require(self.mc_samples >= 1, "mc_samples must be >= 1", "mc_samples")
-        for side in ("uav_n_side", "sbs_n_side"):
-            try:
-                ArrayAntennaConfig(getattr(self, side), self.spacing_over_lambda)
-            except InvalidInputError as exc:
-                raise InvalidInputError(
-                    str(exc), *(side if f == "n_side" else f for f in exc.fields)) from exc
-
-    @property
-    def uav_array(self) -> ArrayAntennaConfig:
-        return ArrayAntennaConfig(self.uav_n_side, self.spacing_over_lambda)
 
     @property
     def action_scale(self) -> float:
@@ -128,14 +118,12 @@ class Environment:
     # -- construction helpers -------------------------------------------------
 
     def _draw_topology(self, rng) -> Topology:
+        """Draw the station count, then the x and y of each station in turn."""
         cfg = self.config
         m_s = int(rng.integers(cfg.m_s_min, cfg.m_s_max + 1))
-        return Topology([
-            LinkState(geometry.vec3(float(rng.uniform(0.0, cfg.area_x)),
-                                    float(rng.uniform(0.0, cfg.area_y)), 0.0),
-                      cfg.tx_power_w, cfg.uav_array, cfg.sbs_n_side)
-            for _ in range(m_s)
-        ])
+        stations = np.zeros((m_s, 3))
+        stations[:, :2] = rng.uniform(0.0, (cfg.area_x, cfg.area_y), size=(m_s, 2))
+        return Topology(stations)
 
     # -- MDP surface -----------------------------------------------------------
 

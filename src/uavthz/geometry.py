@@ -42,6 +42,14 @@ def as_points(v) -> np.ndarray:
     return a
 
 
+def as_stations(v) -> np.ndarray:
+    """Coerce to a finite (M, 3) float array of M >= 1 ground-station positions."""
+    a = as_points(v)
+    if a.ndim != 2 or a.shape[0] < 1:
+        raise InvalidInputError(f"expected (M, 3) station positions, M >= 1, got shape {a.shape}")
+    return a
+
+
 @dataclass
 class KinematicLimits:
     """Speed, acceleration and altitude envelope of the vehicle."""

@@ -98,7 +98,6 @@ class ReplayBuffer:
 
     def __init__(self, capacity: int, seed: int):
         self.capacity = capacity
-        self.rng_seed = seed
         self._rng = np.random.default_rng(seed)
         self._states = np.zeros((capacity, STATE_DIM))
         self._actions = np.zeros((capacity, ACTION_DIM))

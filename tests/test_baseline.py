@@ -13,8 +13,8 @@ LIMITS = RunConfig().kinematic_limits()
 
 def scenario(seed=0, n_stations=2):
     env = Environment(replace(RunConfig().env_config(), m_s_min=n_stations, m_s_max=n_stations,
-                              uav_n_side=8, sbs_n_side=4, mc_samples=100),
-                      RunConfig().channel_params())
+                              mc_samples=100),
+                      replace(RunConfig().channel_params(), uav_n_side=8, sbs_n_side=4))
     env.reset(seed)
     return env
 
@@ -72,7 +72,7 @@ class TestGridSearch:
         # symmetry: with one station the best grid point sits on the column
         # above it (within one cell)
         env = scenario(5, n_stations=1)
-        sbs = env.topology.positions()[0]
+        sbs = env.topology.sbs_list[0]
         spec = cheap_spec(x_steps=7, y_steps=7, z_steps=3, mc_samples=800)
         pos, _, _ = baseline.grid_search_best_position(env.topology, env.params, spec)
         cell = 150.0 / 6
@@ -86,21 +86,28 @@ class TestGridSearch:
 class TestStaticCenter:
     def test_single_station(self):
         env = scenario(6, n_stations=1)
-        sbs = env.topology.positions()[0]
+        sbs = env.topology.sbs_list[0]
         pos = baseline.static_center_policy(env.topology, LIMITS)
         assert np.allclose(pos, (sbs[0], sbs[1], 80.0))
 
     def test_two_station_midpoint(self):
         env = scenario(7)
         topo = env.topology
-        expected = topo.positions().mean(axis=0)
+        expected = topo.sbs_list.mean(axis=0)
         pos = baseline.static_center_policy(topo, LIMITS)
         assert np.allclose(pos[:2], expected[:2])
         assert pos[2] == 80.0
 
     def test_empty_topology_rejected(self):
+        for stations in ([], np.empty((0, 3))):
+            with pytest.raises(InvalidInputError):
+                Topology(stations)
+
+    @pytest.mark.parametrize("stations", [np.zeros(3), np.zeros((2, 2)), [(1.0, 2.0, np.inf)]],
+                             ids=["(3,)", "(M, 2)", "non-finite"])
+    def test_malformed_station_array_rejected(self, stations):
         with pytest.raises(InvalidInputError):
-            Topology([])
+            Topology(stations)
 
     def test_oracle_beats_static_center(self):
         env = scenario(8)

@@ -8,7 +8,7 @@ import pytest
 
 from uavthz import antenna, channel, geometry
 from uavthz.antenna import ArrayAntennaConfig
-from uavthz.channel import ChannelParams, LinkState, OutageEstimate
+from uavthz.channel import ChannelParams, OutageEstimate
 from uavthz.config import RunConfig
 from uavthz.errors import InvalidInputError
 from uavthz.geometry import vec3
@@ -18,8 +18,9 @@ def make_params(**kw) -> ChannelParams:
     return replace(RunConfig().channel_params(), **kw)
 
 
-def make_link(x, y, n_uav=20, n_sbs=10, power=0.01, spacing=0.5):
-    return LinkState(vec3(x, y, 0.0), power, ArrayAntennaConfig(n_uav, spacing), n_sbs)
+def station_positions(*xy):
+    """The (M, 3) array of ground stations at the given (x, y) points."""
+    return np.array([(x, y, 0.0) for x, y in xy], dtype=float)
 
 
 # Reference kernel: one pattern evaluation per (link, interferer) pair with the
@@ -43,29 +44,29 @@ def oracle_axis_angle(u, a, b, z):
     return float(np.arccos(np.clip(num / den, -1.0, 1.0)))
 
 
-def oracle_precompute(links, uav, params):
-    m = len(links)
-    tx = np.array([lk.tx_power_w for lk in links])
-    pl = np.array([channel.path_loss(params, geometry.link_length(uav, lk.sbs_position))
-                   for lk in links])
+def oracle_precompute(sbs, uav, params):
+    # per-link power, g0 and UAV array, each built per link from params
+    m = len(sbs)
+    tx = np.array([params.tx_power_w for _ in sbs])
+    pl = np.array([channel.path_loss(params, geometry.link_length(uav, s)) for s in sbs])
     g0s = np.array([
         antenna.normalization_constant(
-            ArrayAntennaConfig(lk.sbs_array_n_side, lk.uav_array.spacing_over_lambda))
-        for lk in links
+            ArrayAntennaConfig(params.sbs_n_side, params.spacing_over_lambda))
+        for _ in sbs
     ])
     p_los = np.array([
-        channel.los_probability(params, geometry.elevation_angle(uav, lk.sbs_position))
-        for lk in links
+        channel.los_probability(params, geometry.elevation_angle(uav, s)) for s in sbs
     ])
     thx = np.zeros((m, m))
     thy = np.zeros((m, m))
     for i in range(m):
         for j in range(m):
             if i != j:
-                si, sj = links[i].sbs_position, links[j].sbs_position
+                si, sj = sbs[i], sbs[j]
                 thx[i, j] = oracle_axis_angle(uav[0], si[0], sj[0], uav[2])
                 thy[i, j] = oracle_axis_angle(uav[1], si[1], sj[1], uav[2])
-    return tx, pl, g0s, p_los, thx, thy, [lk.uav_array for lk in links]
+    uav_arrays = [ArrayAntennaConfig(params.uav_n_side, params.spacing_over_lambda) for _ in sbs]
+    return tx, pl, g0s, p_los, thx, thy, uav_arrays
 
 
 def oracle_gain(cfg, theta_x, theta_y):
@@ -190,18 +191,17 @@ class TestLosProbability:
 class TestInstantaneousSinr:
     def test_single_link_closed_form(self):
         p = make_params(vibration_std_rad=0.0)
-        lk = make_link(50.0, 50.0)
         uav = vec3(50.0, 50.0, 80.0)
-        out = channel.instantaneous_sinr([lk], uav, (0.0, 0.0), p)
-        g0_u = antenna.normalization_constant(lk.uav_array)
+        out = channel.instantaneous_sinr(station_positions((50.0, 50.0)), uav, (0.0, 0.0), p)
+        g0_u = antenna.normalization_constant(ArrayAntennaConfig(20, 0.5))
         g0_s = antenna.normalization_constant(ArrayAntennaConfig(10, 0.5))
-        expected = lk.tx_power_w * channel.path_loss(p, 80.0) * g0_s * g0_u / p.noise_power_w
+        expected = 0.01 * channel.path_loss(p, 80.0) * g0_s * g0_u / p.noise_power_w
         assert out.per_link_sinr[0] == pytest.approx(expected, rel=1e-12)
         assert out.per_link_interference_w[0] == 0.0
 
     def test_colocated_symmetric_links(self):
         p = make_params()
-        links = [make_link(40.0, 60.0), make_link(40.0, 60.0)]
+        links = station_positions((40.0, 60.0), (40.0, 60.0))
         out = channel.instantaneous_sinr(links, vec3(70.0, 75.0, 90.0), (0.0, 0.0), p)
         assert out.per_link_sinr[0] == pytest.approx(out.per_link_sinr[1], rel=1e-12)
 
@@ -211,7 +211,7 @@ class TestInstantaneousSinr:
         p = make_params()
         uav = np.array([75.0, 70.0, 85.0])
         s1, s2 = np.array([40.0, 40.0, 0.0]), np.array([100.0, 55.0, 0.0])
-        links = [make_link(40.0, 40.0), make_link(100.0, 55.0)]
+        links = station_positions((40.0, 40.0), (100.0, 55.0))
         out = channel.instantaneous_sinr(links, uav, (0.01, -0.02), p)
 
         lam = 3.0e8 / p.carrier_hz
@@ -245,7 +245,7 @@ class TestInstantaneousSinr:
     def test_interference_removal_never_hurts(self):
         p = make_params()
         uav = vec3(75.0, 75.0, 70.0)
-        links = [make_link(40.0, 40.0), make_link(48.0, 44.0), make_link(110.0, 90.0)]
+        links = station_positions((40.0, 40.0), (48.0, 44.0), (110.0, 90.0))
         full = channel.instantaneous_sinr(links, uav, (0.01, 0.02), p)
         reduced = channel.instantaneous_sinr(links[:2], uav, (0.01, 0.02), p)
         assert reduced.per_link_sinr[0] >= full.per_link_sinr[0]
@@ -254,7 +254,7 @@ class TestInstantaneousSinr:
     def test_nlos_draws_attenuate_signal(self):
         # one link, no jitter: a threshold between the LoS SINR and
         # nlos_extra_loss times it fails exactly the NLoS draws
-        links, uav = [make_link(50, 50)], vec3(50.0, 50.0, 80.0)
+        links, uav = station_positions((50, 50)), vec3(50.0, 50.0, 80.0)
         p = make_params(vibration_std_rad=0.0, los_b=0.0)
         los_sinr = channel.instantaneous_sinr(links, uav, (0, 0), p).per_link_sinr[0]
         threshold = np.sqrt(p.nlos_extra_loss) * los_sinr
@@ -265,31 +265,31 @@ class TestInstantaneousSinr:
 
     def test_requires_a_link(self):
         with pytest.raises(InvalidInputError):
-            channel.instantaneous_sinr([], vec3(0, 0, 50), (0, 0), make_params())
+            channel.instantaneous_sinr(np.empty((0, 3)), vec3(0, 0, 50), (0, 0), make_params())
 
 
 class TestOutageProbability:
     def test_deterministic_zero_outage(self):
         # sigma=0 and certain LoS make the Monte-Carlo degenerate
         p = make_params(vibration_std_rad=0.0, los_alpha=0.0)
-        est = channel.outage_probability([make_link(50, 50)], vec3(50, 50, 80), p, 400, 7)
+        est = channel.outage_probability(station_positions((50, 50)), vec3(50, 50, 80), p, 400, 7)
         assert est.per_link_outage[0] == 0.0
 
     def test_deterministic_full_outage(self):
         p = make_params(vibration_std_rad=0.0, los_alpha=0.0, noise_power_w=1.0)
-        est = channel.outage_probability([make_link(50, 50)], vec3(50, 50, 80), p, 400, 7)
+        est = channel.outage_probability(station_positions((50, 50)), vec3(50, 50, 80), p, 400, 7)
         assert est.per_link_outage[0] == 1.0
 
     def test_same_seed_bit_identical(self):
         p = make_params()
-        links = [make_link(40, 40), make_link(48, 44)]
+        links = station_positions((40, 40), (48, 44))
         a = channel.outage_probability(links, vec3(70, 70, 70), p, 3000, 123)
         b = channel.outage_probability(links, vec3(70, 70, 70), p, 3000, 123)
         assert np.array_equal(a.per_link_outage, b.per_link_outage)
 
     def test_independent_seeds_within_binomial_bound(self):
         p = make_params()
-        links = [make_link(40, 40), make_link(48, 44)]
+        links = station_positions((40, 40), (48, 44))
         n = 100_000
         a = channel.outage_probability(links, vec3(75, 75, 80), p, n, 1)
         b = channel.outage_probability(links, vec3(75, 75, 80), p, n, 2)
@@ -299,7 +299,7 @@ class TestOutageProbability:
 
     def test_blocked_draws_equal_one_block(self, monkeypatch):
         p = make_params()
-        links = [make_link(40, 40), make_link(48, 44), make_link(110, 100)]
+        links = station_positions((40, 40), (48, 44), (110, 100))
         uav = vec3(70, 70, 75)
         block = channel._DRAW_BLOCK
         sizes = (1, block - 1, block, block + 1, 2 * block + 1)
@@ -311,7 +311,7 @@ class TestOutageProbability:
         assert 0.0 < channel.max_outage(blocked[-1]) < 1.0
 
     def test_threshold_monotonicity(self):
-        links = [make_link(40, 40), make_link(48, 44), make_link(110, 100)]
+        links = station_positions((40, 40), (48, 44), (110, 100))
         uav = vec3(70, 70, 75)
         low = channel.outage_probability(links, uav, make_params(sinr_threshold=1.0), 2000, 5)
         high = channel.outage_probability(links, uav, make_params(sinr_threshold=10.0), 2000, 5)
@@ -323,7 +323,8 @@ class TestOutageProbability:
 
     def test_rejects_zero_samples(self):
         with pytest.raises(InvalidInputError):
-            channel.outage_probability([make_link(1, 1)], vec3(0, 0, 50), make_params(), 0, 0)
+            channel.outage_probability(station_positions((1, 1)), vec3(0, 0, 50), make_params(),
+                                       0, 0)
 
 KERNEL_CASES = {
     "one link": ([(50, 60)], (70, 75, 80), 0.5),
@@ -360,9 +361,9 @@ def check_scan_against_oracle(positions, los, spacing, n):
     """Scans of the first 1, 2 and all positions equal per-position oracle calls bit for bit."""
     block = channel._DRAW_BLOCK
     n = {"B-1": block - 1, "B+1": block + 1, "2B+7": 2 * block + 7}.get(n, n)
-    stations = [(12, 30), (40, 44), (75, 140), (110, 95)]
-    links = [make_link(x, y, spacing=spacing) for x, y in stations]
-    p = make_params(vibration_std_rad=np.deg2rad(4.0), **LOS_REGIMES[los])
+    links = station_positions((12, 30), (40, 44), (75, 140), (110, 95))
+    p = make_params(spacing_over_lambda=spacing, vibration_std_rad=np.deg2rad(4.0),
+                    **LOS_REGIMES[los])
     positions = [vec3(*uav) for uav in positions]
     want = [oracle_outage(links, uav, p, n, 23) for uav in positions]
     for k in (1, 2, len(positions)):
@@ -377,31 +378,31 @@ class TestKernelMatchesReference:
     @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
     def test_geometry_and_sinr_bit_identical(self, case):
         stations, uav, spacing = KERNEL_CASES[case]
-        links = [make_link(x, y, spacing=spacing) for x, y in stations]
+        links = station_positions(*stations)
         uav = vec3(*uav)
-        p = make_params()
+        p = make_params(spacing_over_lambda=spacing)
+        m, s = len(links), 4000
         ref = oracle_precompute(links, uav, p)
-        geom = channel._precompute(links, uav, p)
-        assert np.array_equal(geom.tx_power, ref[0])
+        work = channel._Workspace(p, s, m)
+        geom = channel._precompute(links, uav, p, work.upper)
+        assert np.all(ref[0] == p.tx_power_w)
         assert np.array_equal(geom.path_loss_sq, ref[1])
-        assert np.array_equal(geom.sbs_g0, ref[2])
+        assert np.all(ref[2] == work.sbs_g0)
         assert np.array_equal(geom.p_los, ref[3])
-        m = len(links)
+        assert all(cfg == work.uav_array for cfg in ref[6])
         pairs = ~np.eye(m, dtype=bool)
         for offset, theta in ((geom.offset_x, ref[4]), (geom.offset_y, ref[5])):
             assert offset[0] == 0.0 and offset.shape == (1 + m * (m - 1) // 2,)
-            assert np.array_equal(offset[geom.column][pairs], theta[pairs])
+            assert np.array_equal(offset[work.column][pairs], theta[pairs])
         if spacing > 0.5:
             # some |psi| = k*d*|sin(offset)| exceed pi, so the reduction acts
             assert np.any(2 * np.pi * spacing * np.sin(geom.offset_x) > np.pi)
         rng = np.random.default_rng(5)
-        s = 4000
         jx = rng.normal(0.0, 0.05, s)
         jy = rng.normal(0.0, 0.05, s)
         alpha = np.where(rng.random((s, m)) < 0.6, 1.0, p.nlos_extra_loss)
-        work = channel._Workspace(s, m)
-        ratio_x, ratio_y = (channel._ratio_table(geom.uav_array, jitter, offset,
-                                                 np.empty((s, offset.shape[0])), work)
+        ratio_x, ratio_y = (channel._ratio_table(jitter, offset, np.empty((s, offset.shape[0])),
+                                                 work)
                             for jitter, offset in ((jx, geom.offset_x), (jy, geom.offset_y)))
         got, _ = channel._sinr_matrix(geom, p, ratio_x, ratio_y, alpha, work)
         assert np.array_equal(got, oracle_sinr(ref, p, jx, jy, alpha))
@@ -433,8 +434,9 @@ class TestKernelMatchesReference:
     @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
     def test_outage_bit_identical(self, case, los):
         stations, uav, spacing = KERNEL_CASES[case]
-        links = [make_link(x, y, spacing=spacing) for x, y in stations]
-        p = make_params(vibration_std_rad=np.deg2rad(4.0), **LOS_REGIMES[los])
+        links = station_positions(*stations)
+        p = make_params(spacing_over_lambda=spacing, vibration_std_rad=np.deg2rad(4.0),
+                        **LOS_REGIMES[los])
         n = 2 * channel._DRAW_BLOCK + 7
         got = channel.outage_probability(links, vec3(*uav), p, n, 17).per_link_outage
         want = oracle_outage(links, vec3(*uav), p, n, 17)
@@ -466,22 +468,26 @@ class TestKernelMatchesReference:
         assert list(channel._altitude_groups(uavs)) == [[0, 1, 2, 3], [4, 5],
                                                         [6, 7, 8, 9], [10, 11]]
         p = make_params()
-        links = [make_link(12, 30), make_link(40, 44), make_link(110, 95)]
+        links = station_positions((12, 30), (40, 44), (110, 95))
         for est, uav in zip(channel.outage_scan(links, uavs, p, 300, 5), uavs):
             assert np.array_equal(est.per_link_outage, oracle_outage(links, uav, p, 300, 5))
 
     def test_progress_reports_each_position_as_its_group_completes(self):
-        links = [make_link(12, 30), make_link(110, 95)]
+        links = station_positions((12, 30), (110, 95))
         uavs = [vec3(70, 60, 50), vec3(80, 60, 90), vec3(70, 65, 50)]
         calls = []
         channel.outage_scan(links, uavs, make_params(), 50, 1,
                             progress=lambda k, n: calls.append((k, n)))
         assert calls == [(1, 3), (2, 3), (3, 3)]
 
-    def test_mixed_uav_arrays_rejected(self):
-        links = [make_link(40, 40), make_link(110, 95, n_uav=8)]
-        with pytest.raises(InvalidInputError, match="one UAV array"):
-            channel.outage_probability(links, vec3(75, 70, 85), make_params(), 10, 0)
+    @pytest.mark.parametrize("links", [
+        np.empty((0, 3)),
+        np.array([(40.0, 40.0), (110.0, 95.0)]),
+        station_positions((40, 40), (110, np.nan)),
+    ], ids=["empty", "(M, 2)", "non-finite"])
+    def test_scan_rejects_a_bad_station_array(self, links):
+        with pytest.raises(InvalidInputError, match="position"):
+            channel.outage_scan(links, [vec3(75, 70, 85)], make_params(), 10, 0)
 
 
 # Geometries for the bias test. BIAS_LOS puts every LoS probability between
@@ -497,17 +503,18 @@ BIAS_GEOMETRIES = {
 
 @functools.cache
 def plain_reference(geometry, spacing, n_samples=200_000):
-    """(links, uav, per-link outage) from plain Monte-Carlo draws at n_samples.
+    """(stations, uav, per-link outage) from plain Monte-Carlo draws at n_samples.
 
     Plain draws (Gaussian jitter, independent LoS uniforms) go through the
     library kernel, which the bit-for-bit tests above pin to the oracle.
     """
     stations, uav = BIAS_GEOMETRIES[geometry]
-    links = [make_link(x, y, spacing=spacing) for x, y in stations]
+    links = station_positions(*stations)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(channel, "_draws", plain_draws)
-        est = channel.outage_probability(links, vec3(*uav), make_params(**BIAS_LOS),
-                                         n_samples, 99)
+        est = channel.outage_probability(
+            links, vec3(*uav), make_params(spacing_over_lambda=spacing, **BIAS_LOS),
+            n_samples, 99)
     return links, vec3(*uav), est.per_link_outage
 
 
@@ -522,7 +529,7 @@ class TestVarianceReducedDraws:
     @pytest.mark.parametrize("geometry", sorted(BIAS_GEOMETRIES))
     def test_mean_over_seeds_matches_plain_monte_carlo(self, geometry, spacing):
         links, uav, ref = plain_reference(geometry, spacing)
-        p = make_params(**BIAS_LOS)
+        p = make_params(spacing_over_lambda=spacing, **BIAS_LOS)
         est = np.array([channel.outage_probability(links, uav, p, 500, seed).per_link_outage
                         for seed in range(50)])
         se_mean = est.std(axis=0, ddof=1) / np.sqrt(len(est))
@@ -530,8 +537,7 @@ class TestVarianceReducedDraws:
         assert np.all(np.abs(est.mean(axis=0) - ref) <= 4 * np.hypot(se_mean, se_ref))
 
     def test_worst_link_std_at_most_half_of_plain_monte_carlo(self):
-        stations = [(12, 30), (40, 44), (48, 44), (75, 140), (110, 95), (140, 10)]
-        links = [make_link(x, y) for x, y in stations]
+        links = station_positions((12, 30), (40, 44), (48, 44), (75, 140), (110, 95), (140, 10))
         uav, p = vec3(70, 70, 75), make_params()
         new = [channel.max_outage(channel.outage_probability(links, uav, p, 500, seed))
                for seed in range(30)]
@@ -593,8 +599,7 @@ def scan_peak_bytes(links, positions, p, n):
 
 
 class TestScanMemory:
-    LINKS = [make_link(12, 30), make_link(40, 44), make_link(75, 140), make_link(110, 95),
-             make_link(140, 10), make_link(48, 44)]
+    LINKS = station_positions((12, 30), (40, 44), (75, 140), (110, 95), (140, 10), (48, 44))
 
     def setup_method(self):
         # fill the g0 cache outside the traced region

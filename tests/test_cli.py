@@ -8,9 +8,7 @@ import numpy as np
 import pytest
 
 from uavthz import antenna, channel, cli, geometry, neural
-from uavthz.antenna import ArrayAntennaConfig
-from uavthz.channel import LinkState
-from uavthz.config import dbm_to_watts, load_config
+from uavthz.config import load_config
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -135,6 +133,21 @@ def test_bad_linkbudget_coordinates_exit_2(capsys, flags):
     assert cli.main(["linkbudget", *flags]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: expected ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flags,message", [
+    (("--uav", "75,75,80", "--sbs", "nan,2"), "link 1: non-finite vector components"),
+    (("--uav", "75,75,80", "--sbs", "10,20", "--sbs", "1,inf"),
+     "link 2: non-finite vector components"),
+    (("--uav", "75,75,inf", "--sbs", "10,20"), "non-finite vector components"),
+    (("--uav", "75,75,0", "--sbs", "10,20"),
+     "degenerate geometry: UAV altitude must be positive, got 0.0"),
+])
+def test_bad_linkbudget_station_or_uav_exits_2(capsys, flags, message):
+    assert cli.main(["linkbudget", *flags]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: {message}")
+    assert captured.err.count("\n") == 1 and captured.out == ""
 
 
 def test_mc_samples_flag_is_checked_like_the_file(tmp_path, capsys):
@@ -301,12 +314,9 @@ def test_linkbudget_two_station_interference(tmp_path, capsys):
     config.write_text("channel.noise_power_dbm = -70\n", encoding="utf-8")
     stations = [(40.0, 40.0), (110.0, 90.0)]
     printed = linkbudget_interference_dbm(capsys, config, *stations)
-    cfg = load_config(config)
-    params = cfg.channel_params()
-    uav_array = ArrayAntennaConfig(cfg.uav_n_side, cfg.spacing_over_lambda)
-    links = [LinkState(geometry.vec3(x, y, 0.0), dbm_to_watts(cfg.tx_power_dbm), uav_array,
-                       cfg.sbs_n_side) for x, y in stations]
-    sample = channel.instantaneous_sinr(links, geometry.vec3(75.0, 75.0, 80.0), (0.0, 0.0),
+    params = load_config(config).channel_params()
+    sbs = np.array([(x, y, 0.0) for x, y in stations])
+    sample = channel.instantaneous_sinr(sbs, geometry.vec3(75.0, 75.0, 80.0), (0.0, 0.0),
                                         params)
     expected = [float(f"{10 * np.log10(watts * 1e3):.2f}")
                 for watts in sample.per_link_interference_w]

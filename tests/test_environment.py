@@ -11,11 +11,11 @@ from uavthz.errors import InvalidInputError
 from uavthz.geometry import vec3
 
 
-def small_env(**kw) -> Environment:
+def small_env(uav_n_side=4, sbs_n_side=2, **kw) -> Environment:
     # cheap Monte-Carlo and small arrays keep steps fast
-    base = dict(mc_samples=60, uav_n_side=4, sbs_n_side=2)
-    cfg = replace(RunConfig().env_config(), **{**base, **kw})
-    return Environment(cfg, RunConfig().channel_params())
+    cfg = replace(RunConfig().env_config(), **{"mc_samples": 60, **kw})
+    params = replace(RunConfig().channel_params(), uav_n_side=uav_n_side, sbs_n_side=sbs_n_side)
+    return Environment(cfg, params)
 
 
 class TestReset:
@@ -23,7 +23,7 @@ class TestReset:
         a, b = small_env(), small_env()
         _, ta = a.reset(7)
         _, tb = b.reset(7)
-        assert np.array_equal(ta.positions(), tb.positions())
+        assert np.array_equal(ta.sbs_list, tb.sbs_list)
 
     def test_station_count_pinned_range(self):
         env = small_env(m_s_min=4, m_s_max=4)
@@ -48,7 +48,7 @@ class TestReset:
         xs = []
         for seed in range(400):
             _, topo = env.reset(seed)
-            xs.extend(topo.positions()[:, 0])
+            xs.extend(topo.sbs_list[:, 0])
         xs = np.array(xs)
         # mean of U(0,150) is 75 with sigma = 150/sqrt(12)
         bound = 3 * (150 / np.sqrt(12)) / np.sqrt(len(xs))
@@ -56,9 +56,9 @@ class TestReset:
 
     def test_each_reset_draws_its_seeds_topology(self):
         env = small_env(m_s_min=3, m_s_max=3)
-        first = env.reset(0)[1].positions()
-        other = env.reset(99)[1].positions()
-        again = env.reset(0)[1].positions()
+        first = env.reset(0)[1].sbs_list
+        other = env.reset(99)[1].sbs_list
+        again = env.reset(0)[1].sbs_list
         assert np.array_equal(first, again) and not np.array_equal(first, other)
 
 

@@ -19,9 +19,8 @@ def tiny_hp(**kw) -> Td3Hyperparams:
 
 
 def small_env(**kw) -> Environment:
-    cfg = replace(RunConfig().env_config(), uav_n_side=4, sbs_n_side=2, m_s_min=2, m_s_max=2,
-                  **kw)
-    return Environment(cfg, RunConfig().channel_params())
+    cfg = replace(RunConfig().env_config(), m_s_min=2, m_s_max=2, **kw)
+    return Environment(cfg, replace(RunConfig().channel_params(), uav_n_side=4, sbs_n_side=2))
 
 
 def make_agent(seed=0, **kw) -> Td3Agent:
