@@ -14,9 +14,10 @@ The pattern is evaluated in two steps: axis_ratio computes one axis's
 factor by an in-place ufunc chain over caller-supplied buffers
 (PatternScratch), in exactly the operation order of the np.sinc expression
 sinc(n*psi/2pi) / sinc(psi/2pi), and gain_from_axis_ratios forms
-g0 * (ratio_x * ratio_y)^2. The bits are those of the allocating expression,
-while a caller evaluating many blocks allocates nothing per block, and a
-caller whose directions share one axis's offsets computes that factor once.
+g0 * (ratio_x * ratio_y)^2 from a g0 that the caller looked up once. The
+bits are those of the allocating expression, while a caller evaluating many
+blocks allocates nothing per block, and a caller whose directions share one
+axis's offsets computes that factor once.
 The factor is only ever squared, so its sign across periods of psi is not
 computed.
 """
@@ -126,32 +127,16 @@ def axis_ratio(cfg: ArrayAntennaConfig, theta, out, scratch: PatternScratch):
     return out
 
 
-def gain_from_axis_ratios(cfg: ArrayAntennaConfig, ratio_x, ratio_y, out):
+def gain_from_axis_ratios(g0: float, ratio_x, ratio_y, out):
     """out = g0 * (ratio_x * ratio_y)^2, the gain from its two axis_ratio factors.
 
+    g0 is the array's normalization_constant, looked up once by the caller.
     out may be either input. Returns out.
     """
     np.multiply(ratio_x, ratio_y, out=out)
     np.square(out, out=out)
-    np.multiply(out, normalization_constant(cfg), out=out)
+    np.multiply(out, g0, out=out)
     return out
-
-
-def gain_at_axis_offsets(cfg: ArrayAntennaConfig, theta_x, theta_y):
-    """Gain at per-axis angular offsets from boresight.
-
-    The pattern depends on direction only through the offset sines
-    sin(theta)*cos(phi) = sin(theta_x) and sin(theta)*sin(phi) = sin(theta_y),
-    so this is total in (theta_x, theta_y).
-    """
-    theta_x = np.asarray(theta_x, dtype=float)
-    theta_y = np.asarray(theta_y, dtype=float)
-    shape = np.broadcast_shapes(theta_x.shape, theta_y.shape)
-    scratch = PatternScratch(math.prod(shape))
-    ratio_x = axis_ratio(cfg, theta_x, np.empty(shape), scratch)
-    ratio_y = axis_ratio(cfg, theta_y, np.empty(shape), scratch)
-    out = gain_from_axis_ratios(cfg, ratio_x, ratio_y, ratio_x)
-    return float(out) if out.ndim == 0 else out
 
 
 @functools.cache
@@ -161,7 +146,7 @@ def normalization_constant(cfg: ArrayAntennaConfig) -> float:
     The closed-form lag sum of the module docstring, folded onto p, q >= 0
     (the summand is even in each), where a nonzero lag stands for both signs.
     Exact up to rounding at every spacing; memoised per configuration because
-    every outage evaluation asks for it once per link.
+    every outage scan asks for it once per array.
     """
     n = cfg.n_side
     lag = np.arange(n)

@@ -22,7 +22,7 @@ The per-axis angle between the links to stations i and j is symmetric in
 and the jitter plus the angles of each unordered station pair, which gives
 the interference. Link geometry (lengths, elevations, pair angles) is
 evaluated for all stations at once per position; the stations' g0, the UAV
-array and the map from station pairs to offsets, once per scan.
+array and its g0, and the map from station pairs to offsets, once per scan.
 
 The gain at a column is g0 * (ratio_x * ratio_y)^2, the squared product of
 two per-axis factors (antenna.axis_ratio). The x-axis pair angles depend on
@@ -200,9 +200,9 @@ class _Workspace:
     """The constants of one scan and the buffers of one block of draws.
 
     The constants depend only on params and the station count m: the
-    stations' g0, the UAV array, upper (the unordered station pairs, in
-    triu_indices order) and column[i, j], the gain-table column of interferer
-    j at link i (i != j), symmetric. The buffers are reused by every block
+    stations' g0, the UAV array and its g0, upper (the unordered station
+    pairs, in triu_indices order) and column[i, j], the gain-table column of
+    interferer j at link i (i != j), symmetric. The buffers are reused by every block
     and position of the scan: rows is the block capacity; a shorter block
     uses the leading rows of each buffer, which are contiguous, so no block
     allocates anything that grows with its size.
@@ -211,6 +211,7 @@ class _Workspace:
     def __init__(self, params: ChannelParams, rows: int, m: int):
         self.sbs_g0 = antenna.normalization_constant(params.sbs_array)
         self.uav_array = params.uav_array
+        self.uav_g0 = antenna.normalization_constant(params.uav_array)
         self.upper = np.triu_indices(m, 1)
         column = np.zeros((m, m), dtype=np.intp)
         column[self.upper] = np.arange(1, len(self.upper[0]) + 1)
@@ -250,7 +251,7 @@ def _sinr_matrix(geom: _LinkGeometry, params: ChannelParams, ratio_x: np.ndarray
     tx * pl_j * alpha_j * g0 * gain, so every value is bit-identical to it.
     """
     s = ratio_x.shape[0]
-    gain = antenna.gain_from_axis_ratios(work.uav_array, ratio_x, ratio_y, work.gain[:s])
+    gain = antenna.gain_from_axis_ratios(work.uav_g0, ratio_x, ratio_y, work.gain[:s])
     term, gathered, scale = work.term[:s], work.gathered[:s], work.scale[:s]
     interference = work.interference[:s]
     interference.fill(0.0)

@@ -6,6 +6,12 @@ timings and SHA-256 digests of the produced files, or marked "failed" with
 the error message when the run exits non-zero. Output tables are CSV
 with a '#'-prefixed metadata preamble and 9-significant-digit floats, so a
 repeated run with the same config and seed is byte-identical.
+
+`train` leaves its policy in checkpoint/nets.npz, the checkpoint's only
+file: the parameter blocks of the actor, the twin critics and their targets
+(layout in uavthz.neural). The config is recorded once, in the manifest.
+`eval` builds the agent from its own --config and fills the four blocks, so
+a checkpoint read under other network widths ends with exit 2.
 """
 
 import argparse
@@ -34,7 +40,8 @@ EXIT_IO = 4
 # Least seconds between two progress lines of the baseline scan on stderr.
 PROGRESS_INTERVAL_S = 5.0
 
-_NET_FILES = ("actor", "actor_target", "critics", "critics_target")
+# A checkpoint is one archive of the agent's parameter blocks (neural.save_net).
+CHECKPOINT_FILE = "nets.npz"
 
 
 def _fmt(value) -> str:
@@ -137,51 +144,26 @@ def moving_average(values, window: int):
     return out
 
 
-def save_checkpoint(ck_dir: Path, agent: td3.Td3Agent, cfg: RunConfig, seed: int) -> None:
+def save_checkpoint(ck_dir: Path, agent: td3.Td3Agent) -> None:
+    """Write the agent's four nets to ck_dir/nets.npz, the checkpoint's only file.
+
+    Keep the name: the benchmark's tracer wraps this function by name.
+    """
     ck_dir.mkdir(parents=True, exist_ok=True)
-    for name in _NET_FILES:
-        neural.save_net(ck_dir / f"{name}.npz", getattr(agent, name),
-                        getattr(agent, f"adam_{name}", None))
-    (ck_dir / "config.txt").write_text(serialize_config(cfg), encoding="utf-8")
-    (ck_dir / "meta.json").write_text(
-        json.dumps({"version": uavthz.__version__, "agent_seed": seed,
-                    "critic_updates": agent.critic_updates,
-                    "actor_updates": agent.actor_updates}, indent=2) + "\n",
-        encoding="utf-8")
+    neural.save_net(ck_dir / CHECKPOINT_FILE, agent.nets())
 
 
-def _meta_int(meta: dict, key: str, meta_path: Path) -> int:
-    """meta[key], 0 when absent; anything but a non-negative JSON integer is a ConfigError."""
-    value = meta.get(key, 0)
-    if type(value) is not int or value < 0:  # bool is an int subclass
-        raise ConfigError(f"{meta_path}: {key} must be a non-negative integer, "
-                          f"got {json.dumps(value)}")
-    return value
+def load_checkpoint(ck_dir: Path, cfg: RunConfig, seed: int) -> td3.Td3Agent:
+    """An agent built from cfg and seed whose four nets are read from ck_dir.
 
-
-def load_checkpoint(ck_dir: Path, cfg: RunConfig) -> td3.Td3Agent:
-    meta_path = ck_dir / "meta.json"
-    if not meta_path.is_file():
+    The checkpoint overwrites every net, so the seed sets only the agent's
+    generators, which a greedy rollout never reads.
+    """
+    path = ck_dir / CHECKPOINT_FILE
+    if not path.is_file():
         raise ConfigError(f"no checkpoint at {ck_dir}")
-    try:
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # not UTF-8 or not JSON
-        raise ConfigError(f"{meta_path}: not valid JSON: {exc}") from exc
-    if not isinstance(meta, dict):
-        raise ConfigError(f"{meta_path}: expected a JSON object")
-    agent = _build_agent(cfg, _meta_int(meta, "agent_seed", meta_path))
-    for name in _NET_FILES:
-        net, adam = neural.load_net(ck_dir / f"{name}.npz")
-        expected = getattr(agent, name).architecture()
-        if net.architecture() != expected:
-            raise ConfigError(
-                f"checkpoint {name} architecture {net.architecture()} "
-                f"does not match config architecture {expected}")
-        setattr(agent, name, net)
-        if adam is not None:
-            setattr(agent, f"adam_{name}", adam)
-    agent.critic_updates = _meta_int(meta, "critic_updates", meta_path)
-    agent.actor_updates = _meta_int(meta, "actor_updates", meta_path)
+    agent = _build_agent(cfg, seed)
+    neural.load_net(path, agent.nets())
     return agent
 
 
@@ -199,7 +181,7 @@ def cmd_train(cfg: RunConfig, seed: int, out_dir: Path, manifest: Manifest) -> i
               ("episode", "reward", "moving_avg_40", "mean_max_outage"),
               [(lg.episode, lg.reward, avg[i], lg.mean_max_outage)
                for i, lg in enumerate(logs)])
-    save_checkpoint(out_dir / "checkpoint", agent, cfg, seed)
+    save_checkpoint(out_dir / "checkpoint", agent)
     manifest.finalize(out_dir, {
         "episodes": len(logs),
         "final_moving_avg_40": avg[-1],
@@ -213,7 +195,7 @@ def _sbs_layout_rows(env: Environment):
 
 def cmd_eval(cfg: RunConfig, checkpoint: Path, scenario_seed: int, out_dir: Path,
              manifest: Manifest) -> int:
-    agent = load_checkpoint(checkpoint, cfg)
+    agent = load_checkpoint(checkpoint, cfg, scenario_seed)
     env = _build_env(cfg)
     env.reset(scenario_seed)
     trace = td3.greedy_rollout(env, agent, cfg.steps_per_episode)

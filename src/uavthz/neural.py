@@ -5,6 +5,11 @@ block, layer by layer, and `weights[l]`, `biases[l]` are views into it. A (K, n)
 block stacks K nets of one architecture (the twin critics) that map a shared
 (batch, in) input to (K, batch, out). Adam, Polyak, clone and checkpoints act on
 whole blocks, elementwise, in the order of a per-layer update. 1-D input is one sample.
+
+A checkpoint is one .npz archive (save_net, load_net) that holds `version`
+and each named net's parameter block, bit for bit. The architecture is not
+stored: the reader builds its nets from its own config and fills their
+blocks in place, and an entry of another shape is an error.
 """
 
 import zipfile
@@ -17,7 +22,12 @@ from uavthz.errors import InvalidInputError, NumericFailureError
 ACT_LINEAR = "linear"
 ACT_TANH = "tanh"
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
+
+# Adam's decay rates and denominator guard, the same for every net.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 _ADAM_PIECE = 32768     # elements per piece of the Adam chain (256 KB of scratch)
 
@@ -43,12 +53,11 @@ def _layer_views(block: np.ndarray, dims: tuple) -> tuple[list, list]:
 
 @dataclass(eq=False)
 class DenseNet:
-    """Fully connected ReLU net(s) with a linear or scaled-tanh output layer."""
+    """Fully connected ReLU net(s) with a linear or tanh output layer."""
 
     layer_dims: tuple
     params: np.ndarray     # (n_params,) or (K, n_params), C-contiguous float64
     output_activation: str = ACT_LINEAR
-    output_scale: float = 1.0
     weights: list = field(init=False, repr=False)   # views into params
     biases: list = field(init=False, repr=False)
 
@@ -63,29 +72,24 @@ class DenseNet:
         self.weights, self.biases = _layer_views(p, self.layer_dims)
 
     def architecture(self):
-        return self.params.shape[:-1], self.layer_dims, self.output_activation, self.output_scale
+        return self.params.shape[:-1], self.layer_dims, self.output_activation
 
     def row(self, k: int) -> "DenseNet":
         """Net k of a stack, sharing its parameters."""
-        return DenseNet(self.layer_dims, self.params[k], self.output_activation,
-                        self.output_scale)
+        return DenseNet(self.layer_dims, self.params[k], self.output_activation)
 
 
 @dataclass
 class AdamState:
-    """First/second moment blocks shaped like the net's params, and the step counter."""
+    """First/second moment blocks shaped like the net's params, the step counter, the rate."""
 
     first_moment: np.ndarray
     second_moment: np.ndarray
     step_count: int
     learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
 
-def init_net(layer_dims, seed, output_activation: str = ACT_LINEAR,
-             output_scale: float = 1.0) -> DenseNet:
+def init_net(layer_dims, seed, output_activation: str = ACT_LINEAR) -> DenseNet:
     """Seeded initialization, uniform in +-1/sqrt(fan_in) per layer.
 
     A tuple of seeds gives a stack whose row k equals init_net(layer_dims, seed[k]).
@@ -99,8 +103,7 @@ def init_net(layer_dims, seed, output_activation: str = ACT_LINEAR,
             bound = 1.0 / np.sqrt(w.shape[0])
             w[...] = rng.uniform(-bound, bound, size=w.shape)
             b[...] = rng.uniform(-bound, bound, size=b.shape)
-    return DenseNet(dims, params if isinstance(seed, tuple) else params[0],
-                    output_activation, output_scale)
+    return DenseNet(dims, params if isinstance(seed, tuple) else params[0], output_activation)
 
 
 def init_adam(net: DenseNet, learning_rate: float) -> AdamState:
@@ -125,9 +128,9 @@ def forward(net: DenseNet, x, tape: list | None = None):
         acts.append(np.maximum(h, 0.0, out=h))
     z = acts[-1] @ net.weights[-1] + net.biases[-1][..., None, :]
     t = np.tanh(z) if net.output_activation == ACT_TANH else None
-    y = z if t is None else net.output_scale * t
     if tape is not None:
         tape[:] = [*acts, t]
+    y = z if t is None else t
     return y[..., 0, :] if squeezed else y
 
 
@@ -143,7 +146,7 @@ def backward(net: DenseNet, tape: list, output_grad, wrt_input: bool = False):
     expected = (*net.params.shape[:-1], acts[0].shape[0], net.layer_dims[-1])
     if g.shape != expected:
         raise InvalidInputError(f"output_grad shape {g.shape} != output shape {expected}")
-    delta = g if t is None else g * net.output_scale * (1.0 - t * t)
+    delta = g if t is None else g * (1.0 - t * t)
     if not wrt_input:
         grad = np.empty_like(net.params)
         w_grads, b_grads = _layer_views(grad, net.layer_dims)
@@ -170,26 +173,26 @@ def adam_step(net: DenseNet, grad: np.ndarray, state: AdamState) -> None:
     if not np.isfinite(grad).all():
         raise NumericFailureError("non-finite gradient in Adam step")
     state.step_count += 1
-    c1 = 1.0 - state.beta1 ** state.step_count
-    c2 = 1.0 - state.beta2 ** state.step_count
+    c1 = 1.0 - ADAM_BETA1 ** state.step_count
+    c2 = 1.0 - ADAM_BETA2 ** state.step_count
     flat = [a.reshape(-1) for a in (net.params, grad, state.first_moment, state.second_moment)]
     buf = np.empty(min(grad.size, _ADAM_PIECE))
     for lo in range(0, grad.size, _ADAM_PIECE):
         p, g, m, v = (a[lo:lo + _ADAM_PIECE] for a in flat)
         s = buf[:g.size]
-        np.multiply(g, 1.0 - state.beta1, out=s)
-        m *= state.beta1
+        np.multiply(g, 1.0 - ADAM_BETA1, out=s)
+        m *= ADAM_BETA1
         m += s
-        np.multiply(g, 1.0 - state.beta2, out=s)
+        np.multiply(g, 1.0 - ADAM_BETA2, out=s)
         s *= g
-        v *= state.beta2
+        v *= ADAM_BETA2
         v += s
         # lr * (m / c1) / (sqrt(v / c2) + eps), in that order
         np.divide(m, c1, out=s)
         s *= state.learning_rate
         np.divide(v, c2, out=g)
         np.sqrt(g, out=g)
-        g += state.epsilon
+        g += ADAM_EPSILON
         s /= g
         p -= s
 
@@ -205,28 +208,27 @@ def polyak_update(target: DenseNet, online: DenseNet, tau: float) -> None:
 
 
 def clone_net(net: DenseNet) -> DenseNet:
-    return DenseNet(net.layer_dims, net.params.copy(), net.output_activation,
-                    net.output_scale)
+    return DenseNet(net.layer_dims, net.params.copy(), net.output_activation)
 
 
-def save_net(path, net: DenseNet, adam: AdamState | None = None) -> None:
-    """Checkpoint a net, and its Adam state if given, to .npz; floats round-trip bit-exactly."""
-    payload = {"version": np.array(CHECKPOINT_VERSION), "layer_dims": np.array(net.layer_dims),
-               "output_activation": np.array(net.output_activation),
-               "output_scale": np.array(net.output_scale), "params": net.params}
-    if adam is not None:
-        payload.update(adam_step=np.array(adam.step_count), adam_m=adam.first_moment,
-                       adam_v=adam.second_moment, adam_lr_betas_eps=np.array(
-                           [adam.learning_rate, adam.beta1, adam.beta2, adam.epsilon]))
-    np.savez(path, **payload)
+def save_net(path, nets: dict) -> None:
+    """Write the named nets' parameter blocks and the format version to one .npz archive.
+
+    Floats round-trip bit-exactly. Keep the names save_net and path: the
+    benchmark's tracer wraps the function by name and binds path to count
+    checkpoint bytes.
+    """
+    np.savez(path, version=np.array(CHECKPOINT_VERSION),
+             **{name: net.params for name, net in nets.items()})
 
 
-def load_net(path) -> tuple[DenseNet, AdamState | None]:
-    """Restore a checkpointed network and, when present, its Adam state.
+def load_net(path, nets: dict) -> None:
+    """Fill the named nets' parameter blocks in place from a save_net archive.
 
-    A file that is not a checkpoint archive, lacks one of its entries or
-    holds an entry of the wrong shape or type raises InvalidInputError
-    naming the file.
+    Each entry must be present, float64, of its block's exact shape and
+    finite; otherwise, or when the file is not such an archive of this
+    version, InvalidInputError names the file and the entry, and no block is
+    touched. The tracer binds path by name here too.
     """
     try:
         data = np.load(path, allow_pickle=False)
@@ -234,22 +236,25 @@ def load_net(path) -> tuple[DenseNet, AdamState | None]:
         raise InvalidInputError(f"{path}: not a checkpoint archive: {exc}") from exc
     if not isinstance(data, np.lib.npyio.NpzFile):
         raise InvalidInputError(f"{path}: not a checkpoint archive")
+    blocks = {}
     with data:
-        try:
-            version = int(data["version"])
-            if version != CHECKPOINT_VERSION:
-                raise InvalidInputError(f"unsupported checkpoint version {version}, "
-                                        f"expected {CHECKPOINT_VERSION}")
-            net = DenseNet(tuple(data["layer_dims"]), data["params"],
-                           str(data["output_activation"]), float(data["output_scale"]))
-            adam = None
-            if "adam_step" in data:
-                adam = AdamState(data["adam_m"], data["adam_v"], int(data["adam_step"]),
-                                 *(float(x) for x in data["adam_lr_betas_eps"]))
-        except KeyError as exc:
-            raise InvalidInputError(f"{path}: malformed checkpoint: {exc.args[0]}") from exc
-        except InvalidInputError as exc:  # the version or the restored net's own check
-            raise InvalidInputError(f"{path}: {exc}") from exc
-        except (TypeError, ValueError) as exc:  # an entry of the wrong shape or type
-            raise InvalidInputError(f"{path}: malformed checkpoint: {exc}") from exc
-    return net, adam
+        for name in ("version", *nets):
+            if name not in data.files:
+                raise InvalidInputError(f"{path}: no entry {name!r}")
+            try:
+                blocks[name] = data[name]
+            except (ValueError, OSError, zipfile.BadZipFile) as exc:  # pickled or damaged
+                raise InvalidInputError(f"{path}: entry {name!r} unreadable: {exc}") from exc
+    version = blocks.pop("version")
+    if version.shape != () or version.dtype.kind not in "iu" or version != CHECKPOINT_VERSION:
+        raise InvalidInputError(f"{path}: unsupported checkpoint version {version.tolist()!r}, "
+                                f"expected {CHECKPOINT_VERSION}")
+    for name, block in blocks.items():
+        want = nets[name].params.shape
+        if block.dtype != np.float64 or block.shape != want:
+            raise InvalidInputError(f"{path}: entry {name!r} is {block.dtype} {block.shape}, "
+                                    f"expected float64 {want}")
+        if not np.isfinite(block).all():
+            raise InvalidInputError(f"{path}: entry {name!r} is not finite")
+    for name, block in blocks.items():
+        nets[name].params[...] = block

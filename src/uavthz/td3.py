@@ -8,6 +8,11 @@ a critic step is one batched forward, one backward and one Adam pass; the
 actor step reads critic 1 through a row view. Networks operate in a
 normalized space: positions mapped per axis to [-1, 1], actions to the unit
 ball; denormalization to meters happens only at the environment boundary.
+
+A checkpoint holds the four nets alone (actor, actor_target, critics,
+critics_target). The Adam states, the replay buffer and the generators are
+not saved, so training does not resume from one; greedy_rollout reads none
+of them.
 """
 
 from dataclasses import dataclass
@@ -158,7 +163,7 @@ class Td3Agent:
         s_actor, s_c1, s_c2, s_buf, s_noise = ss.spawn(5)
         actor_dims = (STATE_DIM, *hp.hidden_dims, ACTION_DIM)
         critic_dims = (STATE_DIM + ACTION_DIM, *hp.hidden_dims, 1)
-        actor = neural.init_net(actor_dims, _seed_int(s_actor), neural.ACT_TANH, 1.0)
+        actor = neural.init_net(actor_dims, _seed_int(s_actor), neural.ACT_TANH)
         actor.weights[-1] *= ACTOR_HEAD_SCALE
         actor.biases[-1] *= ACTOR_HEAD_SCALE
         critics = neural.init_net(critic_dims, (_seed_int(s_c1), _seed_int(s_c2)))
@@ -174,6 +179,11 @@ class Td3Agent:
             hp=hp,
             rng=np.random.default_rng(s_noise),
         )
+
+    def nets(self) -> dict:
+        """The four nets a checkpoint holds, by name; the blocks are shared, not copied."""
+        return {"actor": self.actor, "actor_target": self.actor_target,
+                "critics": self.critics, "critics_target": self.critics_target}
 
 
 def _seed_int(ss: np.random.SeedSequence) -> int:

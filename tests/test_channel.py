@@ -419,16 +419,20 @@ class TestKernelMatchesReference:
         theta_x = np.concatenate([special, rng.uniform(-1.5, 1.5, 60)]).reshape(8, 8)
         theta_y = np.concatenate([special[::-1], rng.uniform(-1.5, 1.5, 60)]).reshape(8, 8)
         want = oracle_gain(cfg, theta_x, theta_y)
-        assert np.array_equal(antenna.gain_at_axis_offsets(cfg, theta_x, theta_y), want)
-        assert antenna.gain_at_axis_offsets(cfg, 0.0, 0.0) == oracle_gain(cfg, 0.0, 0.0)
-        # the in-place steps the scan takes, with a scratch larger than the block
-        scratch = antenna.PatternScratch(128)
-        ratio_x, ratio_y = np.empty((2, 8, 8))
-        assert antenna.axis_ratio(cfg, theta_x, ratio_x, scratch) is ratio_x
-        assert antenna.axis_ratio(cfg, theta_y, ratio_y, scratch) is ratio_y
-        out = np.empty((8, 8))
-        assert antenna.gain_from_axis_ratios(cfg, ratio_x, ratio_y, out) is out
-        assert np.array_equal(out, want)
+        g0 = antenna.normalization_constant(cfg)
+        # the in-place steps the scan takes, with a scratch of the block's
+        # size and one larger than it, and at boresight alone
+        for size in (64, 128):
+            scratch = antenna.PatternScratch(size)
+            ratio_x, ratio_y = np.empty((2, 8, 8))
+            assert antenna.axis_ratio(cfg, theta_x, ratio_x, scratch) is ratio_x
+            assert antenna.axis_ratio(cfg, theta_y, ratio_y, scratch) is ratio_y
+            out = np.empty((8, 8))
+            assert antenna.gain_from_axis_ratios(g0, ratio_x, ratio_y, out) is out
+            assert np.array_equal(out, want)
+        ratio = antenna.axis_ratio(cfg, 0.0, np.empty(()), antenna.PatternScratch(1))
+        assert antenna.gain_from_axis_ratios(g0, ratio, ratio, np.empty(())) == oracle_gain(
+            cfg, 0.0, 0.0)
 
     @pytest.mark.parametrize("los", sorted(LOS_REGIMES))
     @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
@@ -488,6 +492,19 @@ class TestKernelMatchesReference:
     def test_scan_rejects_a_bad_station_array(self, links):
         with pytest.raises(InvalidInputError, match="position"):
             channel.outage_scan(links, [vec3(75, 70, 85)], make_params(), 10, 0)
+
+    def test_scan_looks_up_each_g0_once(self, monkeypatch):
+        # one lookup per array, however many positions and blocks of draws
+        calls = []
+        lookup = antenna.normalization_constant
+        monkeypatch.setattr(antenna, "normalization_constant",
+                            lambda cfg: calls.append(cfg) or lookup(cfg))
+        p = make_params()
+        positions = [vec3(x, 70, z) for x in (40, 75, 110) for z in (60, 85)]
+        channel.outage_scan(station_positions((40, 40), (110, 95), (75, 140)), positions, p,
+                            2 * channel._DRAW_BLOCK + 7, 0)
+        assert sorted(calls, key=lambda cfg: cfg.n_side) == sorted(
+            [p.sbs_array, p.uav_array], key=lambda cfg: cfg.n_side)
 
 
 # Geometries for the bias test. BIAS_LOS puts every LoS probability between

@@ -261,30 +261,58 @@ def test_negative_seed_exits_2_with_failed_manifest(tmp_path, capsys, trained, c
     assert data["status"] == "failed" and data["error"] == err.strip()
 
 
+def rewrite_archive(path, **entries):
+    """Rewrite the checkpoint archive at path with some entries replaced (None drops one)."""
+    with np.load(path) as data:
+        merged = {**dict(data), **entries}
+    np.savez(path, **{k: v for k, v in merged.items() if v is not None})
+
+
+def test_checkpoint_is_one_archive_of_the_four_blocks(tmp_path, trained):
+    config, out = trained
+    checkpoint = out / "checkpoint"
+    assert [f.name for f in checkpoint.iterdir()] == ["nets.npz"]
+    with np.load(checkpoint / "nets.npz") as data:
+        assert sorted(data.files) == ["actor", "actor_target", "critics", "critics_target",
+                                      "version"]
+        assert data["version"].shape == () and int(data["version"]) == 3
+        assert data["actor"].shape == (3 * 16 + 16 + 16 * 8 + 8 + 8 * 3 + 3,)
+        assert data["critics"].shape == (2, 6 * 16 + 16 + 16 * 8 + 8 + 8 + 1)
+        assert all(data[name].dtype == np.float64 for name in data.files if name != "version")
+
+
 @pytest.mark.parametrize("net", ["actor", "critics_target"])
 def test_checkpoint_net_mismatch_is_named(tmp_path, capsys, trained, net):
     config, out = trained
     checkpoint = copy_checkpoint(out / "checkpoint", tmp_path / "checkpoint")
-    neural.save_net(checkpoint / f"{net}.npz", neural.init_net((8, 3, 1), 0))
-    code = cli.main(["eval", "--config", str(config), "--out-dir", str(tmp_path / "eval"),
-                     "--checkpoint", str(checkpoint)])
-    assert code == cli.EXIT_CONFIG
-    assert f"checkpoint {net} architecture" in capsys.readouterr().err
+    path = checkpoint / "nets.npz"
+    rewrite_archive(path, **{net: neural.init_net((8, 3, 1), 0).params})
+    assert run_eval(config, tmp_path, tmp_path / "eval") == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: entry '{net}' is float64 (31,)")
 
 
 def test_old_checkpoint_version_names_the_file(tmp_path, capsys, trained):
     config, out = trained
     checkpoint = copy_checkpoint(out / "checkpoint", tmp_path / "checkpoint")
-    path = checkpoint / "critics.npz"
-    with np.load(path) as data:
-        entries = dict(data)
-    np.savez(path, **{**entries, "version": np.array(1)})
-    code = cli.main(["eval", "--config", str(config), "--out-dir", str(tmp_path / "eval"),
-                     "--checkpoint", str(checkpoint)])
-    assert code == cli.EXIT_CONFIG
+    path = checkpoint / "nets.npz"
+    rewrite_archive(path, version=np.array(2))
+    assert run_eval(config, tmp_path, tmp_path / "eval") == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
-    assert str(path) in err and "version 1" in err
+    assert str(path) in err and "version 2" in err
+
+
+def test_old_checkpoint_layout_is_no_checkpoint(tmp_path, capsys, trained):
+    # the per-net files of the previous format are not read
+    config, _ = trained
+    checkpoint = tmp_path / "checkpoint"
+    checkpoint.mkdir()
+    for name in ("actor", "actor_target", "critics", "critics_target"):
+        np.savez(checkpoint / f"{name}.npz", version=np.array(2))
+    (checkpoint / "meta.json").write_text("{}\n", encoding="utf-8")
+    assert run_eval(config, tmp_path, tmp_path / "eval") == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: no checkpoint at {checkpoint}\n"
 
 
 def linkbudget_interference_dbm(capsys, config, *stations):
@@ -324,56 +352,65 @@ def test_linkbudget_two_station_interference(tmp_path, capsys):
     assert all(-230.0 < v < -210.0 for v in printed)
 
 
-def drop_params(path):
-    with np.load(path) as data:
-        entries = {k: v for k, v in data.items() if k != "params"}
-    np.savez(path, **entries)
+def set_entry(name, value):
+    return lambda path: rewrite_archive(path, **{name: value})
 
 
-def set_entry(key, value):
-    def spoil(path):
+def spoil_entry(name, spoil):
+    def rewrite(path):
         with np.load(path) as data:
-            entries = dict(data)
-        np.savez(path, **{**entries, key: np.array(value)})
-    return spoil
+            block = data[name]
+        rewrite_archive(path, **{name: spoil(block)})
+    return rewrite
 
 
-def set_meta(key, value):
-    def spoil(path):
-        meta = json.loads(path.read_text(encoding="utf-8"))
-        path.write_text(json.dumps({**meta, key: value}), encoding="utf-8")
-    return spoil
+def with_nan(block):
+    block = block.copy()
+    block.flat[block.size // 2] = np.nan
+    return block
 
 
-# A meta.json count must be a non-negative JSON integer, and not a bool.
-BAD_META = [("agent_seed", "x"), ("agent_seed", None), ("agent_seed", [1]),
-            ("agent_seed", 1.5), ("agent_seed", -1), ("critic_updates", True),
-            ("actor_updates", 2.0)]
+def trained_at_other_widths(path):
+    # a real checkpoint, trained with the first hidden layer 12 wide, not 16
+    other = path.parent.parent / "other"
+    other.mkdir()
+    config = other / "run.cfg"
+    config.write_text(TINY.replace("td3.hidden1 = 16", "td3.hidden1 = 12"), encoding="utf-8")
+    assert cli.main(["train", "--config", str(config), "--seed", "3",
+                     "--out-dir", str(other / "train")]) == cli.EXIT_OK
+    path.write_bytes((other / "train" / "checkpoint" / "nets.npz").read_bytes())
 
 
-@pytest.mark.parametrize("name,spoil", [
-    ("critics.npz", drop_params),
-    ("actor.npz", lambda path: path.write_text("not an archive\n", encoding="utf-8")),
-    ("meta.json", lambda path: path.write_text("{agent_seed: 3", encoding="utf-8")),
-    *(pytest.param("meta.json", set_meta(key, value), id=f"meta.json-{key}={json.dumps(value)}")
-      for key, value in BAD_META),
-    pytest.param("critics.npz", set_entry("version", [2, 2]), id="critics.npz-version-shape-2"),
-    pytest.param("actor.npz", set_entry("output_scale", [1.0, 1.0]),
-                 id="actor.npz-output_scale-shape-2"),
-    pytest.param("actor_target.npz", set_entry("layer_dims", ["three", "sixteen", "eight"]),
-                 id="actor_target.npz-layer_dims-strings"),
+@pytest.mark.parametrize("spoil,message", [
+    pytest.param(lambda path: path.write_text("not an archive\n", encoding="utf-8"),
+                 "not a checkpoint archive", id="text"),
+    pytest.param(set_entry("critics", None), "no entry 'critics'", id="missing-critics"),
+    pytest.param(set_entry("version", None), "no entry 'version'", id="missing-version"),
+    pytest.param(spoil_entry("actor", lambda b: b.astype(np.float32)),
+                 "entry 'actor' is float32", id="actor-float32"),
+    pytest.param(spoil_entry("actor_target", lambda b: b[:-1]),
+                 "entry 'actor_target' is float64 (226,), expected float64 (227,)",
+                 id="actor_target-shape"),
+    pytest.param(spoil_entry("critics_target", with_nan), "entry 'critics_target' is not finite",
+                 id="critics_target-nan"),
+    pytest.param(set_entry("version", np.array(2)), "unsupported checkpoint version 2",
+                 id="version-2"),
+    pytest.param(set_entry("version", np.array([3, 3])), "unsupported checkpoint version [3, 3]",
+                 id="version-shape-2"),
+    pytest.param(trained_at_other_widths, "entry 'actor' is float64 (179,), expected float64 "
+                 "(227,)", id="other-widths"),
 ])
-def test_malformed_checkpoint_file_exits_2_naming_it(tmp_path, capsys, trained, name, spoil):
+def test_malformed_checkpoint_file_exits_2_naming_it(tmp_path, capsys, trained, spoil,
+                                                     message):
     config, out = trained
     checkpoint = copy_checkpoint(out / "checkpoint", tmp_path / "checkpoint")
-    spoil(checkpoint / name)
+    path = checkpoint / "nets.npz"
+    spoil(path)
     eval_dir = tmp_path / "eval"
-    code = cli.main(["eval", "--config", str(config), "--out-dir", str(eval_dir),
-                     "--checkpoint", str(checkpoint)])
-    assert code == cli.EXIT_CONFIG
+    assert run_eval(config, tmp_path, eval_dir) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith("config error: ") and err.count("\n") == 1
-    assert str(checkpoint / name) in err
+    assert err.startswith(f"config error: {path}: ") and err.count("\n") == 1
+    assert message in err
     data = manifest(eval_dir)
     assert data["status"] == "failed" and data["error"] == err.strip()
 

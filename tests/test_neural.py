@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -32,10 +34,10 @@ class TestForward:
         assert np.array_equal(neural.forward(net, x), x)
 
     def test_matches_independent_matrix_evaluation(self):
-        net = neural.init_net((4, 6, 3), 42, neural.ACT_TANH, 2.0)
+        net = neural.init_net((4, 6, 3), 42, neural.ACT_TANH)
         x = np.random.default_rng(9).normal(size=4)
         h = np.maximum(x @ net.weights[0] + net.biases[0], 0.0)
-        expected = 2.0 * np.tanh(h @ net.weights[1] + net.biases[1])
+        expected = np.tanh(h @ net.weights[1] + net.biases[1])
         assert np.allclose(neural.forward(net, x), expected, rtol=1e-15)
 
     def test_batched_shape(self):
@@ -48,10 +50,10 @@ class TestForward:
         with pytest.raises(InvalidInputError):
             neural.forward(net, np.zeros(5))
 
-    def test_tanh_output_bounded_by_scale(self):
-        net = neural.init_net((3, 16, 4), 5, neural.ACT_TANH, 1.5)
+    def test_tanh_output_bounded_by_one(self):
+        net = neural.init_net((3, 16, 4), 5, neural.ACT_TANH)
         x = np.random.default_rng(1).normal(scale=50.0, size=(100, 3))
-        assert np.all(np.abs(neural.forward(net, x)) <= 1.5)
+        assert np.all(np.abs(neural.forward(net, x)) <= 1.0)
 
 
 class TestBackward:
@@ -74,7 +76,7 @@ class TestBackward:
     def test_matches_central_finite_differences(self, seed):
         rng = np.random.default_rng(100 + seed)
         act = neural.ACT_TANH if seed % 2 else neural.ACT_LINEAR
-        net = neural.init_net((3, 8, 4, 1), seed, act, 1.3)
+        net = neural.init_net((3, 8, 4, 1), seed, act)
         x = rng.normal(size=(4, 3))
         gout = rng.normal(size=(4, 1))
         tape = taped(net, x)
@@ -115,7 +117,7 @@ class TestAdam:
         state = neural.init_adam(net, 0.5)
         g = 3.0
         neural.adam_step(net, np.array([g, 0.0]), state)
-        expected = 1.0 - 0.5 * g / (abs(g) + state.epsilon)
+        expected = 1.0 - 0.5 * g / (abs(g) + neural.ADAM_EPSILON)
         assert net.weights[0][0, 0] == pytest.approx(expected, rel=1e-9)
 
     def test_quadratic_convergence(self):
@@ -181,22 +183,44 @@ class TestDeterminismAndCheckpoint:
         assert all(x.tobytes() == y.tobytes() for x, y in zip(a.biases, b.biases))
 
     def test_checkpoint_round_trip_bit_exact(self, tmp_path):
-        net = neural.init_net((4, 9, 3), 21, neural.ACT_TANH, 0.7)
-        adam = neural.init_adam(net, 2e-4)
-        neural.adam_step(net, np.random.default_rng(2).normal(size=net.params.shape), adam)
-        path = tmp_path / "net.npz"
-        neural.save_net(path, net, adam)
-        loaded, loaded_adam = neural.load_net(path)
-        assert loaded.architecture() == net.architecture()
-        assert loaded.params.tobytes() == net.params.tobytes()
-        assert loaded_adam.step_count == 1
-        assert loaded_adam.first_moment.tobytes() == adam.first_moment.tobytes()
-        assert loaded_adam.second_moment.tobytes() == adam.second_moment.tobytes()
-        # save the restored net again: byte-identical parameters round-trip
-        path2 = tmp_path / "net2.npz"
-        neural.save_net(path2, loaded, loaded_adam)
-        again, _ = neural.load_net(path2)
-        assert again.params.tobytes() == net.params.tobytes()
+        nets = {"single": neural.init_net((4, 9, 3), 21, neural.ACT_TANH),
+                "stack": neural.init_net((5, 7, 1), (22, 23))}
+        adam = neural.init_adam(nets["single"], 2e-4)
+        neural.adam_step(nets["single"],
+                         np.random.default_rng(2).normal(size=nets["single"].params.shape), adam)
+        path = tmp_path / "nets.npz"
+        neural.save_net(path, nets)
+        with np.load(path) as data:
+            assert sorted(data.files) == ["single", "stack", "version"]
+            assert int(data["version"]) == neural.CHECKPOINT_VERSION
+        loaded = {"single": neural.init_net((4, 9, 3), 0, neural.ACT_TANH),
+                  "stack": neural.init_net((5, 7, 1), (0, 1))}
+        views = {name: net.weights[0] for name, net in loaded.items()}
+        neural.load_net(path, loaded)
+        for name, net in nets.items():
+            assert loaded[name].params.tobytes() == net.params.tobytes()
+            # filled in place: the layer views still read the block
+            assert np.shares_memory(views[name], loaded[name].params)
+            assert views[name].tobytes() == net.weights[0].tobytes()
+        # save the restored nets again: the archive is byte-identical
+        path2 = tmp_path / "nets2.npz"
+        neural.save_net(path2, loaded)
+        assert path2.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("bad", [
+        np.zeros(16, dtype=np.float32), np.zeros(17), np.full(16, np.nan),
+    ], ids=["float32", "shape", "nan"])
+    def test_a_bad_entry_leaves_every_block_untouched(self, tmp_path, bad):
+        # the first entry is valid; the load still fails before filling it
+        nets = {"first": neural.init_net((3, 3, 1), 0), "second": neural.init_net((3, 3, 1), 1)}
+        path = tmp_path / "nets.npz"
+        np.savez(path, version=np.array(neural.CHECKPOINT_VERSION),
+                 first=neural.init_net((3, 3, 1), 2).params, second=bad)
+        before = {name: net.params.copy() for name, net in nets.items()}
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(str(path))}: entry 'second'"):
+            neural.load_net(path, nets)
+        for name, net in nets.items():
+            assert net.params.tobytes() == before[name].tobytes()
 
 
 class TestStack:
@@ -219,7 +243,7 @@ class TestStack:
     @pytest.mark.parametrize("act", [neural.ACT_LINEAR, neural.ACT_TANH])
     def test_forward_and_backward_match_rows_bit_for_bit(self, act):
         rng = np.random.default_rng(4)
-        stack = neural.init_net(self.DIMS, (5, 6), act, 1.5)
+        stack = neural.init_net(self.DIMS, (5, 6), act)
         x = rng.normal(size=(9, 6))
         gout = rng.normal(size=(2, 9, 1))
         tape = []

@@ -311,6 +311,26 @@ class TestTrainLoop:
         assert [lg.episode for lg in logs] == list(range(5))
 
 
+def test_block_sizes_tell_the_hidden_widths_apart():
+    # A checkpoint stores no layer dims, only blocks that must match in shape:
+    # the actor's and the critics' sizes together fix (hidden1, hidden2).
+    h1, h2 = np.meshgrid(np.arange(1, 1025), np.arange(1, 1025), indexing="ij")
+
+    def size(d_in, d_out):
+        return (d_in + 1) * h1 + (h1 + 1) * h2 + (h2 + 1) * d_out
+
+    actor = size(td3.STATE_DIM, td3.ACTION_DIM)
+    critic = size(td3.STATE_DIM + td3.ACTION_DIM, 1)
+    for hidden in ((1, 1), (16, 8), (256, 128), (1024, 3)):
+        agent = make_agent(hidden_dims=hidden)
+        at = (hidden[0] - 1, hidden[1] - 1)
+        assert agent.actor.params.shape == (actor[at],)
+        assert agent.critics.params.shape == (2, critic[at])
+    assert actor.max() < 2 ** 21
+    assert np.unique(actor * 2 ** 21 + critic).size == h1.size
+    assert np.unique(actor).size < h1.size   # the actor's size alone does not
+
+
 class TestGreedyRollout:
     def test_zero_actor_is_stationary(self):
         env = small_env(mc_samples=30)
@@ -343,6 +363,15 @@ class TestGreedyRollout:
         trace = td3.greedy_rollout(env, make_agent(27), 6)
         assert len(trace) == 7 and calls == []
 
+    def test_rollout_draws_nothing_from_the_agent(self):
+        # eval builds its agent from any seed: the rollout never reads the generator
+        env = small_env(mc_samples=30)
+        env.reset(5)
+        agent = make_agent(28)
+        before = agent.rng.bit_generator.state
+        td3.greedy_rollout(env, agent, 6)
+        assert agent.rng.bit_generator.state == before
+
     def test_time_column_is_cumulative_and_bounded(self):
         env = small_env(mc_samples=30)
         env.reset(3)
@@ -363,7 +392,10 @@ class RefNet:
     weights: list
     biases: list
     output_activation: str
-    output_scale: float
+
+
+# Adam's decay rates and denominator guard
+REF_BETA1, REF_BETA2, REF_EPSILON = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -372,16 +404,13 @@ class RefAdam:
     second_moment: list
     step_count: int
     learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
 
 def ref_net(net, k=None) -> RefNet:
     """Per-layer copies of a net, or of row k of a stacked net."""
     src = net if k is None else net.row(k)
     return RefNet([w.copy() for w in src.weights], [b.copy() for b in src.biases],
-                  src.output_activation, src.output_scale)
+                  src.output_activation)
 
 
 def ref_adam(state, dims, k=None) -> RefAdam:
@@ -390,7 +419,7 @@ def ref_adam(state, dims, k=None) -> RefAdam:
         weights, biases = neural._layer_views(block if k is None else block[k], dims)
         return [a.copy() for a in weights + biases]
     return RefAdam(lists(state.first_moment), lists(state.second_moment), state.step_count,
-                   state.learning_rate, state.beta1, state.beta2, state.epsilon)
+                   state.learning_rate)
 
 
 def ref_forward_cached(net, x):
@@ -400,7 +429,7 @@ def ref_forward_cached(net, x):
         h = np.maximum(h @ w + b, 0.0)
         acts.append(h)
     z = h @ net.weights[-1] + net.biases[-1]
-    y = net.output_scale * np.tanh(z) if net.output_activation == neural.ACT_TANH else z
+    y = np.tanh(z) if net.output_activation == neural.ACT_TANH else z
     return y, acts, z
 
 
@@ -412,7 +441,7 @@ def ref_backward(net, x, g):
     _, acts, z = ref_forward_cached(net, x)
     if net.output_activation == neural.ACT_TANH:
         t = np.tanh(z)
-        delta = g * net.output_scale * (1.0 - t * t)
+        delta = g * (1.0 - t * t)
     else:
         delta = g.copy()
     n_layers = len(net.weights)
@@ -433,15 +462,15 @@ def ref_adam_step(net, w_grads, b_grads, state):
             raise NumericFailureError("non-finite gradient in Adam step")
     state.step_count += 1
     t = state.step_count
-    c1 = 1.0 - state.beta1 ** t
-    c2 = 1.0 - state.beta2 ** t
+    c1 = 1.0 - REF_BETA1 ** t
+    c2 = 1.0 - REF_BETA2 ** t
     for p, g, m, v in zip(net.weights + net.biases, grads, state.first_moment,
                           state.second_moment):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + state.epsilon)
+        m *= REF_BETA1
+        m += (1.0 - REF_BETA1) * g
+        v *= REF_BETA2
+        v += (1.0 - REF_BETA2) * g * g
+        p -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + REF_EPSILON)
 
 
 def ref_polyak_update(target, online, tau):
