@@ -16,6 +16,10 @@ otherwise its power, as a desired link and as an interferer, is scaled by
 nlos_extra_loss. The one-orientation instantaneous_sinr takes every link in
 line of sight.
 
+The entries outage_scan and instantaneous_sinr check each position once: the
+(M, 3) stations with M >= 1, each UAV at positive altitude (else
+GeometryDegenerateError), every coordinate within geometry.MAX_COORD_M.
+
 The per-axis angle between the links to stations i and j is symmetric in
 (i, j), so each draw needs the UAV pattern at 1 + M(M-1)/2 distinct offsets
 (16 for six links): the jitter alone, which gives every link's desired gain,
@@ -56,7 +60,7 @@ import numpy as np
 
 from uavthz import antenna, geometry
 from uavthz.antenna import ArrayAntennaConfig
-from uavthz.errors import InvalidInputError, require
+from uavthz.errors import GeometryDegenerateError, InvalidInputError, require
 from uavthz.geometry import Vec3, as_stations, as_vec3
 
 SPEED_OF_LIGHT = 3.0e8  # m/s
@@ -138,27 +142,15 @@ class OutageEstimate:
     n_samples: int
     seed: int
 
-    def __post_init__(self):
-        self.per_link_outage = np.asarray(self.per_link_outage, dtype=float)
-        if np.any(self.per_link_outage < 0) or np.any(self.per_link_outage > 1):
-            raise InvalidInputError("outage probabilities must lie in [0, 1]")
-
-
-def _check_length(length):
-    if np.any(np.asarray(length) <= 0):
-        raise InvalidInputError(f"link length must be positive, got {length}")
-
 
 def free_space_term(params: ChannelParams, length):
     """(lambda / (4*pi*L))^2, the free-space factor of the channel amplitude, elementwise in L."""
-    _check_length(length)
-    return (params.wavelength / (4.0 * np.pi * np.asarray(length))) ** 2
+    return (params.wavelength / (4.0 * np.pi * length)) ** 2
 
 
 def absorption_term(params: ChannelParams, length):
     """exp(-K*L/2), the molecular-absorption factor of the channel amplitude, elementwise in L."""
-    _check_length(length)
-    return np.exp(-0.5 * params.absorption_coeff * np.asarray(length))
+    return np.exp(-0.5 * params.absorption_coeff * length)
 
 
 def path_loss(params: ChannelParams, length):
@@ -276,13 +268,22 @@ def _sinr_matrix(geom: _LinkGeometry, params: ChannelParams, ratio_x: np.ndarray
     return sinr, interference
 
 
+def _as_uav(v) -> Vec3:
+    """A checked UAV position: a 3-vector (geometry.as_vec3) with positive altitude."""
+    uav = as_vec3(v)
+    if uav[2] <= 0:
+        raise GeometryDegenerateError(f"UAV altitude must be positive, got {uav[2]}")
+    return uav
+
+
 def instantaneous_sinr(links, uav: Vec3, orientation: tuple[float, float],
                        params: ChannelParams) -> SinrSample:
     """Per-link SINR for one fixed orientation, every link in line of sight.
 
-    links is the (M, 3) array of station positions, one link each.
+    links is the (M, 3) array of station positions, one link each; it and uav,
+    at positive altitude and within geometry.MAX_COORD_M, are checked here.
     """
-    sbs = as_stations(links)
+    sbs, uav = as_stations(links), _as_uav(uav)
     work = _Workspace(params, 1, len(sbs))
     geom = _precompute(sbs, uav, params, work.upper)
     ratio_x, ratio_y = np.empty((2, 1, geom.offset_x.shape[0]))
@@ -382,8 +383,9 @@ def outage_scan(links, uavs, params: ChannelParams, n_samples: int, seed: int,
                 progress=None) -> list[OutageEstimate]:
     """Monte-Carlo outage per link at each UAV position of `uavs`, in order.
 
-    links is the (M, 3) station array, checked once per scan. Keep the
-    names links and n_samples: the benchmark's tracer binds them to count draws.
+    links is the (M, 3) station array; it and each position, at positive
+    altitude and within geometry.MAX_COORD_M, are checked once per scan. Keep
+    the names links and n_samples: the benchmark's tracer binds them to count draws.
 
     Every position sees the same draws (common random numbers), made once per
     scan by _draws; a position only changes which LoS uniforms fall below its
@@ -426,7 +428,7 @@ def outage_scan(links, uavs, params: ChannelParams, n_samples: int, seed: int,
     if n_samples < 1:
         raise InvalidInputError("n_samples must be >= 1")
     sbs = as_stations(links)
-    uavs = [as_vec3(uav) for uav in uavs]
+    uavs = [_as_uav(uav) for uav in uavs]
     m = len(sbs)
     theta_jx, theta_jy, uniforms = _draws(params, m, n_samples, seed)
     rows = min(_DRAW_BLOCK, n_samples)
@@ -479,7 +481,5 @@ def outage_probability(links, uav: Vec3, params: ChannelParams,
 
 
 def max_outage(estimate: OutageEstimate) -> float:
-    """Largest per-link outage probability."""
-    if estimate.per_link_outage.size == 0:
-        raise InvalidInputError("outage estimate covers no links")
+    """Largest per-link outage probability; an estimate covers M >= 1 links."""
     return float(estimate.per_link_outage.max())

@@ -30,7 +30,8 @@ from uavthz import baseline, channel, geometry, neural, td3
 from uavthz.antenna import normalization_constant
 from uavthz.config import RunConfig, load_config, serialize_config
 from uavthz.environment import Environment
-from uavthz.errors import ConfigError, InvalidInputError, NumericFailureError
+from uavthz.errors import (ConfigError, GeometryDegenerateError, InvalidInputError,
+                           NumericFailureError)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -278,6 +279,12 @@ def _parse_xyz(text: str, n: int):
     return parts
 
 
+def _db(power):
+    """10 * log10(power), elementwise; a zero power reads -inf, without a warning."""
+    with np.errstate(divide="ignore"):
+        return 10 * np.log10(power)
+
+
 def cmd_linkbudget(cfg: RunConfig, uav_xyz: str, sbs_list: list[str]) -> int:
     if not sbs_list:
         raise ConfigError("linkbudget needs at least one --sbs x,y")
@@ -291,30 +298,27 @@ def cmd_linkbudget(cfg: RunConfig, uav_xyz: str, sbs_list: list[str]) -> int:
             raise ConfigError(f"link {i + 1}: {exc}") from exc
     try:
         sample = channel.instantaneous_sinr(sbs, uav, (0.0, 0.0), params)
-    except InvalidInputError as exc:
+    except GeometryDegenerateError as exc:
         raise ConfigError(f"degenerate geometry: {exc}") from exc
-    gain_db = 10 * np.log10(normalization_constant(params.sbs_array)
-                            * normalization_constant(params.uav_array))
+    gain_db = _db(normalization_constant(params.sbs_array)
+                  * normalization_constant(params.uav_array))
     print(f"uav: ({uav[0]:g}, {uav[1]:g}, {uav[2]:g})   "
           f"carrier {cfg.carrier_ghz:g} GHz   threshold {cfg.sinr_threshold_db:g} dB")
     header = (f"{'link':>4} {'length_m':>10} {'elev_deg':>9} {'p_los':>7} "
               f"{'freespace_db':>13} {'pathloss_db':>12} {'gain_db':>9} "
               f"{'intf_dbm':>10} {'sinr_db':>8}  verdict")
     print(header)
-    for i, station in enumerate(sbs):
-        length = geometry.link_length(uav, station)
-        elev = geometry.elevation_angle(uav, station)
-        p_los = channel.los_probability(params, elev)
-        hlf = channel.free_space_term(params, length)
-        pl2 = channel.path_loss(params, length)
-        sinr = sample.per_link_sinr[i]
-        interference = sample.per_link_interference_w[i]
+    length = geometry.link_length(uav, sbs)
+    elev = geometry.elevation_angle(uav, sbs)
+    columns = zip(length, np.degrees(elev), channel.los_probability(params, elev),
+                  _db(channel.free_space_term(params, length)),
+                  _db(channel.path_loss(params, length)),
+                  _db(sample.per_link_interference_w * 1e3), sample.per_link_sinr)
+    for i, (length_m, elev_deg, p_los, free_db, loss_db, intf_dbm, sinr) in enumerate(columns):
         verdict = "pass" if sinr >= params.sinr_threshold else "FAIL"
-        intf_dbm = 10 * np.log10(interference * 1e3) if interference > 0 else -np.inf
-        print(f"{i + 1:>4} {length:>10.3f} {np.degrees(elev):>9.3f} {p_los:>7.4f} "
-              f"{10 * np.log10(hlf):>13.2f} {10 * np.log10(pl2):>12.2f} "
-              f"{gain_db:>9.2f} {intf_dbm:>10.2f} "
-              f"{10 * np.log10(sinr):>8.2f}  {verdict}")
+        print(f"{i + 1:>4} {length_m:>10.3f} {elev_deg:>9.3f} {p_los:>7.4f} "
+              f"{free_db:>13.2f} {loss_db:>12.2f} {gain_db:>9.2f} {intf_dbm:>10.2f} "
+              f"{_db(sinr):>8.2f}  {verdict}")
     return EXIT_OK
 
 

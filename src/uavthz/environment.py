@@ -17,7 +17,7 @@ import numpy as np
 from uavthz import channel, geometry
 from uavthz.channel import ChannelParams, OutageEstimate
 from uavthz.errors import InvalidInputError, require
-from uavthz.geometry import KinematicLimits, Vec3, as_stations, as_vec3
+from uavthz.geometry import MAX_COORD_M, KinematicLimits, Vec3, as_stations, as_vec3
 
 
 @dataclass
@@ -40,9 +40,6 @@ class EnvState:
     """UAV position in meters."""
 
     uav_position: Vec3
-
-    def __post_init__(self):
-        self.uav_position = as_vec3(self.uav_position)
 
 
 @dataclass
@@ -73,8 +70,11 @@ class EnvConfig:
     clamp_horizontal: bool
 
     def __post_init__(self):
-        for name in ("area_x", "area_y", "dt", "reward_floor"):
+        for name in ("dt", "reward_floor"):
             require(getattr(self, name) > 0, f"{name} must be positive", name)
+        for name in ("area_x", "area_y"):
+            require(0 < getattr(self, name) <= MAX_COORD_M,
+                    f"{name} must lie in (0, {MAX_COORD_M:g}] m", name)
         require(1 <= self.m_s_min <= self.m_s_max, "need 1 <= m_s_min <= m_s_max",
                 "m_s_min", "m_s_max")
         require(0 < self.t_min <= self.t_max, "need 0 < t_min <= t_max", "t_min", "t_max")
@@ -195,6 +195,6 @@ class Environment:
         """Score an arbitrary position against the current topology (pure helper)."""
         if self.topology is None:
             raise InvalidInputError("environment not reset")
-        return channel.outage_probability(self.topology.sbs_list, as_vec3(position),
-                                          self.params, n_samples, seed)
+        return channel.outage_probability(self.topology.sbs_list, position, self.params,
+                                          n_samples, seed)
 

@@ -154,8 +154,6 @@ class Td3Agent:
     normalizer: Normalizer
     hp: Td3Hyperparams
     rng: np.random.Generator
-    critic_updates: int = 0
-    actor_updates: int = 0
 
     @classmethod
     def create(cls, normalizer: Normalizer, hp: Td3Hyperparams, seed: int) -> "Td3Agent":
@@ -235,7 +233,6 @@ def critic_update(agent: Td3Agent, minibatch) -> tuple[float, float]:
     losses = np.mean(err ** 2, axis=1)
     grad = neural.backward(agent.critics, tape, (2.0 * err / err.shape[1])[..., None])
     neural.adam_step(agent.critics, grad, agent.adam_critics)
-    agent.critic_updates += 1
     return float(losses[0]), float(losses[1])
 
 
@@ -265,7 +262,6 @@ def actor_update(agent: Td3Agent, minibatch) -> float:
         g = np.where(outside[:, None], g_proj, g)
     grad = neural.backward(agent.actor, actor_tape, g)
     neural.adam_step(agent.actor, grad, agent.adam_actor)
-    agent.actor_updates += 1
     return float(np.mean(q))
 
 
@@ -285,7 +281,7 @@ def update(agent: Td3Agent, minibatch) -> tuple[float, float]:
     """
     with np.errstate(over="ignore", invalid="ignore"):
         losses = critic_update(agent, minibatch)
-        if agent.critic_updates % agent.hp.policy_delay == 0:
+        if agent.adam_critics.step_count % agent.hp.policy_delay == 0:
             actor_update(agent, minibatch)
             sync_targets(agent)
     return losses

@@ -10,7 +10,7 @@ from uavthz import antenna, channel, geometry
 from uavthz.antenna import ArrayAntennaConfig
 from uavthz.channel import ChannelParams, OutageEstimate
 from uavthz.config import RunConfig
-from uavthz.errors import InvalidInputError
+from uavthz.errors import GeometryDegenerateError, InvalidInputError
 from uavthz.geometry import vec3
 
 
@@ -21,6 +21,24 @@ def make_params(**kw) -> ChannelParams:
 def station_positions(*xy):
     """The (M, 3) array of ground stations at the given (x, y) points."""
     return np.array([(x, y, 0.0) for x, y in xy], dtype=float)
+
+
+# What the channel's two entries, outage_scan and instantaneous_sinr, reject
+# of their stations and of a UAV position.
+BAD_STATION_ARRAYS = {
+    "empty": np.empty((0, 3)),
+    "(3,)": np.array([40.0, 40.0, 0.0]),
+    "(M, 2)": np.array([(40.0, 40.0), (110.0, 95.0)]),
+    "non-finite": station_positions((40, 40), (110, np.nan)),
+    "beyond the bound": station_positions((40, 40), (110, 1e200)),
+}
+BAD_UAVS = {
+    "on the ground": ((75.0, 70.0, 0.0), GeometryDegenerateError),
+    "below the ground": ((75.0, 70.0, -1.0), GeometryDegenerateError),
+    "(2,)": ((75.0, 70.0), InvalidInputError),
+    "non-finite": ((75.0, np.inf, 85.0), InvalidInputError),
+    "beyond the bound": ((1e200, 70.0, 85.0), InvalidInputError),
+}
 
 
 # Reference kernel: one pattern evaluation per (link, interferer) pair with the
@@ -48,14 +66,16 @@ def oracle_precompute(sbs, uav, params):
     # per-link power, g0 and UAV array, each built per link from params
     m = len(sbs)
     tx = np.array([params.tx_power_w for _ in sbs])
-    pl = np.array([channel.path_loss(params, geometry.link_length(uav, s)) for s in sbs])
+    pl = np.array([channel.path_loss(params, geometry.link_length(uav, s[None])[0])
+                   for s in sbs])
     g0s = np.array([
         antenna.normalization_constant(
             ArrayAntennaConfig(params.sbs_n_side, params.spacing_over_lambda))
         for _ in sbs
     ])
     p_los = np.array([
-        channel.los_probability(params, geometry.elevation_angle(uav, s)) for s in sbs
+        channel.los_probability(params, geometry.elevation_angle(uav, s[None])[0])
+        for s in sbs
     ])
     thx = np.zeros((m, m))
     thy = np.zeros((m, m))
@@ -161,10 +181,6 @@ class TestPathLoss:
             (p.wavelength / (4 * np.pi * length)) ** 4 * np.exp(-p.absorption_coeff * length),
             rel=1e-12)
 
-    def test_rejects_nonpositive_length(self):
-        with pytest.raises(InvalidInputError):
-            channel.path_loss(make_params(), 0.0)
-
 
 class TestLosProbability:
     def test_urban_overhead(self):
@@ -263,9 +279,15 @@ class TestInstantaneousSinr:
             est = channel.outage_probability(links, uav, q, 300, 4)
             assert est.per_link_outage[0] == outage
 
-    def test_requires_a_link(self):
-        with pytest.raises(InvalidInputError):
-            channel.instantaneous_sinr(np.empty((0, 3)), vec3(0, 0, 50), (0, 0), make_params())
+    @pytest.mark.parametrize("links", BAD_STATION_ARRAYS.values(), ids=BAD_STATION_ARRAYS)
+    def test_rejects_a_bad_station_array(self, links):
+        with pytest.raises(InvalidInputError, match="position"):
+            channel.instantaneous_sinr(links, vec3(75, 70, 85), (0, 0), make_params())
+
+    @pytest.mark.parametrize("uav,error", BAD_UAVS.values(), ids=BAD_UAVS)
+    def test_rejects_a_bad_uav(self, uav, error):
+        with pytest.raises(error):
+            channel.instantaneous_sinr(station_positions((40, 40)), uav, (0, 0), make_params())
 
 
 class TestOutageProbability:
@@ -316,10 +338,6 @@ class TestOutageProbability:
         low = channel.outage_probability(links, uav, make_params(sinr_threshold=1.0), 2000, 5)
         high = channel.outage_probability(links, uav, make_params(sinr_threshold=10.0), 2000, 5)
         assert np.all(high.per_link_outage >= low.per_link_outage)
-
-    def test_estimate_validation(self):
-        with pytest.raises(InvalidInputError):
-            OutageEstimate(np.array([1.2]), 10, 0)
 
     def test_rejects_zero_samples(self):
         with pytest.raises(InvalidInputError):
@@ -484,14 +502,16 @@ class TestKernelMatchesReference:
                             progress=lambda k, n: calls.append((k, n)))
         assert calls == [(1, 3), (2, 3), (3, 3)]
 
-    @pytest.mark.parametrize("links", [
-        np.empty((0, 3)),
-        np.array([(40.0, 40.0), (110.0, 95.0)]),
-        station_positions((40, 40), (110, np.nan)),
-    ], ids=["empty", "(M, 2)", "non-finite"])
+    @pytest.mark.parametrize("links", BAD_STATION_ARRAYS.values(), ids=BAD_STATION_ARRAYS)
     def test_scan_rejects_a_bad_station_array(self, links):
         with pytest.raises(InvalidInputError, match="position"):
             channel.outage_scan(links, [vec3(75, 70, 85)], make_params(), 10, 0)
+
+    @pytest.mark.parametrize("uav,error", BAD_UAVS.values(), ids=BAD_UAVS)
+    def test_scan_rejects_one_bad_position_among_good_ones(self, uav, error):
+        uavs = [vec3(75, 70, 85), uav, vec3(40, 70, 85)]
+        with pytest.raises(error):
+            channel.outage_scan(station_positions((40, 40), (110, 95)), uavs, make_params(), 10, 0)
 
     def test_scan_looks_up_each_g0_once(self, monkeypatch):
         # one lookup per array, however many positions and blocks of draws
@@ -666,7 +686,3 @@ class TestMaxOutage:
 
     def test_all_equal(self):
         assert channel.max_outage(OutageEstimate(np.array([0.25, 0.25]), 10, 0)) == 0.25
-
-    def test_empty_rejected(self):
-        with pytest.raises(InvalidInputError):
-            channel.max_outage(OutageEstimate(np.array([]), 10, 0))

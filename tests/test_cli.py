@@ -135,11 +135,17 @@ def test_bad_linkbudget_coordinates_exit_2(capsys, flags):
     assert err.startswith("config error: expected ") and err.count("\n") == 1
 
 
+OUT_OF_BOUND = "position coordinates must be finite and within 1e+06 m"
+
+
+# A warning is an error here: each bad input is refused before any arithmetic.
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("flags,message", [
-    (("--uav", "75,75,80", "--sbs", "nan,2"), "link 1: non-finite vector components"),
-    (("--uav", "75,75,80", "--sbs", "10,20", "--sbs", "1,inf"),
-     "link 2: non-finite vector components"),
-    (("--uav", "75,75,inf", "--sbs", "10,20"), "non-finite vector components"),
+    (("--uav", "75,75,80", "--sbs", "nan,2"), f"link 1: {OUT_OF_BOUND}"),
+    (("--uav", "75,75,80", "--sbs", "10,20", "--sbs", "1,inf"), f"link 2: {OUT_OF_BOUND}"),
+    (("--uav", "75,75,80", "--sbs", "10,2e6"), f"link 1: {OUT_OF_BOUND}"),
+    (("--uav", "75,75,inf", "--sbs", "10,20"), OUT_OF_BOUND),
+    (("--uav", "1e200,75,80", "--sbs", "10,20"), OUT_OF_BOUND),
     (("--uav", "75,75,0", "--sbs", "10,20"),
      "degenerate geometry: UAV altitude must be positive, got 0.0"),
 ])
@@ -327,6 +333,16 @@ def linkbudget_interference_dbm(capsys, config, *stations):
 
 def test_linkbudget_one_station_has_no_interference(tmp_path, capsys):
     assert linkbudget_interference_dbm(capsys, write_config(tmp_path), (40, 40)) == [-np.inf]
+
+
+def test_linkbudget_reports_zero_power_as_minus_inf_silently():
+    # Beyond about 700 km the default absorption underflows the path loss to
+    # 0 W, so the received power, the interference and the SINR are all 0.
+    proc = run_process("linkbudget", "--uav", "900000,75,80", "--sbs", "10,20")
+    assert proc.returncode == cli.EXIT_OK and proc.stderr == ""
+    row = proc.stdout.splitlines()[-1].split()
+    assert np.isfinite(float(row[4]))  # the free-space term alone stays positive
+    assert row[5] == row[7] == row[8] == "-inf" and row[9] == "FAIL"
 
 
 def test_linkbudget_runs_at_the_largest_array(tmp_path, capsys):

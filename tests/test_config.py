@@ -77,6 +77,7 @@ BAD_VALUES = [
     ("td3.steps_per_episode = 0", "td3.steps_per_episode"),
     ("area.x_m = -10", "area.x_m"),
     ("area.x_m = 0", "area.x_m"),
+    ("area.x_m = 1e200", "area.x_m"),
     ("channel.carrier_ghz = nan", "channel.carrier_ghz"),
     ("antenna.spacing_over_lambda = nan", "antenna.spacing_over_lambda"),
     ("channel.tx_power_dbm = inf", "channel.tx_power_dbm"),
@@ -93,6 +94,7 @@ BAD_VALUES = [
     ("antenna.uav_n_side = 1025", "antenna.uav_n_side = 1025"),
     ("antenna.sbs_n_side = 1025", "antenna.sbs_n_side = 1025"),
     ("kinematics.h_min_m = 200", "kinematics.h_min_m"),
+    ("kinematics.h_max_m = 1e300", "kinematics.h_max_m"),
     ("env.mc_samples_eval = 0", "env.mc_samples_eval"),
     ("channel.los_mode = per-sample", "unknown config key: channel.los_mode"),
     ("env.clamp_z_only = false", "unknown config key: env.clamp_z_only"),
@@ -130,6 +132,8 @@ def test_bad_value_names_its_key(line, key):
     assert key in str(info.value)
 
 
+# A warning is an error here: a bad value is refused before any arithmetic.
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("line,key", BAD_VALUES, ids=[key for _, key in BAD_VALUES])
 def test_bad_value_fails_the_run_before_any_output(tmp_path, capsys, line, key):
     config = tmp_path / "run.cfg"

@@ -203,7 +203,7 @@ class TestCriticUpdate:
         agent.critics.params[1, 0] = np.inf
         with np.errstate(invalid="ignore"), pytest.raises(NumericFailureError):
             td3.critic_update(agent, random_batch(np.random.default_rng(4)))
-        assert agent.critic_updates == 0 and agent.adam_critics.step_count == 0
+        assert agent.adam_critics.step_count == 0
 
 
 class TestActorUpdate:
@@ -265,8 +265,8 @@ class TestDelayContract:
         rng = np.random.default_rng(7)
         for _ in range(12):
             td3.update(agent, random_batch(rng))
-        assert agent.critic_updates == 12
-        assert agent.actor_updates == 4
+        assert agent.adam_critics.step_count == 12
+        assert agent.adam_actor.step_count == 4
 
     def test_targets_move_only_with_actor(self):
         agent = make_agent(18, policy_delay=2)
@@ -581,7 +581,7 @@ class TestUpdateMatchesReference:
         for _ in range(300):
             batch = random_batch(rng, 32)
             assert td3.update(agent, batch) == ref_update(ref, batch)
-        assert agent.actor_updates == 150
+        assert agent.adam_actor.step_count == 150
         if head_scale > 1.0:
             assert ref.projected_batches > 100
         for k, (online, target) in enumerate(((ref.critic1, ref.critic1_target),
