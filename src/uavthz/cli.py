@@ -104,7 +104,7 @@ class Manifest:
             "sinr_threshold_linear": params.sinr_threshold,
             "vibration_std_rad": params.vibration_std_rad,
             "carrier_hz": params.carrier_hz,
-            "action_scale_m": cfg.env_config().action_scale,
+            "action_scale_m": cfg.kinematic_limits().action_scale,
         }
         self._write()
 
@@ -329,14 +329,14 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="UAV THz fronthaul simulator and trainer")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_dir=True):
+    def common(p, run=True):
         p.add_argument("--config", type=Path, default=None,
                        help="flat key=value config file (defaults apply if omitted)")
-        p.add_argument("--seed", type=int, default=0)
-        if out_dir:
+        if run:   # linkbudget draws nothing and writes no files
+            p.add_argument("--seed", type=int, default=0)
             p.add_argument("--out-dir", type=Path, required=True)
-        p.add_argument("--mc-samples", type=int, default=None,
-                       help="override the Monte-Carlo sample count")
+            p.add_argument("--mc-samples", type=int, default=None,
+                           help="override the Monte-Carlo sample count")
 
     p_train = sub.add_parser("train", help="train a policy and write the reward table")
     common(p_train)
@@ -352,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_base.add_argument("--scenario-seed", type=int, default=None)
 
     p_link = sub.add_parser("linkbudget", help="one-shot per-link budget report")
-    common(p_link, out_dir=False)
+    common(p_link, run=False)
     p_link.add_argument("--uav", required=True, help="x,y,z in meters")
     p_link.add_argument("--sbs", action="append", default=[], help="x,y in meters (repeat)")
     return parser
@@ -360,9 +360,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_config(args) -> RunConfig:
     cfg = load_config(args.config) if args.config is not None else RunConfig()
-    if args.mc_samples is None:
+    n = getattr(args, "mc_samples", None)   # linkbudget has no --mc-samples
+    if n is None:
         return cfg
-    n = args.mc_samples
     try:
         return replace(cfg, mc_samples_train=n, mc_samples_eval=n, grid_mc_samples=n)
     except ConfigError as exc:

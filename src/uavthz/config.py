@@ -70,7 +70,7 @@ class RunConfig:
     a_max_mps2: float = _key("kinematics.a_max_mps2", 4.0, KinematicLimits, "a_max")
     h_min_m: float = _key("kinematics.h_min_m", 30.0, KinematicLimits, "h_min")
     h_max_m: float = _key("kinematics.h_max_m", 130.0, KinematicLimits, "h_max")
-    dt_s: float = _key("kinematics.dt_s", 1.0, EnvConfig, "dt")
+    dt_s: float = _key("kinematics.dt_s", 1.0, KinematicLimits, "dt")
     mc_samples_train: int = _key("env.mc_samples_train", 500, EnvConfig, "mc_samples")
     mc_samples_eval: int = _key("env.mc_samples_eval", 100_000)
     reward_floor: float = _key("env.reward_floor", 1e-9, EnvConfig)
@@ -137,8 +137,8 @@ class RunConfig:
 
     def normalizer(self) -> Normalizer:
         env = self.env_config()
-        return Normalizer(env.area_x, env.area_y, env.limits.h_min, env.limits.h_max,
-                          env.action_scale)
+        lim = env.limits
+        return Normalizer(env.area_x, env.area_y, lim.h_min, lim.h_max, lim.action_scale)
 
     def grid_spec(self, seed: int) -> GridSearchSpec:
         return self._build(GridSearchSpec, seed=seed, x_range=(0.0, self.area_x_m),

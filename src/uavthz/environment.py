@@ -63,15 +63,13 @@ class EnvConfig:
     m_s_max: int
     t_min: float
     t_max: float
-    dt: float
     limits: KinematicLimits
     mc_samples: int
     reward_floor: float
     clamp_horizontal: bool
 
     def __post_init__(self):
-        for name in ("dt", "reward_floor"):
-            require(getattr(self, name) > 0, f"{name} must be positive", name)
+        require(self.reward_floor > 0, "reward_floor must be positive", "reward_floor")
         for name in ("area_x", "area_y"):
             require(0 < getattr(self, name) <= MAX_COORD_M,
                     f"{name} must lie in (0, {MAX_COORD_M:g}] m", name)
@@ -79,11 +77,6 @@ class EnvConfig:
                 "m_s_min", "m_s_max")
         require(0 < self.t_min <= self.t_max, "need 0 < t_min <= t_max", "t_min", "t_max")
         require(self.mc_samples >= 1, "mc_samples must be >= 1", "mc_samples")
-
-    @property
-    def action_scale(self) -> float:
-        """Largest per-step displacement: v_max*dt + a_max*dt^2/2."""
-        return self.limits.v_max * self.dt + 0.5 * self.limits.a_max * self.dt ** 2
 
     @property
     def time_budget(self) -> float:
@@ -171,8 +164,8 @@ class Environment:
         if self.topology is None:
             raise InvalidInputError("environment not reset")
         cur = self._uav_position
-        cand = cur + project_action(displacement, self.config.action_scale)
         lim = self.config.limits
+        cand = cur + project_action(displacement, lim.action_scale)
         nxt = cand if lim.h_min < cand[2] < lim.h_max else cur
         if self.config.clamp_horizontal:
             nxt = nxt.copy()

@@ -53,18 +53,28 @@ def as_stations(v) -> np.ndarray:
 
 @dataclass
 class KinematicLimits:
-    """Speed, acceleration and altitude envelope of the vehicle."""
+    """Speed, acceleration and altitude envelope of the vehicle, and its control step."""
 
     v_max: float    # m/s
     a_max: float    # m/s^2
     h_min: float    # m
     h_max: float    # m
+    dt: float       # s
 
     def __post_init__(self):
-        for name in ("v_max", "a_max"):
+        for name in ("v_max", "a_max", "dt"):
             require(getattr(self, name) > 0, f"{name} must be positive", name)
         require(0 < self.h_min < self.h_max, "need 0 < h_min < h_max", "h_min", "h_max")
         require(self.h_max <= MAX_COORD_M, f"h_max must be at most {MAX_COORD_M:g} m", "h_max")
+        # dt < 1e154 first: from about 1.3e154 on, dt ** 2 raises OverflowError
+        require(self.dt < 1e154 and self.action_scale <= MAX_COORD_M,
+                f"the action scale v_max*dt + a_max*dt^2/2 must be at most {MAX_COORD_M:g} m",
+                "v_max", "a_max", "dt")
+
+    @property
+    def action_scale(self) -> float:
+        """Largest per-step displacement: v_max*dt + a_max*dt^2/2."""
+        return self.v_max * self.dt + 0.5 * self.a_max * self.dt ** 2
 
 
 def _axis_angle(u, a, b, z):

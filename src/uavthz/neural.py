@@ -4,7 +4,10 @@ Everything is float64 numpy. A net's weights and biases live in one contiguous
 block, layer by layer, and `weights[l]`, `biases[l]` are views into it. A (K, n)
 block stacks K nets of one architecture (the twin critics) that map a shared
 (batch, in) input to (K, batch, out). Adam, Polyak, clone and checkpoints act on
-whole blocks, elementwise, in the order of a per-layer update. 1-D input is one sample.
+whole blocks, elementwise, in the order of a per-layer update. A block is
+checked when its DenseNet is built or load_net fills it, and the widths and
+rates by the run config; the per-step functions take what the agent built
+from those and check nothing but adam_step's finite gradient.
 
 A checkpoint is one .npz archive (save_net, load_net) that holds `version`
 and each named net's parameter block, bit for bit. The architecture is not
@@ -71,9 +74,6 @@ class DenseNet:
             raise InvalidInputError(f"need a C-contiguous float64 block (n,) or (K, n), n = {n}")
         self.weights, self.biases = _layer_views(p, self.layer_dims)
 
-    def architecture(self):
-        return self.params.shape[:-1], self.layer_dims, self.output_activation
-
     def row(self, k: int) -> "DenseNet":
         """Net k of a stack, sharing its parameters."""
         return DenseNet(self.layer_dims, self.params[k], self.output_activation)
@@ -111,17 +111,12 @@ def init_adam(net: DenseNet, learning_rate: float) -> AdamState:
 
 
 def forward(net: DenseNet, x, tape: list | None = None):
-    """Deterministic forward pass; 1-D input gives a 1-D output.
+    """Deterministic forward pass of a (batch, in) float array to (..., batch, out).
 
     A `tape` list receives what `backward` needs: every layer's input, then
     tanh of the output pre-activation (None for a linear output).
     """
-    x = np.asarray(x, dtype=float)
-    squeezed = x.ndim == 1
-    acts = [x[None, :] if squeezed else x]
-    if acts[0].ndim != 2 or acts[0].shape[1] != net.layer_dims[0]:
-        raise InvalidInputError(f"input shape {x.shape} incompatible with input dim "
-                                f"{net.layer_dims[0]}")
+    acts = [x]
     for w, b in zip(net.weights[:-1], net.biases[:-1]):
         h = acts[-1] @ w
         h += b[..., None, :]
@@ -130,23 +125,18 @@ def forward(net: DenseNet, x, tape: list | None = None):
     t = np.tanh(z) if net.output_activation == ACT_TANH else None
     if tape is not None:
         tape[:] = [*acts, t]
-    y = z if t is None else t
-    return y[..., 0, :] if squeezed else y
+    return z if t is None else t
 
 
 def backward(net: DenseNet, tape: list, output_grad, wrt_input: bool = False):
     """Exact reverse-mode gradient of sum(output * output_grad) for a taped forward.
 
-    The gradient is with respect to the parameters, shaped like net.params
-    and summed over the batch (any 1/batch factor belongs in output_grad),
-    or, with `wrt_input`, with respect to the input alone.
+    output_grad is shaped like the output. The gradient is with respect to the
+    parameters, shaped like net.params and summed over the batch (any 1/batch
+    factor belongs in output_grad), or, with `wrt_input`, to the input alone.
     """
     *acts, t = tape
-    g = np.asarray(output_grad, dtype=float)
-    expected = (*net.params.shape[:-1], acts[0].shape[0], net.layer_dims[-1])
-    if g.shape != expected:
-        raise InvalidInputError(f"output_grad shape {g.shape} != output shape {expected}")
-    delta = g if t is None else g * (1.0 - t * t)
+    delta = output_grad if t is None else output_grad * (1.0 - t * t)
     if not wrt_input:
         grad = np.empty_like(net.params)
         w_grads, b_grads = _layer_views(grad, net.layer_dims)
@@ -168,8 +158,6 @@ def adam_step(net: DenseNet, grad: np.ndarray, state: AdamState) -> None:
     piece-sized scratch: a block-sized one is a large short-lived allocation
     that the C allocator hands back and faults in again on every step.
     """
-    if grad.shape != net.params.shape:
-        raise InvalidInputError(f"gradient shape {grad.shape} != {net.params.shape}")
     if not np.isfinite(grad).all():
         raise NumericFailureError("non-finite gradient in Adam step")
     state.step_count += 1
@@ -199,10 +187,6 @@ def adam_step(net: DenseNet, grad: np.ndarray, state: AdamState) -> None:
 
 def polyak_update(target: DenseNet, online: DenseNet, tau: float) -> None:
     """target <- tau*online + (1-tau)*target, elementwise, in place."""
-    if target.architecture() != online.architecture():
-        raise InvalidInputError("target and online network architectures differ")
-    if not 0.0 <= tau <= 1.0:
-        raise InvalidInputError(f"tau must lie in [0, 1], got {tau}")
     target.params *= 1.0 - tau
     target.params += tau * online.params
 

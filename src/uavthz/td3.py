@@ -8,6 +8,9 @@ a critic step is one batched forward, one backward and one Adam pass; the
 actor step reads critic 1 through a row view. Networks operate in a
 normalized space: positions mapped per axis to [-1, 1], actions to the unit
 ball; denormalization to meters happens only at the environment boundary.
+Nothing here checks an array the loop built: the data is checked where it
+enters, the settings in the config, each position in the channel, each action
+in project_action and the nets at construction and checkpoint load.
 
 A checkpoint holds the four nets alone (actor, actor_target, critics,
 critics_target). The Adam states, the replay buffer and the generators are
@@ -21,7 +24,7 @@ import numpy as np
 
 from uavthz import neural
 from uavthz.environment import Environment
-from uavthz.errors import InvalidInputError, require
+from uavthz.errors import require
 from uavthz.neural import AdamState, DenseNet
 
 STATE_DIM = 3
@@ -91,11 +94,11 @@ class Normalizer:
         s[..., 2] = 2.0 * (p[..., 2] - self.h_min) / (self.h_max - self.h_min) - 1.0
         return np.clip(s, -1.0, 1.0)
 
-    def norm_action(self, displacement) -> np.ndarray:
-        return np.asarray(displacement, dtype=float) / self.action_scale
+    def norm_action(self, displacement: np.ndarray) -> np.ndarray:
+        return displacement / self.action_scale
 
-    def denorm_action(self, action) -> np.ndarray:
-        return np.asarray(action, dtype=float) * self.action_scale
+    def denorm_action(self, action: np.ndarray) -> np.ndarray:
+        return action * self.action_scale
 
 
 class ReplayBuffer:
@@ -116,9 +119,6 @@ class ReplayBuffer:
 
     def add(self, state, action, reward: float, next_state) -> None:
         """Store one transition; state and action components are normalized to [-1, 1]."""
-        if not (np.all(np.isfinite(state)) and np.all(np.isfinite(action))
-                and np.isfinite(reward) and np.all(np.isfinite(next_state))):
-            raise InvalidInputError("non-finite transition")
         i = self._cursor
         self._states[i] = state
         self._actions[i] = action
@@ -128,16 +128,15 @@ class ReplayBuffer:
         self._size = min(self._size + 1, self.capacity)
 
     def sample(self, batch_size: int):
-        if self._size == 0:
-            raise InvalidInputError("cannot sample from an empty buffer")
         idx = self._rng.integers(0, self._size, size=batch_size)
         return (self._states[idx], self._actions[idx],
                 self._rewards[idx], self._next_states[idx])
 
 
-def _project_unit_ball(a: np.ndarray) -> np.ndarray:
+def _project_unit_ball(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each last-axis row of a shrunk onto the closed unit ball, and the rows' norms."""
     norms = np.linalg.norm(a, axis=-1, keepdims=True)
-    return np.where(norms > 1.0, a / np.maximum(norms, 1e-12), a)
+    return np.where(norms > 1.0, a / np.maximum(norms, 1e-12), a), norms
 
 
 @dataclass
@@ -189,16 +188,15 @@ def _seed_int(ss: np.random.SeedSequence) -> int:
 
 
 def select_action(agent: Td3Agent, norm_state, explore: bool) -> np.ndarray:
-    """Policy action for a normalized state, as a displacement in meters.
+    """Policy action for a normalized (3,) state array, as a displacement in meters.
 
     With explore set, adds zero-mean Gaussian noise to the normalized action
     before projecting back onto the action ball; deterministic otherwise.
     """
-    a = neural.forward(agent.actor, np.asarray(norm_state, dtype=float))
+    a = neural.forward(agent.actor, norm_state[None, :])[0]
     if explore:
         a = a + agent.rng.normal(0.0, agent.hp.exploration_noise_std, size=ACTION_DIM)
-    a = _project_unit_ball(a)
-    return agent.normalizer.denorm_action(a)
+    return agent.normalizer.denorm_action(_project_unit_ball(a)[0])
 
 
 def random_action(agent: Td3Agent) -> np.ndarray:
@@ -217,13 +215,11 @@ def random_action(agent: Td3Agent) -> np.ndarray:
 def critic_update(agent: Td3Agent, minibatch) -> tuple[float, float]:
     """One clipped double-Q step on both critics against a shared smoothed target."""
     states, actions, rewards, next_states = minibatch
-    if states.shape[0] == 0:
-        raise InvalidInputError("empty minibatch")
     hp = agent.hp
     next_a = neural.forward(agent.actor_target, next_states)
     noise = agent.rng.normal(0.0, hp.target_noise_std, size=next_a.shape)
     noise = np.clip(noise, -hp.target_noise_clip, hp.target_noise_clip)
-    next_a = _project_unit_ball(next_a + noise)
+    next_a = _project_unit_ball(next_a + noise)[0]
     next_in = np.concatenate([next_states, next_a], axis=1)
     q_next = neural.forward(agent.critics_target, next_in)[..., 0]
     y = rewards + hp.discount * np.minimum(q_next[0], q_next[1])
@@ -247,10 +243,8 @@ def actor_update(agent: Td3Agent, minibatch) -> float:
     states = minibatch[0]
     batch = states.shape[0]
     actor_tape, critic_tape = [], []
-    raw = neural.forward(agent.actor, states, actor_tape)
-    norms = np.linalg.norm(raw, axis=1, keepdims=True)
-    outside = norms[:, 0] > 1.0
-    a = np.where(outside[:, None], raw / np.maximum(norms, 1e-12), raw)
+    a, norms = _project_unit_ball(neural.forward(agent.actor, states, actor_tape))
+    outside = norms > 1.0
     critic1 = agent.critics.row(0)
     q = neural.forward(critic1, np.concatenate([states, a], axis=1), critic_tape)[:, 0]
     g = neural.backward(critic1, critic_tape, np.full((batch, 1), -1.0 / batch),
@@ -258,8 +252,7 @@ def actor_update(agent: Td3Agent, minibatch) -> float:
     if np.any(outside):
         # d(a/r)/da = (I - a_hat a_hat^T)/r: drop the radial component
         radial = np.sum(g * a, axis=1, keepdims=True) * a
-        g_proj = (g - radial) / norms
-        g = np.where(outside[:, None], g_proj, g)
+        g = np.where(outside, (g - radial) / norms, g)
     grad = neural.backward(agent.actor, actor_tape, g)
     neural.adam_step(agent.actor, grad, agent.adam_actor)
     return float(np.mean(q))

@@ -95,6 +95,8 @@ BAD_VALUES = [
     ("antenna.sbs_n_side = 1025", "antenna.sbs_n_side = 1025"),
     ("kinematics.h_min_m = 200", "kinematics.h_min_m"),
     ("kinematics.h_max_m = 1e300", "kinematics.h_max_m"),
+    ("kinematics.dt_s = 1e300", "kinematics.dt_s"),
+    ("kinematics.v_max_mps = 1e300", "kinematics.v_max_mps"),
     ("env.mc_samples_eval = 0", "env.mc_samples_eval"),
     ("channel.los_mode = per-sample", "unknown config key: channel.los_mode"),
     ("env.clamp_z_only = false", "unknown config key: env.clamp_z_only"),

@@ -26,16 +26,16 @@ class TestForward:
             w[:] = 0.0
         for b in net.biases:
             b[:] = 0.0
-        assert np.array_equal(neural.forward(net, np.ones(4)), np.zeros(2))
+        assert np.array_equal(neural.forward(net, np.ones((1, 4))), np.zeros((1, 2)))
 
     def test_identity_passthrough(self):
         net = from_layers((3, 3), [(np.eye(3), np.zeros(3))])
-        x = np.array([0.4, -1.2, 2.0])
+        x = np.array([[0.4, -1.2, 2.0]])
         assert np.array_equal(neural.forward(net, x), x)
 
     def test_matches_independent_matrix_evaluation(self):
         net = neural.init_net((4, 6, 3), 42, neural.ACT_TANH)
-        x = np.random.default_rng(9).normal(size=4)
+        x = np.random.default_rng(9).normal(size=(1, 4))
         h = np.maximum(x @ net.weights[0] + net.biases[0], 0.0)
         expected = np.tanh(h @ net.weights[1] + net.biases[1])
         assert np.allclose(neural.forward(net, x), expected, rtol=1e-15)
@@ -44,11 +44,6 @@ class TestForward:
         net = neural.init_net((4, 8, 2), 0)
         out = neural.forward(net, np.zeros((7, 4)))
         assert out.shape == (7, 2)
-
-    def test_shape_mismatch(self):
-        net = neural.init_net((4, 8, 2), 0)
-        with pytest.raises(InvalidInputError):
-            neural.forward(net, np.zeros(5))
 
     def test_tanh_output_bounded_by_one(self):
         net = neural.init_net((3, 16, 4), 5, neural.ACT_TANH)
@@ -171,10 +166,6 @@ class TestPolyak:
         for before, after in zip(gaps, gaps[1:]):
             assert after == pytest.approx((1 - tau) * before, rel=1e-9)
 
-    def test_architecture_mismatch(self):
-        with pytest.raises(InvalidInputError):
-            neural.polyak_update(neural.init_net((2, 3), 1), neural.init_net((2, 4), 1), 0.5)
-
 
 class TestDeterminismAndCheckpoint:
     def test_same_seed_bit_identical(self):
@@ -259,11 +250,6 @@ class TestStack:
             assert grad[k].tobytes() == neural.backward(row, row_tape, gout[k]).tobytes()
             assert xg[k].tobytes() == neural.backward(row, row_tape, gout[k],
                                                       wrt_input=True).tobytes()
-
-    def test_output_grad_shape_checked(self):
-        stack = neural.init_net(self.DIMS, (5, 6))
-        with pytest.raises(InvalidInputError):
-            neural.backward(stack, taped(stack, np.zeros((3, 6))), np.zeros((3, 1)))
 
     @pytest.mark.parametrize("params", [
         np.zeros(10), np.zeros(257, dtype=np.float32), np.zeros((2, 2, 257)),
