@@ -186,3 +186,27 @@ class TestLinkLength:
         want = [np.linalg.norm(u - p) for p in pts]
         assert np.array_equal(geometry.link_length(u, pts), want)
 
+
+
+class TestKinematicLimits:
+    def test_action_scale_is_one_step_reach(self):
+        lim = geometry.KinematicLimits(v_max=3.0, a_max=4.0, h_min=30.0, h_max=130.0, dt=2.0)
+        assert lim.action_scale == 3.0 * 2.0 + 0.5 * 4.0 * 2.0 ** 2
+
+    @pytest.mark.parametrize("field", ["v_max", "a_max", "dt"])
+    def test_rejects_a_nonpositive_rate_or_step(self, field):
+        kw = dict(v_max=10.0, a_max=4.0, h_min=30.0, h_max=130.0, dt=1.0)
+        kw[field] = 0.0
+        with pytest.raises(InvalidInputError, match=field):
+            geometry.KinematicLimits(**kw)
+
+    @pytest.mark.parametrize("dt", [1e154, 1e300, np.inf])
+    def test_rejects_an_action_scale_beyond_the_coordinate_bound(self, dt):
+        with pytest.raises(InvalidInputError, match="action scale"):
+            geometry.KinematicLimits(v_max=10.0, a_max=4.0, h_min=30.0, h_max=130.0, dt=dt)
+
+    def test_accepts_an_action_scale_at_the_coordinate_bound(self):
+        edge = geometry.MAX_COORD_M
+        lim = geometry.KinematicLimits(v_max=edge, a_max=1e-300, h_min=30.0, h_max=130.0,
+                                       dt=1.0)
+        assert lim.action_scale == edge

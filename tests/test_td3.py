@@ -119,6 +119,14 @@ class TestSelectAction:
             assert np.linalg.norm(a) <= 10.0 + 1e-9
 
 
+def test_unit_ball_projection_returns_rows_and_their_norms():
+    a = np.array([[0.3, 0.0, -0.4], [3.0, 0.0, 4.0], [0.0, 0.0, 0.0]])
+    projected, norms = td3._project_unit_ball(a)
+    assert np.array_equal(norms[:, 0], [0.5, 5.0, 0.0])
+    assert np.array_equal(projected[0], a[0]) and np.array_equal(projected[2], a[2])
+    assert np.allclose(projected[1], [0.6, 0.0, 0.8], rtol=0, atol=1e-15)
+
+
 class TestCriticUpdate:
     def test_zero_discount_targets_reward_only(self):
         agent = make_agent(8, discount=1e-12, target_noise_std=0.0)
