@@ -1,11 +1,20 @@
 """Command-line front end: train, eval, baseline and linkbudget subcommands.
 
-Every run writes its outputs under --out-dir only, preceded by a manifest
-that echoes the resolved configuration and is finalized with wall-clock
-timings and SHA-256 digests of the produced files, or marked "failed" with
-the error message when the run exits non-zero. Output tables are CSV
-with a '#'-prefixed metadata preamble and 9-significant-digit floats, so a
-repeated run with the same config and seed is byte-identical.
+`main` does the steps every run command shares, in this order: it creates
+--out-dir and writes the manifest there, checks the seed, loads the config
+and records it in the manifest, and builds the environment and resets it
+from the seed. A run command (`cmd_train`, `cmd_eval`, `cmd_baseline`) takes
+the config, that environment and the parsed arguments, writes its files
+under --out-dir and returns a summary dict. `main` finalizes the manifest
+with it, with wall-clock timings and with SHA-256 digests of the produced
+files; a run that exits non-zero leaves the manifest marked "failed" with
+the error message. `linkbudget` draws nothing and writes no files.
+
+One seed sets the topology and every draw of a run: --seed, which `eval` and
+`baseline` also accept spelled --scenario-seed. Output tables are CSV with a
+'#'-prefixed preamble (the seed, the version, then any run metadata) and
+9-significant-digit floats, so a repeated run with the same config and seed
+is byte-identical.
 
 `train` leaves its policy in checkpoint/nets.npz, the checkpoint's only
 file: the parameter blocks of the actor, the twin critics and their targets
@@ -19,7 +28,6 @@ import contextlib
 import hashlib
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 from time import perf_counter
 
@@ -51,7 +59,9 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path: Path, meta: dict, header, rows) -> None:
+def write_csv(path: Path, seed: int, header, rows, **meta) -> None:
+    """A table under a '#' preamble: the seed, the package version, then meta in order."""
+    meta = {"seed": seed, "version": uavthz.__version__, **meta}
     lines = [f"# {k}: {_fmt(v)}" for k, v in meta.items()]
     lines.append(",".join(header))
     for row in rows:
@@ -114,23 +124,14 @@ class Manifest:
         self.data["wall_clock_s"] = perf_counter() - self.started
         self._write()
 
-    def finalize(self, out_dir: Path, extra: dict | None = None):
+    def finalize(self, out_dir: Path, summary: dict):
         self.data["status"] = "complete"
         self.data["wall_clock_s"] = perf_counter() - self.started
-        if extra:
-            self.data.update(extra)
+        self.data.update(summary)
         for f in sorted(out_dir.rglob("*")):
             if f.is_file() and f != self.path:
                 self.data["outputs"][str(f.relative_to(out_dir))] = _sha256(f)
         self._write()
-
-
-def _build_env(cfg: RunConfig) -> Environment:
-    return Environment(cfg.env_config(), cfg.channel_params())
-
-
-def _build_agent(cfg: RunConfig, seed: int) -> td3.Td3Agent:
-    return td3.Td3Agent.create(cfg.normalizer(), cfg.hyperparams(), seed)
 
 
 def moving_average(values, window: int):
@@ -163,64 +164,50 @@ def load_checkpoint(ck_dir: Path, cfg: RunConfig, seed: int) -> td3.Td3Agent:
     path = ck_dir / CHECKPOINT_FILE
     if not path.is_file():
         raise ConfigError(f"no checkpoint at {ck_dir}")
-    agent = _build_agent(cfg, seed)
+    agent = td3.Td3Agent.create(cfg.normalizer(), cfg.hyperparams(), seed)
     neural.load_net(path, agent.nets())
     return agent
 
 
 # ------------------------------------------------------------------ subcommands
 
-def cmd_train(cfg: RunConfig, seed: int, out_dir: Path, manifest: Manifest) -> int:
-    env = _build_env(cfg)
-    env.reset(seed)
-    agent = _build_agent(cfg, seed)
+def cmd_train(cfg: RunConfig, env: Environment, args) -> dict:
+    agent = td3.Td3Agent.create(cfg.normalizer(), cfg.hyperparams(), args.seed)
     agent, logs = td3.train(env, agent)
-    rewards = [lg.reward for lg in logs]
-    avg = moving_average(rewards, 40)
-    write_csv(out_dir / "rewards.csv",
-              {"seed": seed, "version": uavthz.__version__},
+    avg = moving_average([lg.reward for lg in logs], 40)
+    write_csv(args.out_dir / "rewards.csv", args.seed,
               ("episode", "reward", "moving_avg_40", "mean_max_outage"),
               [(lg.episode, lg.reward, avg[i], lg.mean_max_outage)
                for i, lg in enumerate(logs)])
-    save_checkpoint(out_dir / "checkpoint", agent)
-    manifest.finalize(out_dir, {
-        "episodes": len(logs),
-        "final_moving_avg_40": avg[-1],
-    })
-    return EXIT_OK
+    save_checkpoint(args.out_dir / "checkpoint", agent)
+    return {"episodes": len(logs), "final_moving_avg_40": avg[-1]}
 
 
-def _sbs_layout_rows(env: Environment):
-    return [(i, p[0], p[1]) for i, p in enumerate(env.topology.sbs_list)]
+def write_sbs_layout(out_dir: Path, env: Environment, seed: int) -> None:
+    write_csv(out_dir / "sbs_layout.csv", seed, ("index", "x", "y"),
+              [(i, x, y) for i, (x, y, _) in enumerate(env.topology.sbs_list)])
 
 
-def cmd_eval(cfg: RunConfig, checkpoint: Path, scenario_seed: int, out_dir: Path,
-             manifest: Manifest) -> int:
-    agent = load_checkpoint(checkpoint, cfg, scenario_seed)
-    env = _build_env(cfg)
-    env.reset(scenario_seed)
+def cmd_eval(cfg: RunConfig, env: Environment, args) -> dict:
+    agent = load_checkpoint(args.checkpoint, cfg, args.seed)
     trace = td3.greedy_rollout(env, agent, cfg.steps_per_episode)
     # The rollout only moves the UAV; every visited position is scored here,
     # at evaluation-grade sample counts in one scan with one shared seed, so
     # along-trajectory comparisons share their randomness.
-    rescore_seed = scenario_seed + 1
-    n_links = len(env.topology.sbs_list)
+    rescore_seed = args.seed + 1
     estimates = channel.outage_scan(env.topology.sbs_list, [pt.position for pt in trace],
                                     env.params, cfg.mc_samples_eval, rescore_seed)
     rows = [(pt.step, pt.time, pt.position[0], pt.position[1], pt.position[2],
              channel.max_outage(est), *est.per_link_outage)
             for pt, est in zip(trace, estimates)]
     header = ("step", "t", "x", "y", "z", "max_outage",
-              *(f"outage_{i + 1}" for i in range(n_links)))
-    meta = {"seed": scenario_seed, "version": uavthz.__version__,
-            "mc_samples": cfg.mc_samples_eval, "rescore_seed": rescore_seed}
-    write_csv(out_dir / "trajectory.csv", meta, header, rows)
-    write_csv(out_dir / "sbs_layout.csv",
-              {"seed": scenario_seed, "version": uavthz.__version__},
-              ("index", "x", "y"), _sbs_layout_rows(env))
+              *(f"outage_{i + 1}" for i in range(len(env.topology.sbs_list))))
+    write_csv(args.out_dir / "trajectory.csv", args.seed, header, rows,
+              mc_samples=cfg.mc_samples_eval, rescore_seed=rescore_seed)
+    write_sbs_layout(args.out_dir, env, args.seed)
     flight_time = trace[-1].time
     best = min(rows, key=lambda row: row[5])  # the first step at the lowest max outage
-    manifest.finalize(out_dir, {
+    return {
         "episode_time_s": flight_time,
         "time_budget_s": env.config.time_budget,
         "time_budget_satisfied": bool(flight_time <= env.config.time_budget),
@@ -228,16 +215,11 @@ def cmd_eval(cfg: RunConfig, checkpoint: Path, scenario_seed: int, out_dir: Path
         "final_max_outage": rows[-1][5],
         "best_max_outage": best[5],
         "best_step": best[0],
-    })
-    return EXIT_OK
+    }
 
 
-def cmd_baseline(cfg: RunConfig, scenario_seed: int, out_dir: Path,
-                 manifest: Manifest) -> int:
-    env = _build_env(cfg)
-    env.reset(scenario_seed)
-    spec = cfg.grid_spec(scenario_seed + 1)
-    params = cfg.channel_params()
+def cmd_baseline(cfg: RunConfig, env: Environment, args) -> dict:
+    spec = cfg.grid_spec(args.seed + 1)
     started = perf_counter()
 
     def progress(k, n):
@@ -247,26 +229,21 @@ def cmd_baseline(cfg: RunConfig, scenario_seed: int, out_dir: Path,
             print(f"scanned {k}/{n} lattice points", file=sys.stderr)
             started = now
 
-    best_pos, best_val, scan = baseline.grid_search_best_position(env.topology, params, spec,
-                                                                  progress)
-    meta = {"seed": scenario_seed, "version": uavthz.__version__,
-            "mc_samples": spec.mc_samples, "mc_seed": spec.seed}
-    write_csv(out_dir / "grid_scan.csv", meta, ("x", "y", "z", "max_outage"),
-              [(*pos, val) for pos, val in scan])
-    center = baseline.static_center_policy(env.topology, cfg.kinematic_limits())
-    center_est = channel.outage_probability(env.topology.sbs_list, center, params,
+    best_pos, best_val, scan = baseline.grid_search_best_position(env.topology, env.params,
+                                                                  spec, progress)
+    meta = {"mc_samples": spec.mc_samples, "mc_seed": spec.seed}
+    write_csv(args.out_dir / "grid_scan.csv", args.seed, ("x", "y", "z", "max_outage"),
+              [(*pos, val) for pos, val in scan], **meta)
+    center = baseline.static_center_policy(env.topology, env.config.limits)
+    center_est = channel.outage_probability(env.topology.sbs_list, center, env.params,
                                             spec.mc_samples, spec.seed)
     center_val = channel.max_outage(center_est)
-    write_csv(out_dir / "baseline_summary.csv", meta,
+    write_csv(args.out_dir / "baseline_summary.csv", args.seed,
               ("method", "x", "y", "z", "max_outage"),
               [("grid_oracle", best_pos[0], best_pos[1], best_pos[2], best_val),
-               ("static_center", center[0], center[1], center[2], center_val)])
-    write_csv(out_dir / "sbs_layout.csv",
-              {"seed": scenario_seed, "version": uavthz.__version__},
-              ("index", "x", "y"), _sbs_layout_rows(env))
-    manifest.finalize(out_dir, {"oracle_max_outage": best_val,
-                                "static_center_max_outage": center_val})
-    return EXIT_OK
+               ("static_center", center[0], center[1], center[2], center_val)], **meta)
+    write_sbs_layout(args.out_dir, env, args.seed)
+    return {"oracle_max_outage": best_val, "static_center_max_outage": center_val}
 
 
 def _parse_xyz(text: str, n: int):
@@ -329,44 +306,31 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="UAV THz fronthaul simulator and trainer")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, run=True):
+    def command(name, text, *seed_spellings):
+        p = sub.add_parser(name, help=text)
         p.add_argument("--config", type=Path, default=None,
                        help="flat key=value config file (defaults apply if omitted)")
-        if run:   # linkbudget draws nothing and writes no files
-            p.add_argument("--seed", type=int, default=0)
+        if seed_spellings:   # linkbudget draws nothing and writes no files
+            p.add_argument(*seed_spellings, dest="seed", type=int, default=0,
+                           help="seed of the topology and of every draw of the run")
             p.add_argument("--out-dir", type=Path, required=True)
-            p.add_argument("--mc-samples", type=int, default=None,
-                           help="override the Monte-Carlo sample count")
+        return p
 
-    p_train = sub.add_parser("train", help="train a policy and write the reward table")
-    common(p_train)
-
-    p_eval = sub.add_parser("eval", help="greedy rollout of a trained policy")
-    common(p_eval)
+    command("train", "train a policy and write the reward table", "--seed")
+    p_eval = command("eval", "greedy rollout of a trained policy", "--seed", "--scenario-seed")
     p_eval.add_argument("--checkpoint", type=Path, required=True)
-    p_eval.add_argument("--scenario-seed", type=int, default=None,
-                        help="topology seed (defaults to --seed)")
-
-    p_base = sub.add_parser("baseline", help="grid-search oracle and static-center scan")
-    common(p_base)
-    p_base.add_argument("--scenario-seed", type=int, default=None)
-
-    p_link = sub.add_parser("linkbudget", help="one-shot per-link budget report")
-    common(p_link, run=False)
+    command("baseline", "grid-search oracle and static-center scan", "--seed", "--scenario-seed")
+    p_link = command("linkbudget", "one-shot per-link budget report")
     p_link.add_argument("--uav", required=True, help="x,y,z in meters")
     p_link.add_argument("--sbs", action="append", default=[], help="x,y in meters (repeat)")
     return parser
 
 
-def _resolve_config(args) -> RunConfig:
-    cfg = load_config(args.config) if args.config is not None else RunConfig()
-    n = getattr(args, "mc_samples", None)   # linkbudget has no --mc-samples
-    if n is None:
-        return cfg
-    try:
-        return replace(cfg, mc_samples_train=n, mc_samples_eval=n, grid_mc_samples=n)
-    except ConfigError as exc:
-        raise ConfigError(f"--mc-samples {n}: {exc}") from exc
+COMMANDS = {"train": cmd_train, "eval": cmd_eval, "baseline": cmd_baseline}
+
+
+def _config(path) -> RunConfig:
+    return RunConfig() if path is None else load_config(path)
 
 
 def main(argv=None) -> int:
@@ -374,25 +338,18 @@ def main(argv=None) -> int:
     manifest = None
     try:
         if args.command == "linkbudget":
-            return cmd_linkbudget(_resolve_config(args), args.uav, args.sbs)
-        out_dir = args.out_dir
-        out_dir.mkdir(parents=True, exist_ok=True)
-        seed = args.seed
-        if getattr(args, "scenario_seed", None) is not None:
-            seed = args.scenario_seed
-        manifest = Manifest(out_dir, args.command, seed)
-        for flag in ("seed", "scenario_seed"):
-            value = getattr(args, flag, None)
-            if value is not None and value < 0:
-                # np.random.SeedSequence refuses a negative seed
-                raise ConfigError(f"--{flag.replace('_', '-')} {value}: must be >= 0")
-        cfg = _resolve_config(args)
+            return cmd_linkbudget(_config(args.config), args.uav, args.sbs)
+        args.out_dir.mkdir(parents=True, exist_ok=True)
+        manifest = Manifest(args.out_dir, args.command, args.seed)
+        if args.seed < 0:
+            # np.random.SeedSequence refuses a negative seed
+            raise ConfigError(f"--seed {args.seed}: must be >= 0")
+        cfg = _config(args.config)
         manifest.record_config(cfg)
-        if args.command == "train":
-            return cmd_train(cfg, seed, out_dir, manifest)
-        if args.command == "eval":
-            return cmd_eval(cfg, args.checkpoint, seed, out_dir, manifest)
-        return cmd_baseline(cfg, seed, out_dir, manifest)
+        env = Environment(cfg.env_config(), cfg.channel_params())
+        env.reset(args.seed)
+        manifest.finalize(args.out_dir, COMMANDS[args.command](cfg, env, args))
+        return EXIT_OK
     except (ConfigError, InvalidInputError) as exc:
         message, code = f"config error: {exc}", EXIT_CONFIG
     except NumericFailureError as exc:

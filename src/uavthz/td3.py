@@ -36,13 +36,17 @@ ACTOR_HEAD_SCALE = 0.01
 # Factor on the rewards entering the replay buffer, so critic targets stay
 # order-one; the logged episode reward keeps the environment's scale.
 REWARD_SCALE = 0.1
+# Largest noise setting, in action scales. Far noisier actions only pick a
+# direction on the unit ball, and near 1e154 their squared norm overflows,
+# which would project every noisy action to zero.
+MAX_NOISE = 1e3
 
 
 @dataclass
 class Td3Hyperparams:
     """Network widths, optimizer and exploration settings and the training schedule.
 
-    The noise settings are fractions of the action scale.
+    The noise settings are fractions of the action scale, at most MAX_NOISE.
     """
 
     hidden_dims: tuple
@@ -71,7 +75,8 @@ class Td3Hyperparams:
                      "steps_per_episode"):
             require(getattr(self, name) >= 1, f"{name} must be >= 1", name)
         for name in ("exploration_noise_std", "target_noise_std", "target_noise_clip"):
-            require(getattr(self, name) >= 0, f"{name} must be >= 0", name)
+            require(0 <= getattr(self, name) <= MAX_NOISE,
+                    f"{name} must lie in [0, {MAX_NOISE:g}]", name)
         require(self.warmup_steps > self.batch_size, "warmup must exceed the batch size",
                 "warmup_steps", "batch_size")
 

@@ -86,9 +86,6 @@ def test_commands_exit_zero_in_a_process(tmp_path):
 @pytest.mark.parametrize("command,extra,flags", [
     ("train", "antenna.uav_n_side = 0\n", ()),
     ("baseline", "kinematics.h_min_m = 200\n", ()),
-    ("train", "", ("--mc-samples", "0")),
-    ("eval", "", ("--mc-samples", "0", "--checkpoint", "missing")),
-    ("baseline", "", ("--mc-samples", "-3")),
 ])
 def test_bad_config_exits_2_with_failed_manifest(tmp_path, capsys, command, extra, flags):
     out = tmp_path / "out"
@@ -154,22 +151,6 @@ def test_bad_linkbudget_station_or_uav_exits_2(capsys, flags, message):
     captured = capsys.readouterr()
     assert captured.err.startswith(f"config error: {message}")
     assert captured.err.count("\n") == 1 and captured.out == ""
-
-
-def test_mc_samples_flag_is_checked_like_the_file(tmp_path, capsys):
-    out = tmp_path / "out"
-    assert cli.main(["train", "--config", str(write_config(tmp_path)), "--out-dir", str(out),
-                     "--mc-samples", "0"]) == cli.EXIT_CONFIG
-    assert capsys.readouterr().err == ("config error: --mc-samples 0: env.mc_samples_train = 0: "
-                                       "mc_samples must be >= 1\n")
-    assert [f.name for f in out.iterdir()] == ["manifest.json"]
-
-
-def test_mc_samples_flag_is_applied(tmp_path):
-    out = tmp_path / "out"
-    assert cli.main(["baseline", "--config", str(write_config(tmp_path)),
-                     "--out-dir", str(out), "--mc-samples", "32"]) == cli.EXIT_OK
-    assert "mc_samples: 32\n" in (out / "grid_scan.csv").read_text(encoding="utf-8")
 
 
 # The first critic step moves every weight by about the learning rate, so the
@@ -261,10 +242,49 @@ def test_negative_seed_exits_2_with_failed_manifest(tmp_path, capsys, trained, c
         argv += ["--checkpoint", str(trained_out / "checkpoint")]
     assert cli.main(argv) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err == f"config error: {flag} -1: must be >= 0\n"
+    # --scenario-seed is another spelling of --seed
+    assert err == "config error: --seed -1: must be >= 0\n"
     assert [f.name for f in out.iterdir()] == ["manifest.json"]
     data = manifest(out)
     assert data["status"] == "failed" and data["error"] == err.strip()
+
+
+@pytest.mark.parametrize("command", ["eval", "baseline"])
+def test_scenario_seed_is_another_spelling_of_seed(tmp_path, trained, command):
+    config, trained_out = trained
+    digests = []
+    for flag in ("--seed", "--scenario-seed"):
+        out = tmp_path / flag.strip("-")
+        argv = [command, "--config", str(config), "--out-dir", str(out), flag, "3"]
+        if command == "eval":
+            argv += ["--checkpoint", str(trained_out / "checkpoint")]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert manifest(out)["seed"] == 3
+        digests.append(manifest(out)["outputs"])
+    assert digests[0] and digests[0] == digests[1]
+
+
+# What every manifest holds; a complete one adds the command's summary.
+RUN_KEYS = {"version", "command", "seed", "status", "outputs", "config", "config_sha256",
+            "resolved_si", "wall_clock_s"}
+
+
+def test_complete_manifest_holds_each_commands_summary(tmp_path, trained):
+    config, trained_out = trained
+    base = tmp_path / "baseline"
+    assert run_eval(config, trained_out, tmp_path / "eval") == cli.EXIT_OK
+    assert cli.main(["baseline", "--config", str(config), "--out-dir", str(base)]) == 0
+    summaries = {
+        "train": {"episodes", "final_moving_avg_40"},
+        "eval": {"episode_time_s", "time_budget_s", "time_budget_satisfied",
+                 "initial_max_outage", "final_max_outage", "best_max_outage", "best_step"},
+        "baseline": {"oracle_max_outage", "static_center_max_outage"},
+    }
+    for out, (command, keys) in zip((trained_out, tmp_path / "eval", base), summaries.items()):
+        data = manifest(out)
+        assert data["command"] == command and data["status"] == "complete"
+        assert set(data) == RUN_KEYS | keys
+    assert manifest(trained_out)["episodes"] == 3
 
 
 def rewrite_archive(path, **entries):

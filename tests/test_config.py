@@ -98,6 +98,8 @@ BAD_VALUES = [
     ("kinematics.dt_s = 1e300", "kinematics.dt_s"),
     ("kinematics.v_max_mps = 1e300", "kinematics.v_max_mps"),
     ("env.mc_samples_eval = 0", "env.mc_samples_eval"),
+    ("td3.exploration_noise = 1e200", "td3.exploration_noise"),
+    ("td3.target_noise = 1e300\ntd3.target_noise_clip = 1e300", "td3.target_noise"),
     ("channel.los_mode = per-sample", "unknown config key: channel.los_mode"),
     ("env.clamp_z_only = false", "unknown config key: env.clamp_z_only"),
     ("env.freeze_topology = true", "unknown config key: env.freeze_topology"),

@@ -7,7 +7,7 @@ import pytest
 from uavthz import channel, neural, td3
 from uavthz.config import RunConfig
 from uavthz.environment import Environment
-from uavthz.errors import NumericFailureError
+from uavthz.errors import InvalidInputError, NumericFailureError
 from uavthz.td3 import Normalizer, ReplayBuffer, Td3Agent, Td3Hyperparams
 
 
@@ -117,6 +117,23 @@ class TestSelectAction:
         for _ in range(100):
             a = td3.random_action(agent)
             assert np.linalg.norm(a) <= 10.0 + 1e-9
+
+
+@pytest.mark.parametrize("name", ["exploration_noise_std", "target_noise_std",
+                                  "target_noise_clip"])
+def test_noise_settings_are_bounded(name):
+    assert getattr(tiny_hp(**{name: td3.MAX_NOISE}), name) == td3.MAX_NOISE
+    with pytest.raises(InvalidInputError, match=name):
+        tiny_hp(**{name: 2 * td3.MAX_NOISE})
+
+
+# A warning is an error here: at the bound a noisy action still has a norm.
+@pytest.mark.filterwarnings("error")
+def test_noisiest_action_lands_on_the_ball():
+    agent = make_agent(12, exploration_noise_std=td3.MAX_NOISE)
+    for _ in range(100):
+        a = td3.select_action(agent, np.zeros(3), explore=True)
+        assert np.linalg.norm(a) == pytest.approx(10.0)
 
 
 def test_unit_ball_projection_returns_rows_and_their_norms():
