@@ -136,11 +136,9 @@ class SinrSample:
 
 @dataclass
 class OutageEstimate:
-    """Per-link Monte-Carlo outage probabilities with their sample count and seed."""
+    """Per-link Monte-Carlo outage probabilities."""
 
     per_link_outage: np.ndarray
-    n_samples: int
-    seed: int
 
 
 def free_space_term(params: ChannelParams, length):
@@ -467,7 +465,7 @@ def outage_scan(links, uavs, params: ChannelParams, n_samples: int, seed: int,
             for _ in group:
                 done += 1
                 progress(done, len(uavs))
-    return [OutageEstimate(f / n_samples, n_samples, seed) for f in failures]
+    return [OutageEstimate(f / n_samples) for f in failures]
 
 
 def outage_probability(links, uav: Vec3, params: ChannelParams,

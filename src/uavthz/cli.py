@@ -164,7 +164,7 @@ def load_checkpoint(ck_dir: Path, cfg: RunConfig, seed: int) -> td3.Td3Agent:
     path = ck_dir / CHECKPOINT_FILE
     if not path.is_file():
         raise ConfigError(f"no checkpoint at {ck_dir}")
-    agent = td3.Td3Agent.create(cfg.normalizer(), cfg.hyperparams(), seed)
+    agent = td3.Td3Agent.create(cfg.hyperparams(), seed)
     neural.load_net(path, agent.nets())
     return agent
 
@@ -172,7 +172,7 @@ def load_checkpoint(ck_dir: Path, cfg: RunConfig, seed: int) -> td3.Td3Agent:
 # ------------------------------------------------------------------ subcommands
 
 def cmd_train(cfg: RunConfig, env: Environment, args) -> dict:
-    agent = td3.Td3Agent.create(cfg.normalizer(), cfg.hyperparams(), args.seed)
+    agent = td3.Td3Agent.create(cfg.hyperparams(), args.seed)
     agent, logs = td3.train(env, agent)
     avg = moving_average([lg.reward for lg in logs], 40)
     write_csv(args.out_dir / "rewards.csv", args.seed,
@@ -229,8 +229,7 @@ def cmd_baseline(cfg: RunConfig, env: Environment, args) -> dict:
             print(f"scanned {k}/{n} lattice points", file=sys.stderr)
             started = now
 
-    best_pos, best_val, scan = baseline.grid_search_best_position(env.topology, env.params,
-                                                                  spec, progress)
+    best_pos, best_val, scan = baseline.grid_search_best_position(env, spec, progress)
     meta = {"mc_samples": spec.mc_samples, "mc_seed": spec.seed}
     write_csv(args.out_dir / "grid_scan.csv", args.seed, ("x", "y", "z", "max_outage"),
               [(*pos, val) for pos, val in scan], **meta)
@@ -352,6 +351,8 @@ def main(argv=None) -> int:
         return EXIT_OK
     except (ConfigError, InvalidInputError) as exc:
         message, code = f"config error: {exc}", EXIT_CONFIG
+    except MemoryError as exc:
+        message, code = f"config error: out of memory: {exc}", EXIT_CONFIG
     except NumericFailureError as exc:
         message, code = f"numeric failure: {exc}", EXIT_NUMERIC
     except OSError as exc:

@@ -21,7 +21,7 @@ from uavthz.channel import ChannelParams
 from uavthz.environment import EnvConfig
 from uavthz.errors import ConfigError, InvalidInputError
 from uavthz.geometry import KinematicLimits
-from uavthz.td3 import Normalizer, Td3Hyperparams
+from uavthz.td3 import Td3Hyperparams
 
 
 def dbm_to_watts(dbm: float) -> float:
@@ -97,7 +97,7 @@ class RunConfig:
     grid_mc_samples: int = _key("baseline.mc_samples", 10_000, GridSearchSpec, "mc_samples")
 
     def __post_init__(self):
-        self.normalizer()          # builds the environment and its kinematic limits
+        self.env_config()          # builds the kinematic limits too
         self.channel_params()
         self.hyperparams()
         self.grid_spec(0)
@@ -135,14 +135,8 @@ class RunConfig:
     def hyperparams(self) -> Td3Hyperparams:
         return self._build(Td3Hyperparams)
 
-    def normalizer(self) -> Normalizer:
-        env = self.env_config()
-        lim = env.limits
-        return Normalizer(env.area_x, env.area_y, lim.h_min, lim.h_max, lim.action_scale)
-
     def grid_spec(self, seed: int) -> GridSearchSpec:
-        return self._build(GridSearchSpec, seed=seed, x_range=(0.0, self.area_x_m),
-                           y_range=(0.0, self.area_y_m), z_range=(self.h_min_m, self.h_max_m))
+        return self._build(GridSearchSpec, seed=seed)
 
 
 _FIELDS = {f.metadata["key"]: f for f in fields(RunConfig)}

@@ -5,9 +5,10 @@ smoothing, delayed actor/target updates, a uniform ring replay buffer, and
 Gaussian exploration noise. The two critics are one stacked network (row 0
 is critic 1, row 1 critic 2) with one stacked target and one Adam state, so
 a critic step is one batched forward, one backward and one Adam pass; the
-actor step reads critic 1 through a row view. Networks operate in a
-normalized space: positions mapped per axis to [-1, 1], actions to the unit
-ball; denormalization to meters happens only at the environment boundary.
+actor step reads critic 1 through a row view. The agent works only in a
+normalized space: norm_state maps positions per axis to [-1, 1], and actions
+are on the unit ball. train and greedy_rollout, which hold the environment,
+multiply an action by its action scale before they move the UAV.
 Nothing here checks an array the loop built: the data is checked where it
 enters, the settings in the config, each position in the channel, each action
 in project_action and the nets at construction and checkpoint load.
@@ -22,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from uavthz import neural
-from uavthz.environment import Environment
+from uavthz import channel, neural
+from uavthz.environment import EnvConfig, Environment
 from uavthz.errors import require
 from uavthz.neural import AdamState, DenseNet
 
@@ -81,29 +82,15 @@ class Td3Hyperparams:
                 "warmup_steps", "batch_size")
 
 
-@dataclass
-class Normalizer:
-    """Affine maps between environment coordinates and network coordinates."""
-
-    area_x: float
-    area_y: float
-    h_min: float
-    h_max: float
-    action_scale: float
-
-    def norm_state(self, position) -> np.ndarray:
-        p = np.asarray(position, dtype=float)
-        s = np.empty_like(p)
-        s[..., 0] = 2.0 * p[..., 0] / self.area_x - 1.0
-        s[..., 1] = 2.0 * p[..., 1] / self.area_y - 1.0
-        s[..., 2] = 2.0 * (p[..., 2] - self.h_min) / (self.h_max - self.h_min) - 1.0
-        return np.clip(s, -1.0, 1.0)
-
-    def norm_action(self, displacement: np.ndarray) -> np.ndarray:
-        return displacement / self.action_scale
-
-    def denorm_action(self, action: np.ndarray) -> np.ndarray:
-        return action * self.action_scale
+def norm_state(cfg: EnvConfig, position) -> np.ndarray:
+    """Positions mapped per axis onto [-1, 1] over the area and altitude window, clipped."""
+    lim = cfg.limits
+    p = np.asarray(position, dtype=float)
+    s = np.empty_like(p)
+    s[..., 0] = 2.0 * p[..., 0] / cfg.area_x - 1.0
+    s[..., 1] = 2.0 * p[..., 1] / cfg.area_y - 1.0
+    s[..., 2] = 2.0 * (p[..., 2] - lim.h_min) / (lim.h_max - lim.h_min) - 1.0
+    return np.clip(s, -1.0, 1.0)
 
 
 class ReplayBuffer:
@@ -155,12 +142,11 @@ class Td3Agent:
     adam_actor: AdamState
     adam_critics: AdamState
     buffer: ReplayBuffer
-    normalizer: Normalizer
     hp: Td3Hyperparams
     rng: np.random.Generator
 
     @classmethod
-    def create(cls, normalizer: Normalizer, hp: Td3Hyperparams, seed: int) -> "Td3Agent":
+    def create(cls, hp: Td3Hyperparams, seed: int) -> "Td3Agent":
         ss = np.random.SeedSequence(seed)
         s_actor, s_c1, s_c2, s_buf, s_noise = ss.spawn(5)
         actor_dims = (STATE_DIM, *hp.hidden_dims, ACTION_DIM)
@@ -177,7 +163,6 @@ class Td3Agent:
             adam_actor=neural.init_adam(actor, hp.actor_lr),
             adam_critics=neural.init_adam(critics, hp.critic_lr),
             buffer=ReplayBuffer(hp.buffer_capacity, _seed_int(s_buf)),
-            normalizer=normalizer,
             hp=hp,
             rng=np.random.default_rng(s_noise),
         )
@@ -192,29 +177,31 @@ def _seed_int(ss: np.random.SeedSequence) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def select_action(agent: Td3Agent, norm_state, explore: bool) -> np.ndarray:
-    """Policy action for a normalized (3,) state array, as a displacement in meters.
+def select_action(agent: Td3Agent, state, explore: bool) -> np.ndarray:
+    """Policy action for a normalized (3,) state array, on the closed unit ball.
 
-    With explore set, adds zero-mean Gaussian noise to the normalized action
-    before projecting back onto the action ball; deterministic otherwise.
+    With explore set, adds zero-mean Gaussian noise to the action before
+    projecting it back onto the ball; deterministic otherwise. The caller
+    multiplies by the environment's action scale to get meters.
     """
-    a = neural.forward(agent.actor, norm_state[None, :])[0]
+    a = neural.forward(agent.actor, state[None, :])[0]
     if explore:
         a = a + agent.rng.normal(0.0, agent.hp.exploration_noise_std, size=ACTION_DIM)
-    return agent.normalizer.denorm_action(_project_unit_ball(a)[0])
+    return _project_unit_ball(a)[0]
 
 
 def random_action(agent: Td3Agent) -> np.ndarray:
-    """Random displacement in meters from the action ball (warm-up exploration).
+    """Random action from the closed unit ball (warm-up exploration).
 
     The radius is uniform in [0, 1] rather than volume-uniform so that small
     displacements are well represented; the optimal action at a good start
-    is near zero and the critic needs data there.
+    is near zero and the critic needs data there. The caller multiplies by
+    the environment's action scale to get meters.
     """
     direction = agent.rng.normal(size=ACTION_DIM)
     direction /= max(np.linalg.norm(direction), 1e-12)
     radius = agent.rng.uniform(0.0, 1.0)
-    return agent.normalizer.denorm_action(direction * radius)
+    return direction * radius
 
 
 def critic_update(agent: Td3Agent, minibatch) -> tuple[float, float]:
@@ -302,7 +289,7 @@ def train(env: Environment, agent: Td3Agent):
     also moves the actor and the targets.
     """
     hp = agent.hp
-    norm = agent.normalizer
+    scale = env.config.limits.action_scale
     logs: list[EpisodeLog] = []
     global_step = 0
     for ep in range(hp.episodes):
@@ -311,18 +298,19 @@ def train(env: Environment, agent: Td3Agent):
         ep_outage = 0.0
         for _ in range(hp.steps_per_episode):
             global_step += 1
-            ns = norm.norm_state(state)
+            ns = norm_state(env.config, state)
             if global_step <= hp.warmup_steps:
-                action = random_action(agent)
+                action = random_action(agent) * scale
             else:
-                action = select_action(agent, ns, explore=True)
+                action = select_action(agent, ns, explore=True) * scale
             result = env.step(action)
             nxt = result.next_state.uav_position
-            agent.buffer.add(ns, norm.norm_action(action), REWARD_SCALE * result.reward,
-                             norm.norm_state(nxt))
+            # the executed displacement back in action units, as the critics read it
+            agent.buffer.add(ns, action / scale, REWARD_SCALE * result.reward,
+                             norm_state(env.config, nxt))
             state = nxt
             ep_reward += result.reward
-            ep_outage += float(result.outage.per_link_outage.max())
+            ep_outage += channel.max_outage(result.outage)
             if len(agent.buffer) > hp.batch_size:
                 update(agent, agent.buffer.sample(hp.batch_size))
         logs.append(EpisodeLog(ep, ep_reward, ep_outage / hp.steps_per_episode))
@@ -343,13 +331,13 @@ def greedy_rollout(env: Environment, agent: Td3Agent, max_steps: int):
     cumulative flight time. The UAV only moves: no position is scored and no
     Monte-Carlo seed is drawn, so the caller scores the visited positions.
     """
-    norm = agent.normalizer
+    scale = env.config.limits.action_scale
     position = env.state.uav_position
     trace = [RolloutPoint(0, 0.0, position)]
     t = 0.0
     for k in range(1, max_steps + 1):
-        action = select_action(agent, norm.norm_state(position), explore=False)
-        position, elapsed = env.move(action)
+        action = select_action(agent, norm_state(env.config, position), explore=False)
+        position, elapsed = env.move(action * scale)
         t += elapsed
         trace.append(RolloutPoint(k, t, position))
     return trace

@@ -29,15 +29,15 @@ class TestGridSearch:
     def test_trivial_single_point_grid(self):
         env = scenario()
         spec = cheap_spec(x_steps=1, y_steps=1, z_steps=1)
-        pos, val, _ = baseline.grid_search_best_position(env.topology, env.params, spec)
+        pos, val, _ = baseline.grid_search_best_position(env, spec)
         assert np.allclose(pos, (0.0, 0.0, 30.0))
         assert 0.0 <= val <= 1.0
 
     def test_oracle_dominates_any_grid_point(self):
         env = scenario(1)
         spec = cheap_spec()
-        _, best, rows = baseline.grid_search_best_position(env.topology, env.params, spec)
-        scanned = list(baseline.scan_grid(env.topology, env.params, spec))
+        _, best, rows = baseline.grid_search_best_position(env, spec)
+        scanned = list(baseline.scan_grid(env, spec))
         assert len(rows) == len(scanned) == 5 * 5 * 3
         for (pos, val), (want_pos, want_val) in zip(rows, scanned):
             assert np.array_equal(pos, want_pos) and val == want_val
@@ -48,15 +48,15 @@ class TestGridSearch:
         env = scenario(2)
         coarse = cheap_spec(x_steps=3, y_steps=3, z_steps=2)
         fine = cheap_spec(x_steps=5, y_steps=5, z_steps=3)
-        _, v_coarse, _ = baseline.grid_search_best_position(env.topology, env.params, coarse)
-        _, v_fine, _ = baseline.grid_search_best_position(env.topology, env.params, fine)
+        _, v_coarse, _ = baseline.grid_search_best_position(env, coarse)
+        _, v_fine, _ = baseline.grid_search_best_position(env, fine)
         assert v_fine <= v_coarse + 1e-12
 
     def test_shared_seed_reproducible(self):
         env = scenario(3)
         spec = cheap_spec()
-        a = baseline.grid_search_best_position(env.topology, env.params, spec)
-        b = baseline.grid_search_best_position(env.topology, env.params, spec)
+        a = baseline.grid_search_best_position(env, spec)
+        b = baseline.grid_search_best_position(env, spec)
         assert np.array_equal(a[0], b[0]) and a[1] == b[1]
 
     def test_lexicographic_tie_break(self):
@@ -64,7 +64,9 @@ class TestGridSearch:
         env = scenario(4)
         params = replace(RunConfig().channel_params(), vibration_std_rad=0.0, los_alpha=0.0,
                          sinr_threshold=1e-30)
-        pos, val, _ = baseline.grid_search_best_position(env.topology, params, cheap_spec())
+        env = Environment(env.config, params)
+        env.reset(4)
+        pos, val, _ = baseline.grid_search_best_position(env, cheap_spec())
         assert val == 0.0
         assert np.allclose(pos, (0.0, 0.0, 30.0))
 
@@ -74,9 +76,19 @@ class TestGridSearch:
         env = scenario(5, n_stations=1)
         sbs = env.topology.sbs_list[0]
         spec = cheap_spec(x_steps=7, y_steps=7, z_steps=3, mc_samples=800)
-        pos, _, _ = baseline.grid_search_best_position(env.topology, env.params, spec)
+        pos, _, _ = baseline.grid_search_best_position(env, spec)
         cell = 150.0 / 6
         assert abs(pos[0] - sbs[0]) <= cell and abs(pos[1] - sbs[1]) <= cell
+
+    def test_lattice_spans_the_area_and_altitude_window(self):
+        env = scenario()
+        env = Environment(replace(env.config, area_x=90.0, area_y=40.0,
+                                  limits=replace(LIMITS, h_min=12.0, h_max=57.0)), env.params)
+        env.reset(0)
+        rows = list(baseline.scan_grid(env, cheap_spec(x_steps=4, y_steps=3, z_steps=2)))
+        assert len(rows) == 4 * 3 * 2
+        assert np.array_equal(rows[0][0], (0.0, 0.0, 12.0))
+        assert np.array_equal(rows[-1][0], (90.0, 40.0, 57.0))
 
     def test_step_count_validation(self):
         with pytest.raises(InvalidInputError):
@@ -112,7 +124,7 @@ class TestStaticCenter:
     def test_oracle_beats_static_center(self):
         env = scenario(8)
         spec = cheap_spec(x_steps=7, y_steps=7, z_steps=3)
-        _, best, _ = baseline.grid_search_best_position(env.topology, env.params, spec)
+        _, best, _ = baseline.grid_search_best_position(env, spec)
         center = baseline.static_center_policy(env.topology, LIMITS)
         center_val = channel.max_outage(channel.outage_probability(
             env.topology.sbs_list, center, env.params, spec.mc_samples, spec.seed))

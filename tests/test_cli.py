@@ -99,6 +99,27 @@ def test_bad_config_exits_2_with_failed_manifest(tmp_path, capsys, command, extr
     assert data["error"] == err.strip()
 
 
+# Every array size comes from the config. At 1e14 the first array of each
+# setting exceeds a 128 TiB address space, so no overcommit setting lets it be
+# allocated; numpy's MemoryError is then a config error.
+@pytest.mark.parametrize("command,key", [
+    ("train", "td3.buffer_capacity"),
+    ("train", "td3.hidden1"),
+    ("baseline", "baseline.mc_samples"),
+])
+def test_array_too_large_for_memory_exits_2_with_one_line(tmp_path, command, key):
+    config = tmp_path / "huge.cfg"
+    kept = [line for line in TINY.splitlines() if not line.startswith(f"{key} ")]
+    config.write_text("\n".join([*kept, f"{key} = 100000000000000"]) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    proc = run_process(command, "--config", config, "--out-dir", out)
+    assert proc.returncode == cli.EXIT_CONFIG
+    assert proc.stderr.startswith("config error: out of memory: ")
+    assert proc.stderr.count("\n") == 1
+    data = manifest(out)
+    assert data["status"] == "failed" and data["error"] == proc.stderr.strip()
+
+
 @pytest.mark.parametrize("command,flags", [
     ("train", ()),
     ("eval", ("--checkpoint", "missing")),

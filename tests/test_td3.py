@@ -8,7 +8,7 @@ from uavthz import channel, neural, td3
 from uavthz.config import RunConfig
 from uavthz.environment import Environment
 from uavthz.errors import InvalidInputError, NumericFailureError
-from uavthz.td3 import Normalizer, ReplayBuffer, Td3Agent, Td3Hyperparams
+from uavthz.td3 import ReplayBuffer, Td3Agent, Td3Hyperparams
 
 
 def tiny_hp(**kw) -> Td3Hyperparams:
@@ -24,7 +24,7 @@ def small_env(**kw) -> Environment:
 
 
 def make_agent(seed=0, **kw) -> Td3Agent:
-    return Td3Agent.create(Normalizer(150, 150, 30, 130, 10.0), tiny_hp(**kw), seed)
+    return Td3Agent.create(tiny_hp(**kw), seed)
 
 
 def random_batch(rng, n=4):
@@ -35,20 +35,16 @@ def random_batch(rng, n=4):
     return states, actions, rewards, next_states
 
 
-class TestNormalizer:
+class TestNormState:
+    # the default flight volume: a 150 m x 150 m area, altitudes 30 to 130 m
+    CFG = RunConfig().env_config()
+
     def test_state_round_trip_center(self):
-        n = Normalizer(150, 150, 30, 130, 10.0)
-        assert np.allclose(n.norm_state([75, 75, 80]), [0, 0, 0])
-        assert np.allclose(n.norm_state([0, 150, 30]), [-1, 1, -1])
+        assert np.allclose(td3.norm_state(self.CFG, [75, 75, 80]), [0, 0, 0])
+        assert np.allclose(td3.norm_state(self.CFG, [0, 150, 30]), [-1, 1, -1])
 
     def test_out_of_area_clips(self):
-        n = Normalizer(150, 150, 30, 130, 10.0)
-        assert np.allclose(n.norm_state([-40, 500, 80]), [-1, 1, 0])
-
-    def test_action_round_trip(self):
-        n = Normalizer(150, 150, 30, 130, 10.0)
-        a = np.array([3.0, -4.0, 1.0])
-        assert np.allclose(n.denorm_action(n.norm_action(a)), a)
+        assert np.allclose(td3.norm_state(self.CFG, [-40, 500, 80]), [-1, 1, 0])
 
 
 class TestReplayBuffer:
@@ -97,7 +93,7 @@ class TestSelectAction:
         for _ in range(200):
             s = rng.uniform(-1, 1, 3)
             a = td3.select_action(agent, s, explore=True)
-            assert np.linalg.norm(a) <= 10.0 + 1e-9
+            assert np.linalg.norm(a) <= 1.0 + 1e-12
 
     def test_noise_standard_deviation(self):
         agent = make_agent(6, exploration_noise_std=0.05)
@@ -109,14 +105,14 @@ class TestSelectAction:
         s = np.zeros(3)
         draws = np.array([td3.select_action(agent, s, explore=True)
                           for _ in range(10_000)])
-        measured = draws.std(axis=0) / 10.0  # back to normalized units
+        measured = draws.std(axis=0)
         assert np.all(np.abs(measured - 0.05) < 0.05 * 0.05)
 
     def test_warmup_action_inside_ball(self):
         agent = make_agent(7)
         for _ in range(100):
             a = td3.random_action(agent)
-            assert np.linalg.norm(a) <= 10.0 + 1e-9
+            assert np.linalg.norm(a) <= 1.0 + 1e-12
 
 
 @pytest.mark.parametrize("name", ["exploration_noise_std", "target_noise_std",
@@ -133,7 +129,7 @@ def test_noisiest_action_lands_on_the_ball():
     agent = make_agent(12, exploration_noise_std=td3.MAX_NOISE)
     for _ in range(100):
         a = td3.select_action(agent, np.zeros(3), explore=True)
-        assert np.linalg.norm(a) == pytest.approx(10.0)
+        assert np.linalg.norm(a) == pytest.approx(1.0)
 
 
 def test_unit_ball_projection_returns_rows_and_their_norms():
@@ -303,7 +299,7 @@ class TestTrainLoop:
     def test_zero_learning_rates_freeze_parameters(self):
         env = self._env()
         hp = tiny_hp()
-        agent = Td3Agent.create(Normalizer(150, 150, 30, 130, 10.0), hp, 21)
+        agent = Td3Agent.create(hp, 21)
         agent.adam_actor.learning_rate = agent.adam_critics.learning_rate = 0.0
         before = [agent.actor.params.copy(), agent.critics.params.copy()]
         td3.train(env, agent)
@@ -314,15 +310,23 @@ class TestTrainLoop:
         series = []
         for _ in range(2):
             env = self._env()
-            agent = Td3Agent.create(Normalizer(150, 150, 30, 130, 10.0), tiny_hp(), 22)
+            agent = Td3Agent.create(tiny_hp(), 22)
             _, logs = td3.train(env, agent)
             series.append([lg.reward for lg in logs])
         assert series[0] == series[1]
 
+    def test_buffer_holds_unit_ball_actions(self):
+        # the loop moves the UAV by action_scale times an action and stores
+        # the executed displacement divided by it again
+        env = self._env()
+        agent, _ = td3.train(env, make_agent(24, exploration_noise_std=td3.MAX_NOISE))
+        norms = np.linalg.norm(agent.buffer._actions[:len(agent.buffer)], axis=1)
+        assert np.all(norms <= 1.0 + 1e-12) and np.any(norms > 1.0 - 1e-12)
+
     def test_episode_count_and_log_shape(self):
         env = self._env()
         hp = tiny_hp(episodes=5)
-        agent = Td3Agent.create(Normalizer(150, 150, 30, 130, 10.0), hp, 23)
+        agent = Td3Agent.create(hp, 23)
         _, logs = td3.train(env, agent)
         assert [lg.episode for lg in logs] == list(range(5))
 
@@ -360,6 +364,17 @@ class TestGreedyRollout:
         assert len(trace) == 6
         for pt in trace:
             assert np.array_equal(pt.position, trace[0].position)
+
+    def test_rollout_moves_by_the_action_scale(self):
+        env = small_env(mc_samples=30)
+        env.reset(1)
+        agent = make_agent(24)
+        for w in agent.actor.weights:
+            w[:] = 0.0
+        agent.actor.biases[-1][:] = np.arctanh([0.3, 0.0, -0.4])
+        trace = td3.greedy_rollout(env, agent, 1)
+        scale = env.config.limits.action_scale
+        assert np.allclose(trace[1].position - trace[0].position, [0.3 * scale, 0.0, -0.4 * scale])
 
     def test_rollout_deterministic(self):
         traces = []
