@@ -11,15 +11,24 @@ g0 = N^4 / sum_{|p|,|q|<N} (N-|p|)(N-|q|) * sinc(2*(d/lambda)*sqrt(p^2+q^2))
 in np.sinc's normalized convention. It is exact at every spacing.
 
 The pattern is evaluated in two steps: axis_ratio computes one axis's
-factor by an in-place ufunc chain over caller-supplied buffers
-(PatternScratch), in exactly the operation order of the np.sinc expression
+factor by an in-place float32 ufunc chain over caller-supplied buffers
+(PatternScratch), in the operation order of the np.sinc expression
 sinc(n*psi/2pi) / sinc(psi/2pi), and gain_from_axis_ratios forms
-g0 * (ratio_x * ratio_y)^2 from a g0 that the caller looked up once. The
-bits are those of the allocating expression, while a caller evaluating many
-blocks allocates nothing per block, and a caller whose directions share one
-axis's offsets computes that factor once.
+g0 * (ratio_x * ratio_y)^2 from a g0 that the caller looked up once. A
+caller evaluating many blocks allocates nothing per block, and a caller whose
+directions share one axis's offsets computes that factor once.
 The factor is only ever squared, so its sign across periods of psi is not
 computed.
+
+Precision: the pattern runs in float32, whose sin is many times faster than
+float64's, and the outage kernel's time is mostly this pattern. Rounding
+psi = k*d*sin(theta) to float32 moves it by a few k*d*eps, and the factor's
+slope in psi grows with n, so the stated tolerance is: for angles rounded
+from float64 into float32, the squared per-axis factor is within
+n * k*d * eps32 of the float64 expression's (relative to its peak, 1).
+The gain is then within g0 * (2n*k*d + 3) * eps32 of its float64 value. The
+tests check the factor's bound for n up to MAX_N_SIDE and spacings up to 10
+wavelengths. g0 itself is float64.
 """
 
 import functools
@@ -31,8 +40,9 @@ import numpy as np
 from uavthz.errors import require
 
 TWO_PI = 2.0 * np.pi
-# What np.sinc puts in place of a zero argument before dividing.
-_EPS = np.finfo(float).eps
+# What np.sinc puts in place of a zero argument before dividing, at the
+# pattern's precision.
+_EPS = np.finfo(np.float32).eps
 
 # Largest array side accepted; g0's lag sum for it takes about 0.1 s and 50 MB.
 MAX_N_SIDE = 1024
@@ -59,13 +69,13 @@ class ArrayAntennaConfig:
 class PatternScratch:
     """Reusable buffers for the in-place axis_ratio chain of up to `size` directions.
 
-    Holds two float arrays and one boolean mask. views(shape) hands out
+    Holds two float32 arrays and one boolean mask. views(shape) hands out
     contiguous leading slices of each, shaped as requested, so one instance
     serves every block of a scan, the last short block included.
     """
 
     def __init__(self, size: int):
-        self._floats = np.empty((2, size))
+        self._floats = np.empty((2, size), dtype=np.float32)
         self._mask = np.empty(size, dtype=bool)
 
     def views(self, shape):
@@ -78,7 +88,7 @@ def _sinc_of_scaled(y, out, mask):
     """out = sin(y) / y with every zero of y replaced by eps; y is overwritten.
 
     This is np.sinc after its `pi * x` step: where(x, x, eps), then
-    sin(y) / y, so the bits match np.sinc(x) for y = pi * x.
+    sin(y) / y, at the precision of y and out.
     """
     np.equal(y, 0.0, out=mask)
     np.copyto(y, _EPS, where=mask)
@@ -93,7 +103,8 @@ def axis_ratio(cfg: ArrayAntennaConfig, theta, out, scratch: PatternScratch):
     up to sign, with every removable singularity filled; the gain is g0 times
     the squared product of the two axes' factors (gain_from_axis_ratios).
     theta broadcasts to out's shape; scratch holds at least out.size
-    directions. Returns out.
+    directions. out is float32, and so is theta in the outage kernel; the
+    squared factor then meets the module docstring's tolerance. Returns out.
 
     For spacings above lambda/2 (k*d_a > pi), psi is reduced modulo 2*pi and
     the reduced argument r is evaluated as a quotient of normalized sincs,
@@ -104,8 +115,8 @@ def axis_ratio(cfg: ArrayAntennaConfig, theta, out, scratch: PatternScratch):
     is always 0, so skipping the reduction gives the same bits.
 
     The operation order is that of
-    np.sinc(n * r / TWO_PI) / np.sinc(r / TWO_PI), so the result is
-    bit-identical to that allocating expression.
+    np.sinc(n * r / TWO_PI) / np.sinc(r / TWO_PI), evaluated in out's
+    precision.
     """
     (psi, tmp), mask = scratch.views(out.shape)
     kd = TWO_PI * cfg.spacing_over_lambda
@@ -131,7 +142,8 @@ def gain_from_axis_ratios(g0: float, ratio_x, ratio_y, out):
     """out = g0 * (ratio_x * ratio_y)^2, the gain from its two axis_ratio factors.
 
     g0 is the array's normalization_constant, looked up once by the caller.
-    out may be either input. Returns out.
+    out may be either input; in the outage kernel all three are float32.
+    Returns out.
     """
     np.multiply(ratio_x, ratio_y, out=out)
     np.square(out, out=out)

@@ -51,6 +51,16 @@ position, forms the gain table from its two tables and runs the SINR. A
 block instead of 450. Everything runs as in-place ufunc chains over one
 workspace allocated per scan, so no block allocates anything that grows with
 its size.
+
+Precision: the UAV pattern is float32 (the angle table, the factor tables,
+the gain table and the gathered interferer gains) and meets the tolerance
+the antenna module states. Everything else stays float64: the draws, the link
+geometry, path_loss_sq, p_los, the failure counts, and every power and SINR
+buffer. Powers here are about 1e-22 W (noise at -190 dBm), and sidelobe
+interference terms fall below float32's smallest normal, 1.2e-38, so a
+float32 power would lose them. A draw's verdict can therefore differ from a
+float64 kernel's only where its SINR lies within the gain tolerance of the
+threshold; the tests bound the share of such draws at 1e-4 per link.
 """
 
 import math
@@ -66,12 +76,12 @@ from uavthz.geometry import Vec3, as_stations, as_vec3
 SPEED_OF_LIGHT = 3.0e8  # m/s
 
 # Draws per _sinr_matrix call in outage_scan. Sizes the scan's one workspace
-# (the (S, 16) gain table is 128 KB for six links, the (S, M) interference
-# sums 48 KB) so memory does not grow with S.
+# (the float32 (S, 16) gain table is 64 KB for six links, the float64 (S, M)
+# interference sums 48 KB) so memory does not grow with S.
 _DRAW_BLOCK = 1024
 # Most per-axis factor tables (one per distinct x or y of an altitude group)
-# that outage_scan keeps at once: 8 MB of (_DRAW_BLOCK, 16) tables for six
-# links. A default baseline altitude needs 30.
+# that outage_scan keeps at once: 4 MB of float32 (_DRAW_BLOCK, 16) tables for
+# six links. A default baseline altitude needs 30.
 _MAX_RATIO_TABLES = 64
 
 
@@ -192,7 +202,9 @@ class _Workspace:
     The constants depend only on params and the station count m: the
     stations' g0, the UAV array and its g0, upper (the unordered station
     pairs, in triu_indices order) and column[i, j], the gain-table column of
-    interferer j at link i (i != j), symmetric. The buffers are reused by every block
+    interferer j at link i (i != j), symmetric. The pattern buffers (theta,
+    gain, gathered, pattern) are float32, the rest float64 (see the module
+    docstring). The buffers are reused by every block
     and position of the scan: rows is the block capacity; a shorter block
     uses the leading rows of each buffer, which are contiguous, so no block
     allocates anything that grows with its size.
@@ -207,10 +219,10 @@ class _Workspace:
         column[self.upper] = np.arange(1, len(self.upper[0]) + 1)
         self.column = column + column.T
         k = 1 + m * (m - 1) // 2
-        self.theta, self.gain = np.empty((2, rows, k))
+        self.theta, self.gain = np.empty((2, rows, k), dtype=np.float32)
         self.pattern = antenna.PatternScratch(rows * k)
-        self.alpha, self.term, self.gathered, self.interference, self.sinr = (
-            np.empty((5, rows, m)))
+        self.gathered = np.empty((rows, m), dtype=np.float32)
+        self.alpha, self.term, self.interference, self.sinr = np.empty((4, rows, m))
         self.flags = np.empty((rows, m), dtype=bool)
         self.scale = np.empty((rows, 1))
 
@@ -238,7 +250,7 @@ def _sinr_matrix(geom: _LinkGeometry, params: ChannelParams, ratio_x: np.ndarray
     Returns two (S, M) views into work, valid until its next use.
     Interference is summed over interferers j = 0..M-1 in order, with the
     operation order of the allocating expression
-    tx * pl_j * alpha_j * g0 * gain, so every value is bit-identical to it.
+    tx * pl_j * alpha_j * g0 * gain, in float64 on the float32 gains.
     """
     s = ratio_x.shape[0]
     gain = antenna.gain_from_axis_ratios(work.uav_g0, ratio_x, ratio_y, work.gain[:s])
@@ -284,7 +296,7 @@ def instantaneous_sinr(links, uav: Vec3, orientation: tuple[float, float],
     sbs, uav = as_stations(links), _as_uav(uav)
     work = _Workspace(params, 1, len(sbs))
     geom = _precompute(sbs, uav, params, work.upper)
-    ratio_x, ratio_y = np.empty((2, 1, geom.offset_x.shape[0]))
+    ratio_x, ratio_y = np.empty((2, 1, geom.offset_x.shape[0]), dtype=np.float32)
     _ratio_table(np.array([float(orientation[0])]), geom.offset_x, ratio_x, work)
     _ratio_table(np.array([float(orientation[1])]), geom.offset_y, ratio_y, work)
     sinr, interference = _sinr_matrix(geom, params, ratio_x, ratio_y, np.ones((1, len(sbs))),
@@ -443,8 +455,8 @@ def outage_scan(links, uavs, params: ChannelParams, n_samples: int, seed: int,
             offsets_x.setdefault(uavs[i][0], geom.offset_x)
             offsets_y.setdefault(uavs[i][1], geom.offset_y)
         k = work.theta.shape[1]
-        table_x = dict(zip(offsets_x, np.empty((len(offsets_x), rows, k))))
-        table_y = dict(zip(offsets_y, np.empty((len(offsets_y), rows, k))))
+        table_x = dict(zip(offsets_x, np.empty((len(offsets_x), rows, k), dtype=np.float32)))
+        table_y = dict(zip(offsets_y, np.empty((len(offsets_y), rows, k), dtype=np.float32)))
         for lo in range(0, n_samples, rows):
             s = min(rows, n_samples - lo)
             for x, offset in offsets_x.items():

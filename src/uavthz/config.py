@@ -9,7 +9,8 @@ A RunConfig checks itself whole when it is built: it builds every object once,
 so each object's own checks run, without computing a g0 or allocating a
 network. A bad file therefore fails before any work, and the command exits 2
 with one line that names the dotted key. Unknown and duplicate keys and
-non-finite numbers are rejected by name as well.
+non-finite numbers are rejected by name as well, and so is any integer (count)
+key above MAX_COUNT.
 """
 
 import math
@@ -22,6 +23,14 @@ from uavthz.environment import EnvConfig
 from uavthz.errors import ConfigError, InvalidInputError
 from uavthz.geometry import KinematicLimits
 from uavthz.td3 import Td3Hyperparams
+
+
+# Largest value of an integer key. numpy refuses an array of more than 2**63
+# bytes with a ValueError ("array is too big"), not a MemoryError. At the
+# other keys' defaults every array sized by one count holds under 9 KiB per
+# unit of it, so up to here a count too large for memory ends in numpy's
+# MemoryError, which the CLI reports as a config error (exit 2).
+MAX_COUNT = 10 ** 15
 
 
 def dbm_to_watts(dbm: float) -> float:
@@ -97,6 +106,9 @@ class RunConfig:
     grid_mc_samples: int = _key("baseline.mc_samples", 10_000, GridSearchSpec, "mc_samples")
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type is int and getattr(self, f.name) > MAX_COUNT:
+                raise ConfigError(self._describe([f.name], f"must be <= {MAX_COUNT}"))
         self.env_config()          # builds the kinematic limits too
         self.channel_params()
         self.hyperparams()

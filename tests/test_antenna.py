@@ -11,6 +11,7 @@ from uavthz.errors import InvalidInputError
 
 TESTED_N = (1, 2, 4, 8, 20)
 SPACINGS = (0.25, 0.5, 0.7, 1.0, 1.3)
+EPS32 = float(np.finfo(np.float32).eps)
 
 
 def cfg(n, spacing_over_lambda=0.5):
@@ -59,15 +60,37 @@ def offset_gain(c, theta_x, theta_y):
 
     The pattern depends on direction only through the offset sines
     sin(theta)*cos(phi) = sin(theta_x) and sin(theta)*sin(phi) = sin(theta_y).
+    Angles, factors and gain are float32, as in the kernel.
     """
-    theta_x, theta_y = np.asarray(theta_x, dtype=float), np.asarray(theta_y, dtype=float)
+    theta_x, theta_y = (np.asarray(t, dtype=np.float32) for t in (theta_x, theta_y))
     shape = np.broadcast_shapes(theta_x.shape, theta_y.shape)
     scratch = antenna.PatternScratch(math.prod(shape))
-    ratio_x = antenna.axis_ratio(c, theta_x, np.empty(shape), scratch)
-    ratio_y = antenna.axis_ratio(c, theta_y, np.empty(shape), scratch)
+    ratio_x = antenna.axis_ratio(c, theta_x, np.empty(shape, dtype=np.float32), scratch)
+    ratio_y = antenna.axis_ratio(c, theta_y, np.empty(shape, dtype=np.float32), scratch)
     out = antenna.gain_from_axis_ratios(antenna.normalization_constant(c), ratio_x, ratio_y,
                                         ratio_x)
-    return float(out) if out.ndim == 0 else out
+    return float(out) if out.ndim == 0 else out.astype(float)
+
+
+def float64_axis_ratio(c, theta):
+    """Reference: the per-axis factor in float64, as the allocating np.sinc quotient."""
+    psi = 2 * np.pi * c.spacing_over_lambda * np.sin(theta)
+    r = psi - 2 * np.pi * np.round(psi / (2 * np.pi))
+    return np.sinc(c.n_side * r / (2 * np.pi)) / np.sinc(r / (2 * np.pi))
+
+
+def factor_tolerance(c):
+    """The stated bound on the squared per-axis factor's error: n * k*d * eps32 (peak 1)."""
+    return c.n_side * 2 * np.pi * c.spacing_over_lambda * EPS32
+
+
+def gain_tolerance(c):
+    """The bound on the gain's error that the factor bound implies: g0 * (2n*k*d + 3) * eps32.
+
+    Each squared factor is at most 1 and off by at most factor_tolerance; the
+    gain's product, square and scaling by g0 add three roundings.
+    """
+    return antenna.normalization_constant(c) * (2 * factor_tolerance(c) + 3 * EPS32)
 
 
 def corrected_g0_reference(n, spacing_over_lambda, n_theta=512, n_phi=1024):
@@ -109,9 +132,10 @@ def random_offsets(seed, size):
 class TestGain:
     @pytest.mark.parametrize("n", TESTED_N)
     def test_boresight_equals_normalization_constant(self, n):
+        # both factors are exactly 1 there, so the gain is g0 rounded to float32
         c = cfg(n)
         assert offset_gain(c, 0.0, 0.0) == pytest.approx(
-            antenna.normalization_constant(c), rel=1e-12)
+            antenna.normalization_constant(c), rel=EPS32)
 
     def test_single_element_everywhere(self):
         assert np.allclose(offset_gain(cfg(1), *random_offsets(0, 50)), 1.0)
@@ -129,11 +153,12 @@ class TestGain:
 
     @pytest.mark.parametrize("n", TESTED_N)
     def test_range(self, n):
-        # no direction beats boresight, whose gain is g0
+        # no direction beats boresight, whose gain is g0, by more than the
+        # pattern's tolerance
         c = cfg(n)
         vals = offset_gain(c, *random_offsets(1, 10_000))
         assert np.all(vals >= 0.0)
-        assert np.all(vals <= antenna.normalization_constant(c) * (1.0 + 1e-12))
+        assert np.all(vals <= antenna.normalization_constant(c) + gain_tolerance(c))
 
     @pytest.mark.parametrize("n", [2, 5, 20])
     def test_continuity_at_singular_angles(self, n):
@@ -157,8 +182,9 @@ class TestGain:
         wide = cfg(4, spacing_over_lambda=1.0)
         g0 = antenna.normalization_constant(wide)
         vals = offset_gain(wide, np.linspace(-np.pi / 2, np.pi / 2, 2001), 0.0)
-        assert np.all(np.isfinite(vals)) and np.all(vals <= g0 * (1.0 + 1e-12))
-        assert offset_gain(wide, np.pi / 2, 0.0) == pytest.approx(g0, rel=1e-9)
+        assert np.all(np.isfinite(vals)) and np.all(vals <= g0 + gain_tolerance(wide))
+        # psi = 2*pi reduces to exactly 0, so the gain is g0 rounded to float32
+        assert offset_gain(wide, np.pi / 2, 0.0) == pytest.approx(g0, rel=EPS32)
 
     def test_invalid_config(self):
         with pytest.raises(InvalidInputError):
@@ -167,6 +193,29 @@ class TestGain:
             ArrayAntennaConfig(antenna.MAX_N_SIDE + 1, 0.5)
         with pytest.raises(InvalidInputError):
             ArrayAntennaConfig(4, spacing_over_lambda=0.0)
+
+
+class TestFloat32Tolerance:
+    @pytest.mark.parametrize("spacing", (0.5, 1.3, 10.0))
+    @pytest.mark.parametrize("n", (1, 20, 1024))
+    def test_squared_factor_within_stated_tolerance(self, n, spacing):
+        # float64 angles rounded into float32, as the kernel's angle table
+        # does: a dense sweep, random angles, boresight, endfire and every
+        # period boundary |psi| = (2k + 1)*pi
+        c = cfg(n, spacing)
+        kd = 2 * np.pi * spacing
+        bounds = np.arange(1, int(kd / np.pi) + 1, 2) * np.pi / kd
+        theta = np.concatenate([np.linspace(-np.pi / 2, np.pi / 2, 100_001),
+                                np.random.default_rng(3).uniform(-np.pi / 2, np.pi / 2, 50_000),
+                                [0.0, -0.0], np.arcsin(bounds), -np.arcsin(bounds)])
+        out = np.empty(theta.shape, dtype=np.float32)
+        antenna.axis_ratio(c, theta.astype(np.float32), out, antenna.PatternScratch(theta.size))
+        error = np.abs(out.astype(float) ** 2 - float64_axis_ratio(c, theta) ** 2)
+        assert error.max() <= factor_tolerance(c)
+
+    def test_pattern_buffers_are_float32(self):
+        (psi, tmp), mask = antenna.PatternScratch(6).views((2, 3))
+        assert psi.dtype == tmp.dtype == np.float32 and mask.dtype == bool
 
 
 class TestTwoAxisAdapter:
@@ -201,7 +250,7 @@ class TestTwoAxisAdapter:
         c = cfg(8)
         via_adapter = gain(c, *two_axis_gain_args(tx, ty))
         direct = offset_gain(c, tx, ty)
-        assert direct == pytest.approx(via_adapter, rel=1e-10, abs=1e-12)
+        assert abs(direct - via_adapter) <= gain_tolerance(c)
 
 
 class TestNormalization:

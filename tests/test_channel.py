@@ -10,6 +10,7 @@ from uavthz import antenna, channel, geometry
 from uavthz.antenna import ArrayAntennaConfig
 from uavthz.channel import ChannelParams, OutageEstimate
 from uavthz.config import RunConfig
+from uavthz.environment import Environment
 from uavthz.errors import GeometryDegenerateError, InvalidInputError
 from uavthz.geometry import vec3
 
@@ -42,11 +43,24 @@ BAD_UAVS = {
 
 
 # Reference kernel: one pattern evaluation per (link, interferer) pair with the
-# period reduction always applied, the allocating np.sinc expression of the
-# pattern, a full (S, M, M) interference tensor, fresh draws per position,
+# period reduction always applied, the allocating float64 np.sinc expression of
+# the pattern, a full (S, M, M) interference tensor, fresh draws per position,
 # built from their definition with allocating expressions, and a scalar loop
-# over station pairs for the link geometry. The library kernel must reproduce
-# it bit for bit.
+# over station pairs for the link geometry. The library reproduces its link
+# geometry bit for bit. Its UAV gains are float32 and meet the antenna module's
+# stated tolerance (gain_tolerance), so each SINR lies within the interval
+# those gain errors allow (assert_sinr_within_gain_tolerance). At most 1e-4 of
+# a link's outage verdicts may differ from the reference's, which at the fewer
+# than 10k draws of the count tests below means none.
+
+EPS32 = float(np.finfo(np.float32).eps)
+
+
+def gain_tolerance(cfg):
+    """The antenna module's bound on a float32 gain's error: g0 * (2n*k*d + 3) * eps32."""
+    kd = 2.0 * np.pi * cfg.spacing_over_lambda
+    return antenna.normalization_constant(cfg) * (2 * cfg.n_side * kd + 3) * EPS32
+
 
 def oracle_axis_ratio(n, psi):
     m = np.round(psi / (2.0 * np.pi))
@@ -96,22 +110,52 @@ def oracle_gain(cfg, theta_x, theta_y):
     return antenna.normalization_constant(cfg) * (rx * ry) ** 2
 
 
-def oracle_sinr(geom, params, theta_jx, theta_jy, alpha):
+def oracle_sinr_terms(geom, theta_jx, theta_jy, alpha):
+    """(signal, interference, signal per unit of UAV gain, interference per unit), each (S, M)."""
     tx, pl, g0s, _, thx, thy, cfgs = geom
     s, m = theta_jx.shape[0], len(cfgs)
     desired_gain = np.empty((s, m))
     for i, cfg in enumerate(cfgs):
         desired_gain[:, i] = oracle_gain(cfg, theta_jx, theta_jy)
     term = np.empty((s, m, m))
+    per_gain = np.empty((s, m, m))
     for j, cfg in enumerate(cfgs):
         off_x = thx[:, j][None, :] + theta_jx[:, None]
         off_y = thy[:, j][None, :] + theta_jy[:, None]
         gain_ij = oracle_gain(cfg, off_x, off_y)
-        term[:, :, j] = tx[j] * pl[j] * alpha[:, j, None] * g0s[None, :] * gain_ij
+        per_gain[:, :, j] = tx[j] * pl[j] * alpha[:, j, None] * g0s[None, :]
+        term[:, :, j] = per_gain[:, :, j] * gain_ij
     idx = np.arange(m)
-    signal = tx[None, :] * alpha * pl[None, :] * g0s[None, :] * desired_gain
+    signal_per_gain = tx[None, :] * alpha * pl[None, :] * g0s[None, :]
     term[:, idx, idx] = 0.0
-    return signal / (term.sum(axis=2) + params.noise_power_w)
+    per_gain[:, idx, idx] = 0.0
+    return (signal_per_gain * desired_gain, term.sum(axis=2), signal_per_gain,
+            per_gain.sum(axis=2))
+
+
+def oracle_sinr(geom, params, theta_jx, theta_jy, alpha):
+    signal, interference, _, _ = oracle_sinr_terms(geom, theta_jx, theta_jy, alpha)
+    return signal / (interference + params.noise_power_w)
+
+
+def assert_sinr_within_gain_tolerance(sinr, interference, geom, params, theta_jx, theta_jy,
+                                      alpha):
+    """sinr and interference are the reference's with every UAV gain off by at most its tolerance.
+
+    Each term is linear in one UAV gain, so a gain error of at most dg moves
+    the interference by at most dg times its per-gain sum and bounds the SINR
+    between the two extreme ratios. The float64 arithmetic around the gains
+    adds a relative 1e-12.
+    """
+    signal, ref_interference, signal_per_gain, interference_per_gain = oracle_sinr_terms(
+        geom, theta_jx, theta_jy, alpha)
+    dg, noise, slack = gain_tolerance(geom[6][0]), params.noise_power_w, 1e-12
+    assert np.all(np.abs(interference - ref_interference)
+                  <= interference_per_gain * dg + slack * ref_interference)
+    low = (signal - signal_per_gain * dg) / (ref_interference + interference_per_gain * dg + noise)
+    high = ((signal + signal_per_gain * dg)
+            / (np.maximum(ref_interference - interference_per_gain * dg, 0.0) + noise))
+    assert np.all((low * (1 - slack) <= sinr) & (sinr <= high * (1 + slack)))
 
 
 def oracle_lattice_generator(n):
@@ -212,7 +256,8 @@ class TestInstantaneousSinr:
         g0_u = antenna.normalization_constant(ArrayAntennaConfig(20, 0.5))
         g0_s = antenna.normalization_constant(ArrayAntennaConfig(10, 0.5))
         expected = 0.01 * channel.path_loss(p, 80.0) * g0_s * g0_u / p.noise_power_w
-        assert out.per_link_sinr[0] == pytest.approx(expected, rel=1e-12)
+        # both UAV factors are exactly 1 at boresight: the gain is g0 in float32
+        assert out.per_link_sinr[0] == pytest.approx(expected, rel=EPS32)
         assert out.per_link_interference_w[0] == 0.0
 
     def test_colocated_symmetric_links(self):
@@ -246,17 +291,21 @@ class TestInstantaneousSinr:
             px, py = np.pi * np.sin(tx), np.pi * np.sin(ty)
             return g0_u * (ratio(px) * ratio(py)) ** 2
 
+        # the UAV gains are float32: each is within dg of the scalar value,
+        # which bounds each link's interference and SINR
+        dg = gain_tolerance(ArrayAntennaConfig(20, 0.5))
         jx, jy = 0.01, -0.02
-        sinr, interference = [], []
-        for me, other in ((s1, s2), (s2, s1)):
+        for k, (me, other) in enumerate(((s1, s2), (s2, s1))):
             tx = oracle_axis_angle(uav[0], me[0], other[0], uav[2])
             ty = oracle_axis_angle(uav[1], me[1], other[1], uav[2])
-            signal = 0.01 * hl2(me) * g0_s * uav_gain(jx, jy)
-            interf = 0.01 * hl2(other) * g0_s * uav_gain(tx + jx, ty + jy)
-            sinr.append(signal / (interf + p.noise_power_w))
-            interference.append(interf)
-        assert out.per_link_sinr == pytest.approx(sinr, rel=1e-10)
-        assert out.per_link_interference_w == pytest.approx(interference, rel=1e-10, abs=0.0)
+            signal_per_gain, interf_per_gain = 0.01 * hl2(me) * g0_s, 0.01 * hl2(other) * g0_s
+            signal = signal_per_gain * uav_gain(jx, jy)
+            interf = interf_per_gain * uav_gain(tx + jx, ty + jy)
+            assert abs(out.per_link_interference_w[k] - interf) <= interf_per_gain * dg
+            noise = p.noise_power_w
+            low = (signal - signal_per_gain * dg) / (interf + interf_per_gain * dg + noise)
+            high = (signal + signal_per_gain * dg) / (max(interf - interf_per_gain * dg, 0) + noise)
+            assert low <= out.per_link_sinr[k] <= high
 
     def test_interference_removal_never_hurts(self):
         p = make_params()
@@ -376,7 +425,11 @@ SHARED_AXIS_LAYOUTS = {
 
 
 def check_scan_against_oracle(positions, los, spacing, n):
-    """Scans of the first 1, 2 and all positions equal per-position oracle calls bit for bit."""
+    """Scans of the first 1, 2 and all positions equal each position scanned alone, bit for bit.
+
+    And they equal the per-position oracle calls: at these sample counts the
+    stated tolerance lets no verdict differ.
+    """
     block = channel._DRAW_BLOCK
     n = {"B-1": block - 1, "B+1": block + 1, "2B+7": 2 * block + 7}.get(n, n)
     links = station_positions((12, 30), (40, 44), (75, 140), (110, 95))
@@ -384,10 +437,13 @@ def check_scan_against_oracle(positions, los, spacing, n):
                     **LOS_REGIMES[los])
     positions = [vec3(*uav) for uav in positions]
     want = [oracle_outage(links, uav, p, n, 23) for uav in positions]
+    alone = [channel.outage_probability(links, uav, p, n, 23).per_link_outage
+             for uav in positions]
     for k in (1, 2, len(positions)):
         got = channel.outage_scan(links, positions[:k], p, n, 23)
         assert len(got) == k
-        for est, ref in zip(got, want):
+        for est, single, ref in zip(got, alone, want):
+            assert np.array_equal(est.per_link_outage, single)
             assert np.array_equal(est.per_link_outage, ref)
 
 
@@ -418,16 +474,20 @@ class TestKernelMatchesReference:
         jx = rng.normal(0.0, 0.05, s)
         jy = rng.normal(0.0, 0.05, s)
         alpha = np.where(rng.random((s, m)) < 0.6, 1.0, p.nlos_extra_loss)
-        ratio_x, ratio_y = (channel._ratio_table(jitter, offset, np.empty((s, offset.shape[0])),
+        ratio_x, ratio_y = (channel._ratio_table(jitter, offset,
+                                                 np.empty((s, offset.shape[0]), dtype=np.float32),
                                                  work)
                             for jitter, offset in ((jx, geom.offset_x), (jy, geom.offset_y)))
-        got, _ = channel._sinr_matrix(geom, p, ratio_x, ratio_y, alpha, work)
-        assert np.array_equal(got, oracle_sinr(ref, p, jx, jy, alpha))
+        assert ratio_x.dtype == ratio_y.dtype == np.float32
+        got, interference = channel._sinr_matrix(geom, p, ratio_x, ratio_y, alpha, work)
+        assert got.dtype == interference.dtype == np.float64
+        assert_sinr_within_gain_tolerance(got, interference, ref, p, jx, jy, alpha)
 
     @pytest.mark.parametrize("spacing", [0.5, 0.7, 1.3])
     def test_in_place_gain_matches_sinc_expression(self, spacing):
         # exact zeros of psi, period boundaries and a short block reusing a
-        # larger scratch; the reference is the allocating np.sinc expression
+        # larger scratch; the reference is the allocating float64 np.sinc
+        # expression, which the float32 gain meets within its tolerance
         cfg = ArrayAntennaConfig(20, spacing)
         kd = 2 * np.pi * spacing
         special = [0.0, -0.0, np.arcsin(min(1.0, np.pi / kd)),
@@ -438,18 +498,22 @@ class TestKernelMatchesReference:
         want = oracle_gain(cfg, theta_x, theta_y)
         g0 = antenna.normalization_constant(cfg)
         # the in-place steps the scan takes, with a scratch of the block's
-        # size and one larger than it, and at boresight alone
+        # size and one larger than it, and at boresight alone; both scratch
+        # sizes give the same bits
+        got = []
         for size in (64, 128):
             scratch = antenna.PatternScratch(size)
-            ratio_x, ratio_y = np.empty((2, 8, 8))
+            ratio_x, ratio_y, out = np.empty((3, 8, 8), dtype=np.float32)
             assert antenna.axis_ratio(cfg, theta_x, ratio_x, scratch) is ratio_x
             assert antenna.axis_ratio(cfg, theta_y, ratio_y, scratch) is ratio_y
-            out = np.empty((8, 8))
             assert antenna.gain_from_axis_ratios(g0, ratio_x, ratio_y, out) is out
-            assert np.array_equal(out, want)
-        ratio = antenna.axis_ratio(cfg, 0.0, np.empty(()), antenna.PatternScratch(1))
-        assert antenna.gain_from_axis_ratios(g0, ratio, ratio, np.empty(())) == oracle_gain(
-            cfg, 0.0, 0.0)
+            assert np.all(np.abs(out - want) <= gain_tolerance(cfg))
+            got.append(out)
+        assert np.array_equal(*got)
+        ratio = antenna.axis_ratio(cfg, 0.0, np.empty((), dtype=np.float32),
+                                   antenna.PatternScratch(1))
+        boresight = antenna.gain_from_axis_ratios(g0, ratio, ratio, np.empty((), dtype=np.float32))
+        assert boresight == pytest.approx(oracle_gain(cfg, 0.0, 0.0), rel=EPS32)
 
     @pytest.mark.parametrize("los", sorted(LOS_REGIMES))
     @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
@@ -511,6 +575,25 @@ class TestKernelMatchesReference:
         uavs = [vec3(75, 70, 85), uav, vec3(40, 70, 85)]
         with pytest.raises(error):
             channel.outage_scan(station_positions((40, 40), (110, 95)), uavs, make_params(), 10, 0)
+
+    def test_pattern_is_float32_and_sinr_float64(self, monkeypatch):
+        # every factor table, its angles and the pattern scratch are float32
+        # in both entries; the SINR and interference stay float64
+        seen = set()
+        axis_ratio = antenna.axis_ratio
+
+        def recording(cfg, theta, out, scratch):
+            (psi, _), _ = scratch.views(out.shape)
+            seen.add((theta.dtype, out.dtype, psi.dtype))
+            return axis_ratio(cfg, theta, out, scratch)
+
+        monkeypatch.setattr(antenna, "axis_ratio", recording)
+        p, links = make_params(), station_positions((40, 40), (110, 95), (75, 140))
+        channel.outage_scan(links, [vec3(70, 60, 50), vec3(70, 80, 50), vec3(90, 60, 75)], p,
+                            channel._DRAW_BLOCK + 7, 0)
+        out = channel.instantaneous_sinr(links, vec3(75, 70, 85), (0.01, -0.02), p)
+        assert seen == {(np.dtype(np.float32),) * 3}
+        assert out.per_link_sinr.dtype == out.per_link_interference_w.dtype == np.float64
 
     def test_scan_looks_up_each_g0_once(self, monkeypatch):
         # one lookup per array, however many positions and blocks of draws
@@ -623,6 +706,46 @@ class TestVarianceReducedDraws:
             assert channel._lattice_generator(n) == prev
 
 
+class TestFloat32Verdicts:
+    def test_verdicts_match_float64_at_100k_draws(self, monkeypatch):
+        # six-station default scenarios: the start point and one random
+        # position each; at most 1e-4 of a link's 100k verdicts may differ
+        # from the float64 reference's on the same draws
+        cfg = RunConfig(m_s_min=6, m_s_max=6)
+        env = Environment(cfg.env_config(), cfg.channel_params())
+        p, lim, n = env.params, env.config.limits, 100_000
+        verdicts = []
+        sinr_matrix = channel._sinr_matrix
+
+        def recording(*args):
+            sinr, interference = sinr_matrix(*args)
+            verdicts.append(sinr < p.sinr_threshold)
+            return sinr, interference
+
+        monkeypatch.setattr(channel, "_sinr_matrix", recording)
+        for scenario in range(3):
+            state, topology = env.reset(scenario)
+            links = topology.sbs_list
+            rng = np.random.default_rng(scenario)
+            positions = [state.uav_position] + [
+                vec3(rng.uniform(0, env.config.area_x), rng.uniform(0, env.config.area_y),
+                     rng.uniform(lim.h_min, lim.h_max))]
+            for k, uav in enumerate(positions):
+                seed = 10 * scenario + k
+                verdicts.clear()
+                est = channel.outage_probability(links, uav, p, n, seed)
+                got = np.concatenate(verdicts)
+                assert np.array_equal(est.per_link_outage, got.sum(axis=0) / n)
+                ref = oracle_precompute(links, uav, p)
+                theta_jx, theta_jy, uniforms = channel._draws(p, len(links), n, seed)
+                alpha = np.where(uniforms < ref[3], 1.0, p.nlos_extra_loss)
+                want = np.concatenate([
+                    oracle_sinr(ref, p, theta_jx[lo:lo + 10_000], theta_jy[lo:lo + 10_000],
+                                alpha[lo:lo + 10_000]) < p.sinr_threshold
+                    for lo in range(0, n, 10_000)])
+                assert np.all(np.count_nonzero(got != want, axis=0) <= 1e-4 * n)
+
+
 def scan_peak_bytes(links, positions, p, n):
     """Peak traced memory of one scan, its estimates included."""
     tracemalloc.start()
@@ -660,13 +783,13 @@ class TestScanMemory:
         assert large - small <= draws + 64 * 1024
 
     def test_lattice_peak_within_its_ratio_tables(self):
-        # an nx x ny lattice at one altitude keeps one x-factor table per x
-        # and one y-factor table per y on top of a one-point scan
+        # an nx x ny lattice at one altitude keeps one float32 x-factor table
+        # per x and one y-factor table per y on top of a one-point scan
         p = make_params()
         block, m = channel._DRAW_BLOCK, len(self.LINKS)
         nx, ny = 5, 4
         lattice = [vec3(20 + 25 * i, 30 + 30 * j, 75) for i in range(nx) for j in range(ny)]
-        tables = (nx + ny) * block * (1 + m * (m - 1) // 2) * 8
+        tables = (nx + ny) * block * (1 + m * (m - 1) // 2) * np.dtype(np.float32).itemsize
         peaks = {}
         for n in (2 * block, 6 * block):
             one = scan_peak_bytes(self.LINKS, lattice[:1], p, n)

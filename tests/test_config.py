@@ -3,7 +3,7 @@ import json
 import pytest
 
 from uavthz import cli
-from uavthz.config import RunConfig, parse_config, serialize_config
+from uavthz.config import MAX_COUNT, RunConfig, parse_config, serialize_config
 from uavthz.errors import ConfigError
 
 NON_DEFAULT = RunConfig(
@@ -98,6 +98,10 @@ BAD_VALUES = [
     ("kinematics.dt_s = 1e300", "kinematics.dt_s"),
     ("kinematics.v_max_mps = 1e300", "kinematics.v_max_mps"),
     ("env.mc_samples_eval = 0", "env.mc_samples_eval"),
+    # above MAX_COUNT numpy would refuse the arrays with a ValueError
+    ("td3.buffer_capacity = 1000000000000000000", "td3.buffer_capacity"),
+    ("env.mc_samples_train = 1000000000000000000", "env.mc_samples_train"),
+    ("baseline.mc_samples = 1000000000000000000", "baseline.mc_samples"),
     ("td3.exploration_noise = 1e200", "td3.exploration_noise"),
     ("td3.target_noise = 1e300\ntd3.target_noise_clip = 1e300", "td3.target_noise"),
     ("channel.los_mode = per-sample", "unknown config key: channel.los_mode"),
@@ -149,6 +153,13 @@ def test_bad_value_fails_the_run_before_any_output(tmp_path, capsys, line, key):
     assert [f.name for f in out.iterdir()] == ["manifest.json"]
     data = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     assert data["status"] == "failed" and data["error"] == err.strip()
+
+
+def test_count_bound_is_inclusive():
+    cfg = parse_config(f"td3.buffer_capacity = {MAX_COUNT}\n")
+    assert cfg.buffer_capacity == MAX_COUNT
+    with pytest.raises(ConfigError, match=f"td3.buffer_capacity = {MAX_COUNT + 1}: must be <= "):
+        parse_config(f"td3.buffer_capacity = {MAX_COUNT + 1}\n")
 
 
 def test_two_keys_of_one_check_are_both_named():
