@@ -17,8 +17,8 @@ One seed sets the topology and every draw of a run: --seed, which `eval` and
 is byte-identical.
 
 `train` leaves its policy in checkpoint/nets.npz, the checkpoint's only
-file: the parameter blocks of the actor, the twin critics and their targets
-(layout in uavthz.neural). The config is recorded once, in the manifest.
+file: the float32 parameter blocks of the actor, the twin critics and their
+targets (layout in uavthz.neural). The config is recorded once, in the manifest.
 `eval` builds the agent from its own --config and fills the four blocks, so
 a checkpoint read under other network widths ends with exit 2.
 """

@@ -13,6 +13,13 @@ Nothing here checks an array the loop built: the data is checked where it
 enters, the settings in the config, each position in the channel, each action
 in project_action and the nets at construction and checkpoint load.
 
+Every array of the agent is float32 (neural.DTYPE), and data becomes float32
+where it enters: norm_state returns float32 states, and the replay buffer's
+float32 columns round each stored transition, reward included. Actions leave
+the agent as float32 unit-ball vectors, and Environment.move (through
+as_vec3) turns them into float64 meters. The environment, the rewards as
+logged and every output file stay float64.
+
 A checkpoint holds the four nets alone (actor, actor_target, critics,
 critics_target). The Adam states, the replay buffer and the generators are
 not saved, so training does not resume from one; greedy_rollout reads none
@@ -41,13 +48,20 @@ REWARD_SCALE = 0.1
 # direction on the unit ball, and near 1e154 their squared norm overflows,
 # which would project every noisy action to zero.
 MAX_NOISE = 1e3
+# Largest parameter count of one net. numpy refuses an array of more than
+# 2**63 bytes with a ValueError ("Maximum allowed dimension exceeded" or
+# "array is too big"), not a MemoryError; the critic stack holds two nets of
+# 4-byte floats, so up to here a net too large for memory ends in numpy's
+# MemoryError, which the CLI reports as a config error (exit 2).
+MAX_NET_PARAMS = 10 ** 17
 
 
 @dataclass
 class Td3Hyperparams:
     """Network widths, optimizer and exploration settings and the training schedule.
 
-    The noise settings are fractions of the action scale, at most MAX_NOISE.
+    The noise settings are fractions of the action scale, at most MAX_NOISE,
+    and neither net may hold more than MAX_NET_PARAMS parameters.
     """
 
     hidden_dims: tuple
@@ -68,6 +82,10 @@ class Td3Hyperparams:
     def __post_init__(self):
         require(all(h >= 1 for h in self.hidden_dims), "hidden layer widths must be >= 1",
                 "hidden_dims")
+        for dims in (self.actor_dims, self.critic_dims):
+            require(neural.block_size(dims)[1] <= MAX_NET_PARAMS,
+                    f"a net of these widths holds more than {MAX_NET_PARAMS:,} parameters",
+                    "hidden_dims")
         for name in ("actor_lr", "critic_lr"):
             require(getattr(self, name) > 0, f"{name} must be positive", name)
         require(0.0 < self.discount < 1.0, "discount must lie in (0, 1)", "discount")
@@ -81,12 +99,24 @@ class Td3Hyperparams:
         require(self.warmup_steps > self.batch_size, "warmup must exceed the batch size",
                 "warmup_steps", "batch_size")
 
+    @property
+    def actor_dims(self) -> tuple:
+        return (STATE_DIM, *self.hidden_dims, ACTION_DIM)
+
+    @property
+    def critic_dims(self) -> tuple:
+        return (STATE_DIM + ACTION_DIM, *self.hidden_dims, 1)
+
 
 def norm_state(cfg: EnvConfig, position) -> np.ndarray:
-    """Positions mapped per axis onto [-1, 1] over the area and altitude window, clipped."""
+    """Positions mapped per axis onto [-1, 1] over the area and altitude window, clipped.
+
+    The map runs in float64 and its result is rounded into float32, the
+    agent's type.
+    """
     lim = cfg.limits
     p = np.asarray(position, dtype=float)
-    s = np.empty_like(p)
+    s = np.empty(p.shape, dtype=neural.DTYPE)
     s[..., 0] = 2.0 * p[..., 0] / cfg.area_x - 1.0
     s[..., 1] = 2.0 * p[..., 1] / cfg.area_y - 1.0
     s[..., 2] = 2.0 * (p[..., 2] - lim.h_min) / (lim.h_max - lim.h_min) - 1.0
@@ -94,15 +124,19 @@ def norm_state(cfg: EnvConfig, position) -> np.ndarray:
 
 
 class ReplayBuffer:
-    """Fixed-capacity ring storage with uniform random minibatch sampling."""
+    """Fixed-capacity ring storage with uniform random minibatch sampling.
+
+    Its columns are float32: a stored transition is rounded into the agent's
+    type, so every minibatch is float32.
+    """
 
     def __init__(self, capacity: int, seed: int):
         self.capacity = capacity
         self._rng = np.random.default_rng(seed)
-        self._states = np.zeros((capacity, STATE_DIM))
-        self._actions = np.zeros((capacity, ACTION_DIM))
-        self._rewards = np.zeros(capacity)
-        self._next_states = np.zeros((capacity, STATE_DIM))
+        self._states = np.zeros((capacity, STATE_DIM), dtype=neural.DTYPE)
+        self._actions = np.zeros((capacity, ACTION_DIM), dtype=neural.DTYPE)
+        self._rewards = np.zeros(capacity, dtype=neural.DTYPE)
+        self._next_states = np.zeros((capacity, STATE_DIM), dtype=neural.DTYPE)
         self._size = 0
         self._cursor = 0
 
@@ -149,12 +183,10 @@ class Td3Agent:
     def create(cls, hp: Td3Hyperparams, seed: int) -> "Td3Agent":
         ss = np.random.SeedSequence(seed)
         s_actor, s_c1, s_c2, s_buf, s_noise = ss.spawn(5)
-        actor_dims = (STATE_DIM, *hp.hidden_dims, ACTION_DIM)
-        critic_dims = (STATE_DIM + ACTION_DIM, *hp.hidden_dims, 1)
-        actor = neural.init_net(actor_dims, _seed_int(s_actor), neural.ACT_TANH)
+        actor = neural.init_net(hp.actor_dims, _seed_int(s_actor), neural.ACT_TANH)
         actor.weights[-1] *= ACTOR_HEAD_SCALE
         actor.biases[-1] *= ACTOR_HEAD_SCALE
-        critics = neural.init_net(critic_dims, (_seed_int(s_c1), _seed_int(s_c2)))
+        critics = neural.init_net(hp.critic_dims, (_seed_int(s_c1), _seed_int(s_c2)))
         return cls(
             actor=actor,
             actor_target=neural.clone_net(actor),
@@ -178,15 +210,16 @@ def _seed_int(ss: np.random.SeedSequence) -> int:
 
 
 def select_action(agent: Td3Agent, state, explore: bool) -> np.ndarray:
-    """Policy action for a normalized (3,) state array, on the closed unit ball.
+    """Policy action for a normalized float32 (3,) state, on the closed unit ball.
 
-    With explore set, adds zero-mean Gaussian noise to the action before
-    projecting it back onto the ball; deterministic otherwise. The caller
-    multiplies by the environment's action scale to get meters.
+    With explore set, adds zero-mean Gaussian noise to the action (the sum is
+    rounded into the float32 action) before projecting it back onto the
+    ball; deterministic otherwise. The caller multiplies by the environment's
+    action scale to get meters.
     """
     a = neural.forward(agent.actor, state[None, :])[0]
     if explore:
-        a = a + agent.rng.normal(0.0, agent.hp.exploration_noise_std, size=ACTION_DIM)
+        a += agent.rng.normal(0.0, agent.hp.exploration_noise_std, size=ACTION_DIM)
     return _project_unit_ball(a)[0]
 
 
@@ -195,13 +228,14 @@ def random_action(agent: Td3Agent) -> np.ndarray:
 
     The radius is uniform in [0, 1] rather than volume-uniform so that small
     displacements are well represented; the optimal action at a good start
-    is near zero and the critic needs data there. The caller multiplies by
-    the environment's action scale to get meters.
+    is near zero and the critic needs data there. The draw is float64 and
+    the action float32. The caller multiplies by the environment's action
+    scale to get meters.
     """
     direction = agent.rng.normal(size=ACTION_DIM)
     direction /= max(np.linalg.norm(direction), 1e-12)
     radius = agent.rng.uniform(0.0, 1.0)
-    return direction * radius
+    return (direction * radius).astype(neural.DTYPE)
 
 
 def critic_update(agent: Td3Agent, minibatch) -> tuple[float, float]:
@@ -210,8 +244,8 @@ def critic_update(agent: Td3Agent, minibatch) -> tuple[float, float]:
     hp = agent.hp
     next_a = neural.forward(agent.actor_target, next_states)
     noise = agent.rng.normal(0.0, hp.target_noise_std, size=next_a.shape)
-    noise = np.clip(noise, -hp.target_noise_clip, hp.target_noise_clip)
-    next_a = _project_unit_ball(next_a + noise)[0]
+    next_a += np.clip(noise, -hp.target_noise_clip, hp.target_noise_clip)
+    next_a = _project_unit_ball(next_a)[0]
     next_in = np.concatenate([next_states, next_a], axis=1)
     q_next = neural.forward(agent.critics_target, next_in)[..., 0]
     y = rewards + hp.discount * np.minimum(q_next[0], q_next[1])
@@ -239,7 +273,7 @@ def actor_update(agent: Td3Agent, minibatch) -> float:
     outside = norms > 1.0
     critic1 = agent.critics.row(0)
     q = neural.forward(critic1, np.concatenate([states, a], axis=1), critic_tape)[:, 0]
-    g = neural.backward(critic1, critic_tape, np.full((batch, 1), -1.0 / batch),
+    g = neural.backward(critic1, critic_tape, np.full((batch, 1), -1.0 / batch, neural.DTYPE),
                         wrt_input=True)[:, STATE_DIM:]
     if np.any(outside):
         # d(a/r)/da = (I - a_hat a_hat^T)/r: drop the radial component
@@ -300,13 +334,12 @@ def train(env: Environment, agent: Td3Agent):
             global_step += 1
             ns = norm_state(env.config, state)
             if global_step <= hp.warmup_steps:
-                action = random_action(agent) * scale
+                action = random_action(agent)
             else:
-                action = select_action(agent, ns, explore=True) * scale
-            result = env.step(action)
+                action = select_action(agent, ns, explore=True)
+            result = env.step(action * scale)
             nxt = result.next_state.uav_position
-            # the executed displacement back in action units, as the critics read it
-            agent.buffer.add(ns, action / scale, REWARD_SCALE * result.reward,
+            agent.buffer.add(ns, action, REWARD_SCALE * result.reward,
                              norm_state(env.config, nxt))
             state = nxt
             ep_reward += result.reward

@@ -322,10 +322,10 @@ def test_checkpoint_is_one_archive_of_the_four_blocks(tmp_path, trained):
     with np.load(checkpoint / "nets.npz") as data:
         assert sorted(data.files) == ["actor", "actor_target", "critics", "critics_target",
                                       "version"]
-        assert data["version"].shape == () and int(data["version"]) == 3
+        assert data["version"].shape == () and int(data["version"]) == 4
         assert data["actor"].shape == (3 * 16 + 16 + 16 * 8 + 8 + 8 * 3 + 3,)
         assert data["critics"].shape == (2, 6 * 16 + 16 + 16 * 8 + 8 + 8 + 1)
-        assert all(data[name].dtype == np.float64 for name in data.files if name != "version")
+        assert all(data[name].dtype == np.float32 for name in data.files if name != "version")
 
 
 @pytest.mark.parametrize("net", ["actor", "critics_target"])
@@ -336,7 +336,7 @@ def test_checkpoint_net_mismatch_is_named(tmp_path, capsys, trained, net):
     rewrite_archive(path, **{net: neural.init_net((8, 3, 1), 0).params})
     assert run_eval(config, tmp_path, tmp_path / "eval") == cli.EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: {path}: entry '{net}' is float64 (31,)")
+    assert err.startswith(f"config error: {path}: entry '{net}' is float32 (31,)")
 
 
 def test_old_checkpoint_version_names_the_file(tmp_path, capsys, trained):
@@ -348,6 +348,22 @@ def test_old_checkpoint_version_names_the_file(tmp_path, capsys, trained):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert str(path) in err and "version 2" in err
+
+
+def test_float64_checkpoint_of_version_3_is_refused_by_its_version(tmp_path, capsys, trained):
+    # the previous format: the same four blocks, in float64
+    config, out = trained
+    checkpoint = copy_checkpoint(out / "checkpoint", tmp_path / "checkpoint")
+    path = checkpoint / "nets.npz"
+    with np.load(path) as data:
+        blocks = {name: data[name].astype(np.float64) for name in data.files if name != "version"}
+    np.savez(path, version=np.array(3), **blocks)
+    eval_dir = tmp_path / "eval"
+    assert run_eval(config, tmp_path, eval_dir) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == (f"config error: {path}: unsupported checkpoint version 3, "
+                   f"expected {neural.CHECKPOINT_VERSION}\n")
+    assert manifest(eval_dir)["status"] == "failed"
 
 
 def test_old_checkpoint_layout_is_no_checkpoint(tmp_path, capsys, trained):
@@ -443,18 +459,18 @@ def trained_at_other_widths(path):
                  "not a checkpoint archive", id="text"),
     pytest.param(set_entry("critics", None), "no entry 'critics'", id="missing-critics"),
     pytest.param(set_entry("version", None), "no entry 'version'", id="missing-version"),
-    pytest.param(spoil_entry("actor", lambda b: b.astype(np.float32)),
-                 "entry 'actor' is float32", id="actor-float32"),
+    pytest.param(spoil_entry("actor", lambda b: b.astype(np.float64)),
+                 "entry 'actor' is float64", id="actor-float64"),
     pytest.param(spoil_entry("actor_target", lambda b: b[:-1]),
-                 "entry 'actor_target' is float64 (226,), expected float64 (227,)",
+                 "entry 'actor_target' is float32 (226,), expected float32 (227,)",
                  id="actor_target-shape"),
     pytest.param(spoil_entry("critics_target", with_nan), "entry 'critics_target' is not finite",
                  id="critics_target-nan"),
     pytest.param(set_entry("version", np.array(2)), "unsupported checkpoint version 2",
                  id="version-2"),
-    pytest.param(set_entry("version", np.array([3, 3])), "unsupported checkpoint version [3, 3]",
+    pytest.param(set_entry("version", np.array([4, 4])), "unsupported checkpoint version [4, 4]",
                  id="version-shape-2"),
-    pytest.param(trained_at_other_widths, "entry 'actor' is float64 (179,), expected float64 "
+    pytest.param(trained_at_other_widths, "entry 'actor' is float32 (179,), expected float32 "
                  "(227,)", id="other-widths"),
 ])
 def test_malformed_checkpoint_file_exits_2_naming_it(tmp_path, capsys, trained, spoil,

@@ -102,6 +102,9 @@ BAD_VALUES = [
     ("td3.buffer_capacity = 1000000000000000000", "td3.buffer_capacity"),
     ("env.mc_samples_train = 1000000000000000000", "env.mc_samples_train"),
     ("baseline.mc_samples = 1000000000000000000", "baseline.mc_samples"),
+    # a net of two such widths would make numpy refuse its block with a ValueError
+    ("td3.hidden1 = 1000000000000000\ntd3.hidden2 = 1000000000000000",
+     "td3.hidden1 = 1000000000000000, td3.hidden2 = 1000000000000000"),
     ("td3.exploration_noise = 1e200", "td3.exploration_noise"),
     ("td3.target_noise = 1e300\ntd3.target_noise_clip = 1e300", "td3.target_noise"),
     ("channel.los_mode = per-sample", "unknown config key: channel.los_mode"),

@@ -1,4 +1,5 @@
 import copy
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -9,6 +10,11 @@ from uavthz.config import RunConfig
 from uavthz.environment import Environment
 from uavthz.errors import InvalidInputError, NumericFailureError
 from uavthz.td3 import ReplayBuffer, Td3Agent, Td3Hyperparams
+
+F32 = np.float32
+# A float32 unit-ball projection a / |a| may leave the norm this far above 1:
+# the float32 norm is within 2.5 U of |a| and each quotient rounds by U.
+BALL_SLACK = 4 * 2.0 ** -24
 
 
 def tiny_hp(**kw) -> Td3Hyperparams:
@@ -28,11 +34,20 @@ def make_agent(seed=0, **kw) -> Td3Agent:
 
 
 def random_batch(rng, n=4):
+    """A float32 minibatch, as the replay buffer samples one."""
     states = rng.uniform(-1, 1, (n, 3))
     actions = rng.uniform(-0.5, 0.5, (n, 3))
     rewards = rng.uniform(0, 2, n)
     next_states = rng.uniform(-1, 1, (n, 3))
-    return states, actions, rewards, next_states
+    return tuple(a.astype(F32) for a in (states, actions, rewards, next_states))
+
+
+def uniform32(rng, size):
+    return rng.uniform(-1, 1, size).astype(F32)
+
+
+def as64(a):
+    return a.astype(np.float64)
 
 
 class TestNormState:
@@ -75,14 +90,14 @@ class TestReplayBuffer:
 class TestSelectAction:
     def test_deterministic_without_exploration(self):
         agent = make_agent(3)
-        s = np.array([0.2, -0.1, 0.4])
+        s = np.array([0.2, -0.1, 0.4], F32)
         a1 = td3.select_action(agent, s, explore=False)
         a2 = td3.select_action(agent, s, explore=False)
         assert np.array_equal(a1, a2)
 
     def test_zero_noise_matches_deterministic(self):
         agent = make_agent(4, exploration_noise_std=0.0)
-        s = np.array([0.2, -0.1, 0.4])
+        s = np.array([0.2, -0.1, 0.4], F32)
         det = td3.select_action(agent, s, explore=False)
         noisy = td3.select_action(agent, s, explore=True)
         assert np.allclose(det, noisy)
@@ -91,9 +106,9 @@ class TestSelectAction:
         agent = make_agent(5, exploration_noise_std=0.8)
         rng = np.random.default_rng(0)
         for _ in range(200):
-            s = rng.uniform(-1, 1, 3)
+            s = uniform32(rng, 3)
             a = td3.select_action(agent, s, explore=True)
-            assert np.linalg.norm(a) <= 1.0 + 1e-12
+            assert np.linalg.norm(as64(a)) <= 1.0 + BALL_SLACK
 
     def test_noise_standard_deviation(self):
         agent = make_agent(6, exploration_noise_std=0.05)
@@ -102,7 +117,7 @@ class TestSelectAction:
             w[:] = 0.0
         for b in agent.actor.biases:
             b[:] = 0.0
-        s = np.zeros(3)
+        s = np.zeros(3, F32)
         draws = np.array([td3.select_action(agent, s, explore=True)
                           for _ in range(10_000)])
         measured = draws.std(axis=0)
@@ -112,7 +127,7 @@ class TestSelectAction:
         agent = make_agent(7)
         for _ in range(100):
             a = td3.random_action(agent)
-            assert np.linalg.norm(a) <= 1.0 + 1e-12
+            assert np.linalg.norm(as64(a)) <= 1.0 + BALL_SLACK
 
 
 @pytest.mark.parametrize("name", ["exploration_noise_std", "target_noise_std",
@@ -128,7 +143,7 @@ def test_noise_settings_are_bounded(name):
 def test_noisiest_action_lands_on_the_ball():
     agent = make_agent(12, exploration_noise_std=td3.MAX_NOISE)
     for _ in range(100):
-        a = td3.select_action(agent, np.zeros(3), explore=True)
+        a = td3.select_action(agent, np.zeros(3, F32), explore=True)
         assert np.linalg.norm(a) == pytest.approx(1.0)
 
 
@@ -171,10 +186,10 @@ class TestCriticUpdate:
     def test_hand_built_two_transition_loss(self):
         # frozen tiny nets, zero smoothing noise: the loss is a short formula
         agent = make_agent(10, target_noise_std=0.0, discount=0.5)
-        batch = (np.array([[0.1, 0.2, 0.3], [-0.2, 0.0, 0.4]]),
-                 np.array([[0.1, 0.0, 0.0], [0.0, 0.2, 0.0]]),
-                 np.array([1.0, 2.0]),
-                 np.array([[0.0, 0.1, 0.0], [0.3, -0.1, 0.2]]))
+        batch = (np.array([[0.1, 0.2, 0.3], [-0.2, 0.0, 0.4]], F32),
+                 np.array([[0.1, 0.0, 0.0], [0.0, 0.2, 0.0]], F32),
+                 np.array([1.0, 2.0], F32),
+                 np.array([[0.0, 0.1, 0.0], [0.3, -0.1, 0.2]], F32))
         states, actions, rewards, next_states = batch
         a2 = neural.forward(agent.actor_target, next_states)
         a2 = a2 / np.maximum(np.linalg.norm(a2, axis=1, keepdims=True), 1.0)
@@ -224,7 +239,7 @@ class TestActorUpdate:
         agent.critics.params[0] = 0.0
         agent.critics.row(0).biases[-1][0] = 3.0
         before = [w.copy() for w in agent.actor.weights]
-        td3.actor_update(agent, (np.random.default_rng(5).uniform(-1, 1, (4, 3)),
+        td3.actor_update(agent, (uniform32(np.random.default_rng(5), (4, 3)),
                                  None, None, None))
         assert all(np.array_equal(a, b) for a, b in zip(before, agent.actor.weights))
 
@@ -249,16 +264,16 @@ class TestActorUpdate:
         for view, value in zip(critic1.weights + critic1.biases, (w0, w1, w2, b0, b1, 0.0)):
             view[...] = value
         agent.adam_actor = neural.init_adam(agent.actor, 1e-2)
-        states = np.zeros((8, 3))
+        states = np.zeros((8, 3), F32)
         for _ in range(2500):
             td3.actor_update(agent, (states, None, None, None))
-        out = neural.forward(agent.actor, np.zeros((1, 3)))[0]
+        out = neural.forward(agent.actor, np.zeros((1, 3), F32))[0]
         assert np.linalg.norm(out - astar) < 0.05
 
     def test_critics_untouched_by_actor_update(self):
         agent = make_agent(15)
         frozen = agent.critics.params.copy()
-        td3.actor_update(agent, (np.zeros((4, 3)), None, None, None))
+        td3.actor_update(agent, (np.zeros((4, 3), F32), None, None, None))
         assert np.array_equal(frozen, agent.critics.params)
 
 
@@ -317,11 +332,11 @@ class TestTrainLoop:
 
     def test_buffer_holds_unit_ball_actions(self):
         # the loop moves the UAV by action_scale times an action and stores
-        # the executed displacement divided by it again
+        # the unit-ball action itself
         env = self._env()
         agent, _ = td3.train(env, make_agent(24, exploration_noise_std=td3.MAX_NOISE))
-        norms = np.linalg.norm(agent.buffer._actions[:len(agent.buffer)], axis=1)
-        assert np.all(norms <= 1.0 + 1e-12) and np.any(norms > 1.0 - 1e-12)
+        norms = np.linalg.norm(as64(agent.buffer._actions[:len(agent.buffer)]), axis=1)
+        assert np.all(norms <= 1.0 + BALL_SLACK) and np.any(norms > 1.0 - BALL_SLACK)
 
     def test_episode_count_and_log_shape(self):
         env = self._env()
@@ -329,6 +344,41 @@ class TestTrainLoop:
         agent = Td3Agent.create(hp, 23)
         _, logs = td3.train(env, agent)
         assert [lg.episode for lg in logs] == list(range(5))
+
+
+def test_every_agent_array_is_float32(monkeypatch):
+    # A float64 array anywhere in the agent would silently promote the passes
+    # it enters; the environment's positions stay float64.
+    seen = []
+
+    def recorded(fn, *names):
+        def wrapper(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            arrays = dict(zip(names, args[1:]), result=result)
+            seen.extend((fn.__name__, name, a.dtype) for name, a in arrays.items()
+                        if isinstance(a, np.ndarray))
+            return result
+        return wrapper
+
+    monkeypatch.setattr(neural, "forward", recorded(neural.forward, "x"))
+    monkeypatch.setattr(neural, "backward", recorded(neural.backward, "tape", "output_grad"))
+    monkeypatch.setattr(neural, "adam_step", recorded(neural.adam_step, "grad"))
+    env = small_env(mc_samples=40)
+    env.reset(0)
+    agent, _ = td3.train(env, make_agent(29))
+    trace = td3.greedy_rollout(env, agent, 2)
+    assert {name for _, name, _ in seen} == {"x", "output_grad", "grad", "result"}
+    assert {dtype for *_, dtype in seen} == {np.dtype(F32)}
+    state = td3.norm_state(env.config, trace[-1].position)
+    assert trace[-1].position.dtype == np.float64 and state.dtype == F32
+    arrays = [td3.select_action(agent, state, explore=True), td3.random_action(agent)]
+    for net in agent.nets().values():
+        arrays.append(net.params)
+    for adam in (agent.adam_actor, agent.adam_critics):
+        arrays += [adam.first_moment, adam.second_moment]
+    buf = agent.buffer
+    arrays += [buf._states, buf._actions, buf._rewards, buf._next_states, *buf.sample(4)]
+    assert all(a.dtype == F32 for a in arrays)
 
 
 def test_block_sizes_tell_the_hidden_widths_apart():
@@ -416,7 +466,8 @@ class TestGreedyRollout:
 # ---------------------------------------------------------------- reference update
 # The previous implementation, kept as an oracle: per-layer weight and bias
 # lists, two separate critics with their own Adam states, and a backward pass
-# that repeats the forward pass.
+# that repeats the forward pass. It runs on the agent's float32 copies and
+# float32 minibatches, so it must match the flat-block update bit for bit.
 
 @dataclass
 class RefNet:
@@ -465,7 +516,7 @@ def ref_forward_cached(net, x):
 
 
 def ref_forward(net, x):
-    return ref_forward_cached(net, np.asarray(x, dtype=float))[0]
+    return ref_forward_cached(net, x)[0]
 
 
 def ref_backward(net, x, g):
@@ -493,15 +544,16 @@ def ref_adam_step(net, w_grads, b_grads, state):
             raise NumericFailureError("non-finite gradient in Adam step")
     state.step_count += 1
     t = state.step_count
-    c1 = 1.0 - REF_BETA1 ** t
-    c2 = 1.0 - REF_BETA2 ** t
+    # Kingma & Ba's efficient form of lr * (m / c1) / (sqrt(v / c2) + eps)
+    root_c2 = math.sqrt(1.0 - REF_BETA2 ** t)
+    step_size = state.learning_rate * root_c2 / (1.0 - REF_BETA1 ** t)
     for p, g, m, v in zip(net.weights + net.biases, grads, state.first_moment,
                           state.second_moment):
         m *= REF_BETA1
         m += (1.0 - REF_BETA1) * g
         v *= REF_BETA2
         v += (1.0 - REF_BETA2) * g * g
-        p -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + REF_EPSILON)
+        p -= step_size * m / (np.sqrt(v) + REF_EPSILON * root_c2)
 
 
 def ref_polyak_update(target, online, tau):
@@ -533,8 +585,9 @@ def ref_critic_update(agent, minibatch):
     hp = agent.hp
     next_a = ref_forward(agent.actor_target, next_states)
     noise = agent.rng.normal(0.0, hp.target_noise_std, size=next_a.shape)
-    noise = np.clip(noise, -hp.target_noise_clip, hp.target_noise_clip)
-    next_a = td3._project_unit_ball(next_a + noise)[0]
+    # the float64 noise is added into the float32 action, one rounding
+    next_a += np.clip(noise, -hp.target_noise_clip, hp.target_noise_clip)
+    next_a = td3._project_unit_ball(next_a)[0]
     next_in = np.concatenate([next_states, next_a], axis=1)
     q1t = ref_forward(agent.critic1_target, next_in)[:, 0]
     q2t = ref_forward(agent.critic2_target, next_in)[:, 0]
@@ -561,7 +614,8 @@ def ref_actor_update(agent, minibatch):
     a = np.where(outside[:, None], raw / np.maximum(norms, 1e-12), raw)
     critic_in = np.concatenate([states, a], axis=1)
     q = ref_forward(agent.critic1, critic_in)[:, 0]
-    _, _, input_grad = ref_backward(agent.critic1, critic_in, np.full((batch, 1), -1.0 / batch))
+    _, _, input_grad = ref_backward(agent.critic1, critic_in,
+                                    np.full((batch, 1), -1.0 / batch, F32))
     g = input_grad[:, td3.STATE_DIM:]
     if np.any(outside):
         agent.projected_batches += 1
