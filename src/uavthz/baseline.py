@@ -1,9 +1,9 @@
 """Brute-force and heuristic placement baselines used as optimality yardsticks.
 
 The grid search evaluates the worst-link outage on a full 3D lattice that
-spans the environment's area and altitude window, ends included, with a
-single shared Monte-Carlo seed, so comparisons between grid points (and
-against any policy scored with the same seed) are free of sampling noise.
+spans the environment's flight box, faces included, with a single shared
+Monte-Carlo seed, so comparisons between grid points (and against any policy
+scored with the same seed) are free of sampling noise.
 The whole lattice is one channel.outage_scan, which draws once and, at each
 altitude, computes the per-axis pattern factors once per lattice x and once
 per lattice y instead of once per point: 15 + 15 tables per altitude and
@@ -44,10 +44,8 @@ def scan_grid(env: Environment, spec: GridSearchSpec, progress=None):
     progress, when given, is called as progress(k, n) for each of the n
     lattice points as its altitude completes.
     """
-    cfg = env.config
-    axes = (np.linspace(0.0, cfg.area_x, spec.x_steps),
-            np.linspace(0.0, cfg.area_y, spec.y_steps),
-            np.linspace(cfg.limits.h_min, cfg.limits.h_max, spec.z_steps))
+    axes = [np.linspace(lo, hi, n) for lo, hi, n
+            in zip(*env.config.box, (spec.x_steps, spec.y_steps, spec.z_steps))]
     points = [geometry.vec3(float(x), float(y), float(z))
               for x, y, z in itertools.product(*axes)]
     estimates = channel.outage_scan(env.topology.sbs_list, points, env.params,

@@ -83,7 +83,6 @@ class RunConfig:
     mc_samples_train: int = _key("env.mc_samples_train", 500, EnvConfig, "mc_samples")
     mc_samples_eval: int = _key("env.mc_samples_eval", 100_000)
     reward_floor: float = _key("env.reward_floor", 1e-9, EnvConfig)
-    clamp_horizontal: bool = _key("env.clamp_horizontal", False, EnvConfig)
     hidden1: int = _key("td3.hidden1", 256, Td3Hyperparams, "hidden_dims")
     hidden2: int = _key("td3.hidden2", 128, Td3Hyperparams, "hidden_dims")
     actor_lr: float = _key("td3.actor_lr", 1e-4, Td3Hyperparams)
@@ -155,21 +154,15 @@ _FIELDS = {f.metadata["key"]: f for f in fields(RunConfig)}
 
 
 def _text(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     return repr(value) if isinstance(value, float) else str(value)
-
-
-_BOOLS = {**dict.fromkeys(("true", "1", "yes", "on"), True),
-          **dict.fromkeys(("false", "0", "no", "off"), False)}
 
 
 def _parse_value(f, raw: str):
     try:
-        value = _BOOLS[raw.lower()] if f.type is bool else f.type(raw)
+        value = f.type(raw)
         if f.type is float and not math.isfinite(value):
             raise ValueError(raw)
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad value for {f.metadata['key']}: {raw!r}") from exc
     return value
 

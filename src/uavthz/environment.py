@@ -1,20 +1,25 @@
-"""Topology MDP: state, bounded continuous action, altitude-bounded transition
-and outage-based reward.
+"""Topology MDP: state, bounded continuous action, box-clipped transition and
+outage-based reward.
 
 One environment instance is a sequential state machine over one topology per
 reset: reset(seed) draws the stations from the seed and places the UAV at the
-start point, the area center at mid altitude; move() advances the UAV by a
+start point, the centre of the flight box; move() advances the UAV by a
 bounded 3D displacement and draws nothing; step() is move() followed by
 scoring the new position by Monte-Carlo outage on the next seed of the reset's
 step-seed stream; and restart_episode() returns the UAV to the start point for
 the next training episode on the same stations.
+
+The UAV flies in the closed flight box EnvConfig.box, the service area times
+the altitude window. A move is shrunk onto the action ball and then clipped
+into the box on every axis: no move is rejected, and one that would leave the
+box stops on its face.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from uavthz import channel, geometry
+from uavthz import channel
 from uavthz.channel import ChannelParams, OutageEstimate
 from uavthz.errors import InvalidInputError, require
 from uavthz.geometry import MAX_COORD_M, KinematicLimits, Vec3, as_stations, as_vec3
@@ -54,7 +59,9 @@ class StepResult:
 class EnvConfig:
     """Service area, station count, kinematic envelope and scoring knobs, in SI units.
 
-    The antennas and the transmit power are channel constants (ChannelParams).
+    box is the closed flight box [0, area_x] x [0, area_y] x [h_min, h_max]
+    as its (lo, hi) corners, computed when the config is built. The antennas
+    and the transmit power are channel constants (ChannelParams).
     """
 
     area_x: float
@@ -66,7 +73,7 @@ class EnvConfig:
     limits: KinematicLimits
     mc_samples: int
     reward_floor: float
-    clamp_horizontal: bool
+    box: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         require(self.reward_floor > 0, "reward_floor must be positive", "reward_floor")
@@ -77,6 +84,8 @@ class EnvConfig:
                 "m_s_min", "m_s_max")
         require(0 < self.t_min <= self.t_max, "need 0 < t_min <= t_max", "t_min", "t_max")
         require(self.mc_samples >= 1, "mc_samples must be >= 1", "mc_samples")
+        self.box = (np.array([0.0, 0.0, self.limits.h_min]),
+                    np.array([self.area_x, self.area_y, self.limits.h_max]))
 
     @property
     def time_budget(self) -> float:
@@ -131,16 +140,15 @@ class Environment:
         return self.restart_episode(), self.topology
 
     def restart_episode(self) -> EnvState:
-        """Return the UAV to the start point, the area center at mid altitude.
+        """Return the UAV to the start point, the centre of the flight box.
 
         The stations and the step-seed stream carry on: every training
         episode flies over the topology of the last reset.
         """
         if self.topology is None:
             raise InvalidInputError("environment not reset")
-        lim = self.config.limits
-        self._uav_position = geometry.vec3(0.5 * self.config.area_x, 0.5 * self.config.area_y,
-                                           0.5 * (lim.h_min + lim.h_max))
+        lo, hi = self.config.box
+        self._uav_position = 0.5 * (lo + hi)
         return EnvState(self._uav_position.copy())
 
     @property
@@ -155,29 +163,25 @@ class Environment:
     def move(self, displacement) -> tuple[Vec3, float]:
         """Move the UAV by a displacement in meters; return the new position and elapsed time.
 
-        The displacement is first shrunk onto the action ball. A move whose
-        altitude leaves the open (h_min, h_max) window is rejected whole: the
-        UAV stays where it is. With clamp_horizontal the position is then
-        clipped into the service area. Elapsed time charges the realized
-        displacement at peak speed. No Monte-Carlo seed is drawn.
+        The displacement is first shrunk onto the action ball, and the new
+        position is then clipped into the closed flight box on every axis, so
+        no move is rejected. Elapsed time charges the realized displacement
+        at peak speed. No Monte-Carlo seed is drawn.
         """
         if self.topology is None:
             raise InvalidInputError("environment not reset")
         cur = self._uav_position
         lim = self.config.limits
-        cand = cur + project_action(displacement, lim.action_scale)
-        nxt = cand if lim.h_min < cand[2] < lim.h_max else cur
-        if self.config.clamp_horizontal:
-            nxt = nxt.copy()
-            nxt[0] = float(np.clip(nxt[0], 0.0, self.config.area_x))
-            nxt[1] = float(np.clip(nxt[1], 0.0, self.config.area_y))
+        lo, hi = self.config.box
+        nxt = np.minimum(np.maximum(cur + project_action(displacement, lim.action_scale), lo), hi)
         self._uav_position = nxt
         return nxt.copy(), float(np.linalg.norm(nxt - cur)) / lim.v_max
 
     def step(self, displacement) -> StepResult:
         """move(), then score the new position on the next step seed and return the reward.
 
-        A rejected move is scored too, at the position the UAV kept.
+        A move that the box clips to nothing is scored too, at the position
+        the UAV kept.
         """
         position, elapsed = self.move(displacement)
         outage = self.outage_at(position, self.config.mc_samples, self._next_step_seed())

@@ -6,9 +6,9 @@ Gaussian exploration noise. The two critics are one stacked network (row 0
 is critic 1, row 1 critic 2) with one stacked target and one Adam state, so
 a critic step is one batched forward, one backward and one Adam pass; the
 actor step reads critic 1 through a row view. The agent works only in a
-normalized space: norm_state maps positions per axis to [-1, 1], and actions
-are on the unit ball. train and greedy_rollout, which hold the environment,
-multiply an action by its action scale before they move the UAV.
+normalized space: norm_state maps the flight box per axis onto [-1, 1], and
+actions are on the unit ball. train and greedy_rollout, which hold the
+environment, multiply an action by its action scale before they move the UAV.
 Nothing here checks an array the loop built: the data is checked where it
 enters, the settings in the config, each position in the channel, each action
 in project_action and the nets at construction and checkpoint load.
@@ -39,7 +39,7 @@ STATE_DIM = 3
 ACTION_DIM = 3
 # Shrink factor on the actor's output-layer initialization: a near-zero
 # initial policy keeps early actions unsaturated; a policy born saturated
-# toward the altitude rejection band freezes there.
+# pushes the UAV onto a face of the flight box and holds it there.
 ACTOR_HEAD_SCALE = 0.01
 # Factor on the rewards entering the replay buffer, so critic targets stay
 # order-one; the logged episode reward keeps the environment's scale.
@@ -109,18 +109,14 @@ class Td3Hyperparams:
 
 
 def norm_state(cfg: EnvConfig, position) -> np.ndarray:
-    """Positions mapped per axis onto [-1, 1] over the area and altitude window, clipped.
+    """Positions mapped per axis from the closed flight box (lo, hi) onto [-1, 1].
 
-    The map runs in float64 and its result is rounded into float32, the
-    agent's type.
+    The map 2*(p - lo)/(hi - lo) - 1 runs in float64 and its result is
+    rounded into float32, the agent's type. A position in the box lands in
+    [-1, 1] exactly, as p - lo and the quotient round monotonically.
     """
-    lim = cfg.limits
-    p = np.asarray(position, dtype=float)
-    s = np.empty(p.shape, dtype=neural.DTYPE)
-    s[..., 0] = 2.0 * p[..., 0] / cfg.area_x - 1.0
-    s[..., 1] = 2.0 * p[..., 1] / cfg.area_y - 1.0
-    s[..., 2] = 2.0 * (p[..., 2] - lim.h_min) / (lim.h_max - lim.h_min) - 1.0
-    return np.clip(s, -1.0, 1.0)
+    lo, hi = cfg.box
+    return (2.0 * (np.asarray(position, dtype=float) - lo) / (hi - lo) - 1.0).astype(neural.DTYPE)
 
 
 class ReplayBuffer:
@@ -327,20 +323,18 @@ def train(env: Environment, agent: Td3Agent):
     logs: list[EpisodeLog] = []
     global_step = 0
     for ep in range(hp.episodes):
-        state = env.restart_episode().uav_position
+        state = norm_state(env.config, env.restart_episode().uav_position)
         ep_reward = 0.0
         ep_outage = 0.0
         for _ in range(hp.steps_per_episode):
             global_step += 1
-            ns = norm_state(env.config, state)
             if global_step <= hp.warmup_steps:
                 action = random_action(agent)
             else:
-                action = select_action(agent, ns, explore=True)
+                action = select_action(agent, state, explore=True)
             result = env.step(action * scale)
-            nxt = result.next_state.uav_position
-            agent.buffer.add(ns, action, REWARD_SCALE * result.reward,
-                             norm_state(env.config, nxt))
+            nxt = norm_state(env.config, result.next_state.uav_position)
+            agent.buffer.add(state, action, REWARD_SCALE * result.reward, nxt)
             state = nxt
             ep_reward += result.reward
             ep_outage += channel.max_outage(result.outage)

@@ -419,7 +419,7 @@ SHARED_AXIS_LAYOUTS = {
     # repeated altitudes in no particular order
     "unordered": [(90, 60, 70), (40, 60, 45), (90, 110, 45), (40, 110, 70),
                   (65, 60, 70), (90, 60, 45), (40, 35, 70)],
-    # a rejected move repeats the previous position exactly
+    # a move clipped at a face of the flight box repeats the position exactly
     "duplicate": [(70, 60, 80), (70, 60, 80), (95, 60, 80), (95, 60, 80)],
 }
 

@@ -8,7 +8,7 @@ from uavthz.errors import ConfigError
 
 NON_DEFAULT = RunConfig(
     area_x_m=120.5, m_s_min=3, carrier_ghz=300.0, noise_power_dbm=-187.25,
-    vibration_std_deg=0.1 + 0.2, uav_n_side=8, clamp_horizontal=True, mc_samples_eval=1234,
+    vibration_std_deg=0.1 + 0.2, uav_n_side=8, mc_samples_eval=1234,
     hidden1=64, actor_lr=3e-4, grid_z=2,
 )
 
@@ -45,7 +45,6 @@ kinematics.dt_s = 1.0
 env.mc_samples_train = 500
 env.mc_samples_eval = 100000
 env.reward_floor = 1e-09
-env.clamp_horizontal = false
 
 td3.hidden1 = 256
 td3.hidden2 = 128
@@ -109,6 +108,7 @@ BAD_VALUES = [
     ("td3.target_noise = 1e300\ntd3.target_noise_clip = 1e300", "td3.target_noise"),
     ("channel.los_mode = per-sample", "unknown config key: channel.los_mode"),
     ("env.clamp_z_only = false", "unknown config key: env.clamp_z_only"),
+    ("env.clamp_horizontal = false", "unknown config key: env.clamp_horizontal"),
     ("env.freeze_topology = true", "unknown config key: env.freeze_topology"),
     ("env.outage_alarm_threshold = 0.1", "unknown config key: env.outage_alarm_threshold"),
 ]
@@ -116,7 +116,7 @@ BAD_VALUES = [
 
 def test_default_text_is_the_canonical_form():
     assert serialize_config(RunConfig()) == DEFAULT_TEXT
-    assert len(DEFAULT_TEXT.splitlines()) == 53
+    assert len(DEFAULT_TEXT.splitlines()) == 52
 
 
 @pytest.mark.parametrize("cfg", [RunConfig(), NON_DEFAULT], ids=["default", "non_default"])

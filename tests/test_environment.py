@@ -63,16 +63,18 @@ class TestReset:
 
 
 class TestStep:
-    def test_altitude_violation_is_full_rejection(self):
+    def test_climb_past_the_ceiling_is_clipped_onto_it(self):
         env = small_env()
         env.reset(0)
         for _ in range(5):
             env.step(vec3(0.0, 0.0, 9.9))  # climb to just under the ceiling
         before = env.state.uav_position.copy()
         assert before[2] > 125.0
-        res = env.step(vec3(1.0, 2.0, 9.0))  # breaches h_max: full no-op
-        assert np.array_equal(res.next_state.uav_position, before)
-        assert res.elapsed == 0.0
+        res = env.step(vec3(1.0, 2.0, 9.0))  # crosses h_max: lands on it
+        expected = before + vec3(1.0, 2.0, 0.0)
+        expected[2] = 130.0
+        assert np.array_equal(res.next_state.uav_position, expected)
+        assert res.elapsed == pytest.approx(np.linalg.norm(expected - before) / 8.0)
 
     def test_zero_action_keeps_position_and_time(self):
         env = small_env()
@@ -93,12 +95,16 @@ class TestStep:
         res = env.step(vec3(8.0, 0.0, 0.0))
         assert res.elapsed == pytest.approx(1.0)
 
-    def test_horizontal_clamp_flag(self):
-        env = small_env(clamp_horizontal=True)
+    def test_outward_move_from_a_corner_stays_there(self):
+        env = small_env()
         env.reset(0)
-        env._uav_position = vec3(149.0, 75.0, 80.0)
-        res = env.step(vec3(9.0, 0.0, 0.0))
-        assert res.next_state.uav_position[0] == 150.0
+        for _ in range(20):  # 5.77 m per axis and move: enough to reach the corner
+            env.move(vec3(-10.0, -10.0, -10.0))
+        corner = vec3(0.0, 0.0, 30.0)
+        assert np.array_equal(env.state.uav_position, corner)
+        res = env.step(vec3(-3.0, -1.0, -2.0))
+        assert np.array_equal(res.next_state.uav_position, corner)
+        assert res.elapsed == 0.0
 
     def test_determinism_same_seed_same_actions(self):
         actions = [vec3(2, 1, -1), vec3(-3, 4, 2), vec3(0, 0, 5)]
@@ -113,24 +119,27 @@ class TestStep:
     @given(st.lists(st.tuples(st.floats(-12, 12), st.floats(-12, 12), st.floats(-12, 12)),
                     min_size=1, max_size=15))
     @settings(max_examples=25, deadline=None)
-    def test_altitude_always_in_envelope(self, moves):
-        env = small_env()
+    def test_position_always_in_flight_box(self, moves):
+        # a 20 m x 20 m x 15 m box, so most flights reach one of its faces
+        limits = replace(RunConfig().kinematic_limits(), h_max=45.0)
+        env = small_env(area_x=20.0, area_y=20.0, limits=limits)
         env.reset(5)
+        lo, hi = env.config.box
         for mv in moves:
-            env.step(vec3(*mv))
-        z = env.state.uav_position[2]
-        assert 30.0 <= z <= 130.0
+            position = env.step(vec3(*mv)).next_state.uav_position
+            assert np.all((lo <= position) & (position <= hi))
 
 
 class TestMove:
-    # Five climbs to just under the ceiling, one climb that breaches it and is
-    # rejected whole, then eastward moves whose eighth crosses x = 150 and is
-    # clamped, and an oversized one that is projected and then clamped to no move.
+    # Five climbs to just under the ceiling, one climb that crosses it and is
+    # clipped onto it, then eastward moves from x = 76 whose eighth crosses
+    # x = 150 and is clipped, and an oversized one that is projected and then
+    # clipped to no move.
     MOVES = ([vec3(0.0, 0.0, 9.9)] * 5 + [vec3(1.0, 2.0, 9.0)] + [vec3(10.0, 0.0, 0.0)] * 8
              + [vec3(30.0, 0.0, 0.0)])
 
     def test_move_and_step_give_the_same_path(self):
-        moved, stepped = small_env(clamp_horizontal=True), small_env(clamp_horizontal=True)
+        moved, stepped = small_env(), small_env()
         moved.reset(4)
         stepped.reset(4)
         path = [moved.move(d) for d in self.MOVES]
@@ -139,10 +148,13 @@ class TestMove:
             assert np.array_equal(position, res.next_state.uav_position)
             assert elapsed == res.elapsed
         assert np.array_equal(moved.state.uav_position, stepped.state.uav_position)
-        rejected, clamped = path[5], path[13]
-        assert np.array_equal(rejected[0], path[4][0]) and rejected[1] == 0.0
-        assert clamped[0][0] == 150.0 and clamped[1] == pytest.approx(5.0 / 8.0)
-        assert path[14][1] == 0.0
+        ceiling, east = path[5], path[13]
+        below = path[4][0]
+        assert np.array_equal(ceiling[0], vec3(76.0, 77.0, 130.0))
+        assert ceiling[1] == pytest.approx(np.hypot(np.sqrt(5.0), 130.0 - below[2]) / 8.0)
+        assert np.array_equal(east[0], vec3(150.0, 77.0, 130.0))
+        assert east[1] == pytest.approx(4.0 / 8.0)
+        assert np.array_equal(path[14][0], east[0]) and path[14][1] == 0.0
 
     def test_move_draws_no_step_seed(self):
         # Full-size arrays: with the small ones every link is always in outage,

@@ -1,9 +1,12 @@
 import copy
+import itertools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uavthz import channel, neural, td3
 from uavthz.config import RunConfig
@@ -50,6 +53,24 @@ def as64(a):
     return a.astype(np.float64)
 
 
+def clipped_norm_state(cfg, position):
+    """Reference state map, spelled out per axis and clipped: on the flight box
+    norm_state must agree with it bit for bit."""
+    lim = cfg.limits
+    p = np.asarray(position, dtype=float)
+    s = np.empty(p.shape, dtype=F32)
+    s[..., 0] = 2.0 * p[..., 0] / cfg.area_x - 1.0
+    s[..., 1] = 2.0 * p[..., 1] / cfg.area_y - 1.0
+    s[..., 2] = 2.0 * (p[..., 2] - lim.h_min) / (lim.h_max - lim.h_min) - 1.0
+    return np.clip(s, -1.0, 1.0)
+
+
+def odd_box_config():
+    """A flight box whose bounds are not binary fractions, so hi - lo rounds."""
+    limits = replace(RunConfig().kinematic_limits(), h_min=30.1, h_max=129.7)
+    return replace(RunConfig().env_config(), area_x=120.3, area_y=97.9, limits=limits)
+
+
 class TestNormState:
     # the default flight volume: a 150 m x 150 m area, altitudes 30 to 130 m
     CFG = RunConfig().env_config()
@@ -58,8 +79,21 @@ class TestNormState:
         assert np.allclose(td3.norm_state(self.CFG, [75, 75, 80]), [0, 0, 0])
         assert np.allclose(td3.norm_state(self.CFG, [0, 150, 30]), [-1, 1, -1])
 
-    def test_out_of_area_clips(self):
-        assert np.allclose(td3.norm_state(self.CFG, [-40, 500, 80]), [-1, 1, 0])
+    @pytest.mark.parametrize("cfg", [CFG, odd_box_config()], ids=["default", "odd"])
+    def test_box_corners_map_to_plus_minus_one(self, cfg):
+        lo, hi = cfg.box
+        signs = np.array(list(itertools.product((-1.0, 1.0), repeat=3)))
+        corners = np.where(signs > 0, hi, lo)
+        assert np.array_equal(td3.norm_state(cfg, corners), signs.astype(F32))
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_in_box_position_maps_into_the_unit_cube(self, data):
+        cfg = data.draw(st.sampled_from([self.CFG, odd_box_config()]))
+        position = [data.draw(st.floats(lo, hi)) for lo, hi in zip(*cfg.box)]
+        s = td3.norm_state(cfg, position)
+        assert s.dtype == F32 and np.all((-1.0 <= s) & (s <= 1.0))
+        assert np.array_equal(s, clipped_norm_state(cfg, position))
 
 
 class TestReplayBuffer:
@@ -307,9 +341,37 @@ class TestDelayContract:
 
 class TestTrainLoop:
     def _env(self):
-        env = small_env(mc_samples=40, clamp_horizontal=True)
+        env = small_env(mc_samples=40)
         env.reset(0)
         return env
+
+    def test_carried_states_match_the_clipped_map(self):
+        # A 12 m x 12 m x 10 m box, so the 4-step flights reach its faces.
+        limits = replace(RunConfig().kinematic_limits(), h_max=40.0)
+        env = small_env(mc_samples=40, area_x=12.0, area_y=12.0, limits=limits)
+        env.reset(0)
+        visited = []
+        step = env.step
+
+        def recording(displacement):
+            result = step(displacement)
+            visited.append(result.next_state.uav_position)
+            return result
+
+        env.step = recording
+        hp = tiny_hp()
+        agent, _ = td3.train(env, Td3Agent.create(hp, 25))
+        lo, hi = env.config.box
+        after = np.reshape(visited, (hp.episodes, hp.steps_per_episode, 3))
+        assert np.any((after == lo) | (after == hi))
+        start = np.broadcast_to(env.restart_episode().uav_position, (hp.episodes, 1, 3))
+        before = np.concatenate([start, after[:, :-1]], axis=1)
+        n = len(agent.buffer)
+        assert n == hp.episodes * hp.steps_per_episode
+        for column, positions in ((agent.buffer._states, before),
+                                  (agent.buffer._next_states, after)):
+            assert np.array_equal(column[:n], clipped_norm_state(env.config,
+                                                                 positions.reshape(n, 3)))
 
     def test_zero_learning_rates_freeze_parameters(self):
         env = self._env()
