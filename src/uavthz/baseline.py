@@ -10,7 +10,6 @@ per lattice y instead of once per point: 15 + 15 tables per altitude and
 block of draws instead of 2 x 225 on the default 15 x 15 x 5 lattice.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,18 +39,18 @@ class GridSearchSpec:
 def scan_grid(env: Environment, spec: GridSearchSpec, progress=None):
     """Yield (position, max_outage) for every lattice point in lexicographic order.
 
-    The lattice is one outage scan, so the rows come once it completes;
-    progress, when given, is called as progress(k, n) for each of the n
-    lattice points as its altitude completes.
+    The lattice is one (x_steps * y_steps * z_steps, 3) array, x slowest and
+    z fastest, which channel.outage_scan checks and scores in one scan, so
+    the rows come once it completes; progress, when given, is called as
+    progress(k, n) for each of the n lattice points as its altitude completes.
     """
     axes = [np.linspace(lo, hi, n) for lo, hi, n
             in zip(*env.config.box, (spec.x_steps, spec.y_steps, spec.z_steps))]
-    points = [geometry.vec3(float(x), float(y), float(z))
-              for x, y, z in itertools.product(*axes)]
-    estimates = channel.outage_scan(env.topology.sbs_list, points, env.params,
-                                    spec.mc_samples, spec.seed, progress)
-    for pos, est in zip(points, estimates):
-        yield pos, channel.max_outage(est)
+    points = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, 3)
+    outages = channel.outage_scan(env.topology.sbs_list, points, env.params,
+                                  spec.mc_samples, spec.seed, progress)
+    for pos, outage in zip(points, outages):
+        yield pos, channel.max_outage(outage)
 
 
 def grid_search_best_position(env: Environment, spec: GridSearchSpec,

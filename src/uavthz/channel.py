@@ -16,9 +16,10 @@ otherwise its power, as a desired link and as an interferer, is scaled by
 nlos_extra_loss. The one-orientation instantaneous_sinr takes every link in
 line of sight.
 
-The entries outage_scan and instantaneous_sinr check each position once: the
-(M, 3) stations with M >= 1, each UAV at positive altitude (else
-GeometryDegenerateError), every coordinate within geometry.MAX_COORD_M.
+The entries outage_scan and instantaneous_sinr check each (N, 3) stack once
+(geometry.as_points): the stations, M >= 1, and the UAV positions, each at
+positive altitude (else GeometryDegenerateError). A scan returns one (N, M)
+array of per-link outage probabilities, a row per UAV position.
 
 The per-axis angle between the links to stations i and j is symmetric in
 (i, j), so each draw needs the UAV pattern at 1 + M(M-1)/2 distinct offsets
@@ -71,7 +72,7 @@ import numpy as np
 from uavthz import antenna, geometry
 from uavthz.antenna import ArrayAntennaConfig
 from uavthz.errors import GeometryDegenerateError, InvalidInputError, require
-from uavthz.geometry import Vec3, as_stations, as_vec3
+from uavthz.geometry import Vec3, as_points
 
 SPEED_OF_LIGHT = 3.0e8  # m/s
 
@@ -134,21 +135,6 @@ class ChannelParams:
     @property
     def sbs_array(self) -> ArrayAntennaConfig:
         return ArrayAntennaConfig(self.sbs_n_side, self.spacing_over_lambda)
-
-
-@dataclass
-class SinrSample:
-    """Per-link linear SINR and interference power (W) for one orientation realization."""
-
-    per_link_sinr: np.ndarray
-    per_link_interference_w: np.ndarray
-
-
-@dataclass
-class OutageEstimate:
-    """Per-link Monte-Carlo outage probabilities."""
-
-    per_link_outage: np.ndarray
 
 
 def free_space_term(params: ChannelParams, length):
@@ -278,22 +264,22 @@ def _sinr_matrix(geom: _LinkGeometry, params: ChannelParams, ratio_x: np.ndarray
     return sinr, interference
 
 
-def _as_uav(v) -> Vec3:
-    """A checked UAV position: a 3-vector (geometry.as_vec3) with positive altitude."""
-    uav = as_vec3(v)
-    if uav[2] <= 0:
-        raise GeometryDegenerateError(f"UAV altitude must be positive, got {uav[2]}")
-    return uav
+def _checked_uavs(v) -> np.ndarray:
+    """The (N, 3) UAV positions v checked by geometry.as_points, each altitude positive."""
+    uavs = as_points(v)
+    if not np.all(uavs[:, 2] > 0):
+        raise GeometryDegenerateError(f"UAV altitude must be positive, got {uavs[:, 2].min()}")
+    return uavs
 
 
 def instantaneous_sinr(links, uav: Vec3, orientation: tuple[float, float],
-                       params: ChannelParams) -> SinrSample:
-    """Per-link SINR for one fixed orientation, every link in line of sight.
+                       params: ChannelParams) -> tuple[np.ndarray, np.ndarray]:
+    """(sinr, interference_w): per-link linear SINR and interference power (W), each (M,).
 
-    links is the (M, 3) array of station positions, one link each; it and uav,
-    at positive altitude and within geometry.MAX_COORD_M, are checked here.
+    One fixed orientation, every link in line of sight; links, the (M, 3)
+    station array, and uav are checked as in outage_scan.
     """
-    sbs, uav = as_stations(links), _as_uav(uav)
+    sbs, uav = as_points(links), _checked_uavs((uav,))[0]
     work = _Workspace(params, 1, len(sbs))
     geom = _precompute(sbs, uav, params, work.upper)
     ratio_x, ratio_y = np.empty((2, 1, geom.offset_x.shape[0]), dtype=np.float32)
@@ -301,11 +287,11 @@ def instantaneous_sinr(links, uav: Vec3, orientation: tuple[float, float],
     _ratio_table(np.array([float(orientation[1])]), geom.offset_y, ratio_y, work)
     sinr, interference = _sinr_matrix(geom, params, ratio_x, ratio_y, np.ones((1, len(sbs))),
                                       work)
-    return SinrSample(sinr[0], interference[0])
+    return sinr[0], interference[0]
 
 
 def _altitude_groups(uavs):
-    """Position indices grouped by exact altitude, each group in list order.
+    """Position indices of the (N, 3) uavs grouped by exact altitude, each group in stack order.
 
     Groups come in order of their altitude's first appearance. A group is
     split where keeping it whole would need more than _MAX_RATIO_TABLES
@@ -318,7 +304,7 @@ def _altitude_groups(uavs):
     for indices in by_altitude.values():
         group, xs, ys = [], set(), set()
         for i in indices:
-            x, y = uavs[i][0], uavs[i][1]
+            x, y = uavs[i, 0], uavs[i, 1]
             if len(xs | {x}) + len(ys | {y}) > _MAX_RATIO_TABLES:
                 yield group
                 group, xs, ys = [], set(), set()
@@ -390,12 +376,12 @@ def _draws(params: ChannelParams, m: int, n: int,
 
 
 def outage_scan(links, uavs, params: ChannelParams, n_samples: int, seed: int,
-                progress=None) -> list[OutageEstimate]:
-    """Monte-Carlo outage per link at each UAV position of `uavs`, in order.
+                progress=None) -> np.ndarray:
+    """Monte-Carlo outage per link at each UAV position: an (N, M) array, a row per position.
 
-    links is the (M, 3) station array; it and each position, at positive
-    altitude and within geometry.MAX_COORD_M, are checked once per scan. Keep
-    the names links and n_samples: the benchmark's tracer binds them to count draws.
+    links is the (M, 3) station array and uavs the (N, 3) stack of UAV
+    positions, each checked once per scan (_checked_uavs). Keep the names
+    links and n_samples: the benchmark's tracer binds them to count draws.
 
     Every position sees the same draws (common random numbers), made once per
     scan by _draws; a position only changes which LoS uniforms fall below its
@@ -437,8 +423,7 @@ def outage_scan(links, uavs, params: ChannelParams, n_samples: int, seed: int,
     """
     if n_samples < 1:
         raise InvalidInputError("n_samples must be >= 1")
-    sbs = as_stations(links)
-    uavs = [_as_uav(uav) for uav in uavs]
+    sbs, uavs = as_points(links), _checked_uavs(uavs)
     m = len(sbs)
     theta_jx, theta_jy, uniforms = _draws(params, m, n_samples, seed)
     rows = min(_DRAW_BLOCK, n_samples)
@@ -452,8 +437,8 @@ def outage_scan(links, uavs, params: ChannelParams, n_samples: int, seed: int,
         # altitude that share x share their x-factor table, and likewise y
         offsets_x, offsets_y = {}, {}
         for i, geom in zip(group, geoms):
-            offsets_x.setdefault(uavs[i][0], geom.offset_x)
-            offsets_y.setdefault(uavs[i][1], geom.offset_y)
+            offsets_x.setdefault(uavs[i, 0], geom.offset_x)
+            offsets_y.setdefault(uavs[i, 1], geom.offset_y)
         k = work.theta.shape[1]
         table_x = dict(zip(offsets_x, np.empty((len(offsets_x), rows, k), dtype=np.float32)))
         table_y = dict(zip(offsets_y, np.empty((len(offsets_y), rows, k), dtype=np.float32)))
@@ -469,27 +454,27 @@ def outage_scan(links, uavs, params: ChannelParams, n_samples: int, seed: int,
                 np.less(drawn, geom.p_los, out=flags)
                 alpha.fill(params.nlos_extra_loss)
                 np.copyto(alpha, 1.0, where=flags)
-                sinr, _ = _sinr_matrix(geom, params, table_x[uavs[i][0]][:s],
-                                       table_y[uavs[i][1]][:s], alpha, work)
+                sinr, _ = _sinr_matrix(geom, params, table_x[uavs[i, 0]][:s],
+                                       table_y[uavs[i, 1]][:s], alpha, work)
                 np.less(sinr, params.sinr_threshold, out=flags)
                 failures[i] += np.count_nonzero(flags, axis=0)
         if progress is not None:
             for _ in group:
                 done += 1
                 progress(done, len(uavs))
-    return [OutageEstimate(f / n_samples) for f in failures]
+    return failures / n_samples
 
 
 def outage_probability(links, uav: Vec3, params: ChannelParams,
-                       n_samples: int, seed: int) -> OutageEstimate:
-    """Monte-Carlo outage per link at one position: fraction of draws with SINR below threshold.
+                       n_samples: int, seed: int) -> np.ndarray:
+    """Monte-Carlo outage per link at one position, (M,): the share of draws below threshold.
 
-    The one-position case of outage_scan; see there for the draws and for
-    links. The tracer binds links and n_samples by name here too.
+    The one-position case of outage_scan, its one row; see there for the
+    draws and for links. The tracer binds links and n_samples by name here too.
     """
     return outage_scan(links, (uav,), params, n_samples, seed)[0]
 
 
-def max_outage(estimate: OutageEstimate) -> float:
-    """Largest per-link outage probability; an estimate covers M >= 1 links."""
-    return float(estimate.per_link_outage.max())
+def max_outage(estimate: np.ndarray) -> float:
+    """Largest entry of an (M,) per-link outage array, M >= 1."""
+    return float(estimate.max())

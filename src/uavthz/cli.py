@@ -173,7 +173,7 @@ def load_checkpoint(ck_dir: Path, cfg: RunConfig, seed: int) -> td3.Td3Agent:
 
 def cmd_train(cfg: RunConfig, env: Environment, args) -> dict:
     agent = td3.Td3Agent.create(cfg.hyperparams(), args.seed)
-    agent, logs = td3.train(env, agent)
+    logs = td3.train(env, agent)
     avg = moving_average([lg.reward for lg in logs], 40)
     write_csv(args.out_dir / "rewards.csv", args.seed,
               ("episode", "reward", "moving_avg_40", "mean_max_outage"),
@@ -190,22 +190,21 @@ def write_sbs_layout(out_dir: Path, env: Environment, seed: int) -> None:
 
 def cmd_eval(cfg: RunConfig, env: Environment, args) -> dict:
     agent = load_checkpoint(args.checkpoint, cfg, args.seed)
-    trace = td3.greedy_rollout(env, agent, cfg.steps_per_episode)
+    times, positions = td3.greedy_rollout(env, agent, cfg.steps_per_episode)
     # The rollout only moves the UAV; every visited position is scored here,
     # at evaluation-grade sample counts in one scan with one shared seed, so
     # along-trajectory comparisons share their randomness.
     rescore_seed = args.seed + 1
-    estimates = channel.outage_scan(env.topology.sbs_list, [pt.position for pt in trace],
-                                    env.params, cfg.mc_samples_eval, rescore_seed)
-    rows = [(pt.step, pt.time, pt.position[0], pt.position[1], pt.position[2],
-             channel.max_outage(est), *est.per_link_outage)
-            for pt, est in zip(trace, estimates)]
+    outages = channel.outage_scan(env.topology.sbs_list, positions, env.params,
+                                  cfg.mc_samples_eval, rescore_seed)
+    rows = [(k, t, *position, channel.max_outage(outage), *outage)
+            for k, (t, position, outage) in enumerate(zip(times, positions, outages))]
     header = ("step", "t", "x", "y", "z", "max_outage",
               *(f"outage_{i + 1}" for i in range(len(env.topology.sbs_list))))
     write_csv(args.out_dir / "trajectory.csv", args.seed, header, rows,
               mc_samples=cfg.mc_samples_eval, rescore_seed=rescore_seed)
     write_sbs_layout(args.out_dir, env, args.seed)
-    flight_time = trace[-1].time
+    flight_time = float(times[-1])
     best = min(rows, key=lambda row: row[5])  # the first step at the lowest max outage
     return {
         "episode_time_s": flight_time,
@@ -273,7 +272,7 @@ def cmd_linkbudget(cfg: RunConfig, uav_xyz: str, sbs_list: list[str]) -> int:
         except InvalidInputError as exc:
             raise ConfigError(f"link {i + 1}: {exc}") from exc
     try:
-        sample = channel.instantaneous_sinr(sbs, uav, (0.0, 0.0), params)
+        link_sinrs, interference_w = channel.instantaneous_sinr(sbs, uav, (0.0, 0.0), params)
     except GeometryDegenerateError as exc:
         raise ConfigError(f"degenerate geometry: {exc}") from exc
     gain_db = _db(normalization_constant(params.sbs_array)
@@ -289,7 +288,7 @@ def cmd_linkbudget(cfg: RunConfig, uav_xyz: str, sbs_list: list[str]) -> int:
     columns = zip(length, np.degrees(elev), channel.los_probability(params, elev),
                   _db(channel.free_space_term(params, length)),
                   _db(channel.path_loss(params, length)),
-                  _db(sample.per_link_interference_w * 1e3), sample.per_link_sinr)
+                  _db(interference_w * 1e3), link_sinrs)
     for i, (length_m, elev_deg, p_los, free_db, loss_db, intf_dbm, sinr) in enumerate(columns):
         verdict = "pass" if sinr >= params.sinr_threshold else "FAIL"
         print(f"{i + 1:>4} {length_m:>10.3f} {elev_deg:>9.3f} {p_los:>7.4f} "

@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from uavthz import channel
-from uavthz.channel import ChannelParams, OutageEstimate
+from uavthz.channel import ChannelParams
 from uavthz.errors import InvalidInputError, require
-from uavthz.geometry import MAX_COORD_M, KinematicLimits, Vec3, as_stations, as_vec3
+from uavthz.geometry import MAX_COORD_M, KinematicLimits, Vec3, as_points, as_vec3
 
 
 @dataclass
@@ -37,7 +37,7 @@ class Topology:
     sbs_list: np.ndarray
 
     def __post_init__(self):
-        self.sbs_list = as_stations(self.sbs_list)
+        self.sbs_list = as_points(self.sbs_list)
 
 
 @dataclass
@@ -49,9 +49,11 @@ class EnvState:
 
 @dataclass
 class StepResult:
+    """The state after a step, its reward, the (M,) per-link outage and the flight time (s)."""
+
     next_state: EnvState
     reward: float
-    outage: OutageEstimate
+    outage: np.ndarray
     elapsed: float
 
 
@@ -129,7 +131,7 @@ class Environment:
 
     # -- MDP surface -----------------------------------------------------------
 
-    def reset(self, seed: int) -> tuple[EnvState, Topology]:
+    def reset(self, seed: int) -> None:
         """Draw the topology from [seed, 0] and place the UAV at the start point.
 
         The per-step Monte-Carlo seeds come from [seed, 1], so a reset with
@@ -137,7 +139,7 @@ class Environment:
         """
         self.topology = self._draw_topology(np.random.default_rng([seed, 0]))
         self._step_seed_rng = np.random.default_rng([seed, 1])
-        return self.restart_episode(), self.topology
+        self.restart_episode()
 
     def restart_episode(self) -> EnvState:
         """Return the UAV to the start point, the centre of the flight box.
@@ -188,8 +190,8 @@ class Environment:
         reward = outage_to_reward(channel.max_outage(outage), self.config.reward_floor)
         return StepResult(EnvState(position), reward, outage, elapsed)
 
-    def outage_at(self, position, n_samples: int, seed: int) -> OutageEstimate:
-        """Score an arbitrary position against the current topology (pure helper)."""
+    def outage_at(self, position, n_samples: int, seed: int) -> np.ndarray:
+        """The (M,) per-link outage at any position on the current topology (pure helper)."""
         if self.topology is None:
             raise InvalidInputError("environment not reset")
         return channel.outage_probability(self.topology.sbs_list, position, self.params,

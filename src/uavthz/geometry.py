@@ -1,11 +1,12 @@
 """Kinematic envelope of the UAV and angular geometry between the UAV and ground stations.
 
-Positions are plain numpy arrays of shape (3,) in meters; the positions of
-M ground stations stack into an (M, 3) array. A position is checked once,
-where it enters the program (as_vec3, as_stations): finite coordinates of at
-most MAX_COORD_M in magnitude. The link functions take a checked (3,) UAV
-with positive altitude and checked (M, 3) stations, and check nothing. All
-functions here are pure and safe to call concurrently.
+Positions are plain numpy arrays of shape (3,) in meters; N of them (the
+ground stations, or the UAV positions of a scan) stack into an (N, 3) array.
+A position is checked once, where it enters the program (as_vec3, as_points):
+numbers, finite and at most MAX_COORD_M in magnitude, else InvalidInputError.
+The link functions take a checked (3,) UAV with positive altitude and checked
+(M, 3) stations, and check nothing. All functions here are pure and safe to
+call concurrently.
 """
 
 from dataclasses import dataclass
@@ -30,9 +31,16 @@ def _within_bound(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _as_float_array(v) -> np.ndarray:
+    try:
+        return np.asarray(v, dtype=float)
+    except (TypeError, ValueError) as exc:  # ragged or non-numeric input
+        raise InvalidInputError(f"position coordinates must be numbers: {exc}") from exc
+
+
 def as_vec3(v) -> Vec3:
     """Coerce to a (3,) float array of finite coordinates within MAX_COORD_M."""
-    a = np.asarray(v, dtype=float)
+    a = _as_float_array(v)
     if a.shape != (3,):
         raise InvalidInputError(f"expected a 3-vector, got shape {a.shape}")
     return _within_bound(a)
@@ -43,11 +51,11 @@ def vec3(x: float, y: float, z: float) -> Vec3:
     return as_vec3((x, y, z))
 
 
-def as_stations(v) -> np.ndarray:
-    """Coerce to an (M, 3) float array of M >= 1 station positions, checked like as_vec3."""
-    a = np.asarray(v, dtype=float)
+def as_points(v) -> np.ndarray:
+    """Coerce to an (N, 3) float array of N >= 1 positions, each checked like as_vec3."""
+    a = _as_float_array(v)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] != 3:
-        raise InvalidInputError(f"expected (M, 3) station positions, M >= 1, got shape {a.shape}")
+        raise InvalidInputError(f"expected (N, 3) positions, N >= 1, got shape {a.shape}")
     return _within_bound(a)
 
 

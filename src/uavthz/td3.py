@@ -309,14 +309,15 @@ class EpisodeLog:
     mean_max_outage: float
 
 
-def train(env: Environment, agent: Td3Agent):
+def train(env: Environment, agent: Td3Agent) -> list[EpisodeLog]:
     """Run the training loop of agent.hp on the environment's current topology.
 
     Every episode restarts the UAV at the environment's start point and runs
     steps_per_episode steps; the topology carries across episodes. The first
     warmup_steps actions are random draws from the action ball, after which
     every step performs one critic update and every policy_delay-th update
-    also moves the actor and the targets.
+    also moves the actor and the targets. The agent is trained in place;
+    the result is one log per episode.
     """
     hp = agent.hp
     scale = env.config.limits.action_scale
@@ -341,30 +342,24 @@ def train(env: Environment, agent: Td3Agent):
             if len(agent.buffer) > hp.batch_size:
                 update(agent, agent.buffer.sample(hp.batch_size))
         logs.append(EpisodeLog(ep, ep_reward, ep_outage / hp.steps_per_episode))
-    return agent, logs
+    return logs
 
 
-@dataclass
-class RolloutPoint:
-    step: int
-    time: float
-    position: np.ndarray
-
-
-def greedy_rollout(env: Environment, agent: Td3Agent, max_steps: int):
+def greedy_rollout(env: Environment, agent: Td3Agent,
+                   max_steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Noise-free policy rollout from the environment's current state.
 
-    Emits the starting point (step 0) followed by one point per move with
-    cumulative flight time. The UAV only moves: no position is scored and no
-    Monte-Carlo seed is drawn, so the caller scores the visited positions.
+    Returns (times, positions), (max_steps + 1,) and (max_steps + 1, 3):
+    the UAV after k moves and its cumulative flight time, from the start at
+    time 0. The UAV only moves: no position is scored and no Monte-Carlo
+    seed is drawn, so the caller scores the positions in one outage_scan.
     """
     scale = env.config.limits.action_scale
-    position = env.state.uav_position
-    trace = [RolloutPoint(0, 0.0, position)]
-    t = 0.0
+    times = np.zeros(max_steps + 1)
+    positions = np.empty((max_steps + 1, 3))
+    positions[0] = env.state.uav_position
     for k in range(1, max_steps + 1):
-        action = select_action(agent, norm_state(env.config, position), explore=False)
-        position, elapsed = env.move(action * scale)
-        t += elapsed
-        trace.append(RolloutPoint(k, t, position))
-    return trace
+        action = select_action(agent, norm_state(env.config, positions[k - 1]), explore=False)
+        positions[k], elapsed = env.move(action * scale)
+        times[k] = times[k - 1] + elapsed
+    return times, positions

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -90,6 +91,25 @@ class TestGridSearch:
         assert np.array_equal(rows[0][0], (0.0, 0.0, 12.0))
         assert np.array_equal(rows[-1][0], (90.0, 40.0, 57.0))
 
+    def test_lattice_points_equal_the_product_of_the_axes(self):
+        # the lattice, bit for bit and in order, is itertools.product of the
+        # three linspace axes: x slowest, z fastest
+        env = scenario(9)
+        env = Environment(replace(env.config, area_x=97.3, area_y=41.9,
+                                  limits=replace(LIMITS, h_min=12.7, h_max=57.1)), env.params)
+        env.reset(9)
+        spec = cheap_spec(x_steps=7, y_steps=3, z_steps=4, mc_samples=50)
+        lo, hi = env.config.box
+        axes = [np.linspace(a, b, n) for a, b, n in zip(lo, hi, (7, 3, 4))]
+        want = [np.array([float(x), float(y), float(z)]) for x, y, z in itertools.product(*axes)]
+        rows = list(baseline.scan_grid(env, spec))
+        assert len(rows) == len(want) == 7 * 3 * 4
+        outages = channel.outage_scan(env.topology.sbs_list, want, env.params,
+                                      spec.mc_samples, spec.seed)
+        for (pos, val), point, outage in zip(rows, want, outages):
+            assert pos.shape == (3,) and pos.dtype == np.float64
+            assert np.array_equal(pos, point) and val == channel.max_outage(outage)
+
     def test_step_count_validation(self):
         with pytest.raises(InvalidInputError):
             replace(RunConfig().grid_spec(0), x_steps=0)
@@ -115,8 +135,9 @@ class TestStaticCenter:
             with pytest.raises(InvalidInputError):
                 Topology(stations)
 
-    @pytest.mark.parametrize("stations", [np.zeros(3), np.zeros((2, 2)), [(1.0, 2.0, np.inf)]],
-                             ids=["(3,)", "(M, 2)", "non-finite"])
+    @pytest.mark.parametrize("stations", [np.zeros(3), np.zeros((2, 2)), [(1.0, 2.0, np.inf)],
+                                          [(1.0, 2.0, 0.0), (3.0, 4.0)]],
+                             ids=["(3,)", "(M, 2)", "non-finite", "ragged"])
     def test_malformed_station_array_rejected(self, stations):
         with pytest.raises(InvalidInputError):
             Topology(stations)

@@ -8,7 +8,7 @@ import pytest
 
 from uavthz import antenna, channel, geometry
 from uavthz.antenna import ArrayAntennaConfig
-from uavthz.channel import ChannelParams, OutageEstimate
+from uavthz.channel import ChannelParams
 from uavthz.config import RunConfig
 from uavthz.environment import Environment
 from uavthz.errors import GeometryDegenerateError, InvalidInputError
@@ -32,6 +32,7 @@ BAD_STATION_ARRAYS = {
     "(M, 2)": np.array([(40.0, 40.0), (110.0, 95.0)]),
     "non-finite": station_positions((40, 40), (110, np.nan)),
     "beyond the bound": station_positions((40, 40), (110, 1e200)),
+    "ragged": [(40.0, 40.0, 0.0), (110.0, 95.0)],
 }
 BAD_UAVS = {
     "on the ground": ((75.0, 70.0, 0.0), GeometryDegenerateError),
@@ -39,6 +40,8 @@ BAD_UAVS = {
     "(2,)": ((75.0, 70.0), InvalidInputError),
     "non-finite": ((75.0, np.inf, 85.0), InvalidInputError),
     "beyond the bound": ((1e200, 70.0, 85.0), InvalidInputError),
+    "ragged": ((75.0, (70.0, 1.0), 85.0), InvalidInputError),
+    "non-numeric": (("75", "north", "85"), InvalidInputError),
 }
 
 
@@ -252,19 +255,20 @@ class TestInstantaneousSinr:
     def test_single_link_closed_form(self):
         p = make_params(vibration_std_rad=0.0)
         uav = vec3(50.0, 50.0, 80.0)
-        out = channel.instantaneous_sinr(station_positions((50.0, 50.0)), uav, (0.0, 0.0), p)
+        sinr, interference = channel.instantaneous_sinr(station_positions((50.0, 50.0)), uav,
+                                                        (0.0, 0.0), p)
         g0_u = antenna.normalization_constant(ArrayAntennaConfig(20, 0.5))
         g0_s = antenna.normalization_constant(ArrayAntennaConfig(10, 0.5))
         expected = 0.01 * channel.path_loss(p, 80.0) * g0_s * g0_u / p.noise_power_w
         # both UAV factors are exactly 1 at boresight: the gain is g0 in float32
-        assert out.per_link_sinr[0] == pytest.approx(expected, rel=EPS32)
-        assert out.per_link_interference_w[0] == 0.0
+        assert sinr[0] == pytest.approx(expected, rel=EPS32)
+        assert interference[0] == 0.0
 
     def test_colocated_symmetric_links(self):
         p = make_params()
         links = station_positions((40.0, 60.0), (40.0, 60.0))
-        out = channel.instantaneous_sinr(links, vec3(70.0, 75.0, 90.0), (0.0, 0.0), p)
-        assert out.per_link_sinr[0] == pytest.approx(out.per_link_sinr[1], rel=1e-12)
+        sinr, _ = channel.instantaneous_sinr(links, vec3(70.0, 75.0, 90.0), (0.0, 0.0), p)
+        assert sinr[0] == pytest.approx(sinr[1], rel=1e-12)
 
     def test_two_link_value_against_scalar_reimplementation(self):
         # independent scalar evaluation of the SINR formula, kept free of the
@@ -273,7 +277,7 @@ class TestInstantaneousSinr:
         uav = np.array([75.0, 70.0, 85.0])
         s1, s2 = np.array([40.0, 40.0, 0.0]), np.array([100.0, 55.0, 0.0])
         links = station_positions((40.0, 40.0), (100.0, 55.0))
-        out = channel.instantaneous_sinr(links, uav, (0.01, -0.02), p)
+        sinr, interference = channel.instantaneous_sinr(links, uav, (0.01, -0.02), p)
 
         lam = 3.0e8 / p.carrier_hz
         g0_u = antenna.normalization_constant(ArrayAntennaConfig(20, 0.5))
@@ -301,32 +305,31 @@ class TestInstantaneousSinr:
             signal_per_gain, interf_per_gain = 0.01 * hl2(me) * g0_s, 0.01 * hl2(other) * g0_s
             signal = signal_per_gain * uav_gain(jx, jy)
             interf = interf_per_gain * uav_gain(tx + jx, ty + jy)
-            assert abs(out.per_link_interference_w[k] - interf) <= interf_per_gain * dg
+            assert abs(interference[k] - interf) <= interf_per_gain * dg
             noise = p.noise_power_w
             low = (signal - signal_per_gain * dg) / (interf + interf_per_gain * dg + noise)
             high = (signal + signal_per_gain * dg) / (max(interf - interf_per_gain * dg, 0) + noise)
-            assert low <= out.per_link_sinr[k] <= high
+            assert low <= sinr[k] <= high
 
     def test_interference_removal_never_hurts(self):
         p = make_params()
         uav = vec3(75.0, 75.0, 70.0)
         links = station_positions((40.0, 40.0), (48.0, 44.0), (110.0, 90.0))
-        full = channel.instantaneous_sinr(links, uav, (0.01, 0.02), p)
-        reduced = channel.instantaneous_sinr(links[:2], uav, (0.01, 0.02), p)
-        assert reduced.per_link_sinr[0] >= full.per_link_sinr[0]
-        assert reduced.per_link_sinr[1] >= full.per_link_sinr[1]
+        full, _ = channel.instantaneous_sinr(links, uav, (0.01, 0.02), p)
+        reduced, _ = channel.instantaneous_sinr(links[:2], uav, (0.01, 0.02), p)
+        assert np.all(reduced >= full[:2])
 
     def test_nlos_draws_attenuate_signal(self):
         # one link, no jitter: a threshold between the LoS SINR and
         # nlos_extra_loss times it fails exactly the NLoS draws
         links, uav = station_positions((50, 50)), vec3(50.0, 50.0, 80.0)
         p = make_params(vibration_std_rad=0.0, los_b=0.0)
-        los_sinr = channel.instantaneous_sinr(links, uav, (0, 0), p).per_link_sinr[0]
+        los_sinr = channel.instantaneous_sinr(links, uav, (0, 0), p)[0][0]
         threshold = np.sqrt(p.nlos_extra_loss) * los_sinr
         for los_alpha, outage in ((0.0, 0.0), (1e300, 1.0)):  # LoS certain, then never
             q = replace(p, los_alpha=los_alpha, sinr_threshold=threshold)
             est = channel.outage_probability(links, uav, q, 300, 4)
-            assert est.per_link_outage[0] == outage
+            assert est[0] == outage
 
     @pytest.mark.parametrize("links", BAD_STATION_ARRAYS.values(), ids=BAD_STATION_ARRAYS)
     def test_rejects_a_bad_station_array(self, links):
@@ -344,19 +347,19 @@ class TestOutageProbability:
         # sigma=0 and certain LoS make the Monte-Carlo degenerate
         p = make_params(vibration_std_rad=0.0, los_alpha=0.0)
         est = channel.outage_probability(station_positions((50, 50)), vec3(50, 50, 80), p, 400, 7)
-        assert est.per_link_outage[0] == 0.0
+        assert est[0] == 0.0
 
     def test_deterministic_full_outage(self):
         p = make_params(vibration_std_rad=0.0, los_alpha=0.0, noise_power_w=1.0)
         est = channel.outage_probability(station_positions((50, 50)), vec3(50, 50, 80), p, 400, 7)
-        assert est.per_link_outage[0] == 1.0
+        assert est[0] == 1.0
 
     def test_same_seed_bit_identical(self):
         p = make_params()
         links = station_positions((40, 40), (48, 44))
         a = channel.outage_probability(links, vec3(70, 70, 70), p, 3000, 123)
         b = channel.outage_probability(links, vec3(70, 70, 70), p, 3000, 123)
-        assert np.array_equal(a.per_link_outage, b.per_link_outage)
+        assert np.array_equal(a, b)
 
     def test_independent_seeds_within_binomial_bound(self):
         p = make_params()
@@ -364,7 +367,7 @@ class TestOutageProbability:
         n = 100_000
         a = channel.outage_probability(links, vec3(75, 75, 80), p, n, 1)
         b = channel.outage_probability(links, vec3(75, 75, 80), p, n, 2)
-        for pa, pb in zip(a.per_link_outage, b.per_link_outage):
+        for pa, pb in zip(a, b):
             bound = 3 * np.sqrt(max(pa * (1 - pa), 1e-9) / n) * 2
             assert abs(pa - pb) <= bound
 
@@ -378,7 +381,7 @@ class TestOutageProbability:
         monkeypatch.setattr(channel, "_DRAW_BLOCK", max(sizes))
         for s, got in zip(sizes, blocked):
             want = channel.outage_probability(links, uav, p, s, 9)
-            assert np.array_equal(got.per_link_outage, want.per_link_outage)
+            assert np.array_equal(got, want)
         assert 0.0 < channel.max_outage(blocked[-1]) < 1.0
 
     def test_threshold_monotonicity(self):
@@ -386,7 +389,7 @@ class TestOutageProbability:
         uav = vec3(70, 70, 75)
         low = channel.outage_probability(links, uav, make_params(sinr_threshold=1.0), 2000, 5)
         high = channel.outage_probability(links, uav, make_params(sinr_threshold=10.0), 2000, 5)
-        assert np.all(high.per_link_outage >= low.per_link_outage)
+        assert np.all(high >= low)
 
     def test_rejects_zero_samples(self):
         with pytest.raises(InvalidInputError):
@@ -428,7 +431,8 @@ def check_scan_against_oracle(positions, los, spacing, n):
     """Scans of the first 1, 2 and all positions equal each position scanned alone, bit for bit.
 
     And they equal the per-position oracle calls: at these sample counts the
-    stated tolerance lets no verdict differ.
+    stated tolerance lets no verdict differ. Each scan takes the positions
+    once as a list of (3,) arrays and once as one (k, 3) array.
     """
     block = channel._DRAW_BLOCK
     n = {"B-1": block - 1, "B+1": block + 1, "2B+7": 2 * block + 7}.get(n, n)
@@ -437,14 +441,15 @@ def check_scan_against_oracle(positions, los, spacing, n):
                     **LOS_REGIMES[los])
     positions = [vec3(*uav) for uav in positions]
     want = [oracle_outage(links, uav, p, n, 23) for uav in positions]
-    alone = [channel.outage_probability(links, uav, p, n, 23).per_link_outage
+    alone = [channel.outage_probability(links, uav, p, n, 23)
              for uav in positions]
     for k in (1, 2, len(positions)):
-        got = channel.outage_scan(links, positions[:k], p, n, 23)
-        assert len(got) == k
-        for est, single, ref in zip(got, alone, want):
-            assert np.array_equal(est.per_link_outage, single)
-            assert np.array_equal(est.per_link_outage, ref)
+        for uavs in (positions[:k], np.array(positions[:k])):
+            got = channel.outage_scan(links, uavs, p, n, 23)
+            assert got.shape == (k, len(links)) and got.dtype == np.float64
+            for est, single, ref in zip(got, alone, want):
+                assert np.array_equal(est, single)
+                assert np.array_equal(est, ref)
 
 
 class TestKernelMatchesReference:
@@ -523,7 +528,7 @@ class TestKernelMatchesReference:
         p = make_params(spacing_over_lambda=spacing, vibration_std_rad=np.deg2rad(4.0),
                         **LOS_REGIMES[los])
         n = 2 * channel._DRAW_BLOCK + 7
-        got = channel.outage_probability(links, vec3(*uav), p, n, 17).per_link_outage
+        got = channel.outage_probability(links, vec3(*uav), p, n, 17)
         want = oracle_outage(links, vec3(*uav), p, n, 17)
         assert np.array_equal(got, want)
 
@@ -544,7 +549,8 @@ class TestKernelMatchesReference:
 
     def test_altitude_groups_split_above_the_table_limit(self, monkeypatch):
         monkeypatch.setattr(channel, "_MAX_RATIO_TABLES", 5)
-        uavs = [vec3(x, y, z) for z in (80, 60) for x in (10, 20, 30) for y in (1, 2)]
+        uavs = np.array([(x, y, z) for z in (80, 60) for x in (10, 20, 30) for y in (1, 2)],
+                        dtype=float)
         # at z = 80 (indices 0-5): x = 10, 20 and y = 1, 2 fill four tables,
         # x = 30 makes five; the z = 60 positions form the next group
         assert list(channel._altitude_groups(uavs)) == [[0, 1, 2, 3, 4, 5],
@@ -555,7 +561,7 @@ class TestKernelMatchesReference:
         p = make_params()
         links = station_positions((12, 30), (40, 44), (110, 95))
         for est, uav in zip(channel.outage_scan(links, uavs, p, 300, 5), uavs):
-            assert np.array_equal(est.per_link_outage, oracle_outage(links, uav, p, 300, 5))
+            assert np.array_equal(est, oracle_outage(links, uav, p, 300, 5))
 
     def test_progress_reports_each_position_as_its_group_completes(self):
         links = station_positions((12, 30), (110, 95))
@@ -591,9 +597,9 @@ class TestKernelMatchesReference:
         p, links = make_params(), station_positions((40, 40), (110, 95), (75, 140))
         channel.outage_scan(links, [vec3(70, 60, 50), vec3(70, 80, 50), vec3(90, 60, 75)], p,
                             channel._DRAW_BLOCK + 7, 0)
-        out = channel.instantaneous_sinr(links, vec3(75, 70, 85), (0.01, -0.02), p)
+        sinr, interference = channel.instantaneous_sinr(links, vec3(75, 70, 85), (0.01, -0.02), p)
         assert seen == {(np.dtype(np.float32),) * 3}
-        assert out.per_link_sinr.dtype == out.per_link_interference_w.dtype == np.float64
+        assert sinr.dtype == interference.dtype == np.float64
 
     def test_scan_looks_up_each_g0_once(self, monkeypatch):
         # one lookup per array, however many positions and blocks of draws
@@ -634,7 +640,7 @@ def plain_reference(geometry, spacing, n_samples=200_000):
         est = channel.outage_probability(
             links, vec3(*uav), make_params(spacing_over_lambda=spacing, **BIAS_LOS),
             n_samples, 99)
-    return links, vec3(*uav), est.per_link_outage
+    return links, vec3(*uav), est
 
 
 def box_muller_inverse(theta_x, theta_y, sigma):
@@ -649,7 +655,7 @@ class TestVarianceReducedDraws:
     def test_mean_over_seeds_matches_plain_monte_carlo(self, geometry, spacing):
         links, uav, ref = plain_reference(geometry, spacing)
         p = make_params(spacing_over_lambda=spacing, **BIAS_LOS)
-        est = np.array([channel.outage_probability(links, uav, p, 500, seed).per_link_outage
+        est = np.array([channel.outage_probability(links, uav, p, 500, seed)
                         for seed in range(50)])
         se_mean = est.std(axis=0, ddof=1) / np.sqrt(len(est))
         se_ref = np.sqrt(ref * (1 - ref) / 200_000)
@@ -724,10 +730,10 @@ class TestFloat32Verdicts:
 
         monkeypatch.setattr(channel, "_sinr_matrix", recording)
         for scenario in range(3):
-            state, topology = env.reset(scenario)
-            links = topology.sbs_list
+            env.reset(scenario)
+            links = env.topology.sbs_list
             rng = np.random.default_rng(scenario)
-            positions = [state.uav_position] + [
+            positions = [env.state.uav_position] + [
                 vec3(rng.uniform(0, env.config.area_x), rng.uniform(0, env.config.area_y),
                      rng.uniform(lim.h_min, lim.h_max))]
             for k, uav in enumerate(positions):
@@ -735,7 +741,7 @@ class TestFloat32Verdicts:
                 verdicts.clear()
                 est = channel.outage_probability(links, uav, p, n, seed)
                 got = np.concatenate(verdicts)
-                assert np.array_equal(est.per_link_outage, got.sum(axis=0) / n)
+                assert np.array_equal(est, got.sum(axis=0) / n)
                 ref = oracle_precompute(links, uav, p)
                 theta_jx, theta_jy, uniforms = channel._draws(p, len(links), n, seed)
                 alpha = np.where(uniforms < ref[3], 1.0, p.nlos_extra_loss)
@@ -801,10 +807,10 @@ class TestScanMemory:
 
 class TestMaxOutage:
     def test_picks_maximum(self):
-        assert channel.max_outage(OutageEstimate(np.array([0.1, 0.5, 0.2]))) == 0.5
+        assert channel.max_outage(np.array([0.1, 0.5, 0.2])) == 0.5
 
     def test_single_link(self):
-        assert channel.max_outage(OutageEstimate(np.array([0.3]))) == 0.3
+        assert channel.max_outage(np.array([0.3])) == 0.3
 
     def test_all_equal(self):
-        assert channel.max_outage(OutageEstimate(np.array([0.25, 0.25]))) == 0.25
+        assert channel.max_outage(np.array([0.25, 0.25])) == 0.25

@@ -417,10 +417,9 @@ def test_linkbudget_two_station_interference(tmp_path, capsys):
     printed = linkbudget_interference_dbm(capsys, config, *stations)
     params = load_config(config).channel_params()
     sbs = np.array([(x, y, 0.0) for x, y in stations])
-    sample = channel.instantaneous_sinr(sbs, geometry.vec3(75.0, 75.0, 80.0), (0.0, 0.0),
-                                        params)
-    expected = [float(f"{10 * np.log10(watts * 1e3):.2f}")
-                for watts in sample.per_link_interference_w]
+    _, interference_w = channel.instantaneous_sinr(sbs, geometry.vec3(75.0, 75.0, 80.0),
+                                                   (0.0, 0.0), params)
+    expected = [float(f"{10 * np.log10(watts * 1e3):.2f}") for watts in interference_w]
     assert printed == expected
     assert all(-230.0 < v < -210.0 for v in printed)
 

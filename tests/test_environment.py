@@ -21,34 +21,34 @@ def small_env(uav_n_side=4, sbs_n_side=2, **kw) -> Environment:
 class TestReset:
     def test_fixed_seed_reproduces_topology(self):
         a, b = small_env(), small_env()
-        _, ta = a.reset(7)
-        _, tb = b.reset(7)
-        assert np.array_equal(ta.sbs_list, tb.sbs_list)
+        a.reset(7)
+        b.reset(7)
+        assert np.array_equal(a.topology.sbs_list, b.topology.sbs_list)
 
     def test_station_count_pinned_range(self):
         env = small_env(m_s_min=4, m_s_max=4)
         for seed in range(12):
-            _, topo = env.reset(seed)
-            assert len(topo.sbs_list) == 4
+            env.reset(seed)
+            assert len(env.topology.sbs_list) == 4
 
     def test_first_call_starts_at_area_center(self):
         env = small_env()
-        state, _ = env.reset(0)
-        assert np.allclose(state.uav_position, (75.0, 75.0, 80.0))
+        assert env.reset(0) is None
+        assert np.allclose(env.state.uav_position, (75.0, 75.0, 80.0))
 
     def test_every_reset_starts_at_area_center(self):
         env = small_env()
         env.reset(0)
         env.step(vec3(4.0, -3.0, 2.0))
-        state, _ = env.reset(1)
-        assert np.array_equal(state.uav_position, vec3(75.0, 75.0, 80.0))
+        env.reset(1)
+        assert np.array_equal(env.state.uav_position, vec3(75.0, 75.0, 80.0))
 
     def test_uniform_placement_statistics(self):
         env = small_env()
         xs = []
         for seed in range(400):
-            _, topo = env.reset(seed)
-            xs.extend(topo.sbs_list[:, 0])
+            env.reset(seed)
+            xs.extend(env.topology.sbs_list[:, 0])
         xs = np.array(xs)
         # mean of U(0,150) is 75 with sigma = 150/sqrt(12)
         bound = 3 * (150 / np.sqrt(12)) / np.sqrt(len(xs))
@@ -56,9 +56,11 @@ class TestReset:
 
     def test_each_reset_draws_its_seeds_topology(self):
         env = small_env(m_s_min=3, m_s_max=3)
-        first = env.reset(0)[1].sbs_list
-        other = env.reset(99)[1].sbs_list
-        again = env.reset(0)[1].sbs_list
+        stations = []
+        for seed in (0, 99, 0):
+            env.reset(seed)
+            stations.append(env.topology.sbs_list)
+        first, other, again = stations
         assert np.array_equal(first, again) and not np.array_equal(first, other)
 
 
@@ -113,7 +115,7 @@ class TestStep:
             env = small_env()
             env.reset(11)
             rows = [env.step(a) for a in actions]
-            outs.append([(r.reward, tuple(r.outage.per_link_outage)) for r in rows])
+            outs.append([(r.reward, tuple(r.outage)) for r in rows])
         assert outs[0] == outs[1]
 
     @given(st.lists(st.tuples(st.floats(-12, 12), st.floats(-12, 12), st.floats(-12, 12)),
@@ -168,9 +170,9 @@ class TestMove:
         first_step = stepped.step(vec3(3.0, -4.0, 2.0))
         assert np.array_equal(after_move.next_state.uav_position,
                               first_step.next_state.uav_position)
-        outage = first_step.outage.per_link_outage
-        assert np.all((0.0 < outage) & (outage < 1.0))
-        assert np.array_equal(after_move.outage.per_link_outage, outage)
+        outage = first_step.outage
+        assert outage.shape == (3,) and np.all((0.0 < outage) & (outage < 1.0))
+        assert np.array_equal(after_move.outage, outage)
 
     def test_move_needs_a_reset(self):
         with pytest.raises(InvalidInputError):
@@ -202,7 +204,8 @@ class TestReward:
 class TestRestartEpisode:
     def test_returns_to_the_start_point(self):
         env = small_env()
-        start, topo = env.reset(0)
+        env.reset(0)
+        start, topo = env.state, env.topology
         env.step(vec3(5, 5, 5))
         env.step(vec3(5, -5, 5))
         back = env.restart_episode()

@@ -32,12 +32,12 @@ class TestPositions:
         with pytest.raises(InvalidInputError, match="position"):
             geometry.vec3(0, 0, bad)
         with pytest.raises(InvalidInputError, match="position"):
-            geometry.as_stations([(0, 0, 0), (1, bad, 0)])
+            geometry.as_points([(0, 0, 0), (1, bad, 0)])
 
     def test_accepts_the_bound(self):
         edge = geometry.MAX_COORD_M
         assert np.array_equal(geometry.as_vec3((-edge, edge, 1)), [-edge, edge, 1])
-        assert geometry.as_stations([(edge, -edge, 0)]).shape == (1, 3)
+        assert geometry.as_points([(edge, -edge, 0)]).shape == (1, 3)
 
     @pytest.mark.parametrize("bad", [np.zeros(2), np.zeros((1, 3)), np.zeros((2, 3, 3))])
     def test_vec3_rejects_bad_shape(self, bad):
@@ -48,11 +48,24 @@ class TestPositions:
                                      np.empty((0, 3))])
     def test_stations_reject_bad_shape(self, bad):
         with pytest.raises(InvalidInputError):
-            geometry.as_stations(bad)
+            geometry.as_points(bad)
 
     def test_stations_coerce_a_list(self):
-        got = geometry.as_stations([(1, 2, 0), (3, 4, 0)])
+        got = geometry.as_points([(1, 2, 0), (3, 4, 0)])
         assert got.dtype == float and np.array_equal(got, [[1, 2, 0], [3, 4, 0]])
+
+    @pytest.mark.parametrize("bad", [[1, (2, 3), 4], ["1", "two", "3"], [1, None, {}]],
+                             ids=["ragged", "non-numeric", "a dict"])
+    def test_vec3_rejects_ragged_or_non_numeric_input(self, bad):
+        with pytest.raises(InvalidInputError, match="position"):
+            geometry.as_vec3(bad)
+
+    @pytest.mark.parametrize("bad", [[(1, 2, 3), (1, 2)], [(1, 2, 3), ("x", 2, 3)],
+                                     [(1, 2, 3), (1, 2, object())]],
+                             ids=["ragged", "non-numeric", "an object"])
+    def test_points_reject_ragged_or_non_numeric_input(self, bad):
+        with pytest.raises(InvalidInputError, match="position"):
+            geometry.as_points(bad)
 
 
 class TestSpatialAngles:

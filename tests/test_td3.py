@@ -360,7 +360,8 @@ class TestTrainLoop:
 
         env.step = recording
         hp = tiny_hp()
-        agent, _ = td3.train(env, Td3Agent.create(hp, 25))
+        agent = Td3Agent.create(hp, 25)
+        td3.train(env, agent)
         lo, hi = env.config.box
         after = np.reshape(visited, (hp.episodes, hp.steps_per_episode, 3))
         assert np.any((after == lo) | (after == hi))
@@ -388,7 +389,7 @@ class TestTrainLoop:
         for _ in range(2):
             env = self._env()
             agent = Td3Agent.create(tiny_hp(), 22)
-            _, logs = td3.train(env, agent)
+            logs = td3.train(env, agent)
             series.append([lg.reward for lg in logs])
         assert series[0] == series[1]
 
@@ -396,7 +397,8 @@ class TestTrainLoop:
         # the loop moves the UAV by action_scale times an action and stores
         # the unit-ball action itself
         env = self._env()
-        agent, _ = td3.train(env, make_agent(24, exploration_noise_std=td3.MAX_NOISE))
+        agent = make_agent(24, exploration_noise_std=td3.MAX_NOISE)
+        td3.train(env, agent)
         norms = np.linalg.norm(as64(agent.buffer._actions[:len(agent.buffer)]), axis=1)
         assert np.all(norms <= 1.0 + BALL_SLACK) and np.any(norms > 1.0 - BALL_SLACK)
 
@@ -404,7 +406,7 @@ class TestTrainLoop:
         env = self._env()
         hp = tiny_hp(episodes=5)
         agent = Td3Agent.create(hp, 23)
-        _, logs = td3.train(env, agent)
+        logs = td3.train(env, agent)
         assert [lg.episode for lg in logs] == list(range(5))
 
 
@@ -427,12 +429,13 @@ def test_every_agent_array_is_float32(monkeypatch):
     monkeypatch.setattr(neural, "adam_step", recorded(neural.adam_step, "grad"))
     env = small_env(mc_samples=40)
     env.reset(0)
-    agent, _ = td3.train(env, make_agent(29))
-    trace = td3.greedy_rollout(env, agent, 2)
+    agent = make_agent(29)
+    td3.train(env, agent)
+    times, positions = td3.greedy_rollout(env, agent, 2)
     assert {name for _, name, _ in seen} == {"x", "output_grad", "grad", "result"}
     assert {dtype for *_, dtype in seen} == {np.dtype(F32)}
-    state = td3.norm_state(env.config, trace[-1].position)
-    assert trace[-1].position.dtype == np.float64 and state.dtype == F32
+    state = td3.norm_state(env.config, positions[-1])
+    assert times.dtype == positions.dtype == np.float64 and state.dtype == F32
     arrays = [td3.select_action(agent, state, explore=True), td3.random_action(agent)]
     for net in agent.nets().values():
         arrays.append(net.params)
@@ -472,10 +475,12 @@ class TestGreedyRollout:
             w[:] = 0.0
         for b in agent.actor.biases:
             b[:] = 0.0
-        trace = td3.greedy_rollout(env, agent, 5)
-        assert len(trace) == 6
-        for pt in trace:
-            assert np.array_equal(pt.position, trace[0].position)
+        times, positions = td3.greedy_rollout(env, agent, 5)
+        assert times.shape == (6,) and positions.shape == (6, 3)
+        assert np.array_equal(positions, np.broadcast_to(positions[0], (6, 3)))
+        lo, hi = env.config.box
+        assert np.array_equal(positions[0], 0.5 * (lo + hi))
+        assert not times.any()
 
     def test_rollout_moves_by_the_action_scale(self):
         env = small_env(mc_samples=30)
@@ -484,9 +489,11 @@ class TestGreedyRollout:
         for w in agent.actor.weights:
             w[:] = 0.0
         agent.actor.biases[-1][:] = np.arctanh([0.3, 0.0, -0.4])
-        trace = td3.greedy_rollout(env, agent, 1)
+        times, positions = td3.greedy_rollout(env, agent, 1)
         scale = env.config.limits.action_scale
-        assert np.allclose(trace[1].position - trace[0].position, [0.3 * scale, 0.0, -0.4 * scale])
+        assert np.allclose(positions[1] - positions[0], [0.3 * scale, 0.0, -0.4 * scale])
+        assert times[1] == pytest.approx(0.5 * scale / env.config.limits.v_max)
+        assert np.array_equal(env.state.uav_position, positions[-1])
 
     def test_rollout_deterministic(self):
         traces = []
@@ -494,17 +501,17 @@ class TestGreedyRollout:
             env = small_env(mc_samples=30)
             env.reset(2)
             agent = make_agent(25)
-            trace = td3.greedy_rollout(env, agent, 6)
-            traces.append([tuple(pt.position) for pt in trace])
-        assert traces[0] == traces[1]
+            traces.append(td3.greedy_rollout(env, agent, 6))
+        for first, second in zip(*traces):
+            assert np.array_equal(first, second)
 
     def test_rollout_makes_no_outage_scan(self, monkeypatch):
         calls = []
         monkeypatch.setattr(channel, "outage_scan", lambda *a, **k: calls.append(a))
         env = small_env(mc_samples=30)
         env.reset(4)
-        trace = td3.greedy_rollout(env, make_agent(27), 6)
-        assert len(trace) == 7 and calls == []
+        times, positions = td3.greedy_rollout(env, make_agent(27), 6)
+        assert times.shape == (7,) and positions.shape == (7, 3) and calls == []
 
     def test_rollout_draws_nothing_from_the_agent(self):
         # eval builds its agent from any seed: the rollout never reads the generator
@@ -519,10 +526,13 @@ class TestGreedyRollout:
         env = small_env(mc_samples=30)
         env.reset(3)
         agent = make_agent(26)
-        trace = td3.greedy_rollout(env, agent, 10)
-        times = [pt.time for pt in trace]
-        assert times == sorted(times)
+        times, positions = td3.greedy_rollout(env, agent, 10)
+        assert times.shape == (11,) and positions.shape == (11, 3)
+        assert times[0] == 0.0 and np.all(np.diff(times) >= 0.0)
         assert times[-1] <= 10 * 10.0 / 8.0 + 1e-9
+        # each step adds the flight time of its move at peak speed
+        steps = np.linalg.norm(np.diff(positions, axis=0), axis=1) / env.config.limits.v_max
+        assert np.allclose(np.diff(times), steps, rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------- reference update
