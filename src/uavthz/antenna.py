@@ -11,12 +11,10 @@ g0 = N^4 / sum_{|p|,|q|<N} (N-|p|)(N-|q|) * sinc(2*(d/lambda)*sqrt(p^2+q^2))
 in np.sinc's normalized convention. It is exact at every spacing.
 
 The pattern is evaluated in two steps: axis_ratio computes one axis's
-factor by an in-place float32 ufunc chain over caller-supplied buffers
-(PatternScratch), in the operation order of the np.sinc expression
-sinc(n*psi/2pi) / sinc(psi/2pi), and gain_from_axis_ratios forms
-g0 * (ratio_x * ratio_y)^2 from a g0 that the caller looked up once. A
-caller evaluating many blocks allocates nothing per block, and a caller whose
-directions share one axis's offsets computes that factor once.
+factor at the angles' precision, in the operation order of the np.sinc
+expression sinc(n*psi/2pi) / sinc(psi/2pi), and gain_from_axis_ratios forms
+g0 * (ratio_x * ratio_y)^2 from a g0 that the caller looked up once, so a
+caller whose directions share one axis's offsets computes that factor once.
 The factor is only ever squared, so its sign across periods of psi is not
 computed.
 
@@ -32,7 +30,6 @@ wavelengths. g0 itself is float64.
 """
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,45 +63,23 @@ class ArrayAntennaConfig:
                 "spacing_over_lambda")
 
 
-class PatternScratch:
-    """Reusable buffers for the in-place axis_ratio chain of up to `size` directions.
+def _sinc_of_scaled(y):
+    """sin(y) / y with every zero of y replaced by eps, at y's precision.
 
-    Holds two float32 arrays and one boolean mask. views(shape) hands out
-    contiguous leading slices of each, shaped as requested, so one instance
-    serves every block of a scan, the last short block included.
+    This is np.sinc after its `pi * x` step: where(x, x, eps), then sin(y) / y.
     """
-
-    def __init__(self, size: int):
-        self._floats = np.empty((2, size), dtype=np.float32)
-        self._mask = np.empty(size, dtype=bool)
-
-    def views(self, shape):
-        n = math.prod(shape)
-        return ([f[:n].reshape(shape) for f in self._floats],
-                self._mask[:n].reshape(shape))
+    y = np.where(y == 0, _EPS, y)
+    return np.sin(y) / y
 
 
-def _sinc_of_scaled(y, out, mask):
-    """out = sin(y) / y with every zero of y replaced by eps; y is overwritten.
-
-    This is np.sinc after its `pi * x` step: where(x, x, eps), then
-    sin(y) / y, at the precision of y and out.
-    """
-    np.equal(y, 0.0, out=mask)
-    np.copyto(y, _EPS, where=mask)
-    np.sin(y, out=out)
-    np.divide(out, y, out=out)
-
-
-def axis_ratio(cfg: ArrayAntennaConfig, theta, out, scratch: PatternScratch):
-    """out = the per-axis pattern factor at angular offsets theta from boresight.
+def axis_ratio(cfg: ArrayAntennaConfig, theta):
+    """The per-axis pattern factor at angular offsets theta from boresight, at theta's precision.
 
     The factor is sin(n*psi/2) / (n*sin(psi/2)) at psi = k*d_a*sin(theta),
     up to sign, with every removable singularity filled; the gain is g0 times
     the squared product of the two axes' factors (gain_from_axis_ratios).
-    theta broadcasts to out's shape; scratch holds at least out.size
-    directions. out is float32, and so is theta in the outage kernel; the
-    squared factor then meets the module docstring's tolerance. Returns out.
+    In the outage kernel theta is float32; the squared factor then meets the
+    module docstring's tolerance.
 
     For spacings above lambda/2 (k*d_a > pi), psi is reduced modulo 2*pi and
     the reduced argument r is evaluated as a quotient of normalized sincs,
@@ -115,40 +90,24 @@ def axis_ratio(cfg: ArrayAntennaConfig, theta, out, scratch: PatternScratch):
     is always 0, so skipping the reduction gives the same bits.
 
     The operation order is that of
-    np.sinc(n * r / TWO_PI) / np.sinc(r / TWO_PI), evaluated in out's
+    np.sinc(n * r / TWO_PI) / np.sinc(r / TWO_PI), evaluated in theta's
     precision.
     """
-    (psi, tmp), mask = scratch.views(out.shape)
     kd = TWO_PI * cfg.spacing_over_lambda
-    np.sin(theta, out=psi)
-    np.multiply(psi, kd, out=psi)
+    psi = np.sin(theta) * kd
     if kd > np.pi:
-        np.divide(psi, TWO_PI, out=out)
-        np.rint(out, out=out)                   # m, the period index
-        np.multiply(out, TWO_PI, out=out)
-        np.subtract(psi, out, out=psi)          # r = psi - 2*pi*m
-    np.multiply(psi, cfg.n_side, out=out)
-    np.divide(out, TWO_PI, out=out)
-    np.multiply(out, np.pi, out=out)
-    _sinc_of_scaled(out, tmp, mask)             # numerator sinc in tmp
-    np.divide(psi, TWO_PI, out=psi)
-    np.multiply(psi, np.pi, out=psi)
-    _sinc_of_scaled(psi, out, mask)             # denominator sinc in out
-    np.divide(tmp, out, out=out)
-    return out
+        psi = psi - np.rint(psi / TWO_PI) * TWO_PI   # r = psi - 2*pi*m
+    numerator = _sinc_of_scaled(psi * cfg.n_side / TWO_PI * np.pi)
+    return numerator / _sinc_of_scaled(psi / TWO_PI * np.pi)
 
 
-def gain_from_axis_ratios(g0: float, ratio_x, ratio_y, out):
-    """out = g0 * (ratio_x * ratio_y)^2, the gain from its two axis_ratio factors.
+def gain_from_axis_ratios(g0: float, ratio_x, ratio_y):
+    """g0 * (ratio_x * ratio_y)^2, the gain from its two axis_ratio factors.
 
-    g0 is the array's normalization_constant, looked up once by the caller.
-    out may be either input; in the outage kernel all three are float32.
-    Returns out.
+    g0 is the array's normalization_constant, looked up once by the caller;
+    in the outage kernel both factors, and so the gain, are float32.
     """
-    np.multiply(ratio_x, ratio_y, out=out)
-    np.square(out, out=out)
-    np.multiply(out, g0, out=out)
-    return out
+    return np.square(ratio_x * ratio_y) * g0
 
 
 @functools.cache

@@ -49,15 +49,15 @@ draws are the outer loop: per block it builds one x-factor table per
 distinct x and one y-factor table per distinct y of the group, then, per
 position, forms the gain table from its two tables and runs the SINR. A
 15 x 15 altitude of the baseline lattice thus needs 30 factor tables per
-block instead of 450. Everything runs as in-place ufunc chains over one
-workspace allocated per scan, so no block allocates anything that grows with
-its size.
+block instead of 450. A block's arrays are plain numpy temporaries of at most
+_DRAW_BLOCK rows, and its factor tables are freed before the next block
+builds its own, so beyond the draws memory does not grow with their number.
 
 Precision: the UAV pattern is float32 (the angle table, the factor tables,
 the gain table and the gathered interferer gains) and meets the tolerance
 the antenna module states. Everything else stays float64: the draws, the link
 geometry, path_loss_sq, p_los, the failure counts, and every power and SINR
-buffer. Powers here are about 1e-22 W (noise at -190 dBm), and sidelobe
+array. Powers here are about 1e-22 W (noise at -190 dBm), and sidelobe
 interference terms fall below float32's smallest normal, 1.2e-38, so a
 float32 power would lose them. A draw's verdict can therefore differ from a
 float64 kernel's only where its SINR lies within the gain tolerance of the
@@ -76,9 +76,9 @@ from uavthz.geometry import Vec3, as_points
 
 SPEED_OF_LIGHT = 3.0e8  # m/s
 
-# Draws per _sinr_matrix call in outage_scan. Sizes the scan's one workspace
+# Draws per _sinr_matrix call in outage_scan. Bounds every temporary of a block
 # (the float32 (S, 16) gain table is 64 KB for six links, the float64 (S, M)
-# interference sums 48 KB) so memory does not grow with S.
+# interference sums 48 KB), so memory does not grow with S.
 _DRAW_BLOCK = 1024
 # Most per-axis factor tables (one per distinct x or y of an altitude group)
 # that outage_scan keeps at once: 4 MB of float32 (_DRAW_BLOCK, 16) tables for
@@ -153,9 +153,14 @@ def path_loss(params: ChannelParams, length):
 
 
 def los_probability(params: ChannelParams, elevation):
-    """Line-of-sight probability at the given elevation angle(s) (radians)."""
+    """Line-of-sight probability at the given elevation angle(s) (radians).
+
+    Far below los_alpha degrees the exponential overflows to inf, which gives
+    the logistic's limit, 0, without a warning.
+    """
     deg = np.degrees(elevation)
-    return 1.0 / (1.0 + params.los_alpha * np.exp(-params.los_b * (deg - params.los_alpha)))
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + params.los_alpha * np.exp(-params.los_b * (deg - params.los_alpha)))
 
 
 @dataclass
@@ -183,20 +188,14 @@ def _precompute(sbs: np.ndarray, uav: Vec3, params: ChannelParams, upper) -> _Li
 
 
 class _Workspace:
-    """The constants of one scan and the buffers of one block of draws.
+    """The constants of one scan; they depend only on params and the station count m.
 
-    The constants depend only on params and the station count m: the
-    stations' g0, the UAV array and its g0, upper (the unordered station
+    The stations' g0, the UAV array and its g0, upper (the unordered station
     pairs, in triu_indices order) and column[i, j], the gain-table column of
-    interferer j at link i (i != j), symmetric. The pattern buffers (theta,
-    gain, gathered, pattern) are float32, the rest float64 (see the module
-    docstring). The buffers are reused by every block
-    and position of the scan: rows is the block capacity; a shorter block
-    uses the leading rows of each buffer, which are contiguous, so no block
-    allocates anything that grows with its size.
+    interferer j at link i (i != j), symmetric.
     """
 
-    def __init__(self, params: ChannelParams, rows: int, m: int):
+    def __init__(self, params: ChannelParams, m: int):
         self.sbs_g0 = antenna.normalization_constant(params.sbs_array)
         self.uav_array = params.uav_array
         self.uav_g0 = antenna.normalization_constant(params.uav_array)
@@ -204,63 +203,38 @@ class _Workspace:
         column = np.zeros((m, m), dtype=np.intp)
         column[self.upper] = np.arange(1, len(self.upper[0]) + 1)
         self.column = column + column.T
-        k = 1 + m * (m - 1) // 2
-        self.theta, self.gain = np.empty((2, rows, k), dtype=np.float32)
-        self.pattern = antenna.PatternScratch(rows * k)
-        self.gathered = np.empty((rows, m), dtype=np.float32)
-        self.alpha, self.term, self.interference, self.sinr = np.empty((4, rows, m))
-        self.flags = np.empty((rows, m), dtype=bool)
-        self.scale = np.empty((rows, 1))
 
 
-def _ratio_table(jitter: np.ndarray, offset: np.ndarray, out: np.ndarray,
-                 work: _Workspace) -> np.ndarray:
-    """out[s, c] = the UAV's axis_ratio factor at jitter[s] + offset[c], one axis.
+def _ratio_table(jitter: np.ndarray, offset: np.ndarray, work: _Workspace) -> np.ndarray:
+    """The UAV's float32 axis_ratio factor at jitter[s] + offset[c], one axis, (S, 1 + M(M-1)/2).
 
-    jitter is (S,), offset one position's offset_x or offset_y and out
-    (S, 1 + M(M-1)/2). Returns out.
+    jitter is (S,) and offset one position's offset_x or offset_y; their sum
+    is rounded into float32 before the pattern.
     """
-    theta = work.theta[:jitter.shape[0]]
-    np.add(jitter[:, None], offset, out=theta)
-    return antenna.axis_ratio(work.uav_array, theta, out, work.pattern)
+    theta = (jitter[:, None] + offset).astype(np.float32)
+    return antenna.axis_ratio(work.uav_array, theta)
 
 
 def _sinr_matrix(geom: _LinkGeometry, params: ChannelParams, ratio_x: np.ndarray,
                  ratio_y: np.ndarray, alpha: np.ndarray,
                  work: _Workspace) -> tuple[np.ndarray, np.ndarray]:
-    """Linear SINR and interference power (W) for S orientation draws and M links.
+    """Linear SINR and interference power (W) for S orientation draws and M links, each (S, M).
 
     ratio_x/ratio_y: the position's per-axis factor tables of shape
     (S, 1 + M(M-1)/2) (_ratio_table); alpha: per-sample LoS attenuation of
-    shape (S, M); work: a workspace of at least S rows.
-    Returns two (S, M) views into work, valid until its next use.
-    Interference is summed over interferers j = 0..M-1 in order, with the
-    operation order of the allocating expression
-    tx * pl_j * alpha_j * g0 * gain, in float64 on the float32 gains.
+    shape (S, M). Interference is summed over interferers j = 0..M-1 in
+    order, each term in the operation order of tx * pl_j * alpha_j * g0 * gain,
+    in float64 on the float32 gains.
     """
-    s = ratio_x.shape[0]
-    gain = antenna.gain_from_axis_ratios(work.uav_g0, ratio_x, ratio_y, work.gain[:s])
-    term, gathered, scale = work.term[:s], work.gathered[:s], work.scale[:s]
-    interference = work.interference[:s]
-    interference.fill(0.0)
-    tx = params.tx_power_w
+    gain = antenna.gain_from_axis_ratios(work.uav_g0, ratio_x, ratio_y)
+    tx, g0 = params.tx_power_w, work.sbs_g0
+    interference = np.zeros(alpha.shape)
     for j in range(work.column.shape[0]):
         # power received on every link i from interferer j's beam
-        np.multiply(alpha[:, j, None], tx * geom.path_loss_sq[j], out=scale)
-        np.multiply(scale, work.sbs_g0, out=term)
-        # mode="clip" lets take write straight into gathered; the indices are
-        # always in range
-        np.take(gain, work.column[:, j], axis=1, out=gathered, mode="clip")
-        np.multiply(term, gathered, out=term)
+        term = alpha[:, j, None] * (tx * geom.path_loss_sq[j]) * g0 * gain[:, work.column[:, j]]
         term[:, j] = 0.0
-        np.add(interference, term, out=interference)
-    sinr = work.sinr[:s]
-    np.multiply(alpha, tx, out=sinr)
-    np.multiply(sinr, geom.path_loss_sq, out=sinr)
-    np.multiply(sinr, work.sbs_g0, out=sinr)
-    np.multiply(sinr, gain[:, :1], out=sinr)
-    np.add(interference, params.noise_power_w, out=term)
-    np.divide(sinr, term, out=sinr)
+        interference += term
+    sinr = alpha * tx * geom.path_loss_sq * g0 * gain[:, :1] / (interference + params.noise_power_w)
     return sinr, interference
 
 
@@ -280,11 +254,10 @@ def instantaneous_sinr(links, uav: Vec3, orientation: tuple[float, float],
     station array, and uav are checked as in outage_scan.
     """
     sbs, uav = as_points(links), _checked_uavs((uav,))[0]
-    work = _Workspace(params, 1, len(sbs))
+    work = _Workspace(params, len(sbs))
     geom = _precompute(sbs, uav, params, work.upper)
-    ratio_x, ratio_y = np.empty((2, 1, geom.offset_x.shape[0]), dtype=np.float32)
-    _ratio_table(np.array([float(orientation[0])]), geom.offset_x, ratio_x, work)
-    _ratio_table(np.array([float(orientation[1])]), geom.offset_y, ratio_y, work)
+    ratio_x = _ratio_table(np.array([float(orientation[0])]), geom.offset_x, work)
+    ratio_y = _ratio_table(np.array([float(orientation[1])]), geom.offset_y, work)
     sinr, interference = _sinr_matrix(geom, params, ratio_x, ratio_y, np.ones((1, len(sbs))),
                                       work)
     return sinr[0], interference[0]
@@ -412,13 +385,13 @@ def outage_scan(links, uavs, params: ChannelParams, n_samples: int, seed: int,
     0, 1, ..., m - 1.
 
     Positions are evaluated by altitude group (_altitude_groups), over fixed
-    blocks of draws in one workspace allocated once per scan: per block, one
-    x-factor table per distinct x and one y-factor table per distinct y of
-    the group, then per position the gain and the SINR, whose integer failure
-    counts are summed. Every draw's SINR is computed by the same row-wise
-    arithmetic whatever its block and whichever position built its tables,
-    so the result is bit-identical to evaluating all draws of each position
-    alone in one block. progress, when given, is called as progress(k, n)
+    blocks of _DRAW_BLOCK draws: per block, one x-factor table per distinct
+    x and one y-factor table per distinct y of the group, then per position
+    the gain and the SINR, whose integer failure counts are summed. Every
+    draw's SINR is computed by the same row-wise arithmetic whatever its
+    block and whichever position built its tables, so the result is
+    bit-identical to evaluating all draws of each position alone in one
+    block. progress, when given, is called as progress(k, n)
     for each of the n positions as its group completes.
     """
     if n_samples < 1:
@@ -426,8 +399,7 @@ def outage_scan(links, uavs, params: ChannelParams, n_samples: int, seed: int,
     sbs, uavs = as_points(links), _checked_uavs(uavs)
     m = len(sbs)
     theta_jx, theta_jy, uniforms = _draws(params, m, n_samples, seed)
-    rows = min(_DRAW_BLOCK, n_samples)
-    work = _Workspace(params, rows, m)
+    work = _Workspace(params, m)
     failures = np.zeros((len(uavs), m), dtype=np.int64)
     done = 0
     for group in _altitude_groups(uavs):
@@ -439,25 +411,19 @@ def outage_scan(links, uavs, params: ChannelParams, n_samples: int, seed: int,
         for i, geom in zip(group, geoms):
             offsets_x.setdefault(uavs[i, 0], geom.offset_x)
             offsets_y.setdefault(uavs[i, 1], geom.offset_y)
-        k = work.theta.shape[1]
-        table_x = dict(zip(offsets_x, np.empty((len(offsets_x), rows, k), dtype=np.float32)))
-        table_y = dict(zip(offsets_y, np.empty((len(offsets_y), rows, k), dtype=np.float32)))
-        for lo in range(0, n_samples, rows):
-            s = min(rows, n_samples - lo)
-            for x, offset in offsets_x.items():
-                _ratio_table(theta_jx[lo:lo + s], offset, table_x[x][:s], work)
-            for y, offset in offsets_y.items():
-                _ratio_table(theta_jy[lo:lo + s], offset, table_y[y][:s], work)
-            drawn = uniforms[lo:lo + s]
-            alpha, flags = work.alpha[:s], work.flags[:s]
+        for lo in range(0, n_samples, _DRAW_BLOCK):
+            block = slice(lo, lo + _DRAW_BLOCK)
+            table_x = {x: _ratio_table(theta_jx[block], offset, work)
+                       for x, offset in offsets_x.items()}
+            table_y = {y: _ratio_table(theta_jy[block], offset, work)
+                       for y, offset in offsets_y.items()}
             for i, geom in zip(group, geoms):
-                np.less(drawn, geom.p_los, out=flags)
-                alpha.fill(params.nlos_extra_loss)
-                np.copyto(alpha, 1.0, where=flags)
-                sinr, _ = _sinr_matrix(geom, params, table_x[uavs[i, 0]][:s],
-                                       table_y[uavs[i, 1]][:s], alpha, work)
-                np.less(sinr, params.sinr_threshold, out=flags)
-                failures[i] += np.count_nonzero(flags, axis=0)
+                alpha = np.where(uniforms[block] < geom.p_los, 1.0, params.nlos_extra_loss)
+                sinr, _ = _sinr_matrix(geom, params, table_x[uavs[i, 0]], table_y[uavs[i, 1]],
+                                       alpha, work)
+                failures[i] += np.count_nonzero(sinr < params.sinr_threshold, axis=0)
+            # free this block's arrays before the next block builds its tables
+            del table_x, table_y, alpha, sinr
         if progress is not None:
             for _ in group:
                 done += 1

@@ -5,10 +5,12 @@
 and records it in the manifest, and builds the environment and resets it
 from the seed. A run command (`cmd_train`, `cmd_eval`, `cmd_baseline`) takes
 the config, that environment and the parsed arguments, writes its files
-under --out-dir and returns a summary dict. `main` finalizes the manifest
-with it, with wall-clock timings and with SHA-256 digests of the produced
-files; a run that exits non-zero leaves the manifest marked "failed" with
-the error message. `linkbudget` draws nothing and writes no files.
+under --out-dir and returns a summary dict and the paths it wrote. `main`
+finalizes the manifest with the summary, with wall-clock timings and with
+SHA-256 digests of those files alone, so a file already in --out-dir, such
+as another command's output, is not listed. A run that exits non-zero leaves
+the manifest marked "failed" with the error message. `linkbudget` draws
+nothing and writes no files.
 
 One seed sets the topology and every draw of a run: --seed, which `eval` and
 `baseline` also accept spelled --scenario-seed. Output tables are CSV with a
@@ -59,14 +61,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path: Path, seed: int, header, rows, **meta) -> None:
-    """A table under a '#' preamble: the seed, the package version, then meta in order."""
+def write_csv(path: Path, seed: int, header, rows, **meta) -> Path:
+    """Write a table under a '#' preamble (the seed, the version, then meta); return path."""
     meta = {"seed": seed, "version": uavthz.__version__, **meta}
     lines = [f"# {k}: {_fmt(v)}" for k, v in meta.items()]
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
 
 
 def _sha256(path: Path) -> str:
@@ -124,13 +127,17 @@ class Manifest:
         self.data["wall_clock_s"] = perf_counter() - self.started
         self._write()
 
-    def finalize(self, out_dir: Path, summary: dict):
+    def finalize(self, out_dir: Path, summary: dict, written):
+        """Mark the run complete with its summary and the digests of the files it wrote.
+
+        written lists the paths under out_dir that the command wrote; any
+        other file there, such as another run's output, is left out.
+        """
         self.data["status"] = "complete"
         self.data["wall_clock_s"] = perf_counter() - self.started
         self.data.update(summary)
-        for f in sorted(out_dir.rglob("*")):
-            if f.is_file() and f != self.path:
-                self.data["outputs"][str(f.relative_to(out_dir))] = _sha256(f)
+        for f in sorted(written):
+            self.data["outputs"][str(f.relative_to(out_dir))] = _sha256(f)
         self._write()
 
 
@@ -146,13 +153,15 @@ def moving_average(values, window: int):
     return out
 
 
-def save_checkpoint(ck_dir: Path, agent: td3.Td3Agent) -> None:
-    """Write the agent's four nets to ck_dir/nets.npz, the checkpoint's only file.
+def save_checkpoint(ck_dir: Path, agent: td3.Td3Agent) -> Path:
+    """Write the agent's four nets to ck_dir/nets.npz, the checkpoint's only file; return its path.
 
     Keep the name: the benchmark's tracer wraps this function by name.
     """
     ck_dir.mkdir(parents=True, exist_ok=True)
-    neural.save_net(ck_dir / CHECKPOINT_FILE, agent.nets())
+    path = ck_dir / CHECKPOINT_FILE
+    neural.save_net(path, agent.nets())
+    return path
 
 
 def load_checkpoint(ck_dir: Path, cfg: RunConfig, seed: int) -> td3.Td3Agent:
@@ -171,24 +180,24 @@ def load_checkpoint(ck_dir: Path, cfg: RunConfig, seed: int) -> td3.Td3Agent:
 
 # ------------------------------------------------------------------ subcommands
 
-def cmd_train(cfg: RunConfig, env: Environment, args) -> dict:
+def cmd_train(cfg: RunConfig, env: Environment, args) -> tuple[dict, list[Path]]:
     agent = td3.Td3Agent.create(cfg.hyperparams(), args.seed)
     logs = td3.train(env, agent)
     avg = moving_average([lg.reward for lg in logs], 40)
-    write_csv(args.out_dir / "rewards.csv", args.seed,
-              ("episode", "reward", "moving_avg_40", "mean_max_outage"),
-              [(lg.episode, lg.reward, avg[i], lg.mean_max_outage)
-               for i, lg in enumerate(logs)])
-    save_checkpoint(args.out_dir / "checkpoint", agent)
-    return {"episodes": len(logs), "final_moving_avg_40": avg[-1]}
+    written = [write_csv(args.out_dir / "rewards.csv", args.seed,
+                         ("episode", "reward", "moving_avg_40", "mean_max_outage"),
+                         [(lg.episode, lg.reward, avg[i], lg.mean_max_outage)
+                          for i, lg in enumerate(logs)]),
+               save_checkpoint(args.out_dir / "checkpoint", agent)]
+    return {"episodes": len(logs), "final_moving_avg_40": avg[-1]}, written
 
 
-def write_sbs_layout(out_dir: Path, env: Environment, seed: int) -> None:
-    write_csv(out_dir / "sbs_layout.csv", seed, ("index", "x", "y"),
-              [(i, x, y) for i, (x, y, _) in enumerate(env.topology.sbs_list)])
+def write_sbs_layout(out_dir: Path, env: Environment, seed: int) -> Path:
+    return write_csv(out_dir / "sbs_layout.csv", seed, ("index", "x", "y"),
+                     [(i, x, y) for i, (x, y, _) in enumerate(env.topology.sbs_list)])
 
 
-def cmd_eval(cfg: RunConfig, env: Environment, args) -> dict:
+def cmd_eval(cfg: RunConfig, env: Environment, args) -> tuple[dict, list[Path]]:
     agent = load_checkpoint(args.checkpoint, cfg, args.seed)
     times, positions = td3.greedy_rollout(env, agent, cfg.steps_per_episode)
     # The rollout only moves the UAV; every visited position is scored here,
@@ -201,9 +210,9 @@ def cmd_eval(cfg: RunConfig, env: Environment, args) -> dict:
             for k, (t, position, outage) in enumerate(zip(times, positions, outages))]
     header = ("step", "t", "x", "y", "z", "max_outage",
               *(f"outage_{i + 1}" for i in range(len(env.topology.sbs_list))))
-    write_csv(args.out_dir / "trajectory.csv", args.seed, header, rows,
-              mc_samples=cfg.mc_samples_eval, rescore_seed=rescore_seed)
-    write_sbs_layout(args.out_dir, env, args.seed)
+    written = [write_csv(args.out_dir / "trajectory.csv", args.seed, header, rows,
+                         mc_samples=cfg.mc_samples_eval, rescore_seed=rescore_seed),
+               write_sbs_layout(args.out_dir, env, args.seed)]
     flight_time = float(times[-1])
     best = min(rows, key=lambda row: row[5])  # the first step at the lowest max outage
     return {
@@ -214,10 +223,10 @@ def cmd_eval(cfg: RunConfig, env: Environment, args) -> dict:
         "final_max_outage": rows[-1][5],
         "best_max_outage": best[5],
         "best_step": best[0],
-    }
+    }, written
 
 
-def cmd_baseline(cfg: RunConfig, env: Environment, args) -> dict:
+def cmd_baseline(cfg: RunConfig, env: Environment, args) -> tuple[dict, list[Path]]:
     spec = cfg.grid_spec(args.seed + 1)
     started = perf_counter()
 
@@ -230,18 +239,19 @@ def cmd_baseline(cfg: RunConfig, env: Environment, args) -> dict:
 
     best_pos, best_val, scan = baseline.grid_search_best_position(env, spec, progress)
     meta = {"mc_samples": spec.mc_samples, "mc_seed": spec.seed}
-    write_csv(args.out_dir / "grid_scan.csv", args.seed, ("x", "y", "z", "max_outage"),
-              [(*pos, val) for pos, val in scan], **meta)
+    written = [write_csv(args.out_dir / "grid_scan.csv", args.seed, ("x", "y", "z", "max_outage"),
+                         [(*pos, val) for pos, val in scan], **meta)]
     center = baseline.static_center_policy(env.topology, env.config.limits)
     center_est = channel.outage_probability(env.topology.sbs_list, center, env.params,
                                             spec.mc_samples, spec.seed)
     center_val = channel.max_outage(center_est)
-    write_csv(args.out_dir / "baseline_summary.csv", args.seed,
-              ("method", "x", "y", "z", "max_outage"),
-              [("grid_oracle", best_pos[0], best_pos[1], best_pos[2], best_val),
-               ("static_center", center[0], center[1], center[2], center_val)], **meta)
-    write_sbs_layout(args.out_dir, env, args.seed)
-    return {"oracle_max_outage": best_val, "static_center_max_outage": center_val}
+    written += [write_csv(args.out_dir / "baseline_summary.csv", args.seed,
+                          ("method", "x", "y", "z", "max_outage"),
+                          [("grid_oracle", best_pos[0], best_pos[1], best_pos[2], best_val),
+                           ("static_center", center[0], center[1], center[2], center_val)],
+                          **meta),
+                write_sbs_layout(args.out_dir, env, args.seed)]
+    return {"oracle_max_outage": best_val, "static_center_max_outage": center_val}, written
 
 
 def _parse_xyz(text: str, n: int):
@@ -346,7 +356,7 @@ def main(argv=None) -> int:
         manifest.record_config(cfg)
         env = Environment(cfg.env_config(), cfg.channel_params())
         env.reset(args.seed)
-        manifest.finalize(args.out_dir, COMMANDS[args.command](cfg, env, args))
+        manifest.finalize(args.out_dir, *COMMANDS[args.command](cfg, env, args))
         return EXIT_OK
     except (ConfigError, InvalidInputError) as exc:
         message, code = f"config error: {exc}", EXIT_CONFIG

@@ -10,7 +10,7 @@ so each object's own checks run, without computing a g0 or allocating a
 network. A bad file therefore fails before any work, and the command exits 2
 with one line that names the dotted key. Unknown and duplicate keys and
 non-finite numbers are rejected by name as well, and so is any integer (count)
-key above MAX_COUNT.
+key above MAX_COUNT, and a baseline lattice of more than MAX_COUNT points.
 """
 
 import math
@@ -27,9 +27,10 @@ from uavthz.td3 import Td3Hyperparams
 
 # Largest value of an integer key. numpy refuses an array of more than 2**63
 # bytes with a ValueError ("array is too big"), not a MemoryError. At the
-# other keys' defaults every array sized by one count holds under 9 KiB per
-# unit of it, so up to here a count too large for memory ends in numpy's
-# MemoryError, which the CLI reports as a config error (exit 2).
+# other keys' defaults every array sized by one count, or by the baseline
+# lattice's point count, holds under 9 KiB per unit of it, so up to here a
+# count too large for memory ends in numpy's MemoryError, which the CLI
+# reports as a config error (exit 2).
 MAX_COUNT = 10 ** 15
 
 
@@ -112,6 +113,9 @@ class RunConfig:
         self.channel_params()
         self.hyperparams()
         self.grid_spec(0)
+        if self.grid_x * self.grid_y * self.grid_z > MAX_COUNT:
+            raise ConfigError(self._describe(["grid_x", "grid_y", "grid_z"],
+                                             f"the lattice must hold <= {MAX_COUNT} points"))
         if self.mc_samples_eval < 1:
             raise ConfigError(self._describe(["mc_samples_eval"], "must be >= 1"))
 

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -62,13 +60,9 @@ def offset_gain(c, theta_x, theta_y):
     sin(theta)*cos(phi) = sin(theta_x) and sin(theta)*sin(phi) = sin(theta_y).
     Angles, factors and gain are float32, as in the kernel.
     """
-    theta_x, theta_y = (np.asarray(t, dtype=np.float32) for t in (theta_x, theta_y))
-    shape = np.broadcast_shapes(theta_x.shape, theta_y.shape)
-    scratch = antenna.PatternScratch(math.prod(shape))
-    ratio_x = antenna.axis_ratio(c, theta_x, np.empty(shape, dtype=np.float32), scratch)
-    ratio_y = antenna.axis_ratio(c, theta_y, np.empty(shape, dtype=np.float32), scratch)
-    out = antenna.gain_from_axis_ratios(antenna.normalization_constant(c), ratio_x, ratio_y,
-                                        ratio_x)
+    ratio_x, ratio_y = (antenna.axis_ratio(c, np.asarray(t, dtype=np.float32))
+                        for t in (theta_x, theta_y))
+    out = antenna.gain_from_axis_ratios(antenna.normalization_constant(c), ratio_x, ratio_y)
     return float(out) if out.ndim == 0 else out.astype(float)
 
 
@@ -208,14 +202,16 @@ class TestFloat32Tolerance:
         theta = np.concatenate([np.linspace(-np.pi / 2, np.pi / 2, 100_001),
                                 np.random.default_rng(3).uniform(-np.pi / 2, np.pi / 2, 50_000),
                                 [0.0, -0.0], np.arcsin(bounds), -np.arcsin(bounds)])
-        out = np.empty(theta.shape, dtype=np.float32)
-        antenna.axis_ratio(c, theta.astype(np.float32), out, antenna.PatternScratch(theta.size))
+        out = antenna.axis_ratio(c, theta.astype(np.float32))
         error = np.abs(out.astype(float) ** 2 - float64_axis_ratio(c, theta) ** 2)
         assert error.max() <= factor_tolerance(c)
 
-    def test_pattern_buffers_are_float32(self):
-        (psi, tmp), mask = antenna.PatternScratch(6).views((2, 3))
-        assert psi.dtype == tmp.dtype == np.float32 and mask.dtype == bool
+    @pytest.mark.parametrize("dtype", (np.float32, np.float64))
+    def test_factor_and_gain_keep_the_angles_precision(self, dtype):
+        c = cfg(20, 0.7)
+        ratio = antenna.axis_ratio(c, np.linspace(-1.5, 1.5, 7, dtype=dtype))
+        gain = antenna.gain_from_axis_ratios(antenna.normalization_constant(c), ratio, ratio)
+        assert ratio.dtype == gain.dtype == dtype
 
 
 class TestTwoAxisAdapter:

@@ -244,6 +244,11 @@ class TestLosProbability:
         elev = np.deg2rad(p.los_alpha)
         assert channel.los_probability(p, elev) == pytest.approx(1 / (1 + p.los_alpha), rel=1e-12)
 
+    def test_far_below_alpha_degrees_reads_zero_without_a_warning(self):
+        # exp overflows to inf there; the logistic's limit is 0
+        p = make_params(los_alpha=10000.0)
+        assert np.all(channel.los_probability(p, np.deg2rad([0.5, 45.0, 90.0])) == 0.0)
+
     def test_strictly_increasing_in_elevation(self):
         p = make_params()
         elevs = np.linspace(0.01, np.pi / 2, 200)
@@ -461,7 +466,7 @@ class TestKernelMatchesReference:
         p = make_params(spacing_over_lambda=spacing)
         m, s = len(links), 4000
         ref = oracle_precompute(links, uav, p)
-        work = channel._Workspace(p, s, m)
+        work = channel._Workspace(p, m)
         geom = channel._precompute(links, uav, p, work.upper)
         assert np.all(ref[0] == p.tx_power_w)
         assert np.array_equal(geom.path_loss_sq, ref[1])
@@ -479,9 +484,7 @@ class TestKernelMatchesReference:
         jx = rng.normal(0.0, 0.05, s)
         jy = rng.normal(0.0, 0.05, s)
         alpha = np.where(rng.random((s, m)) < 0.6, 1.0, p.nlos_extra_loss)
-        ratio_x, ratio_y = (channel._ratio_table(jitter, offset,
-                                                 np.empty((s, offset.shape[0]), dtype=np.float32),
-                                                 work)
+        ratio_x, ratio_y = (channel._ratio_table(jitter, offset, work)
                             for jitter, offset in ((jx, geom.offset_x), (jy, geom.offset_y)))
         assert ratio_x.dtype == ratio_y.dtype == np.float32
         got, interference = channel._sinr_matrix(geom, p, ratio_x, ratio_y, alpha, work)
@@ -489,10 +492,10 @@ class TestKernelMatchesReference:
         assert_sinr_within_gain_tolerance(got, interference, ref, p, jx, jy, alpha)
 
     @pytest.mark.parametrize("spacing", [0.5, 0.7, 1.3])
-    def test_in_place_gain_matches_sinc_expression(self, spacing):
-        # exact zeros of psi, period boundaries and a short block reusing a
-        # larger scratch; the reference is the allocating float64 np.sinc
-        # expression, which the float32 gain meets within its tolerance
+    def test_gain_matches_sinc_expression(self, spacing):
+        # exact zeros of psi and period boundaries; the reference is the
+        # float64 np.sinc expression, which the float32 gain meets within its
+        # tolerance
         cfg = ArrayAntennaConfig(20, spacing)
         kd = 2 * np.pi * spacing
         special = [0.0, -0.0, np.arcsin(min(1.0, np.pi / kd)),
@@ -502,22 +505,14 @@ class TestKernelMatchesReference:
         theta_y = np.concatenate([special[::-1], rng.uniform(-1.5, 1.5, 60)]).reshape(8, 8)
         want = oracle_gain(cfg, theta_x, theta_y)
         g0 = antenna.normalization_constant(cfg)
-        # the in-place steps the scan takes, with a scratch of the block's
-        # size and one larger than it, and at boresight alone; both scratch
-        # sizes give the same bits
-        got = []
-        for size in (64, 128):
-            scratch = antenna.PatternScratch(size)
-            ratio_x, ratio_y, out = np.empty((3, 8, 8), dtype=np.float32)
-            assert antenna.axis_ratio(cfg, theta_x, ratio_x, scratch) is ratio_x
-            assert antenna.axis_ratio(cfg, theta_y, ratio_y, scratch) is ratio_y
-            assert antenna.gain_from_axis_ratios(g0, ratio_x, ratio_y, out) is out
-            assert np.all(np.abs(out - want) <= gain_tolerance(cfg))
-            got.append(out)
-        assert np.array_equal(*got)
-        ratio = antenna.axis_ratio(cfg, 0.0, np.empty((), dtype=np.float32),
-                                   antenna.PatternScratch(1))
-        boresight = antenna.gain_from_axis_ratios(g0, ratio, ratio, np.empty((), dtype=np.float32))
+        # the steps the scan takes, on float32 angles, and at boresight alone
+        ratio_x, ratio_y = (antenna.axis_ratio(cfg, theta.astype(np.float32))
+                            for theta in (theta_x, theta_y))
+        out = antenna.gain_from_axis_ratios(g0, ratio_x, ratio_y)
+        assert out.dtype == np.float32
+        assert np.all(np.abs(out - want) <= gain_tolerance(cfg))
+        ratio = antenna.axis_ratio(cfg, np.float32(0.0))
+        boresight = antenna.gain_from_axis_ratios(g0, ratio, ratio)
         assert boresight == pytest.approx(oracle_gain(cfg, 0.0, 0.0), rel=EPS32)
 
     @pytest.mark.parametrize("los", sorted(LOS_REGIMES))
@@ -583,22 +578,29 @@ class TestKernelMatchesReference:
             channel.outage_scan(station_positions((40, 40), (110, 95)), uavs, make_params(), 10, 0)
 
     def test_pattern_is_float32_and_sinr_float64(self, monkeypatch):
-        # every factor table, its angles and the pattern scratch are float32
-        # in both entries; the SINR and interference stay float64
+        # every factor table, its angles and the gain table are float32 in
+        # both entries, with no silent float64 promotion; the SINR and
+        # interference stay float64
         seen = set()
-        axis_ratio = antenna.axis_ratio
+        axis_ratio, gain_from_axis_ratios = antenna.axis_ratio, antenna.gain_from_axis_ratios
 
-        def recording(cfg, theta, out, scratch):
-            (psi, _), _ = scratch.views(out.shape)
-            seen.add((theta.dtype, out.dtype, psi.dtype))
-            return axis_ratio(cfg, theta, out, scratch)
+        def recording_ratio(cfg, theta):
+            ratio = axis_ratio(cfg, theta)
+            seen.add((theta.dtype, ratio.dtype))
+            return ratio
 
-        monkeypatch.setattr(antenna, "axis_ratio", recording)
+        def recording_gain(g0, ratio_x, ratio_y):
+            gain = gain_from_axis_ratios(g0, ratio_x, ratio_y)
+            seen.add((ratio_x.dtype, ratio_y.dtype, gain.dtype))
+            return gain
+
+        monkeypatch.setattr(antenna, "axis_ratio", recording_ratio)
+        monkeypatch.setattr(antenna, "gain_from_axis_ratios", recording_gain)
         p, links = make_params(), station_positions((40, 40), (110, 95), (75, 140))
         channel.outage_scan(links, [vec3(70, 60, 50), vec3(70, 80, 50), vec3(90, 60, 75)], p,
                             channel._DRAW_BLOCK + 7, 0)
         sinr, interference = channel.instantaneous_sinr(links, vec3(75, 70, 85), (0.01, -0.02), p)
-        assert seen == {(np.dtype(np.float32),) * 3}
+        assert seen == {(np.dtype(np.float32),) * 2, (np.dtype(np.float32),) * 3}
         assert sinr.dtype == interference.dtype == np.float64
 
     def test_scan_looks_up_each_g0_once(self, monkeypatch):

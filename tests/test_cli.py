@@ -308,6 +308,22 @@ def test_complete_manifest_holds_each_commands_summary(tmp_path, trained):
     assert manifest(trained_out)["episodes"] == 3
 
 
+def test_manifest_lists_only_the_files_its_command_wrote(tmp_path, trained):
+    # baseline run into a directory holding a train run and a stale layout
+    config, trained_out = trained
+    out = tmp_path / "shared"
+    out.mkdir()
+    (out / "rewards.csv").write_bytes((trained_out / "rewards.csv").read_bytes())
+    copy_checkpoint(trained_out / "checkpoint", out / "checkpoint")
+    (out / "sbs_layout.csv").write_text("stale\n", encoding="utf-8")
+    assert cli.main(["baseline", "--config", str(config), "--out-dir", str(out)]) == 0
+    outputs = manifest(out)["outputs"]
+    assert sorted(outputs) == ["baseline_summary.csv", "grid_scan.csv", "sbs_layout.csv"]
+    for name, digest in outputs.items():
+        assert digest == cli._sha256(out / name)
+    assert (out / "sbs_layout.csv").read_text(encoding="utf-8") != "stale\n"
+
+
 def rewrite_archive(path, **entries):
     """Rewrite the checkpoint archive at path with some entries replaced (None drops one)."""
     with np.load(path) as data:
@@ -400,6 +416,15 @@ def test_linkbudget_reports_zero_power_as_minus_inf_silently():
     row = proc.stdout.splitlines()[-1].split()
     assert np.isfinite(float(row[4]))  # the free-space term alone stays positive
     assert row[5] == row[7] == row[8] == "-inf" and row[9] == "FAIL"
+
+
+def test_linkbudget_is_silent_where_los_probability_is_zero(tmp_path):
+    # far below los_alpha degrees the logistic's exp overflows; p_los reads 0
+    config = tmp_path / "blocked.cfg"
+    config.write_text("channel.los_alpha = 10000\n", encoding="utf-8")
+    proc = run_process("linkbudget", "--config", config, "--uav", "75,75,80", "--sbs", "10,20")
+    assert proc.returncode == cli.EXIT_OK and proc.stderr == ""
+    assert proc.stdout.splitlines()[-1].split()[3] == "0.0000"
 
 
 def test_linkbudget_runs_at_the_largest_array(tmp_path, capsys):

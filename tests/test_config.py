@@ -101,6 +101,9 @@ BAD_VALUES = [
     ("td3.buffer_capacity = 1000000000000000000", "td3.buffer_capacity"),
     ("env.mc_samples_train = 1000000000000000000", "env.mc_samples_train"),
     ("baseline.mc_samples = 1000000000000000000", "baseline.mc_samples"),
+    # a lattice of more than MAX_COUNT points would make numpy refuse its arrays
+    ("baseline.grid_x = 3000000\nbaseline.grid_y = 3000000\nbaseline.grid_z = 3000000",
+     "baseline.grid_x = 3000000, baseline.grid_y = 3000000, baseline.grid_z = 3000000"),
     # a net of two such widths would make numpy refuse its block with a ValueError
     ("td3.hidden1 = 1000000000000000\ntd3.hidden2 = 1000000000000000",
      "td3.hidden1 = 1000000000000000, td3.hidden2 = 1000000000000000"),
@@ -163,6 +166,17 @@ def test_count_bound_is_inclusive():
     assert cfg.buffer_capacity == MAX_COUNT
     with pytest.raises(ConfigError, match=f"td3.buffer_capacity = {MAX_COUNT + 1}: must be <= "):
         parse_config(f"td3.buffer_capacity = {MAX_COUNT + 1}\n")
+
+
+def test_lattice_point_bound_is_inclusive():
+    side = round(MAX_COUNT ** (1 / 3))
+    assert side ** 3 == MAX_COUNT
+    cfg = parse_config(f"baseline.grid_x = {side}\nbaseline.grid_y = {side}\n"
+                       f"baseline.grid_z = {side}\n")
+    assert cfg.grid_x * cfg.grid_y * cfg.grid_z == MAX_COUNT
+    with pytest.raises(ConfigError, match=f"baseline.grid_z = {side + 1}: the lattice must"):
+        parse_config(f"baseline.grid_x = {side}\nbaseline.grid_y = {side}\n"
+                     f"baseline.grid_z = {side + 1}\n")
 
 
 def test_two_keys_of_one_check_are_both_named():
