@@ -13,8 +13,9 @@ in np.sinc's normalized convention. It is exact at every spacing.
 The pattern is evaluated in two steps: axis_ratio computes one axis's
 factor at the angles' precision, in the operation order of the np.sinc
 expression sinc(n*psi/2pi) / sinc(psi/2pi), and gain_from_axis_ratios forms
-g0 * (ratio_x * ratio_y)^2 from a g0 that the caller looked up once, so a
-caller whose directions share one axis's offsets computes that factor once.
+g0 * (ratio_x * ratio_y)^2 from a g0 the caller holds (channel.ChannelParams
+keeps one per array), so a caller whose directions share one axis's offsets
+computes that factor once.
 The factor is only ever squared, so its sign across periods of psi is not
 computed.
 
@@ -29,7 +30,6 @@ tests check the factor's bound for n up to MAX_N_SIDE and spacings up to 10
 wavelengths. g0 itself is float64.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +43,9 @@ _EPS = np.finfo(np.float32).eps
 
 # Largest array side accepted; g0's lag sum for it takes about 0.1 s and 50 MB.
 MAX_N_SIDE = 1024
+# Largest spacing accepted, in wavelengths: the range of the stated tolerance.
+# Far beyond it k*d overflows the float32 pattern.
+MAX_SPACING = 10.0
 
 
 @dataclass(frozen=True)
@@ -59,8 +62,8 @@ class ArrayAntennaConfig:
     def __post_init__(self):
         require(1 <= self.n_side <= MAX_N_SIDE,
                 f"n_side must lie in [1, {MAX_N_SIDE}], got {self.n_side}", "n_side")
-        require(self.spacing_over_lambda > 0, "spacing_over_lambda must be positive",
-                "spacing_over_lambda")
+        require(0 < self.spacing_over_lambda <= MAX_SPACING,
+                f"spacing_over_lambda must lie in (0, {MAX_SPACING:g}]", "spacing_over_lambda")
 
 
 def _sinc_of_scaled(y):
@@ -104,20 +107,18 @@ def axis_ratio(cfg: ArrayAntennaConfig, theta):
 def gain_from_axis_ratios(g0: float, ratio_x, ratio_y):
     """g0 * (ratio_x * ratio_y)^2, the gain from its two axis_ratio factors.
 
-    g0 is the array's normalization_constant, looked up once by the caller;
-    in the outage kernel both factors, and so the gain, are float32.
+    g0 is the array's normalization_constant, held by the caller; in the
+    outage kernel both factors, and so the gain, are float32.
     """
     return np.square(ratio_x * ratio_y) * g0
 
 
-@functools.cache
 def normalization_constant(cfg: ArrayAntennaConfig) -> float:
     """Power-normalization constant: 4*pi over the sphere integral of the pattern.
 
     The closed-form lag sum of the module docstring, folded onto p, q >= 0
     (the summand is even in each), where a nonzero lag stands for both signs.
-    Exact up to rounding at every spacing; memoised per configuration because
-    every outage scan asks for it once per array.
+    Exact up to rounding at every spacing.
     """
     n = cfg.n_side
     lag = np.arange(n)

@@ -26,8 +26,8 @@ The per-axis angle between the links to stations i and j is symmetric in
 (16 for six links): the jitter alone, which gives every link's desired gain,
 and the jitter plus the angles of each unordered station pair, which gives
 the interference. Link geometry (lengths, elevations, pair angles) is
-evaluated for all stations at once per position; the stations' g0, the UAV
-array and its g0, and the map from station pairs to offsets, once per scan.
+evaluated for all stations at once per position; the arrays and their g0,
+once per ChannelParams, and the map from station pairs to offsets, once per M.
 
 The gain at a column is g0 * (ratio_x * ratio_y)^2, the squared product of
 two per-axis factors (antenna.axis_ratio). The x-axis pair angles depend on
@@ -64,6 +64,7 @@ float64 kernel's only where its SINR lies within the gain tolerance of the
 threshold; the tests bound the share of such draws at 1e-4 per link.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -86,12 +87,13 @@ _DRAW_BLOCK = 1024
 _MAX_RATIO_TABLES = 64
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChannelParams:
     """Propagation, detection and antenna constants shared by every link of a scenario, in SI units.
 
     Every station transmits tx_power_w through the square array sbs_array;
-    the UAV has uav_array. Both arrays have the spacing spacing_over_lambda.
+    the UAV has uav_array. Both have the spacing spacing_over_lambda and are
+    built once; their g0s, sbs_g0 and uav_g0, on first use, so a check computes none.
     """
 
     carrier_hz: float
@@ -114,27 +116,30 @@ class ChannelParams:
                 "absorption_coeff")
         require(0.0 <= self.nlos_extra_loss <= 1.0, "nlos_extra_loss must lie in [0, 1]",
                 "nlos_extra_loss")
-        require(self.vibration_std_rad >= 0, "vibration std must be >= 0", "vibration_std_rad")
+        # half a turn; far beyond it the float32 jitter angles overflow
+        require(0 <= self.vibration_std_rad <= math.pi, "vibration std must lie in [0, pi] rad",
+                "vibration_std_rad")
         for name in ("los_alpha", "los_b"):
             require(getattr(self, name) >= 0, f"{name} must be >= 0", name)
-        for side in ("uav_n_side", "sbs_n_side"):
+        for side, name in (("uav_n_side", "uav_array"), ("sbs_n_side", "sbs_array")):
             try:
-                ArrayAntennaConfig(getattr(self, side), self.spacing_over_lambda)
+                array = ArrayAntennaConfig(getattr(self, side), self.spacing_over_lambda)
             except InvalidInputError as exc:
                 raise InvalidInputError(
                     str(exc), *(side if f == "n_side" else f for f in exc.fields)) from exc
+            object.__setattr__(self, name, array)      # set once; the params are frozen
 
     @property
     def wavelength(self) -> float:
         return SPEED_OF_LIGHT / self.carrier_hz
 
-    @property
-    def uav_array(self) -> ArrayAntennaConfig:
-        return ArrayAntennaConfig(self.uav_n_side, self.spacing_over_lambda)
+    @functools.cached_property
+    def uav_g0(self) -> float:
+        return antenna.normalization_constant(self.uav_array)
 
-    @property
-    def sbs_array(self) -> ArrayAntennaConfig:
-        return ArrayAntennaConfig(self.sbs_n_side, self.spacing_over_lambda)
+    @functools.cached_property
+    def sbs_g0(self) -> float:
+        return antenna.normalization_constant(self.sbs_array)
 
 
 def free_space_term(params: ChannelParams, length):
@@ -170,7 +175,7 @@ class _LinkGeometry:
     The UAV gain is looked up at (S, 1 + M(M-1)/2) per-axis offsets per block
     of draws: column 0 is the jitter alone (the desired gain, shared by every
     link) and column 1 + p adds the axis angles of unordered station pair p
-    (_Workspace.column).
+    (_pairs).
     """
 
     path_loss_sq: np.ndarray      # (M,) |h_L|^2 per link
@@ -179,45 +184,39 @@ class _LinkGeometry:
     offset_y: np.ndarray          # (1 + M(M-1)/2,)
 
 
-def _precompute(sbs: np.ndarray, uav: Vec3, params: ChannelParams, upper) -> _LinkGeometry:
-    """The link geometry of the (M, 3) stations sbs at uav; upper indexes the station pairs."""
+@functools.cache
+def _pairs(m: int) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """(upper, column): m stations' unordered pairs, in triu_indices order, and their columns.
+
+    column[i, j] = column[j, i] is the gain-table column of interferer j at link i (i != j).
+    """
+    upper = np.triu_indices(m, 1)
+    column = np.zeros((m, m), dtype=np.intp)
+    column[upper] = np.arange(1, len(upper[0]) + 1)
+    return upper, column + column.T
+
+
+def _precompute(sbs: np.ndarray, uav: Vec3, params: ChannelParams) -> _LinkGeometry:
+    """The link geometry of the (M, 3) stations sbs at uav."""
+    upper, _ = _pairs(len(sbs))
     thx, thy = geometry.pair_axis_angles(uav, sbs)
     return _LinkGeometry(path_loss(params, geometry.link_length(uav, sbs)),
                          los_probability(params, geometry.elevation_angle(uav, sbs)),
                          np.concatenate(([0.0], thx[upper])), np.concatenate(([0.0], thy[upper])))
 
 
-class _Workspace:
-    """The constants of one scan; they depend only on params and the station count m.
-
-    The stations' g0, the UAV array and its g0, upper (the unordered station
-    pairs, in triu_indices order) and column[i, j], the gain-table column of
-    interferer j at link i (i != j), symmetric.
-    """
-
-    def __init__(self, params: ChannelParams, m: int):
-        self.sbs_g0 = antenna.normalization_constant(params.sbs_array)
-        self.uav_array = params.uav_array
-        self.uav_g0 = antenna.normalization_constant(params.uav_array)
-        self.upper = np.triu_indices(m, 1)
-        column = np.zeros((m, m), dtype=np.intp)
-        column[self.upper] = np.arange(1, len(self.upper[0]) + 1)
-        self.column = column + column.T
-
-
-def _ratio_table(jitter: np.ndarray, offset: np.ndarray, work: _Workspace) -> np.ndarray:
+def _ratio_table(jitter: np.ndarray, offset: np.ndarray, params: ChannelParams) -> np.ndarray:
     """The UAV's float32 axis_ratio factor at jitter[s] + offset[c], one axis, (S, 1 + M(M-1)/2).
 
     jitter is (S,) and offset one position's offset_x or offset_y; their sum
     is rounded into float32 before the pattern.
     """
     theta = (jitter[:, None] + offset).astype(np.float32)
-    return antenna.axis_ratio(work.uav_array, theta)
+    return antenna.axis_ratio(params.uav_array, theta)
 
 
 def _sinr_matrix(geom: _LinkGeometry, params: ChannelParams, ratio_x: np.ndarray,
-                 ratio_y: np.ndarray, alpha: np.ndarray,
-                 work: _Workspace) -> tuple[np.ndarray, np.ndarray]:
+                 ratio_y: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Linear SINR and interference power (W) for S orientation draws and M links, each (S, M).
 
     ratio_x/ratio_y: the position's per-axis factor tables of shape
@@ -226,12 +225,13 @@ def _sinr_matrix(geom: _LinkGeometry, params: ChannelParams, ratio_x: np.ndarray
     order, each term in the operation order of tx * pl_j * alpha_j * g0 * gain,
     in float64 on the float32 gains.
     """
-    gain = antenna.gain_from_axis_ratios(work.uav_g0, ratio_x, ratio_y)
-    tx, g0 = params.tx_power_w, work.sbs_g0
+    gain = antenna.gain_from_axis_ratios(params.uav_g0, ratio_x, ratio_y)
+    tx, g0 = params.tx_power_w, params.sbs_g0
+    _, column = _pairs(alpha.shape[1])
     interference = np.zeros(alpha.shape)
-    for j in range(work.column.shape[0]):
+    for j in range(column.shape[0]):
         # power received on every link i from interferer j's beam
-        term = alpha[:, j, None] * (tx * geom.path_loss_sq[j]) * g0 * gain[:, work.column[:, j]]
+        term = alpha[:, j, None] * (tx * geom.path_loss_sq[j]) * g0 * gain[:, column[:, j]]
         term[:, j] = 0.0
         interference += term
     sinr = alpha * tx * geom.path_loss_sq * g0 * gain[:, :1] / (interference + params.noise_power_w)
@@ -254,12 +254,10 @@ def instantaneous_sinr(links, uav: Vec3, orientation: tuple[float, float],
     station array, and uav are checked as in outage_scan.
     """
     sbs, uav = as_points(links), _checked_uavs((uav,))[0]
-    work = _Workspace(params, len(sbs))
-    geom = _precompute(sbs, uav, params, work.upper)
-    ratio_x = _ratio_table(np.array([float(orientation[0])]), geom.offset_x, work)
-    ratio_y = _ratio_table(np.array([float(orientation[1])]), geom.offset_y, work)
-    sinr, interference = _sinr_matrix(geom, params, ratio_x, ratio_y, np.ones((1, len(sbs))),
-                                      work)
+    geom = _precompute(sbs, uav, params)
+    ratio_x = _ratio_table(np.array([float(orientation[0])]), geom.offset_x, params)
+    ratio_y = _ratio_table(np.array([float(orientation[1])]), geom.offset_y, params)
+    sinr, interference = _sinr_matrix(geom, params, ratio_x, ratio_y, np.ones((1, len(sbs))))
     return sinr[0], interference[0]
 
 
@@ -399,11 +397,10 @@ def outage_scan(links, uavs, params: ChannelParams, n_samples: int, seed: int,
     sbs, uavs = as_points(links), _checked_uavs(uavs)
     m = len(sbs)
     theta_jx, theta_jy, uniforms = _draws(params, m, n_samples, seed)
-    work = _Workspace(params, m)
     failures = np.zeros((len(uavs), m), dtype=np.int64)
     done = 0
     for group in _altitude_groups(uavs):
-        geoms = [_precompute(sbs, uavs[i], params, work.upper) for i in group]
+        geoms = [_precompute(sbs, uavs[i], params) for i in group]
         # the x-axis pair angles depend on the UAV's (x, z) alone, the y-axis
         # ones on (y, z) (geometry.pair_axis_angles), so positions of one
         # altitude that share x share their x-factor table, and likewise y
@@ -413,14 +410,14 @@ def outage_scan(links, uavs, params: ChannelParams, n_samples: int, seed: int,
             offsets_y.setdefault(uavs[i, 1], geom.offset_y)
         for lo in range(0, n_samples, _DRAW_BLOCK):
             block = slice(lo, lo + _DRAW_BLOCK)
-            table_x = {x: _ratio_table(theta_jx[block], offset, work)
+            table_x = {x: _ratio_table(theta_jx[block], offset, params)
                        for x, offset in offsets_x.items()}
-            table_y = {y: _ratio_table(theta_jy[block], offset, work)
+            table_y = {y: _ratio_table(theta_jy[block], offset, params)
                        for y, offset in offsets_y.items()}
             for i, geom in zip(group, geoms):
                 alpha = np.where(uniforms[block] < geom.p_los, 1.0, params.nlos_extra_loss)
                 sinr, _ = _sinr_matrix(geom, params, table_x[uavs[i, 0]], table_y[uavs[i, 1]],
-                                       alpha, work)
+                                       alpha)
                 failures[i] += np.count_nonzero(sinr < params.sinr_threshold, axis=0)
             # free this block's arrays before the next block builds its tables
             del table_x, table_y, alpha, sinr

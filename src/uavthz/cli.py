@@ -37,7 +37,6 @@ import numpy as np
 
 import uavthz
 from uavthz import baseline, channel, geometry, neural, td3
-from uavthz.antenna import normalization_constant
 from uavthz.config import RunConfig, load_config, serialize_config
 from uavthz.environment import Environment
 from uavthz.errors import (ConfigError, GeometryDegenerateError, InvalidInputError,
@@ -285,8 +284,7 @@ def cmd_linkbudget(cfg: RunConfig, uav_xyz: str, sbs_list: list[str]) -> int:
         link_sinrs, interference_w = channel.instantaneous_sinr(sbs, uav, (0.0, 0.0), params)
     except GeometryDegenerateError as exc:
         raise ConfigError(f"degenerate geometry: {exc}") from exc
-    gain_db = _db(normalization_constant(params.sbs_array)
-                  * normalization_constant(params.uav_array))
+    gain_db = _db(params.sbs_g0 * params.uav_g0)
     print(f"uav: ({uav[0]:g}, {uav[1]:g}, {uav[2]:g})   "
           f"carrier {cfg.carrier_ghz:g} GHz   threshold {cfg.sinr_threshold_db:g} dB")
     header = (f"{'link':>4} {'length_m':>10} {'elev_deg':>9} {'p_los':>7} "

@@ -9,8 +9,12 @@ A RunConfig checks itself whole when it is built: it builds every object once,
 so each object's own checks run, without computing a g0 or allocating a
 network. A bad file therefore fails before any work, and the command exits 2
 with one line that names the dotted key. Unknown and duplicate keys and
-non-finite numbers are rejected by name as well, and so is any integer (count)
-key above MAX_COUNT, and a baseline lattice of more than MAX_COUNT points.
+non-finite numbers are rejected by name as well, and so is a value whose
+conversion to SI units overflows or is not finite (a power or threshold above
+about 3,100 dB, a carrier of 1e300 GHz), any integer (count) key above
+MAX_COUNT, and a baseline lattice of more than MAX_COUNT points. Two bounds
+keep the float32 antenna pattern finite: channel.vibration_std_deg is at most
+180 (half a turn) and antenna.spacing_over_lambda at most 10.
 """
 
 import math
@@ -130,7 +134,14 @@ class RunConfig:
         args = {}
         for f in mine:
             value, si = getattr(self, f.name), f.metadata["si"]
-            args.setdefault(f.metadata["name"] or f.name, []).append(si(value) if si else value)
+            if si:
+                try:
+                    value = si(value)
+                except OverflowError:
+                    value = math.inf
+                if not math.isfinite(value):
+                    raise ConfigError(self._describe([f.name], "overflows in SI units"))
+            args.setdefault(f.metadata["name"] or f.name, []).append(value)
         try:
             return cls(**{k: v[0] if len(v) == 1 else tuple(v) for k, v in args.items()}, **extra)
         except InvalidInputError as exc:

@@ -466,17 +466,17 @@ class TestKernelMatchesReference:
         p = make_params(spacing_over_lambda=spacing)
         m, s = len(links), 4000
         ref = oracle_precompute(links, uav, p)
-        work = channel._Workspace(p, m)
-        geom = channel._precompute(links, uav, p, work.upper)
+        _, column = channel._pairs(m)
+        geom = channel._precompute(links, uav, p)
         assert np.all(ref[0] == p.tx_power_w)
         assert np.array_equal(geom.path_loss_sq, ref[1])
-        assert np.all(ref[2] == work.sbs_g0)
+        assert np.all(ref[2] == p.sbs_g0)
         assert np.array_equal(geom.p_los, ref[3])
-        assert all(cfg == work.uav_array for cfg in ref[6])
+        assert all(cfg == p.uav_array for cfg in ref[6])
         pairs = ~np.eye(m, dtype=bool)
         for offset, theta in ((geom.offset_x, ref[4]), (geom.offset_y, ref[5])):
             assert offset[0] == 0.0 and offset.shape == (1 + m * (m - 1) // 2,)
-            assert np.array_equal(offset[work.column][pairs], theta[pairs])
+            assert np.array_equal(offset[column][pairs], theta[pairs])
         if spacing > 0.5:
             # some |psi| = k*d*|sin(offset)| exceed pi, so the reduction acts
             assert np.any(2 * np.pi * spacing * np.sin(geom.offset_x) > np.pi)
@@ -484,10 +484,10 @@ class TestKernelMatchesReference:
         jx = rng.normal(0.0, 0.05, s)
         jy = rng.normal(0.0, 0.05, s)
         alpha = np.where(rng.random((s, m)) < 0.6, 1.0, p.nlos_extra_loss)
-        ratio_x, ratio_y = (channel._ratio_table(jitter, offset, work)
+        ratio_x, ratio_y = (channel._ratio_table(jitter, offset, p)
                             for jitter, offset in ((jx, geom.offset_x), (jy, geom.offset_y)))
         assert ratio_x.dtype == ratio_y.dtype == np.float32
-        got, interference = channel._sinr_matrix(geom, p, ratio_x, ratio_y, alpha, work)
+        got, interference = channel._sinr_matrix(geom, p, ratio_x, ratio_y, alpha)
         assert got.dtype == interference.dtype == np.float64
         assert_sinr_within_gain_tolerance(got, interference, ref, p, jx, jy, alpha)
 
@@ -604,17 +604,28 @@ class TestKernelMatchesReference:
         assert sinr.dtype == interference.dtype == np.float64
 
     def test_scan_looks_up_each_g0_once(self, monkeypatch):
-        # one lookup per array, however many positions and blocks of draws
+        # one lookup per array and params object, however many scans,
+        # positions and blocks of draws
         calls = []
         lookup = antenna.normalization_constant
         monkeypatch.setattr(antenna, "normalization_constant",
                             lambda cfg: calls.append(cfg) or lookup(cfg))
         p = make_params()
+        links = station_positions((40, 40), (110, 95), (75, 140))
         positions = [vec3(x, 70, z) for x in (40, 75, 110) for z in (60, 85)]
-        channel.outage_scan(station_positions((40, 40), (110, 95), (75, 140)), positions, p,
-                            2 * channel._DRAW_BLOCK + 7, 0)
+        for seed in (0, 1):
+            channel.outage_scan(links, positions, p, 2 * channel._DRAW_BLOCK + 7, seed)
+        channel.instantaneous_sinr(links, vec3(75, 70, 85), (0.01, -0.02), p)
         assert sorted(calls, key=lambda cfg: cfg.n_side) == sorted(
             [p.sbs_array, p.uav_array], key=lambda cfg: cfg.n_side)
+
+    def test_checking_params_computes_no_g0(self, monkeypatch):
+        # g0 stays lazy: building and replacing params looks up nothing
+        calls = []
+        monkeypatch.setattr(antenna, "normalization_constant", calls.append)
+        p = RunConfig().channel_params()
+        replace(p, uav_n_side=4)
+        assert calls == []
 
 
 # Geometries for the bias test. BIAS_LOS puts every LoS probability between

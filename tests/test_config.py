@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -109,6 +110,14 @@ BAD_VALUES = [
      "td3.hidden1 = 1000000000000000, td3.hidden2 = 1000000000000000"),
     ("td3.exploration_noise = 1e200", "td3.exploration_noise"),
     ("td3.target_noise = 1e300\ntd3.target_noise_clip = 1e300", "td3.target_noise"),
+    # a unit conversion that overflows, or converts to inf
+    ("channel.tx_power_dbm = 1e300", "channel.tx_power_dbm"),
+    ("channel.noise_power_dbm = 1e300", "channel.noise_power_dbm"),
+    ("channel.sinr_threshold_db = 1e300", "channel.sinr_threshold_db"),
+    ("channel.carrier_ghz = 1e300", "channel.carrier_ghz"),
+    # beyond these the float32 angle table would overflow
+    ("channel.vibration_std_deg = 1e300", "channel.vibration_std_deg"),
+    ("antenna.spacing_over_lambda = 1e40", "antenna.spacing_over_lambda"),
     ("channel.los_mode = per-sample", "unknown config key: channel.los_mode"),
     ("env.clamp_z_only = false", "unknown config key: env.clamp_z_only"),
     ("env.clamp_horizontal = false", "unknown config key: env.clamp_horizontal"),
@@ -177,6 +186,15 @@ def test_lattice_point_bound_is_inclusive():
     with pytest.raises(ConfigError, match=f"baseline.grid_z = {side + 1}: the lattice must"):
         parse_config(f"baseline.grid_x = {side}\nbaseline.grid_y = {side}\n"
                      f"baseline.grid_z = {side + 1}\n")
+
+
+@pytest.mark.parametrize("key,limit", [("channel.vibration_std_deg", 180.0),
+                                       ("antenna.spacing_over_lambda", 10.0)])
+def test_angle_table_bounds_are_inclusive(key, limit):
+    parse_config(f"{key} = {limit!r}\n")
+    above = math.nextafter(limit, math.inf)
+    with pytest.raises(ConfigError, match=f"^{key} = {above!r}: "):
+        parse_config(f"{key} = {above!r}\n")
 
 
 def test_two_keys_of_one_check_are_both_named():
