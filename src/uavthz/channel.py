@@ -18,8 +18,9 @@ line of sight.
 
 The entries outage_scan and instantaneous_sinr check each (N, 3) stack once
 (geometry.as_points): the stations, M >= 1, and the UAV positions, each at
-positive altitude (else GeometryDegenerateError). A scan returns one (N, M)
-array of per-link outage probabilities, a row per UAV position.
+altitude at least geometry.MIN_ALTITUDE_M (else GeometryDegenerateError). A
+scan returns one (N, M) array of per-link outage probabilities, a row per UAV
+position.
 
 The per-axis angle between the links to stations i and j is symmetric in
 (i, j), so each draw needs the UAV pattern at 1 + M(M-1)/2 distinct offsets
@@ -77,6 +78,12 @@ from uavthz.geometry import Vec3, as_points
 
 SPEED_OF_LIGHT = 3.0e8  # m/s
 
+# Lowest carrier, in Hz: a wavelength of at most 0.3 m. A link to a ground
+# station is at least geometry.MIN_ALTITUDE_M = 1 mm long, so
+# lambda / (4*pi*L) <= 24 and the path loss (lambda / (4*pi*L))^4 <= 3.3e5 is
+# finite.
+MIN_CARRIER_HZ = 1e9
+
 # Draws per _sinr_matrix call in outage_scan. Bounds every temporary of a block
 # (the float32 (S, 16) gain table is 64 KB for six links, the float64 (S, M)
 # interference sums 48 KB), so memory does not grow with S.
@@ -110,7 +117,9 @@ class ChannelParams:
     spacing_over_lambda: float
 
     def __post_init__(self):
-        for name in ("carrier_hz", "noise_power_w", "sinr_threshold", "tx_power_w"):
+        require(self.carrier_hz >= MIN_CARRIER_HZ,
+                f"carrier_hz must be at least {MIN_CARRIER_HZ:g} Hz", "carrier_hz")
+        for name in ("noise_power_w", "sinr_threshold", "tx_power_w"):
             require(getattr(self, name) > 0, f"{name} must be positive", name)
         require(self.absorption_coeff >= 0, "absorption coefficient must be >= 0",
                 "absorption_coeff")
@@ -239,10 +248,14 @@ def _sinr_matrix(geom: _LinkGeometry, params: ChannelParams, ratio_x: np.ndarray
 
 
 def _checked_uavs(v) -> np.ndarray:
-    """The (N, 3) UAV positions v checked by geometry.as_points, each altitude positive."""
+    """The (N, 3) UAV positions v checked by geometry.as_points, none below the altitude floor.
+
+    Below geometry.MIN_ALTITUDE_M a link function may overflow or divide by zero.
+    """
     uavs = as_points(v)
-    if not np.all(uavs[:, 2] > 0):
-        raise GeometryDegenerateError(f"UAV altitude must be positive, got {uavs[:, 2].min()}")
+    if not np.all(uavs[:, 2] >= geometry.MIN_ALTITUDE_M):
+        raise GeometryDegenerateError(f"UAV altitude must be at least "
+                                      f"{geometry.MIN_ALTITUDE_M:g} m, got {uavs[:, 2].min()}")
     return uavs
 
 

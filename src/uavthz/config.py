@@ -14,7 +14,11 @@ conversion to SI units overflows or is not finite (a power or threshold above
 about 3,100 dB, a carrier of 1e300 GHz), any integer (count) key above
 MAX_COUNT, and a baseline lattice of more than MAX_COUNT points. Two bounds
 keep the float32 antenna pattern finite: channel.vibration_std_deg is at most
-180 (half a turn) and antenna.spacing_over_lambda at most 10.
+180 (half a turn) and antenna.spacing_over_lambda at most 10. Three floors
+keep the link functions and flight times finite: channel.carrier_ghz is at
+least 1 (channel.MIN_CARRIER_HZ), and kinematics.h_min_m and
+kinematics.v_max_mps are each at least 0.001 (geometry.MIN_ALTITUDE_M and
+MIN_SPEED_MPS).
 """
 
 import math
@@ -60,8 +64,6 @@ class RunConfig:
     area_y_m: float = _key("area.y_m", 150.0, EnvConfig, "area_y")
     m_s_min: int = _key("topology.m_s_min", 2, EnvConfig)
     m_s_max: int = _key("topology.m_s_max", 6, EnvConfig)
-    t_min_s: float = _key("topology.t_min_s", 20.0, EnvConfig, "t_min")
-    t_max_s: float = _key("topology.t_max_s", 35.0, EnvConfig, "t_max")
     carrier_ghz: float = _key("channel.carrier_ghz", 140.0, ChannelParams, "carrier_hz",
                               lambda ghz: ghz * 1e9)
     tx_power_dbm: float = _key("channel.tx_power_dbm", 10.0, ChannelParams, "tx_power_w",

@@ -63,15 +63,15 @@ class EnvConfig:
 
     box is the closed flight box [0, area_x] x [0, area_y] x [h_min, h_max]
     as its (lo, hi) corners, computed when the config is built. The antennas
-    and the transmit power are channel constants (ChannelParams).
+    and the transmit power are channel constants (ChannelParams). The
+    stations stay put for a whole run, so no flight-time budget applies: a
+    move's flight time is reported (Environment.move), never bounded.
     """
 
     area_x: float
     area_y: float
     m_s_min: int
     m_s_max: int
-    t_min: float
-    t_max: float
     limits: KinematicLimits
     mc_samples: int
     reward_floor: float
@@ -84,15 +84,9 @@ class EnvConfig:
                     f"{name} must lie in (0, {MAX_COORD_M:g}] m", name)
         require(1 <= self.m_s_min <= self.m_s_max, "need 1 <= m_s_min <= m_s_max",
                 "m_s_min", "m_s_max")
-        require(0 < self.t_min <= self.t_max, "need 0 < t_min <= t_max", "t_min", "t_max")
         require(self.mc_samples >= 1, "mc_samples must be >= 1", "mc_samples")
         self.box = (np.array([0.0, 0.0, self.limits.h_min]),
                     np.array([self.area_x, self.area_y, self.limits.h_max]))
-
-    @property
-    def time_budget(self) -> float:
-        """Flight-time budget of one episode: the mean topology change interval."""
-        return 0.5 * (self.t_min + self.t_max)
 
 
 def outage_to_reward(max_outage: float, floor: float) -> float:

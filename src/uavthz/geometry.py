@@ -4,9 +4,10 @@ Positions are plain numpy arrays of shape (3,) in meters; N of them (the
 ground stations, or the UAV positions of a scan) stack into an (N, 3) array.
 A position is checked once, where it enters the program (as_vec3, as_points):
 numbers, finite and at most MAX_COORD_M in magnitude, else InvalidInputError.
-The link functions take a checked (3,) UAV with positive altitude and checked
-(M, 3) stations, and check nothing. All functions here are pure and safe to
-call concurrently.
+The link functions take a checked (3,) UAV at altitude at least MIN_ALTITUDE_M
+and checked (M, 3) ground stations, and check nothing; on such positions every
+link function is finite. All functions here are pure and safe to call
+concurrently.
 """
 
 from dataclasses import dataclass
@@ -18,9 +19,20 @@ from uavthz.errors import InvalidInputError, require
 Vec3 = np.ndarray
 
 # Largest coordinate magnitude a position may have, in meters. Far below the
-# ~1e76 m at which _axis_angle's (da^2 + z^2) * (db^2 + z^2) overflows, so
-# every link function is finite on checked positions.
+# ~1e76 m at which _axis_angle's (da^2 + z^2) * (db^2 + z^2) overflows.
 MAX_COORD_M = 1e6
+
+# Lowest UAV altitude, in meters. _axis_angle's (da^2 + z^2) * (db^2 + z^2) is
+# at least z^4 >= 1e-12, far above float64's smallest normal (2.2e-308), so its
+# denominator is never 0; and a link to a ground station is at least z long,
+# so with channel.MIN_CARRIER_HZ the free-space factor stays finite.
+MIN_ALTITUDE_M = 1e-3
+
+# Lowest top speed, in m/s. A move is charged its length over v_max and is at
+# most the action scale, itself at most MAX_COORD_M, so a step takes at most
+# 1e9 s, and config.MAX_COUNT = 1e15 steps at most 1e24 s: every flight time
+# is finite.
+MIN_SPEED_MPS = 1e-3
 
 
 def _within_bound(a: np.ndarray) -> np.ndarray:
@@ -70,9 +82,12 @@ class KinematicLimits:
     dt: float       # s
 
     def __post_init__(self):
-        for name in ("v_max", "a_max", "dt"):
+        for name in ("a_max", "dt"):
             require(getattr(self, name) > 0, f"{name} must be positive", name)
-        require(0 < self.h_min < self.h_max, "need 0 < h_min < h_max", "h_min", "h_max")
+        require(self.v_max >= MIN_SPEED_MPS, f"v_max must be at least {MIN_SPEED_MPS:g} m/s",
+                "v_max")
+        require(MIN_ALTITUDE_M <= self.h_min < self.h_max,
+                f"need {MIN_ALTITUDE_M:g} m <= h_min < h_max", "h_min", "h_max")
         require(self.h_max <= MAX_COORD_M, f"h_max must be at most {MAX_COORD_M:g} m", "h_max")
         # dt < 1e154 first: from about 1.3e154 on, dt ** 2 raises OverflowError
         require(self.dt < 1e154 and self.action_scale <= MAX_COORD_M,

@@ -37,6 +37,7 @@ BAD_STATION_ARRAYS = {
 BAD_UAVS = {
     "on the ground": ((75.0, 70.0, 0.0), GeometryDegenerateError),
     "below the ground": ((75.0, 70.0, -1.0), GeometryDegenerateError),
+    "below the altitude floor": ((75.0, 70.0, 1e-100), GeometryDegenerateError),
     "(2,)": ((75.0, 70.0), InvalidInputError),
     "non-finite": ((75.0, np.inf, 85.0), InvalidInputError),
     "beyond the bound": ((1e200, 70.0, 85.0), InvalidInputError),

@@ -20,8 +20,6 @@ area.y_m = 150.0
 
 topology.m_s_min = 2
 topology.m_s_max = 6
-topology.t_min_s = 20.0
-topology.t_max_s = 35.0
 
 channel.carrier_ghz = 140.0
 channel.tx_power_dbm = 10.0
@@ -118,17 +116,23 @@ BAD_VALUES = [
     # beyond these the float32 angle table would overflow
     ("channel.vibration_std_deg = 1e300", "channel.vibration_std_deg"),
     ("antenna.spacing_over_lambda = 1e40", "antenna.spacing_over_lambda"),
+    # below these floors a link function or a flight time would overflow
+    ("channel.carrier_ghz = 1e-300", "channel.carrier_ghz"),
+    ("kinematics.h_min_m = 1e-300", "kinematics.h_min_m"),
+    ("kinematics.v_max_mps = 1e-310", "kinematics.v_max_mps"),
     ("channel.los_mode = per-sample", "unknown config key: channel.los_mode"),
     ("env.clamp_z_only = false", "unknown config key: env.clamp_z_only"),
     ("env.clamp_horizontal = false", "unknown config key: env.clamp_horizontal"),
     ("env.freeze_topology = true", "unknown config key: env.freeze_topology"),
     ("env.outage_alarm_threshold = 0.1", "unknown config key: env.outage_alarm_threshold"),
+    ("topology.t_min_s = 20.0", "unknown config key: topology.t_min_s"),
+    ("topology.t_max_s = 35.0", "unknown config key: topology.t_max_s"),
 ]
 
 
 def test_default_text_is_the_canonical_form():
     assert serialize_config(RunConfig()) == DEFAULT_TEXT
-    assert len(DEFAULT_TEXT.splitlines()) == 52
+    assert len(DEFAULT_TEXT.splitlines()) == 50
 
 
 @pytest.mark.parametrize("cfg", [RunConfig(), NON_DEFAULT], ids=["default", "non_default"])
@@ -188,13 +192,17 @@ def test_lattice_point_bound_is_inclusive():
                      f"baseline.grid_z = {side + 1}\n")
 
 
-@pytest.mark.parametrize("key,limit", [("channel.vibration_std_deg", 180.0),
-                                       ("antenna.spacing_over_lambda", 10.0)])
-def test_angle_table_bounds_are_inclusive(key, limit):
-    parse_config(f"{key} = {limit!r}\n")
-    above = math.nextafter(limit, math.inf)
-    with pytest.raises(ConfigError, match=f"^{key} = {above!r}: "):
-        parse_config(f"{key} = {above!r}\n")
+# The bound parses, and the next float beyond it, toward `outside`, is refused.
+@pytest.mark.parametrize("key,bound,outside", [("channel.vibration_std_deg", 180.0, math.inf),
+                                               ("antenna.spacing_over_lambda", 10.0, math.inf),
+                                               ("channel.carrier_ghz", 1.0, 0.0),
+                                               ("kinematics.h_min_m", 1e-3, 0.0),
+                                               ("kinematics.v_max_mps", 1e-3, 0.0)])
+def test_bounds_are_inclusive(key, bound, outside):
+    parse_config(f"{key} = {bound!r}\n")
+    beyond = math.nextafter(bound, outside)
+    with pytest.raises(ConfigError, match=f"^{key} = {beyond!r}[:,]"):
+        parse_config(f"{key} = {beyond!r}\n")
 
 
 def test_two_keys_of_one_check_are_both_named():
