@@ -51,8 +51,9 @@ distinct x and one y-factor table per distinct y of the group, then, per
 position, forms the gain table from its two tables and runs the SINR. A
 15 x 15 altitude of the baseline lattice thus needs 30 factor tables per
 block instead of 450. A block's arrays are plain numpy temporaries of at most
-_DRAW_BLOCK rows, and its factor tables are freed before the next block
-builds its own, so beyond the draws memory does not grow with their number.
+_DRAW_BLOCK rows, and each factor table is freed as the next block's table
+for its x or y replaces it, so beyond the draws memory does not grow with
+their number.
 
 Precision: the UAV pattern is float32 (the angle table, the factor tables,
 the gain table and the gathered interferer gains) and meets the tolerance
@@ -84,6 +85,16 @@ SPEED_OF_LIGHT = 3.0e8  # m/s
 # finite.
 MIN_CARRIER_HZ = 1e9
 
+# Largest transmit power in W, and largest ratio of transmit to noise power.
+# A link's path loss is at most 24^4 = 3.3e5 (MIN_CARRIER_HZ), and no array
+# that ArrayAntennaConfig accepts has a g0 above 1e7: on a grid of spacings up
+# to MAX_SPACING the largest is 6.0e6, at n_side = MAX_N_SIDE and 0.97
+# wavelengths (5.7 n_side^2). A received power is thus at most
+# tx * 3.3e5 * (1e7)^2 = 3.3e19 tx <= 3.3e269 W, an interference sum over up
+# to 1e15 stations (config.MAX_COUNT) at most 3.3e284 W, finite in mW too,
+# and a SINR at most 3.3e19 tx / noise <= 3.3e269.
+MAX_POWER_RATIO = 1e250
+
 # Draws per _sinr_matrix call in outage_scan. Bounds every temporary of a block
 # (the float32 (S, 16) gain table is 64 KB for six links, the float64 (S, M)
 # interference sums 48 KB), so memory does not grow with S.
@@ -101,6 +112,7 @@ class ChannelParams:
     Every station transmits tx_power_w through the square array sbs_array;
     the UAV has uav_array. Both have the spacing spacing_over_lambda and are
     built once; their g0s, sbs_g0 and uav_g0, on first use, so a check computes none.
+    tx_power_w is at most MAX_POWER_RATIO W and MAX_POWER_RATIO noise powers.
     """
 
     carrier_hz: float
@@ -121,6 +133,10 @@ class ChannelParams:
                 f"carrier_hz must be at least {MIN_CARRIER_HZ:g} Hz", "carrier_hz")
         for name in ("noise_power_w", "sinr_threshold", "tx_power_w"):
             require(getattr(self, name) > 0, f"{name} must be positive", name)
+        # divided, not multiplied, so the check itself cannot overflow
+        require(self.tx_power_w / MAX_POWER_RATIO <= min(1.0, self.noise_power_w),
+                f"tx_power_w must be <= {MAX_POWER_RATIO:g} W and <= {MAX_POWER_RATIO:g} "
+                f"times noise_power_w, or a SINR could overflow", "tx_power_w", "noise_power_w")
         require(self.absorption_coeff >= 0, "absorption coefficient must be >= 0",
                 "absorption_coeff")
         require(0.0 <= self.nlos_extra_loss <= 1.0, "nlos_extra_loss must lie in [0, 1]",
@@ -421,19 +437,19 @@ def outage_scan(links, uavs, params: ChannelParams, n_samples: int, seed: int,
         for i, geom in zip(group, geoms):
             offsets_x.setdefault(uavs[i, 0], geom.offset_x)
             offsets_y.setdefault(uavs[i, 1], geom.offset_y)
+        table_x, table_y = {}, {}
         for lo in range(0, n_samples, _DRAW_BLOCK):
             block = slice(lo, lo + _DRAW_BLOCK)
-            table_x = {x: _ratio_table(theta_jx[block], offset, params)
-                       for x, offset in offsets_x.items()}
-            table_y = {y: _ratio_table(theta_jy[block], offset, params)
-                       for y, offset in offsets_y.items()}
+            # each table replaces the last block's under its key
+            for x, offset in offsets_x.items():
+                table_x[x] = _ratio_table(theta_jx[block], offset, params)
+            for y, offset in offsets_y.items():
+                table_y[y] = _ratio_table(theta_jy[block], offset, params)
             for i, geom in zip(group, geoms):
                 alpha = np.where(uniforms[block] < geom.p_los, 1.0, params.nlos_extra_loss)
                 sinr, _ = _sinr_matrix(geom, params, table_x[uavs[i, 0]], table_y[uavs[i, 1]],
                                        alpha)
                 failures[i] += np.count_nonzero(sinr < params.sinr_threshold, axis=0)
-            # free this block's arrays before the next block builds its tables
-            del table_x, table_y, alpha, sinr
         if progress is not None:
             for _ in group:
                 done += 1

@@ -223,7 +223,7 @@ def cmd_eval(cfg: RunConfig, env: Environment, args) -> tuple[dict, list[Path]]:
 
 
 def cmd_baseline(cfg: RunConfig, env: Environment, args) -> tuple[dict, list[Path]]:
-    spec = cfg.grid_spec(args.seed + 1)
+    mc_seed = args.seed + 1
     started = perf_counter()
 
     def progress(k, n):
@@ -233,13 +233,14 @@ def cmd_baseline(cfg: RunConfig, env: Environment, args) -> tuple[dict, list[Pat
             print(f"scanned {k}/{n} lattice points", file=sys.stderr)
             started = now
 
-    best_pos, best_val, scan = baseline.grid_search_best_position(env, spec, progress)
-    meta = {"mc_samples": spec.mc_samples, "mc_seed": spec.seed}
+    best_pos, best_val, scan = baseline.grid_search_best_position(
+        env, cfg.grid_x, cfg.grid_y, cfg.grid_z, cfg.grid_mc_samples, mc_seed, progress)
+    meta = {"mc_samples": cfg.grid_mc_samples, "mc_seed": mc_seed}
     written = [write_csv(args.out_dir / "grid_scan.csv", args.seed, ("x", "y", "z", "max_outage"),
                          [(*pos, val) for pos, val in scan], **meta)]
     center = baseline.static_center_policy(env.topology, env.config.limits)
     center_est = channel.outage_probability(env.topology.sbs_list, center, env.params,
-                                            spec.mc_samples, spec.seed)
+                                            cfg.grid_mc_samples, mc_seed)
     center_val = channel.max_outage(center_est)
     written += [write_csv(args.out_dir / "baseline_summary.csv", args.seed,
                           ("method", "x", "y", "z", "max_outage"),

@@ -5,27 +5,29 @@ class and field of the simulation object it sets, and the conversion `si`
 from its operator-friendly unit (dBm for powers, dB for the SINR threshold,
 degrees for the vibration std, GHz for the carrier) to that field's SI unit.
 
-A RunConfig checks itself whole when it is built: it builds every object once,
-so each object's own checks run, without computing a g0 or allocating a
-network. A bad file therefore fails before any work, and the command exits 2
-with one line that names the dotted key. Unknown and duplicate keys and
-non-finite numbers are rejected by name as well, and so is a value whose
-conversion to SI units overflows or is not finite (a power or threshold above
-about 3,100 dB, a carrier of 1e300 GHz), any integer (count) key above
-MAX_COUNT, and a baseline lattice of more than MAX_COUNT points. Two bounds
-keep the float32 antenna pattern finite: channel.vibration_std_deg is at most
-180 (half a turn) and antenna.spacing_over_lambda at most 10. Three floors
-keep the link functions and flight times finite: channel.carrier_ghz is at
-least 1 (channel.MIN_CARRIER_HZ), and kinematics.h_min_m and
-kinematics.v_max_mps are each at least 0.001 (geometry.MIN_ALTITUDE_M and
-MIN_SPEED_MPS).
+Every integer key is a count, and the rule for counts is declared here
+alone: each lies in [1, MAX_COUNT]. env.mc_samples_eval and the baseline.*
+keys set no object; the eval and baseline commands read them from the config.
+
+A RunConfig checks itself whole when it is built: the counts, then every
+object built once, so each object's own checks run, without computing a g0
+or allocating a network. A bad file therefore fails before any work, and the
+command exits 2 with one line that names the dotted key. Unknown and
+duplicate keys and non-finite numbers are rejected by name as well, and so is
+a value whose conversion to SI units overflows or is not finite (a power or
+threshold above about 3,100 dB, a carrier of 1e300 GHz), and a baseline
+lattice of more than MAX_COUNT points. Two bounds keep the float32 antenna
+pattern finite: channel.vibration_std_deg is at most 180 (half a turn) and
+antenna.spacing_over_lambda at most 10. Three floors keep the link functions
+and flight times finite: channel.carrier_ghz is at least 1
+(channel.MIN_CARRIER_HZ), and kinematics.h_min_m and kinematics.v_max_mps are
+each at least 0.001 (geometry.MIN_ALTITUDE_M and MIN_SPEED_MPS).
 """
 
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from uavthz.baseline import GridSearchSpec
 from uavthz.channel import ChannelParams
 from uavthz.environment import EnvConfig
 from uavthz.errors import ConfigError, InvalidInputError
@@ -33,12 +35,12 @@ from uavthz.geometry import KinematicLimits
 from uavthz.td3 import Td3Hyperparams
 
 
-# Largest value of an integer key. numpy refuses an array of more than 2**63
-# bytes with a ValueError ("array is too big"), not a MemoryError. At the
-# other keys' defaults every array sized by one count, or by the baseline
-# lattice's point count, holds under 9 KiB per unit of it, so up to here a
-# count too large for memory ends in numpy's MemoryError, which the CLI
-# reports as a config error (exit 2).
+# Largest value of an integer key, a count (the least is 1). numpy refuses an
+# array of more than 2**63 bytes with a ValueError ("array is too big"), not a
+# MemoryError. At the other keys' defaults every array sized by one count, or
+# by the baseline lattice's point count, holds under 9 KiB per unit of it, so
+# up to here a count too large for memory ends in numpy's MemoryError, which
+# the CLI reports as a config error (exit 2).
 MAX_COUNT = 10 ** 15
 
 
@@ -89,7 +91,6 @@ class RunConfig:
     dt_s: float = _key("kinematics.dt_s", 1.0, KinematicLimits, "dt")
     mc_samples_train: int = _key("env.mc_samples_train", 500, EnvConfig, "mc_samples")
     mc_samples_eval: int = _key("env.mc_samples_eval", 100_000)
-    reward_floor: float = _key("env.reward_floor", 1e-9, EnvConfig)
     hidden1: int = _key("td3.hidden1", 256, Td3Hyperparams, "hidden_dims")
     hidden2: int = _key("td3.hidden2", 128, Td3Hyperparams, "hidden_dims")
     actor_lr: float = _key("td3.actor_lr", 1e-4, Td3Hyperparams)
@@ -106,24 +107,23 @@ class RunConfig:
     target_noise: float = _key("td3.target_noise", 0.2, Td3Hyperparams, "target_noise_std")
     target_noise_clip: float = _key("td3.target_noise_clip", 0.5, Td3Hyperparams)
     warmup_steps: int = _key("td3.warmup_steps", 256, Td3Hyperparams)
-    grid_x: int = _key("baseline.grid_x", 15, GridSearchSpec, "x_steps")
-    grid_y: int = _key("baseline.grid_y", 15, GridSearchSpec, "y_steps")
-    grid_z: int = _key("baseline.grid_z", 5, GridSearchSpec, "z_steps")
-    grid_mc_samples: int = _key("baseline.mc_samples", 10_000, GridSearchSpec, "mc_samples")
+    grid_x: int = _key("baseline.grid_x", 15)
+    grid_y: int = _key("baseline.grid_y", 15)
+    grid_z: int = _key("baseline.grid_z", 5)
+    grid_mc_samples: int = _key("baseline.mc_samples", 10_000)
 
     def __post_init__(self):
         for f in fields(self):
-            if f.type is int and getattr(self, f.name) > MAX_COUNT:
-                raise ConfigError(self._describe([f.name], f"must be <= {MAX_COUNT}"))
+            value = getattr(self, f.name)
+            if f.type is int and not 1 <= value <= MAX_COUNT:
+                bound = "must be >= 1" if value < 1 else f"must be <= {MAX_COUNT}"
+                raise ConfigError(self._describe([f.name], bound))
         self.env_config()          # builds the kinematic limits too
         self.channel_params()
         self.hyperparams()
-        self.grid_spec(0)
         if self.grid_x * self.grid_y * self.grid_z > MAX_COUNT:
             raise ConfigError(self._describe(["grid_x", "grid_y", "grid_z"],
                                              f"the lattice must hold <= {MAX_COUNT} points"))
-        if self.mc_samples_eval < 1:
-            raise ConfigError(self._describe(["mc_samples_eval"], "must be >= 1"))
 
     def _describe(self, names, message: str) -> str:
         named = [f"{f.metadata['key']} = {_text(getattr(self, f.name))}"
@@ -162,9 +162,6 @@ class RunConfig:
 
     def hyperparams(self) -> Td3Hyperparams:
         return self._build(Td3Hyperparams)
-
-    def grid_spec(self, seed: int) -> GridSearchSpec:
-        return self._build(GridSearchSpec, seed=seed)
 
 
 _FIELDS = {f.metadata["key"]: f for f in fields(RunConfig)}

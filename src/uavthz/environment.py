@@ -59,13 +59,15 @@ class StepResult:
 
 @dataclass
 class EnvConfig:
-    """Service area, station count, kinematic envelope and scoring knobs, in SI units.
+    """Service area, station count range, kinematic envelope and draws per step, in SI units.
 
-    box is the closed flight box [0, area_x] x [0, area_y] x [h_min, h_max]
-    as its (lo, hi) corners, computed when the config is built. The antennas
-    and the transmit power are channel constants (ChannelParams). The
-    stations stay put for a whole run, so no flight-time budget applies: a
-    move's flight time is reported (Environment.move), never bounded.
+    The counts (m_s_min, m_s_max, mc_samples) are at least 1, which the run
+    config checks; here only m_s_min <= m_s_max. box is the closed flight box
+    [0, area_x] x [0, area_y] x [h_min, h_max] as its (lo, hi) corners,
+    computed when the config is built. The antennas and the transmit power
+    are channel constants (ChannelParams). The stations stay put for a whole
+    run, so no flight-time budget applies: a move's flight time is reported
+    (Environment.move), never bounded.
     """
 
     area_x: float
@@ -74,24 +76,26 @@ class EnvConfig:
     m_s_max: int
     limits: KinematicLimits
     mc_samples: int
-    reward_floor: float
     box: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        require(self.reward_floor > 0, "reward_floor must be positive", "reward_floor")
         for name in ("area_x", "area_y"):
             require(0 < getattr(self, name) <= MAX_COORD_M,
                     f"{name} must lie in (0, {MAX_COORD_M:g}] m", name)
-        require(1 <= self.m_s_min <= self.m_s_max, "need 1 <= m_s_min <= m_s_max",
-                "m_s_min", "m_s_max")
-        require(self.mc_samples >= 1, "mc_samples must be >= 1", "mc_samples")
+        require(self.m_s_min <= self.m_s_max, "need m_s_min <= m_s_max", "m_s_min", "m_s_max")
         self.box = (np.array([0.0, 0.0, self.limits.h_min]),
                     np.array([self.area_x, self.area_y, self.limits.h_max]))
 
 
-def outage_to_reward(max_outage: float, floor: float) -> float:
-    """Negative log of the worst-link outage, clamped away from zero outage."""
-    return float(-np.log(max(max_outage, floor)))
+# Least outage the reward takes. An estimate of zero (no failing draw) would
+# make -log infinite; any nonzero estimate from fewer than 1e9 draws is at
+# least 1/n > 1e-9, so the floor only caps a zero at -log(1e-9) = 20.7.
+REWARD_FLOOR = 1e-9
+
+
+def outage_to_reward(max_outage: float) -> float:
+    """Negative log of the worst-link outage, floored at REWARD_FLOOR."""
+    return float(-np.log(max(max_outage, REWARD_FLOOR)))
 
 
 def project_action(displacement: Vec3, scale: float) -> Vec3:
@@ -181,7 +185,7 @@ class Environment:
         """
         position, elapsed = self.move(displacement)
         outage = self.outage_at(position, self.config.mc_samples, self._next_step_seed())
-        reward = outage_to_reward(channel.max_outage(outage), self.config.reward_floor)
+        reward = outage_to_reward(channel.max_outage(outage))
         return StepResult(EnvState(position), reward, outage, elapsed)
 
     def outage_at(self, position, n_samples: int, seed: int) -> np.ndarray:

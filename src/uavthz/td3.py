@@ -60,8 +60,9 @@ MAX_NET_PARAMS = 10 ** 17
 class Td3Hyperparams:
     """Network widths, optimizer and exploration settings and the training schedule.
 
-    The noise settings are fractions of the action scale, at most MAX_NOISE,
-    and neither net may hold more than MAX_NET_PARAMS parameters.
+    The counts are at least 1, which the run config checks. The noise
+    settings are fractions of the action scale, at most MAX_NOISE, and neither
+    net may hold more than MAX_NET_PARAMS parameters.
     """
 
     hidden_dims: tuple
@@ -80,8 +81,6 @@ class Td3Hyperparams:
     steps_per_episode: int
 
     def __post_init__(self):
-        require(all(h >= 1 for h in self.hidden_dims), "hidden layer widths must be >= 1",
-                "hidden_dims")
         for dims in (self.actor_dims, self.critic_dims):
             require(neural.block_size(dims)[1] <= MAX_NET_PARAMS,
                     f"a net of these widths holds more than {MAX_NET_PARAMS:,} parameters",
@@ -90,9 +89,6 @@ class Td3Hyperparams:
             require(getattr(self, name) > 0, f"{name} must be positive", name)
         require(0.0 < self.discount < 1.0, "discount must lie in (0, 1)", "discount")
         require(0.0 < self.tau <= 1.0, "tau must lie in (0, 1]", "tau")
-        for name in ("policy_delay", "batch_size", "buffer_capacity", "episodes",
-                     "steps_per_episode"):
-            require(getattr(self, name) >= 1, f"{name} must be >= 1", name)
         for name in ("exploration_noise_std", "target_noise_std", "target_noise_clip"):
             require(0 <= getattr(self, name) <= MAX_NOISE,
                     f"{name} must lie in [0, {MAX_NOISE:g}]", name)

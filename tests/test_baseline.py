@@ -20,25 +20,24 @@ def scenario(seed=0, n_stations=2):
     return env
 
 
-def cheap_spec(**kw):
-    base = dict(x_steps=5, y_steps=5, z_steps=3, mc_samples=400, seed=11)
-    base.update(kw)
-    return replace(RunConfig().grid_spec(0), **base)
+def cheap_lattice(**kw):
+    """Keyword arguments of scan_grid and grid_search_best_position."""
+    return dict(x_steps=5, y_steps=5, z_steps=3, mc_samples=400, seed=11) | kw
 
 
 class TestGridSearch:
     def test_trivial_single_point_grid(self):
         env = scenario()
-        spec = cheap_spec(x_steps=1, y_steps=1, z_steps=1)
-        pos, val, _ = baseline.grid_search_best_position(env, spec)
+        lattice = cheap_lattice(x_steps=1, y_steps=1, z_steps=1)
+        pos, val, _ = baseline.grid_search_best_position(env, **lattice)
         assert np.allclose(pos, (0.0, 0.0, 30.0))
         assert 0.0 <= val <= 1.0
 
     def test_oracle_dominates_any_grid_point(self):
         env = scenario(1)
-        spec = cheap_spec()
-        _, best, rows = baseline.grid_search_best_position(env, spec)
-        scanned = list(baseline.scan_grid(env, spec))
+        lattice = cheap_lattice()
+        _, best, rows = baseline.grid_search_best_position(env, **lattice)
+        scanned = list(baseline.scan_grid(env, **lattice))
         assert len(rows) == len(scanned) == 5 * 5 * 3
         for (pos, val), (want_pos, want_val) in zip(rows, scanned):
             assert np.array_equal(pos, want_pos) and val == want_val
@@ -47,17 +46,17 @@ class TestGridSearch:
     def test_nested_refinement_never_worse(self):
         # 2n-1 points per axis nest the coarse grid (cells halve)
         env = scenario(2)
-        coarse = cheap_spec(x_steps=3, y_steps=3, z_steps=2)
-        fine = cheap_spec(x_steps=5, y_steps=5, z_steps=3)
-        _, v_coarse, _ = baseline.grid_search_best_position(env, coarse)
-        _, v_fine, _ = baseline.grid_search_best_position(env, fine)
+        coarse = cheap_lattice(x_steps=3, y_steps=3, z_steps=2)
+        fine = cheap_lattice(x_steps=5, y_steps=5, z_steps=3)
+        _, v_coarse, _ = baseline.grid_search_best_position(env, **coarse)
+        _, v_fine, _ = baseline.grid_search_best_position(env, **fine)
         assert v_fine <= v_coarse + 1e-12
 
     def test_shared_seed_reproducible(self):
         env = scenario(3)
-        spec = cheap_spec()
-        a = baseline.grid_search_best_position(env, spec)
-        b = baseline.grid_search_best_position(env, spec)
+        lattice = cheap_lattice()
+        a = baseline.grid_search_best_position(env, **lattice)
+        b = baseline.grid_search_best_position(env, **lattice)
         assert np.array_equal(a[0], b[0]) and a[1] == b[1]
 
     def test_lexicographic_tie_break(self):
@@ -67,7 +66,7 @@ class TestGridSearch:
                          sinr_threshold=1e-30)
         env = Environment(env.config, params)
         env.reset(4)
-        pos, val, _ = baseline.grid_search_best_position(env, cheap_spec())
+        pos, val, _ = baseline.grid_search_best_position(env, **cheap_lattice())
         assert val == 0.0
         assert np.allclose(pos, (0.0, 0.0, 30.0))
 
@@ -76,8 +75,8 @@ class TestGridSearch:
         # above it (within one cell)
         env = scenario(5, n_stations=1)
         sbs = env.topology.sbs_list[0]
-        spec = cheap_spec(x_steps=7, y_steps=7, z_steps=3, mc_samples=800)
-        pos, _, _ = baseline.grid_search_best_position(env, spec)
+        lattice = cheap_lattice(x_steps=7, y_steps=7, z_steps=3, mc_samples=800)
+        pos, _, _ = baseline.grid_search_best_position(env, **lattice)
         cell = 150.0 / 6
         assert abs(pos[0] - sbs[0]) <= cell and abs(pos[1] - sbs[1]) <= cell
 
@@ -86,7 +85,7 @@ class TestGridSearch:
         env = Environment(replace(env.config, area_x=90.0, area_y=40.0,
                                   limits=replace(LIMITS, h_min=12.0, h_max=57.0)), env.params)
         env.reset(0)
-        rows = list(baseline.scan_grid(env, cheap_spec(x_steps=4, y_steps=3, z_steps=2)))
+        rows = list(baseline.scan_grid(env, **cheap_lattice(x_steps=4, y_steps=3, z_steps=2)))
         assert len(rows) == 4 * 3 * 2
         assert np.array_equal(rows[0][0], (0.0, 0.0, 12.0))
         assert np.array_equal(rows[-1][0], (90.0, 40.0, 57.0))
@@ -98,21 +97,17 @@ class TestGridSearch:
         env = Environment(replace(env.config, area_x=97.3, area_y=41.9,
                                   limits=replace(LIMITS, h_min=12.7, h_max=57.1)), env.params)
         env.reset(9)
-        spec = cheap_spec(x_steps=7, y_steps=3, z_steps=4, mc_samples=50)
+        lattice = cheap_lattice(x_steps=7, y_steps=3, z_steps=4, mc_samples=50)
         lo, hi = env.config.box
         axes = [np.linspace(a, b, n) for a, b, n in zip(lo, hi, (7, 3, 4))]
         want = [np.array([float(x), float(y), float(z)]) for x, y, z in itertools.product(*axes)]
-        rows = list(baseline.scan_grid(env, spec))
+        rows = list(baseline.scan_grid(env, **lattice))
         assert len(rows) == len(want) == 7 * 3 * 4
         outages = channel.outage_scan(env.topology.sbs_list, want, env.params,
-                                      spec.mc_samples, spec.seed)
+                                      lattice["mc_samples"], lattice["seed"])
         for (pos, val), point, outage in zip(rows, want, outages):
             assert pos.shape == (3,) and pos.dtype == np.float64
             assert np.array_equal(pos, point) and val == channel.max_outage(outage)
-
-    def test_step_count_validation(self):
-        with pytest.raises(InvalidInputError):
-            replace(RunConfig().grid_spec(0), x_steps=0)
 
 
 class TestStaticCenter:
@@ -144,11 +139,11 @@ class TestStaticCenter:
 
     def test_oracle_beats_static_center(self):
         env = scenario(8)
-        spec = cheap_spec(x_steps=7, y_steps=7, z_steps=3)
-        _, best, _ = baseline.grid_search_best_position(env, spec)
+        lattice = cheap_lattice(x_steps=7, y_steps=7, z_steps=3)
+        _, best, _ = baseline.grid_search_best_position(env, **lattice)
         center = baseline.static_center_policy(env.topology, LIMITS)
         center_val = channel.max_outage(channel.outage_probability(
-            env.topology.sbs_list, center, env.params, spec.mc_samples, spec.seed))
+            env.topology.sbs_list, center, env.params, lattice["mc_samples"], lattice["seed"]))
         # the argmin over the grid cannot exceed any fixed comparator scored
         # with the same seed, up to the center not being a grid point
         assert best <= center_val + 0.05

@@ -13,22 +13,7 @@ from uavthz.config import load_config
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Same code paths as the defaults, at a size that runs in well under a second.
-TINY = """\
-antenna.uav_n_side = 4
-antenna.sbs_n_side = 2
-td3.hidden1 = 16
-td3.hidden2 = 8
-td3.batch_size = 4
-td3.episodes = 3
-td3.steps_per_episode = 4
-td3.warmup_steps = 6
-env.mc_samples_train = 64
-env.mc_samples_eval = 256
-baseline.grid_x = 2
-baseline.grid_y = 2
-baseline.grid_z = 1
-baseline.mc_samples = 128
-"""
+TINY = (Path(__file__).resolve().parent / "tiny.cfg").read_text(encoding="utf-8")
 
 
 def write_config(tmp_path, extra=""):

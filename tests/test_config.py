@@ -43,7 +43,6 @@ kinematics.dt_s = 1.0
 
 env.mc_samples_train = 500
 env.mc_samples_eval = 100000
-env.reward_floor = 1e-09
 
 td3.hidden1 = 256
 td3.hidden2 = 128
@@ -96,6 +95,16 @@ BAD_VALUES = [
     ("kinematics.dt_s = 1e300", "kinematics.dt_s"),
     ("kinematics.v_max_mps = 1e300", "kinematics.v_max_mps"),
     ("env.mc_samples_eval = 0", "env.mc_samples_eval"),
+    # every count is at least 1
+    ("topology.m_s_min = 0", "topology.m_s_min"),
+    ("topology.m_s_max = 0", "topology.m_s_max"),
+    ("env.mc_samples_train = 0", "env.mc_samples_train = 0"),
+    ("td3.hidden1 = 0", "td3.hidden1"),
+    ("td3.policy_delay = 0", "td3.policy_delay"),
+    ("td3.warmup_steps = 0", "td3.warmup_steps"),
+    ("baseline.grid_y = 0", "baseline.grid_y"),
+    ("baseline.grid_z = 0", "baseline.grid_z"),
+    ("baseline.mc_samples = 0", "baseline.mc_samples = 0"),
     # above MAX_COUNT numpy would refuse the arrays with a ValueError
     ("td3.buffer_capacity = 1000000000000000000", "td3.buffer_capacity"),
     ("env.mc_samples_train = 1000000000000000000", "env.mc_samples_train"),
@@ -113,6 +122,9 @@ BAD_VALUES = [
     ("channel.noise_power_dbm = 1e300", "channel.noise_power_dbm"),
     ("channel.sinr_threshold_db = 1e300", "channel.sinr_threshold_db"),
     ("channel.carrier_ghz = 1e300", "channel.carrier_ghz"),
+    # powers whose SINR would overflow: 1e287 W against 1e-303 W of noise
+    ("channel.tx_power_dbm = 2900\nchannel.noise_power_dbm = -3000",
+     "channel.tx_power_dbm = 2900.0, channel.noise_power_dbm = -3000.0"),
     # beyond these the float32 angle table would overflow
     ("channel.vibration_std_deg = 1e300", "channel.vibration_std_deg"),
     ("antenna.spacing_over_lambda = 1e40", "antenna.spacing_over_lambda"),
@@ -127,12 +139,13 @@ BAD_VALUES = [
     ("env.outage_alarm_threshold = 0.1", "unknown config key: env.outage_alarm_threshold"),
     ("topology.t_min_s = 20.0", "unknown config key: topology.t_min_s"),
     ("topology.t_max_s = 35.0", "unknown config key: topology.t_max_s"),
+    ("env.reward_floor = 1e-09", "unknown config key: env.reward_floor"),
 ]
 
 
 def test_default_text_is_the_canonical_form():
     assert serialize_config(RunConfig()) == DEFAULT_TEXT
-    assert len(DEFAULT_TEXT.splitlines()) == 50
+    assert len(DEFAULT_TEXT.splitlines()) == 49
 
 
 @pytest.mark.parametrize("cfg", [RunConfig(), NON_DEFAULT], ids=["default", "non_default"])

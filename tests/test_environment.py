@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uavthz.config import RunConfig
-from uavthz.environment import Environment, outage_to_reward, project_action
+from uavthz.environment import REWARD_FLOOR, Environment, outage_to_reward, project_action
 from uavthz.errors import InvalidInputError
 from uavthz.geometry import vec3
 
@@ -181,16 +181,16 @@ class TestMove:
 
 class TestReward:
     def test_log_reward_example(self):
-        assert outage_to_reward(np.exp(-2.0), 1e-9) == pytest.approx(2.0)
+        assert outage_to_reward(np.exp(-2.0)) == pytest.approx(2.0)
 
     def test_floor_bounds_reward(self):
-        assert outage_to_reward(0.0, 1e-9) == pytest.approx(-np.log(1e-9))
-        assert outage_to_reward(1.0, 1e-9) == 0.0
+        assert outage_to_reward(0.0) == pytest.approx(-np.log(REWARD_FLOOR))
+        assert outage_to_reward(1.0) == 0.0
 
     @given(st.floats(1e-12, 1.0), st.floats(1e-12, 1.0))
     def test_lower_outage_is_strictly_better(self, a, b):
-        ra, rb = outage_to_reward(a, 1e-9), outage_to_reward(b, 1e-9)
-        if max(a, 1e-9) < max(b, 1e-9):
+        ra, rb = outage_to_reward(a), outage_to_reward(b)
+        if max(a, REWARD_FLOOR) < max(b, REWARD_FLOOR):
             assert ra > rb
 
     def test_reward_range_invariant(self):
@@ -198,7 +198,7 @@ class TestReward:
         env.reset(0)
         for _ in range(5):
             res = env.step(vec3(3, -2, 1))
-            assert 0.0 <= res.reward <= -np.log(1e-9)
+            assert 0.0 <= res.reward <= -np.log(REWARD_FLOOR)
 
 
 class TestRestartEpisode:
