@@ -1,6 +1,7 @@
 import functools
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -53,9 +54,13 @@ BAD_UAVS = {
 # over station pairs for the link geometry. The library reproduces its link
 # geometry bit for bit. Its UAV gains are float32 and meet the antenna module's
 # stated tolerance (gain_tolerance), so each SINR lies within the interval
-# those gain errors allow (assert_sinr_within_gain_tolerance). At most 1e-4 of
-# a link's outage verdicts may differ from the reference's, which at the fewer
-# than 10k draws of the count tests below means none.
+# those gain errors allow (assert_sinr_within_gain_tolerance). Its estimator
+# judges every draw of a link twice, with the link's own LoS state set to LoS
+# and to NLoS, and weights the two failure counts by the LoS probability
+# (oracle_outage); sampled_outage is the estimator that judges each draw once,
+# at its drawn state. At most 1e-4 of a link's LoS or NLoS verdicts may differ
+# from the reference's, which at the fewer than 10k draws of the count tests
+# below means none.
 
 EPS32 = float(np.finfo(np.float32).eps)
 
@@ -114,10 +119,14 @@ def oracle_gain(cfg, theta_x, theta_y):
     return antenna.normalization_constant(cfg) * (rx * ry) ** 2
 
 
-def oracle_sinr_terms(geom, theta_jx, theta_jy, alpha):
-    """(signal, interference, signal per unit of UAV gain, interference per unit), each (S, M)."""
+def oracle_sinr_terms(geom, theta_jx, theta_jy, alpha, own=None):
+    """(signal, interference, signal per unit of UAV gain, interference per unit), each (S, M).
+
+    alpha scales each link as an interferer, own (default: alpha) as the desired link.
+    """
     tx, pl, g0s, _, thx, thy, cfgs = geom
     s, m = theta_jx.shape[0], len(cfgs)
+    own = alpha if own is None else own
     desired_gain = np.empty((s, m))
     for i, cfg in enumerate(cfgs):
         desired_gain[:, i] = oracle_gain(cfg, theta_jx, theta_jy)
@@ -130,20 +139,27 @@ def oracle_sinr_terms(geom, theta_jx, theta_jy, alpha):
         per_gain[:, :, j] = tx[j] * pl[j] * alpha[:, j, None] * g0s[None, :]
         term[:, :, j] = per_gain[:, :, j] * gain_ij
     idx = np.arange(m)
-    signal_per_gain = tx[None, :] * alpha * pl[None, :] * g0s[None, :]
+    signal_per_gain = tx[None, :] * own * pl[None, :] * g0s[None, :]
     term[:, idx, idx] = 0.0
     per_gain[:, idx, idx] = 0.0
     return (signal_per_gain * desired_gain, term.sum(axis=2), signal_per_gain,
             per_gain.sum(axis=2))
 
 
-def oracle_sinr(geom, params, theta_jx, theta_jy, alpha):
-    signal, interference, _, _ = oracle_sinr_terms(geom, theta_jx, theta_jy, alpha)
+def oracle_sinr(geom, params, theta_jx, theta_jy, alpha, own=None):
+    signal, interference, _, _ = oracle_sinr_terms(geom, theta_jx, theta_jy, alpha, own)
     return signal / (interference + params.noise_power_w)
 
 
+def oracle_verdicts(geom, params, theta_jx, theta_jy, alpha):
+    """(LoS, NLoS) outage verdicts, (S, M) each: a link's own state set, its interferers' alpha."""
+    return tuple(oracle_sinr(geom, params, theta_jx, theta_jy, alpha,
+                             np.full(alpha.shape, own)) < params.sinr_threshold
+                 for own in (1.0, params.nlos_extra_loss))
+
+
 def assert_sinr_within_gain_tolerance(sinr, interference, geom, params, theta_jx, theta_jy,
-                                      alpha):
+                                      alpha, own=None):
     """sinr and interference are the reference's with every UAV gain off by at most its tolerance.
 
     Each term is linear in one UAV gain, so a gain error of at most dg moves
@@ -152,7 +168,7 @@ def assert_sinr_within_gain_tolerance(sinr, interference, geom, params, theta_jx
     adds a relative 1e-12.
     """
     signal, ref_interference, signal_per_gain, interference_per_gain = oracle_sinr_terms(
-        geom, theta_jx, theta_jy, alpha)
+        geom, theta_jx, theta_jy, alpha, own)
     dg, noise, slack = gain_tolerance(geom[6][0]), params.noise_power_w, 1e-12
     assert np.all(np.abs(interference - ref_interference)
                   <= interference_per_gain * dg + slack * ref_interference)
@@ -197,6 +213,18 @@ def plain_draws(params, m, n, seed):
 
 
 def oracle_outage(links, uav, params, n_samples, seed, draws=oracle_draws):
+    """The conditional estimator: each link's own LoS state summed out, its interferers' drawn."""
+    geom = oracle_precompute(links, uav, params)
+    theta_jx, theta_jy, uniforms = draws(params, len(links), n_samples, seed)
+    alpha = np.where(uniforms < geom[3], 1.0, params.nlos_extra_loss)
+    los, nlos = (np.count_nonzero(v, axis=0)
+                 for v in oracle_verdicts(geom, params, theta_jx, theta_jy, alpha))
+    p_los = geom[3]
+    return (p_los * los + (1.0 - p_los) * nlos) / n_samples
+
+
+def sampled_outage(links, uav, params, n_samples, seed, draws=oracle_draws):
+    """The sampled-verdict estimator: the share of draws below threshold at each drawn LoS state."""
     geom = oracle_precompute(links, uav, params)
     theta_jx, theta_jy, uniforms = draws(params, len(links), n_samples, seed)
     alpha = np.where(uniforms < geom[3], 1.0, params.nlos_extra_loss)
@@ -397,6 +425,29 @@ class TestOutageProbability:
         high = channel.outage_probability(links, uav, make_params(sinr_threshold=10.0), 2000, 5)
         assert np.all(high >= low)
 
+    def test_bound_that_overflows_fails_every_draw_without_a_warning(self):
+        # thr * (I + N) exceeds the float64 range: the bound is inf
+        p = make_params(sinr_threshold=1e300, noise_power_w=1e200)
+        links = station_positions((40, 40), (110, 95))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = channel.outage_probability(links, vec3(70, 70, 75), p, 300, 3)
+        assert np.all(est == 1.0)
+
+    @pytest.mark.parametrize("nlos_extra_loss", [0.0, 1.0])
+    def test_nlos_loss_at_its_ends(self, nlos_extra_loss):
+        # at 0 an NLoS draw always fails; at 1 it is judged as a LoS draw
+        p = make_params(nlos_extra_loss=nlos_extra_loss, los_b=0.05)
+        links = station_positions((12, 30), (40, 44), (110, 95))
+        uav = vec3(70, 70, 75)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = channel.outage_probability(links, uav, p, 700, 5)
+        assert np.array_equal(est, oracle_outage(links, uav, p, 700, 5))
+        p_los = channel._precompute(links, uav, p).p_los
+        if nlos_extra_loss == 0.0:
+            assert np.all(est >= (1.0 - p_los) * (1.0 - 1e-12))
+
     def test_rejects_zero_samples(self):
         with pytest.raises(InvalidInputError):
             channel.outage_probability(station_positions((1, 1)), vec3(0, 0, 50), make_params(),
@@ -488,9 +539,12 @@ class TestKernelMatchesReference:
         ratio_x, ratio_y = (channel._ratio_table(jitter, offset, p)
                             for jitter, offset in ((jx, geom.offset_x), (jy, geom.offset_y)))
         assert ratio_x.dtype == ratio_y.dtype == np.float32
-        got, interference = channel._sinr_matrix(geom, p, ratio_x, ratio_y, alpha)
-        assert got.dtype == interference.dtype == np.float64
-        assert_sinr_within_gain_tolerance(got, interference, ref, p, jx, jy, alpha)
+        desired, interference = channel._link_powers(geom, p, ratio_x, ratio_y, alpha)
+        assert desired.dtype == interference.dtype == np.float64
+        # the desired power is the link's in line of sight, whatever its alpha
+        got = desired / (interference + p.noise_power_w)
+        assert_sinr_within_gain_tolerance(got, interference, ref, p, jx, jy, alpha,
+                                          np.ones_like(alpha))
 
     @pytest.mark.parametrize("spacing", [0.5, 0.7, 1.3])
     def test_gain_matches_sinc_expression(self, spacing):
@@ -676,13 +730,23 @@ class TestVarianceReducedDraws:
         assert np.all(np.abs(est.mean(axis=0) - ref) <= 4 * np.hypot(se_mean, se_ref))
 
     def test_worst_link_std_at_most_half_of_plain_monte_carlo(self):
-        links = station_positions((12, 30), (40, 44), (48, 44), (75, 140), (110, 95), (140, 10))
-        uav, p = vec3(70, 70, 75), make_params()
+        links = station_positions(*KERNEL_CASES["six links"][0])
+        uav, p = vec3(*KERNEL_CASES["six links"][1]), make_params()
         new = [channel.max_outage(channel.outage_probability(links, uav, p, 500, seed))
                for seed in range(30)]
-        plain = [oracle_outage(links, uav, p, 500, seed, draws=plain_draws).max()
+        plain = [sampled_outage(links, uav, p, 500, seed, draws=plain_draws).max()
                  for seed in range(30)]
         assert np.std(new, ddof=1) <= 0.5 * np.std(plain, ddof=1)
+
+    @pytest.mark.parametrize("n", [500, 10_000])
+    def test_worst_link_std_below_the_sampled_verdicts(self, n):
+        # the same draws, each link's own LoS state summed out or drawn
+        links = station_positions(*KERNEL_CASES["six links"][0])
+        uav, p = vec3(*KERNEL_CASES["six links"][1]), make_params()
+        conditional = [channel.max_outage(channel.outage_probability(links, uav, p, n, seed))
+                       for seed in range(30)]
+        sampled = [sampled_outage(links, uav, p, n, seed).max() for seed in range(30)]
+        assert np.std(conditional, ddof=1) < np.std(sampled, ddof=1)
 
     @pytest.mark.parametrize("n", [1, 2, 500, 610, 2 * channel._DRAW_BLOCK + 7])
     def test_draws_are_a_shifted_lattice_and_a_latin_hypercube(self, n):
@@ -729,20 +793,21 @@ class TestVarianceReducedDraws:
 class TestFloat32Verdicts:
     def test_verdicts_match_float64_at_100k_draws(self, monkeypatch):
         # six-station default scenarios: the start point and one random
-        # position each; at most 1e-4 of a link's 100k verdicts may differ
-        # from the float64 reference's on the same draws
+        # position each; at most 1e-4 of a link's 100k LoS verdicts, and of
+        # its 100k NLoS verdicts, may differ from the float64 reference's on
+        # the same draws
         cfg = RunConfig(m_s_min=6, m_s_max=6)
         env = Environment(cfg.env_config(), cfg.channel_params())
         p, lim, n = env.params, env.config.limits, 100_000
-        verdicts = []
-        sinr_matrix = channel._sinr_matrix
+        powers = []
+        link_powers = channel._link_powers
 
         def recording(*args):
-            sinr, interference = sinr_matrix(*args)
-            verdicts.append(sinr < p.sinr_threshold)
-            return sinr, interference
+            desired, interference = link_powers(*args)
+            powers.append((desired, interference))
+            return desired, interference
 
-        monkeypatch.setattr(channel, "_sinr_matrix", recording)
+        monkeypatch.setattr(channel, "_link_powers", recording)
         for scenario in range(3):
             env.reset(scenario)
             links = env.topology.sbs_list
@@ -752,18 +817,21 @@ class TestFloat32Verdicts:
                      rng.uniform(lim.h_min, lim.h_max))]
             for k, uav in enumerate(positions):
                 seed = 10 * scenario + k
-                verdicts.clear()
+                powers.clear()
                 est = channel.outage_probability(links, uav, p, n, seed)
-                got = np.concatenate(verdicts)
-                assert np.array_equal(est, got.sum(axis=0) / n)
+                desired, interference = (np.concatenate(a) for a in zip(*powers))
+                bound = p.sinr_threshold * (interference + p.noise_power_w)
+                got = (desired < bound, p.nlos_extra_loss * desired < bound)
                 ref = oracle_precompute(links, uav, p)
+                los, nlos = (np.count_nonzero(v, axis=0) for v in got)
+                assert np.array_equal(est, (ref[3] * los + (1.0 - ref[3]) * nlos) / n)
                 theta_jx, theta_jy, uniforms = channel._draws(p, len(links), n, seed)
                 alpha = np.where(uniforms < ref[3], 1.0, p.nlos_extra_loss)
-                want = np.concatenate([
-                    oracle_sinr(ref, p, theta_jx[lo:lo + 10_000], theta_jy[lo:lo + 10_000],
-                                alpha[lo:lo + 10_000]) < p.sinr_threshold
-                    for lo in range(0, n, 10_000)])
-                assert np.all(np.count_nonzero(got != want, axis=0) <= 1e-4 * n)
+                want = [oracle_verdicts(ref, p, theta_jx[lo:lo + 10_000],
+                                        theta_jy[lo:lo + 10_000], alpha[lo:lo + 10_000])
+                        for lo in range(0, n, 10_000)]
+                for verdicts, reference in zip(got, map(np.concatenate, zip(*want))):
+                    assert np.all(np.count_nonzero(verdicts != reference, axis=0) <= 1e-4 * n)
 
 
 def scan_peak_bytes(links, positions, p, n):

@@ -42,7 +42,7 @@ kinematics.h_max_m = 130.0
 kinematics.dt_s = 1.0
 
 env.mc_samples_train = 500
-env.mc_samples_eval = 100000
+env.mc_samples_eval = 20000
 
 td3.hidden1 = 256
 td3.hidden2 = 128
@@ -63,7 +63,7 @@ td3.warmup_steps = 256
 baseline.grid_x = 15
 baseline.grid_y = 15
 baseline.grid_z = 5
-baseline.mc_samples = 10000
+baseline.mc_samples = 5000
 """
 
 # One bad line each, and the key the error must name; the upper-bound rows name

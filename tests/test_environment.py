@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -186,6 +187,13 @@ class TestReward:
     def test_floor_bounds_reward(self):
         assert outage_to_reward(0.0) == pytest.approx(-np.log(REWARD_FLOOR))
         assert outage_to_reward(1.0) == 0.0
+
+    @pytest.mark.parametrize("outage", [1e-300, 5e-324, 4e-12, np.nextafter(1e-9, 0.0)])
+    def test_estimate_below_the_floor_reads_as_the_floor(self, outage):
+        # the conditional estimator's smallest nonzero values, (1 - p_los)/n
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert outage_to_reward(outage) == -np.log(1e-9)
 
     @given(st.floats(1e-12, 1.0), st.floats(1e-12, 1.0))
     def test_lower_outage_is_strictly_better(self, a, b):
