@@ -63,23 +63,36 @@ The scan groups the positions by exact altitude; per group, the blocks of
 draws are the outer loop: per block it builds one x-factor table per
 distinct x and one y-factor table per distinct y of the group, then, per
 position, forms the gain table from its two tables and counts the
-failures. A
-15 x 15 altitude of the baseline lattice thus needs 30 factor tables per
-block instead of 450. A block's arrays are plain numpy temporaries of at most
-_DRAW_BLOCK rows, and each factor table is freed as the next block's table
-for its x or y replaces it, so beyond the draws memory does not grow with
-their number.
+failures. A 15 x 15 altitude of the baseline lattice thus needs 30 factor
+tables per block instead of 450. Every per-block array is link-major: a
+table has a row per offset and the weights and verdicts a row per link, each
+row one link's or offset's draws, contiguous. A block's arrays are plain
+numpy temporaries of at most _DRAW_BLOCK columns, and each factor table is
+freed as the next block's table for its x or y replaces it, so beyond the
+draws memory does not grow with their number.
 
-Precision: the UAV pattern is float32 (the angle table, the factor tables,
-the gain table and the gathered interferer gains) and meets the tolerance
-the antenna module states. Everything else stays float64: the draws, the link
-geometry, path_loss_sq, p_los, and every power, bound and SINR array; the
-failure counts are integers. Powers here are about 1e-22 W (noise at
--190 dBm), and sidelobe interference terms fall below float32's smallest
-normal, 1.2e-38, so a float32 power would lose them. A draw's LoS or NLoS verdict can therefore
-differ from a float64 kernel's only where its SINR lies within the gain
-tolerance of the threshold; the tests bound the share of such draws at 1e-4
-per link and verdict.
+Precision: the UAV pattern is float32 (the angle table, the factor tables
+and the gain table) and meets the tolerance the antenna module states. So is
+the scan's SINR stage (_link_powers, the bound and the verdicts): each
+position's powers are divided by one power of two 2^k, the unit, which puts
+the largest c_j = tx*pl_j*g0_sbs in [1/2, 1), and the threshold is folded
+into the interferers' powers and the noise (_float32_terms), so a verdict is
+D < sum_j w_j*gain_ij + thr*N/2^k with w_j = thr*c_j/2^k in the interferer's
+sampled state (MAX_POWER_RATIO gives the range). Dividing by a power of two
+is exact, so in float64 this is the verdict D < thr*(I + N) on the same
+gains. In float32, D carries two roundings (its coefficient's cast and the
+product with the gain; four in the NLoS verdict's nlos*D) and each term of
+the bound at most M + 1 (its cast, its product with the gain, and the M - 1
+additions of the interferers and the noise), so when every term is in
+float32's normal range the computed D / bound is within a relative
+gamma_{M+5} = (M+5)u / (1 - (M+5)u), u = 2^-24, of the exact one (Higham,
+Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002, 3.1): 6.6e-7
+for six links. A draw's LoS or NLoS verdict can therefore differ from a
+float64 kernel's only where its SINR lies within that relative distance, or
+within the gain tolerance, of the threshold; the tests bound the share of
+such draws at 1e-4 per link and verdict. Everything else stays float64: the
+draws, the link geometry, p_los, the unit and instantaneous_sinr's powers in
+W; the failure counts are integers.
 """
 
 import functools
@@ -109,14 +122,34 @@ MIN_CARRIER_HZ = 1e9
 # tx * 3.3e5 * (1e7)^2 = 3.3e19 tx <= 3.3e269 W, an interference sum over up
 # to 1e15 stations (config.MAX_COUNT) at most 3.3e284 W, finite in mW too,
 # and a SINR at most 3.3e19 tx / noise <= 3.3e269.
+#
+# outage_scan's float32 stage divides a position's powers by 2^k, the frexp
+# exponent of its largest c_j = tx*pl_j*g0_sbs, so each c_j/2^k < 1 and, with
+# the UAV gain below 1e7, a desired power in that unit is below 1e7 and an
+# interference sum below 1e7 M <= 1e22 (config.MAX_COUNT stations), far
+# inside float32's largest finite value, 3.4e38. The threshold-scaled terms
+# thr*c_j/2^k and thr*N/2^k are computed in float64. In float32 a noise term
+# beyond 3.4e38 reads inf and an interferer's term saturates at 3.4e38 (an
+# inf times a gain of 0 would be NaN). Neither changes a verdict: such a
+# noise term exceeds every desired power, and so does such an interferer's
+# term whenever its gain in the sampled state is at least 1e7/3.4e38 =
+# 3e-32, far below the gain tolerance. The noise term is at least float32's
+# smallest subnormal: it stays positive, as N is, so a desired power of 0
+# (an NLoS draw at nlos_extra_loss = 0) fails, as it does in float64, when
+# thr*N/2^k is below float32's range. No float32 operation then overflows,
+# except a saturated term times a gain, which reads inf and fails the draw,
+# its limit; none makes a NaN.
 MAX_POWER_RATIO = 1e250
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
+_FLOAT32_TINY = float(np.finfo(np.float32).smallest_subnormal)
 
-# Draws per _link_powers call in outage_scan. Bounds every temporary of a block
-# (the float32 (S, 16) gain table is 64 KB for six links, the float64 (S, M)
-# interference sums 48 KB), so memory does not grow with S.
+# Draws per block in outage_scan. Bounds every temporary of a block (for six
+# links the float32 (16, S) gain table is 64 KB, the (M, M, S) gathered
+# interferer gains 144 KB and the float64 (M, S) LoS uniforms 48 KB), so
+# memory does not grow with S.
 _DRAW_BLOCK = 1024
 # Most per-axis factor tables (one per distinct x or y of an altitude group)
-# that outage_scan keeps at once: 4 MB of float32 (_DRAW_BLOCK, 16) tables for
+# that outage_scan keeps at once: 4 MB of float32 (16, _DRAW_BLOCK) tables for
 # six links. A default baseline altitude needs 30.
 _MAX_RATIO_TABLES = 64
 
@@ -213,13 +246,13 @@ def los_probability(params: ChannelParams, elevation):
 class _LinkGeometry:
     """Everything about the stations seen from one UAV position that does not depend on draws.
 
-    The UAV gain is looked up at (S, 1 + M(M-1)/2) per-axis offsets per block
-    of draws: column 0 is the jitter alone (the desired gain, shared by every
-    link) and column 1 + p adds the axis angles of unordered station pair p
+    The UAV gain is looked up at (1 + M(M-1)/2, S) per-axis offsets per block
+    of draws: row 0 is the jitter alone (the desired gain, shared by every
+    link) and row 1 + p adds the axis angles of unordered station pair p
     (_pairs).
     """
 
-    path_loss_sq: np.ndarray      # (M,) |h_L|^2 per link
+    power: np.ndarray             # (M,) tx * |h_L|^2 * g0_sbs: W per unit of UAV gain
     p_los: np.ndarray             # (M,)
     offset_x: np.ndarray          # (1 + M(M-1)/2,) zero, then pair axis angles
     offset_y: np.ndarray          # (1 + M(M-1)/2,)
@@ -227,56 +260,77 @@ class _LinkGeometry:
 
 @functools.cache
 def _pairs(m: int) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
-    """(upper, column): m stations' unordered pairs, in triu_indices order, and their columns.
+    """(upper, row): m stations' unordered pairs, in triu_indices order, and their gain-table rows.
 
-    column[i, j] = column[j, i] is the gain-table column of interferer j at link i (i != j).
+    row[i, j] = row[j, i] is the gain-table row of interferer j at link i
+    (i != j); row[i, i] = 0.
     """
     upper = np.triu_indices(m, 1)
-    column = np.zeros((m, m), dtype=np.intp)
-    column[upper] = np.arange(1, len(upper[0]) + 1)
-    return upper, column + column.T
+    row = np.zeros((m, m), dtype=np.intp)
+    row[upper] = np.arange(1, len(upper[0]) + 1)
+    return upper, row + row.T
 
 
 def _precompute(sbs: np.ndarray, uav: Vec3, params: ChannelParams) -> _LinkGeometry:
     """The link geometry of the (M, 3) stations sbs at uav."""
     upper, _ = _pairs(len(sbs))
     thx, thy = geometry.pair_axis_angles(uav, sbs)
-    return _LinkGeometry(path_loss(params, geometry.link_length(uav, sbs)),
-                         los_probability(params, geometry.elevation_angle(uav, sbs)),
+    power = params.tx_power_w * path_loss(params, geometry.link_length(uav, sbs)) * params.sbs_g0
+    return _LinkGeometry(power, los_probability(params, geometry.elevation_angle(uav, sbs)),
                          np.concatenate(([0.0], thx[upper])), np.concatenate(([0.0], thy[upper])))
 
 
 def _ratio_table(jitter: np.ndarray, offset: np.ndarray, params: ChannelParams) -> np.ndarray:
-    """The UAV's float32 axis_ratio factor at jitter[s] + offset[c], one axis, (S, 1 + M(M-1)/2).
+    """The UAV's float32 axis_ratio factor at offset[c] + jitter[s], one axis, (1 + M(M-1)/2, S).
 
     jitter is (S,) and offset one position's offset_x or offset_y; their sum
     is rounded into float32 before the pattern.
     """
-    theta = (jitter[:, None] + offset).astype(np.float32)
+    theta = (offset[:, None] + jitter).astype(np.float32)
     return antenna.axis_ratio(params.uav_array, theta)
 
 
-def _link_powers(geom: _LinkGeometry, params: ChannelParams, ratio_x: np.ndarray,
-                 ratio_y: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(desired, interference): each link's LoS desired power and interference power (W), (S, M).
+def _float32_terms(power: np.ndarray, params: ChannelParams):
+    """(desired, weights, noise): one position's float32 verdict terms, in its unit 2^k.
 
-    ratio_x/ratio_y: the position's per-axis factor tables of shape
-    (S, 1 + M(M-1)/2) (_ratio_table); alpha: per-sample LoS attenuation of
-    shape (S, M), which scales each link as an interferer only. Interference
-    is summed over interferers j = 0..M-1 in order, each term in the
-    operation order of tx * pl_j * alpha_j * g0 * gain, and the desired power
-    is tx * pl * g0 * gain, in float64 on the float32 gains.
+    2^k puts the largest power in [1/2, 1) (frexp). desired (M,) is power /
+    2^k; weights (2, M, 1) is thr * power / 2^k in line of sight (weights[0])
+    and times nlos_extra_loss not (weights[1]); noise is thr * N / 2^k. Each
+    is computed in float64 and rounded into float32, the weights saturated
+    at float32's largest value and the noise kept at least its smallest
+    subnormal (MAX_POWER_RATIO states why).
+    """
+    k = np.frexp(power.max())[1]
+    unit_power = np.ldexp(power, -k)
+    thr = params.sinr_threshold
+    weights = np.minimum(thr * np.multiply.outer((1.0, params.nlos_extra_loss), unit_power[:, None]),
+                         _FLOAT32_MAX)
+    with np.errstate(over="ignore", under="ignore"):
+        return (unit_power.astype(np.float32), weights.astype(np.float32),
+                np.float32(max(thr * np.ldexp(params.noise_power_w, -k), _FLOAT32_TINY)))
+
+
+def _link_powers(params: ChannelParams, ratio_x: np.ndarray, ratio_y: np.ndarray,
+                 desired: np.ndarray, weights: np.ndarray, noise) -> tuple[np.ndarray, np.ndarray]:
+    """(desired power, interference + noise) per link and draw, (M, S) each, link-major.
+
+    ratio_x/ratio_y are a position's per-axis factor tables (_ratio_table),
+    from which the gain table is formed; desired (M,) is each link's power
+    per unit of UAV gain as the desired link, and weights (M, S) each link's
+    as an interferer at each draw. Link i's interference sums
+    weights[j] * gain[row[i, j]] over j != i (_pairs). The results take the
+    dtype of desired, weights and noise: float32 in outage_scan's unit,
+    float64 W in instantaneous_sinr. A saturated weight times a gain may
+    overflow to inf, which fails the draw, its limit.
     """
     gain = antenna.gain_from_axis_ratios(params.uav_g0, ratio_x, ratio_y)
-    tx, g0 = params.tx_power_w, params.sbs_g0
-    _, column = _pairs(alpha.shape[1])
-    interference = np.zeros(alpha.shape)
-    for j in range(column.shape[0]):
-        # power received on every link i from interferer j's beam
-        term = alpha[:, j, None] * (tx * geom.path_loss_sq[j]) * g0 * gain[:, column[:, j]]
-        term[:, j] = 0.0
-        interference += term
-    return tx * geom.path_loss_sq * g0 * gain[:, :1], interference
+    _, row = _pairs(len(desired))
+    gathered = gain[row]                          # (M, M, S): interferer j's gain at link i
+    diagonal = np.arange(len(desired))
+    gathered[diagonal, diagonal] = 0.0            # no link interferes with itself
+    with np.errstate(over="ignore"):
+        return (desired[:, None] * gain[0],
+                np.einsum("ijs,js->is", gathered, weights) + noise)
 
 
 def _checked_uavs(v) -> np.ndarray:
@@ -302,8 +356,9 @@ def instantaneous_sinr(links, uav: Vec3, orientation: tuple[float, float],
     geom = _precompute(sbs, uav, params)
     ratio_x = _ratio_table(np.array([float(orientation[0])]), geom.offset_x, params)
     ratio_y = _ratio_table(np.array([float(orientation[1])]), geom.offset_y, params)
-    desired, interference = _link_powers(geom, params, ratio_x, ratio_y, np.ones((1, len(sbs))))
-    return desired[0] / (interference[0] + params.noise_power_w), interference[0]
+    desired, interference = _link_powers(params, ratio_x, ratio_y, geom.power,
+                                         geom.power[:, None], 0.0)
+    return desired[:, 0] / (interference[:, 0] + params.noise_power_w), interference[:, 0]
 
 
 def _altitude_groups(uavs):
@@ -439,13 +494,14 @@ def outage_scan(links, uavs, params: ChannelParams, n_samples: int, seed: int,
     Positions are evaluated by altitude group (_altitude_groups), over fixed
     blocks of _DRAW_BLOCK draws: per block, one x-factor table per distinct
     x and one y-factor table per distinct y of the group, then per position
-    the gain, the powers and the two integer failure counts, which are
-    summed. Every draw's verdicts come from the same row-wise arithmetic
-    whatever its block and whichever position built its tables, and the
-    counts are combined once, at the end, so the result is bit-identical to
-    evaluating all draws of each position alone in one block. progress, when
-    given, is called as progress(k, n) for each of the n positions as its
-    group completes.
+    the float32 verdict stage (_link_powers on _float32_terms; see the
+    module docstring for its precision) and the two integer failure counts,
+    which are summed. Every draw's verdicts come from the same column-wise
+    arithmetic whatever its block and whichever position built its tables,
+    and the counts are combined once, at the end, so the result is
+    bit-identical to evaluating all draws of each position alone in one
+    block. progress, when given, is called as progress(k, n) for each of the
+    n positions as its group completes.
     """
     if n_samples < 1:
         raise InvalidInputError("n_samples must be >= 1")
@@ -458,6 +514,7 @@ def outage_scan(links, uavs, params: ChannelParams, n_samples: int, seed: int,
     done = 0
     for group in _altitude_groups(uavs):
         geoms = [_precompute(sbs, uavs[i], params) for i in group]
+        terms = [_float32_terms(geom.power, params) for geom in geoms]
         # the x-axis pair angles depend on the UAV's (x, z) alone, the y-axis
         # ones on (y, z) (geometry.pair_axis_angles), so positions of one
         # altitude that share x share their x-factor table, and likewise y
@@ -474,16 +531,15 @@ def outage_scan(links, uavs, params: ChannelParams, n_samples: int, seed: int,
                 table_x[x] = _ratio_table(theta_jx[block], offset, params)
             for y, offset in offsets_y.items():
                 table_y[y] = _ratio_table(theta_jy[block], offset, params)
-            for i, geom in zip(group, geoms):
-                alpha = np.where(uniforms[block] < geom.p_los, 1.0, params.nlos_extra_loss)
-                desired, interference = _link_powers(geom, params, table_x[uavs[i, 0]],
-                                                     table_y[uavs[i, 1]], alpha)
-                # a bound that overflows is inf, which fails the draw, its limit
-                with np.errstate(over="ignore"):
-                    bound = params.sinr_threshold * (interference + params.noise_power_w)
-                los_failures[i] += np.count_nonzero(desired < bound, axis=0)
+            los_uniforms = uniforms[block].T.copy()     # (M, S), a row per link
+            for i, geom, (unit_power, state_weights, noise) in zip(group, geoms, terms):
+                # each interferer at its sampled state's weight
+                weights = np.where(los_uniforms < geom.p_los[:, None], *state_weights)
+                desired, bound = _link_powers(params, table_x[uavs[i, 0]], table_y[uavs[i, 1]],
+                                              unit_power, weights, noise)
+                los_failures[i] += np.count_nonzero(desired < bound, axis=1)
                 nlos_failures[i] += np.count_nonzero(params.nlos_extra_loss * desired < bound,
-                                                     axis=0)
+                                                     axis=1)
         if progress is not None:
             for _ in group:
                 done += 1

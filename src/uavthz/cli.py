@@ -46,6 +46,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
+EXIT_INTERRUPTED = 130      # 128 + SIGINT, the shell's code for a Ctrl-C
 
 # Least seconds between two progress lines of the baseline scan on stderr.
 PROGRESS_INTERVAL_S = 5.0
@@ -362,6 +363,8 @@ def main(argv=None) -> int:
         message, code = f"numeric failure: {exc}", EXIT_NUMERIC
     except OSError as exc:
         message, code = f"i/o error: {exc}", EXIT_IO
+    except KeyboardInterrupt:
+        message, code = "interrupted", EXIT_INTERRUPTED
     print(message, file=sys.stderr)
     if manifest is not None:
         # The error is already reported; a manifest that cannot be rewritten

@@ -376,6 +376,29 @@ class TestInstantaneousSinr:
             channel.instantaneous_sinr(station_positions((40, 40)), uav, (0, 0), make_params())
 
 
+# Powers and thresholds at the ends of what ChannelParams accepts: a transmit
+# power 1e250 noise powers (the 2^k unit's reason: in plain noise units the
+# float32 cast overflows), alone and with NLoS draws of zero desired power
+# over a noise term below float32's range; thresholds whose float32 cast
+# overflows or is subnormal, or near float32's largest value, where the
+# bound's sum overflows; powers below float32's range; and one station,
+# whose interference is an empty sum.
+EXTREME_ROWS = {
+    "tx 1e250 noise powers": ({"noise_power_w": 0.01 / 1e250}, [(40, 40), (110, 95), (12, 30)]),
+    "threshold 1e300": ({"sinr_threshold": 1e300}, [(40, 40), (110, 95), (12, 30)]),
+    "threshold 1e300, noise 1e200 W": ({"sinr_threshold": 1e300, "noise_power_w": 1e200},
+                                       [(40, 40), (110, 95), (12, 30)]),
+    "threshold 3e38, noise 1e-24 W": ({"sinr_threshold": 3e38, "noise_power_w": 1e-24},
+                                      [(40, 40), (110, 95), (12, 30)]),
+    "threshold 1e-40": ({"sinr_threshold": 1e-40}, [(40, 40), (110, 95), (12, 30)]),
+    "tx 1e-300 W": ({"tx_power_w": 1e-300}, [(40, 40), (110, 95), (12, 30)]),
+    "NLoS loss 0, tx 1e250 noise powers": ({"noise_power_w": 0.01 / 1e250, "nlos_extra_loss": 0.0,
+                                           "los_b": 0.05}, [(40, 40), (110, 95), (12, 30)]),
+    "one station": ({}, [(40, 40)]),
+    "one station, threshold 1e300": ({"sinr_threshold": 1e300}, [(40, 40)]),
+}
+
+
 class TestOutageProbability:
     def test_deterministic_zero_outage(self):
         # sigma=0 and certain LoS make the Monte-Carlo degenerate
@@ -426,13 +449,26 @@ class TestOutageProbability:
         assert np.all(high >= low)
 
     def test_bound_that_overflows_fails_every_draw_without_a_warning(self):
-        # thr * (I + N) exceeds the float64 range: the bound is inf
+        # thr * (I + N) exceeds the float64 range, in W and in the scan's
+        # unit: the bound's noise term is inf
         p = make_params(sinr_threshold=1e300, noise_power_w=1e200)
         links = station_positions((40, 40), (110, 95))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             est = channel.outage_probability(links, vec3(70, 70, 75), p, 300, 3)
         assert np.all(est == 1.0)
+
+    @pytest.mark.parametrize("row", sorted(EXTREME_ROWS))
+    def test_extreme_powers_and_thresholds_match_the_oracle_without_a_warning(self, row):
+        # the float32 stage's unit keeps every term in range: the estimates
+        # equal the float64 oracle's, and no cast or product warns
+        kw, stations = EXTREME_ROWS[row]
+        p, links, uav = make_params(**kw), station_positions(*stations), vec3(70, 70, 75)
+        want = oracle_outage(links, uav, p, 2000, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = channel.outage_probability(links, uav, p, 2000, 3)
+        assert np.array_equal(est, want)
 
     @pytest.mark.parametrize("nlos_extra_loss", [0.0, 1.0])
     def test_nlos_loss_at_its_ends(self, nlos_extra_loss):
@@ -518,33 +554,52 @@ class TestKernelMatchesReference:
         p = make_params(spacing_over_lambda=spacing)
         m, s = len(links), 4000
         ref = oracle_precompute(links, uav, p)
-        _, column = channel._pairs(m)
+        _, row = channel._pairs(m)
         geom = channel._precompute(links, uav, p)
-        assert np.all(ref[0] == p.tx_power_w)
-        assert np.array_equal(geom.path_loss_sq, ref[1])
-        assert np.all(ref[2] == p.sbs_g0)
+        assert np.all(ref[0] == p.tx_power_w) and np.all(ref[2] == p.sbs_g0)
+        assert np.array_equal(geom.power, ref[0] * ref[1] * ref[2])
         assert np.array_equal(geom.p_los, ref[3])
         assert all(cfg == p.uav_array for cfg in ref[6])
         pairs = ~np.eye(m, dtype=bool)
         for offset, theta in ((geom.offset_x, ref[4]), (geom.offset_y, ref[5])):
             assert offset[0] == 0.0 and offset.shape == (1 + m * (m - 1) // 2,)
-            assert np.array_equal(offset[column][pairs], theta[pairs])
+            assert np.array_equal(offset[row][pairs], theta[pairs])
         if spacing > 0.5:
             # some |psi| = k*d*|sin(offset)| exceed pi, so the reduction acts
             assert np.any(2 * np.pi * spacing * np.sin(geom.offset_x) > np.pi)
         rng = np.random.default_rng(5)
         jx = rng.normal(0.0, 0.05, s)
         jy = rng.normal(0.0, 0.05, s)
-        alpha = np.where(rng.random((s, m)) < 0.6, 1.0, p.nlos_extra_loss)
+        los = rng.random((s, m)) < 0.6
+        alpha = np.where(los, 1.0, p.nlos_extra_loss)
         ratio_x, ratio_y = (channel._ratio_table(jitter, offset, p)
                             for jitter, offset in ((jx, geom.offset_x), (jy, geom.offset_y)))
+        assert ratio_x.shape == (1 + m * (m - 1) // 2, s)
         assert ratio_x.dtype == ratio_y.dtype == np.float32
-        desired, interference = channel._link_powers(geom, p, ratio_x, ratio_y, alpha)
+        # in W, as instantaneous_sinr calls the stage
+        desired, interference = channel._link_powers(p, ratio_x, ratio_y, geom.power,
+                                                     geom.power[:, None] * alpha.T, 0.0)
         assert desired.dtype == interference.dtype == np.float64
+        assert desired.shape == interference.shape == (m, s)
         # the desired power is the link's in line of sight, whatever its alpha
-        got = desired / (interference + p.noise_power_w)
-        assert_sinr_within_gain_tolerance(got, interference, ref, p, jx, jy, alpha,
+        got = (desired / (interference + p.noise_power_w)).T
+        assert_sinr_within_gain_tolerance(got, interference.T, ref, p, jx, jy, alpha,
                                           np.ones_like(alpha))
+        # in the scan's float32 unit, on the same gains: the unit's desired
+        # power and its bound thr * (I + N) round within the module's stated
+        # gamma terms (two roundings for D, M + 1 for each term of the
+        # bound), plus float32's subnormal spacing per term
+        unit, weight, noise = channel._float32_terms(geom.power, p)
+        desired32, bound32 = channel._link_powers(p, ratio_x, ratio_y, unit,
+                                                  np.where(los.T, *weight), noise)
+        assert desired32.dtype == bound32.dtype == np.float32
+        scale = 2.0 ** -np.frexp(geom.power.max())[1]
+        tiny = float(np.finfo(np.float32).smallest_subnormal)
+        for got, exact, n in ((desired32, desired * scale, 2),
+                              (bound32, p.sinr_threshold * (interference + p.noise_power_w)
+                               * scale, m + 1)):
+            gamma = n * EPS32 / 2 / (1 - n * EPS32 / 2)
+            assert np.all(np.abs(got - exact) <= (gamma + 1e-12) * exact + m * tiny)
 
     @pytest.mark.parametrize("spacing", [0.5, 0.7, 1.3])
     def test_gain_matches_sinc_expression(self, spacing):
@@ -657,6 +712,29 @@ class TestKernelMatchesReference:
         sinr, interference = channel.instantaneous_sinr(links, vec3(75, 70, 85), (0.01, -0.02), p)
         assert seen == {(np.dtype(np.float32),) * 2, (np.dtype(np.float32),) * 3}
         assert sinr.dtype == interference.dtype == np.float64
+
+    def test_scan_stage_is_float32(self, monkeypatch):
+        # every array into and out of the scan's SINR stage, its scalar noise
+        # term included, is float32: no buffer of a block is promoted to
+        # float64; instantaneous_sinr runs the same stage in float64 W
+        seen = []
+        link_powers = channel._link_powers
+
+        def recording(*args):
+            out = link_powers(*args)
+            seen.append([np.result_type(a) for a in (*args[1:], *out)])
+            return out
+
+        monkeypatch.setattr(channel, "_link_powers", recording)
+        p, links = make_params(), station_positions((40, 40), (110, 95), (75, 140))
+        positions = [vec3(70, 60, 50), vec3(70, 80, 50), vec3(90, 60, 75)]
+        channel.outage_scan(links, positions, p, channel._DRAW_BLOCK + 7, 0)
+        assert len(seen) == 2 * len(positions)
+        assert all(dtype == np.float32 for dtypes in seen for dtype in dtypes)
+        seen.clear()
+        channel.instantaneous_sinr(links, vec3(75, 70, 85), (0.01, -0.02), p)
+        # the tables are float32; the powers, weights, noise and results float64
+        assert seen == [[np.float32] * 2 + [np.float64] * 5]
 
     def test_scan_looks_up_each_g0_once(self, monkeypatch):
         # one lookup per array and params object, however many scans,
@@ -803,9 +881,9 @@ class TestFloat32Verdicts:
         link_powers = channel._link_powers
 
         def recording(*args):
-            desired, interference = link_powers(*args)
-            powers.append((desired, interference))
-            return desired, interference
+            desired, bound = link_powers(*args)
+            powers.append((desired, bound))
+            return desired, bound
 
         monkeypatch.setattr(channel, "_link_powers", recording)
         for scenario in range(3):
@@ -819,8 +897,9 @@ class TestFloat32Verdicts:
                 seed = 10 * scenario + k
                 powers.clear()
                 est = channel.outage_probability(links, uav, p, n, seed)
-                desired, interference = (np.concatenate(a) for a in zip(*powers))
-                bound = p.sinr_threshold * (interference + p.noise_power_w)
+                # float32, link-major, in the position's unit with thr folded in
+                desired, bound = (np.concatenate(a, axis=1).T for a in zip(*powers))
+                assert desired.dtype == bound.dtype == np.float32
                 got = (desired < bound, p.nlos_extra_loss * desired < bound)
                 ref = oracle_precompute(links, uav, p)
                 los, nlos = (np.count_nonzero(v, axis=0) for v in got)

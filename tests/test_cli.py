@@ -1,7 +1,9 @@
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -179,6 +181,41 @@ def test_diverging_adam_step_prints_one_line(tmp_path):
                        "--out-dir", out)
     assert proc.returncode == cli.EXIT_NUMERIC
     assert proc.stderr == "numeric failure: non-finite gradient in Adam step\n"
+    assert manifest(out)["status"] == "failed"
+
+
+def test_interrupted_run_exits_130_with_failed_manifest(tmp_path, capsys, monkeypatch):
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(channel, "outage_scan", interrupt)
+    out = tmp_path / "out"
+    code = cli.main(["baseline", "--config", str(write_config(tmp_path)), "--out-dir", str(out)])
+    assert code == cli.EXIT_INTERRUPTED == 130
+    assert capsys.readouterr().err == "interrupted\n"
+    data = manifest(out)
+    assert data["status"] == "failed" and data["error"] == "interrupted"
+
+
+def test_ctrl_c_prints_one_line(tmp_path):
+    # a lattice that takes seconds, interrupted once its manifest says it runs
+    out, config = tmp_path / "out", tmp_path / "long.cfg"
+    config.write_text(TINY.replace("baseline.grid_x = 2", "baseline.grid_x = 40")
+                      .replace("baseline.grid_y = 2", "baseline.grid_y = 40"), encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.Popen([sys.executable, "-m", "uavthz", "baseline", "--config", str(config),
+                             "--out-dir", str(out)], stderr=subprocess.PIPE, text=True, env=env)
+    path = out / "manifest.json"
+    try:
+        while not (path.exists() and "config_sha256" in path.read_text(encoding="utf-8")):
+            assert proc.poll() is None
+            time.sleep(0.01)
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == cli.EXIT_INTERRUPTED
+    assert err == "interrupted\n"
     assert manifest(out)["status"] == "failed"
 
 
