@@ -11,8 +11,9 @@ g0 = N^4 / sum_{|p|,|q|<N} (N-|p|)(N-|q|) * sinc(2*(d/lambda)*sqrt(p^2+q^2))
 in np.sinc's normalized convention. It is exact at every spacing.
 
 The pattern is evaluated in two steps: axis_ratio computes one axis's
-factor at the angles' precision, in the operation order of the np.sinc
-expression sinc(n*psi/2pi) / sinc(psi/2pi), and gain_from_axis_ratios forms
+factor at the angles' precision, in the Dirichlet form
+sin(n*psi/2) / (n*sin(psi/2)) of the uniform-array factor (Balanis, Antenna
+Theory, 4th ed., 2016, ch. 6), and gain_from_axis_ratios forms
 g0 * (ratio_x * ratio_y)^2 from a g0 the caller holds (channel.ChannelParams
 keeps one per array), so a caller whose directions share one axis's offsets
 computes that factor once.
@@ -21,10 +22,13 @@ computed.
 
 Precision: the pattern runs in float32, whose sin is many times faster than
 float64's, and the outage kernel's time is mostly this pattern. Rounding
-psi = k*d*sin(theta) to float32 moves it by a few k*d*eps, and the factor's
-slope in psi grows with n, so the stated tolerance is: for angles rounded
-from float64 into float32, the squared per-axis factor is within
-n * k*d * eps32 of the float64 expression's (relative to its peak, 1).
+psi/2 = (k*d/2)*sin(theta) to float32 moves it by a few k*d*eps, and the
+factor's slope in psi grows with n; the two sines and the product n*psi/2
+each add a rounding of at most a few eps relative to the factor's peak. So
+the stated tolerance is: for angles rounded from float64 into float32, the
+squared per-axis factor is within n * k*d * eps32 of the square of the
+float64 np.sinc expression sinc(n*psi/2pi) / sinc(psi/2pi) (relative to
+its peak, 1).
 The gain is then within g0 * (2n*k*d + 3) * eps32 of its float64 value. The
 tests check the factor's bound for n up to MAX_N_SIDE and spacings up to 10
 wavelengths. g0 itself is float64.
@@ -35,11 +39,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from uavthz.errors import require
-
-TWO_PI = 2.0 * np.pi
-# What np.sinc puts in place of a zero argument before dividing, at the
-# pattern's precision.
-_EPS = np.finfo(np.float32).eps
 
 # Largest array side accepted; g0's lag sum for it takes about 0.1 s and 50 MB.
 MAX_N_SIDE = 1024
@@ -66,42 +65,31 @@ class ArrayAntennaConfig:
                 f"spacing_over_lambda must lie in (0, {MAX_SPACING:g}]", "spacing_over_lambda")
 
 
-def _sinc_of_scaled(y):
-    """sin(y) / y with every zero of y replaced by eps, at y's precision.
-
-    This is np.sinc after its `pi * x` step: where(x, x, eps), then sin(y) / y.
-    """
-    y = np.where(y == 0, _EPS, y)
-    return np.sin(y) / y
-
-
 def axis_ratio(cfg: ArrayAntennaConfig, theta):
     """The per-axis pattern factor at angular offsets theta from boresight, at theta's precision.
 
     The factor is sin(n*psi/2) / (n*sin(psi/2)) at psi = k*d_a*sin(theta),
-    up to sign, with every removable singularity filled; the gain is g0 times
-    the squared product of the two axes' factors (gain_from_axis_ratios).
-    In the outage kernel theta is float32; the squared factor then meets the
-    module docstring's tolerance.
+    up to sign, with its removable singularity filled by exactly 1; the gain
+    is g0 times the squared product of the two axes' factors
+    (gain_from_axis_ratios). In the outage kernel theta is float32; the
+    squared factor then meets the module docstring's tolerance.
 
-    For spacings above lambda/2 (k*d_a > pi), psi is reduced modulo 2*pi and
-    the reduced argument r is evaluated as a quotient of normalized sincs,
-    which is exact away from the singular points and smooth through them (the
-    reduced denominator sinc is bounded below by 2/pi). Across period m the
-    factor also changes sign by (-1)^(m*(n-1)); only its square is used, so
-    that sign is left out. At smaller spacings |psi| <= k*d_a <= pi, where m
-    is always 0, so skipping the reduction gives the same bits.
-
-    The operation order is that of
-    np.sinc(n * r / TWO_PI) / np.sinc(r / TWO_PI), evaluated in theta's
-    precision.
+    For spacings above lambda/2 (k*d_a > pi), psi/2 is reduced modulo pi
+    (psi modulo 2*pi, halved exactly), so the reduced r = psi - 2*pi*m has
+    |r/2| <= pi/2 and sin(r/2) vanishes only at r = 0, which includes every
+    grating lobe. Across period m the factor changes sign by
+    (-1)^(m*(n-1)); only its square is used, so that sign is left out. At
+    smaller spacings |psi| <= k*d_a <= pi, where m is always 0, so skipping
+    the reduction gives the same bits.
     """
-    kd = TWO_PI * cfg.spacing_over_lambda
-    psi = np.sin(theta) * kd
-    if kd > np.pi:
-        psi = psi - np.rint(psi / TWO_PI) * TWO_PI   # r = psi - 2*pi*m
-    numerator = _sinc_of_scaled(psi * cfg.n_side / TWO_PI * np.pi)
-    return numerator / _sinc_of_scaled(psi / TWO_PI * np.pi)
+    half = np.sin(theta) * (np.pi * cfg.spacing_over_lambda)     # psi / 2
+    if cfg.spacing_over_lambda > 0.5:
+        half = half - np.rint(half / np.pi) * np.pi
+    den = np.sin(half) * cfg.n_side
+    with np.errstate(invalid="ignore"):     # 0/0, exactly where half is 0
+        ratio = np.divide(np.sin(half * cfg.n_side), den, out=np.empty_like(den))
+    np.copyto(ratio, 1, where=den == 0)
+    return ratio
 
 
 def gain_from_axis_ratios(g0: float, ratio_x, ratio_y):

@@ -72,8 +72,11 @@ freed as the next block's table for its x or y replaces it, so beyond the
 draws memory does not grow with their number.
 
 Precision: the UAV pattern is float32 (the angle table, the factor tables
-and the gain table) and meets the tolerance the antenna module states. So is
-the scan's SINR stage (_link_powers, the bound and the verdicts): each
+and the gain table). Each factor is the Dirichlet quotient sin(n*psi/2) /
+(n*sin(psi/2)) of two float32 sines (antenna.axis_ratio), and its square is
+within the antenna module's n*k*d*eps32 of the float64 np.sinc expression;
+the gain is within g0*(2n*k*d + 3)*eps32 of its float64 value. The scan's
+SINR stage is float32 too (_link_powers, the bound and the verdicts): each
 position's powers are divided by one power of two 2^k, the unit, which puts
 the largest c_j = tx*pl_j*g0_sbs in [1/2, 1), and the threshold is folded
 into the interferers' powers and the noise (_float32_terms), so a verdict is

@@ -123,13 +123,31 @@ def random_offsets(seed, size):
     return rng.uniform(-np.pi / 2, np.pi / 2, size), rng.uniform(-np.pi / 2, np.pi / 2, size)
 
 
+# Angles where each factor's psi/2, reduced, is exactly 0 in float32: boresight
+# as a 0-d angle and as an array, and the grating lobe sin(theta) = 1/spacing
+# at spacings 1.0 and 10 (float32 of arcsin(1/spacing) reduces to exactly 0).
+SINGULAR_ROWS = [pytest.param(n, 0.5, 0.0, id=str(n)) for n in TESTED_N] + [
+    pytest.param(20, 0.5, np.zeros(5), id="20-boresight-array"),
+    pytest.param(20, 1.0, np.arcsin(1.0), id="20-grating-lobe-spacing-1"),
+    pytest.param(20, 10.0, np.arcsin(0.1), id="20-grating-lobe-spacing-10"),
+    pytest.param(1024, 10.0, np.full(3, np.arcsin(0.1)), id="1024-grating-lobe-spacing-10-array"),
+]
+
+
 class TestGain:
-    @pytest.mark.parametrize("n", TESTED_N)
-    def test_boresight_equals_normalization_constant(self, n):
-        # both factors are exactly 1 there, so the gain is g0 rounded to float32
-        c = cfg(n)
-        assert offset_gain(c, 0.0, 0.0) == pytest.approx(
-            antenna.normalization_constant(c), rel=EPS32)
+    @pytest.mark.parametrize("n, spacing, theta", SINGULAR_ROWS)
+    def test_boresight_equals_normalization_constant(self, n, spacing, theta):
+        # both factors are exactly 1 there, filled without a floating-point
+        # error, so the gain is g0 rounded to float32
+        c = cfg(n, spacing)
+        theta32 = np.asarray(theta, dtype=np.float32)
+        with np.errstate(all="raise"):
+            ratio = antenna.axis_ratio(c, theta32)
+            gain = offset_gain(c, theta, theta)
+        assert ratio.shape == theta32.shape and np.all(ratio == 1)
+        assert np.all(np.abs(1 - float64_axis_ratio(c, theta32.astype(float)) ** 2)
+                      <= factor_tolerance(c))
+        assert gain == pytest.approx(antenna.normalization_constant(c), rel=EPS32)
 
     def test_single_element_everywhere(self):
         assert np.allclose(offset_gain(cfg(1), *random_offsets(0, 50)), 1.0)

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -143,6 +144,35 @@ class TestAdam:
             w = net.biases[0][0]
             neural.adam_step(net, np.array([0.0, 2.0 * w], F32), state)
         assert abs(net.biases[0][0]) < 0.5
+
+    def test_decayed_first_moments_flush_to_zero_without_moving_parameters(self):
+        # A few random steps, then zero gradients: every first moment decays
+        # by beta1 a step through float32's subnormals. The block spans two
+        # Adam pieces. An unflushed whole-block reference, the same chain in
+        # the same order, must reach subnormal moments and the same bits.
+        net = neural.init_net((2, 200, 160, 1), 5)
+        assert net.params.size > neural._ADAM_PIECE
+        state = neural.init_adam(net, 1e-3)
+        params, m, v = net.params.copy(), np.zeros_like(net.params), np.zeros_like(net.params)
+        rng = np.random.default_rng(4)
+        tiny = np.finfo(F32).tiny
+        reference_subnormals = 0
+        for t in range(1, 901):
+            grad = normal32(rng, params.shape, 1e-2) if t <= 3 else np.zeros_like(params)
+            root_c2 = math.sqrt(1.0 - neural.ADAM_BETA2 ** t)
+            step = 1e-3 * root_c2 / (1.0 - neural.ADAM_BETA1 ** t)
+            m *= neural.ADAM_BETA1
+            m += grad * (1.0 - neural.ADAM_BETA1)
+            v *= neural.ADAM_BETA2
+            v += grad * (1.0 - neural.ADAM_BETA2) * grad
+            params -= m * step / (np.sqrt(v) + neural.ADAM_EPSILON * root_c2)
+            neural.adam_step(net, grad, state)
+            reference_subnormals += int(((m != 0) & (np.abs(m) < tiny)).sum())
+            # neither a moment nor its step term m * step is subnormal
+            for term in (np.abs(state.first_moment), np.abs(state.first_moment) * step):
+                assert not ((term > 0) & (term < tiny)).any()
+        assert reference_subnormals > 0 and not state.first_moment.any()
+        assert net.params.tobytes() == params.tobytes()
 
     def test_nonfinite_gradient_aborts(self):
         net = neural.init_net((2, 2), 0)
