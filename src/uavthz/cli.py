@@ -231,25 +231,21 @@ def cmd_baseline(cfg: RunConfig, env: Environment, args) -> tuple[dict, list[Pat
         nonlocal started
         now = perf_counter()
         if now - started >= PROGRESS_INTERVAL_S:
-            print(f"scanned {k}/{n} lattice points", file=sys.stderr)
+            print(f"scanned {k}/{n} positions", file=sys.stderr)
             started = now
 
-    best_pos, best_val, scan = baseline.grid_search_best_position(
-        env, cfg.grid_x, cfg.grid_y, cfg.grid_z, cfg.grid_mc_samples, mc_seed, progress)
+    points, worst, best = baseline.scan_grid(env, cfg.grid_x, cfg.grid_y, cfg.grid_z,
+                                             cfg.grid_mc_samples, mc_seed, progress)
     meta = {"mc_samples": cfg.grid_mc_samples, "mc_seed": mc_seed}
     written = [write_csv(args.out_dir / "grid_scan.csv", args.seed, ("x", "y", "z", "max_outage"),
-                         [(*pos, val) for pos, val in scan], **meta)]
-    center = baseline.static_center_policy(env.topology, env.config.limits)
-    center_est = channel.outage_probability(env.topology.sbs_list, center, env.params,
-                                            cfg.grid_mc_samples, mc_seed)
-    center_val = channel.max_outage(center_est)
-    written += [write_csv(args.out_dir / "baseline_summary.csv", args.seed,
-                          ("method", "x", "y", "z", "max_outage"),
-                          [("grid_oracle", best_pos[0], best_pos[1], best_pos[2], best_val),
-                           ("static_center", center[0], center[1], center[2], center_val)],
-                          **meta),
-                write_sbs_layout(args.out_dir, env, args.seed)]
-    return {"oracle_max_outage": best_val, "static_center_max_outage": center_val}, written
+                         [(*pos, val) for pos, val in zip(points[:-1], worst[:-1])], **meta),
+               write_csv(args.out_dir / "baseline_summary.csv", args.seed,
+                         ("method", "x", "y", "z", "max_outage"),
+                         [("grid_oracle", *points[best], worst[best]),
+                          ("static_center", *points[-1], worst[-1])], **meta),
+               write_sbs_layout(args.out_dir, env, args.seed)]
+    return {"oracle_max_outage": float(worst[best]),
+            "static_center_max_outage": float(worst[-1])}, written
 
 
 def _parse_xyz(text: str, n: int):

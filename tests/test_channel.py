@@ -509,7 +509,7 @@ LOS_REGIMES = {"default LoS": {}, "frequent NLoS": {"los_b": 0.05}}
 # Position lists whose points share an x or a y at one altitude, so the scan
 # shares factor tables between them.
 SHARED_AXIS_LAYOUTS = {
-    # the lexicographic order baseline.scan_grid uses
+    # the lexicographic order of baseline.scan_grid's lattice rows
     "3x3x2 lattice": [(x, y, z) for x in (20, 75, 130) for y in (30, 80, 130)
                       for z in (40, 90)],
     # repeated altitudes in no particular order

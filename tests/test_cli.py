@@ -545,7 +545,8 @@ def test_baseline_progress_is_throttled(tmp_path, monkeypatch, capsys):
     loud = tmp_path / "loud"
     assert cli.main(["baseline", "--config", str(config), "--out-dir", str(loud)]) == 0
     captured = capsys.readouterr()
-    assert captured.err.splitlines() == [f"scanned {k}/4 lattice points" for k in range(1, 5)]
+    # the 2 x 2 lattice and the static centre
+    assert captured.err.splitlines() == [f"scanned {k}/5 positions" for k in range(1, 6)]
     assert captured.out == ""
     for name in ("grid_scan.csv", "baseline_summary.csv", "sbs_layout.csv"):
         assert (loud / name).read_bytes() == (quiet / name).read_bytes()
@@ -553,11 +554,11 @@ def test_baseline_progress_is_throttled(tmp_path, monkeypatch, capsys):
 
 def test_baseline_progress_waits_a_full_interval_between_lines(tmp_path, monkeypatch, capsys):
     # a clock that advances 1 s per reading: with a 1.5 s interval every
-    # second lattice point is reported
+    # second position is reported
     ticks = iter(range(10_000))
     monkeypatch.setattr(cli, "perf_counter", lambda: float(next(ticks)))
     monkeypatch.setattr(cli, "PROGRESS_INTERVAL_S", 1.5)
     assert cli.main(["baseline", "--config", str(write_config(tmp_path)),
                      "--out-dir", str(tmp_path / "out")]) == 0
     assert capsys.readouterr().err.splitlines() == [
-        "scanned 2/4 lattice points", "scanned 4/4 lattice points"]
+        "scanned 2/5 positions", "scanned 4/5 positions"]
