@@ -26,7 +26,7 @@ The per-axis angle between the links to stations i and j is symmetric in
 (16 for six links): the jitter alone, which gives every link's desired gain,
 and the jitter plus the angles of each unordered station pair, which gives
 the interference. Link geometry (lengths, elevations, pair angles) is
-evaluated for all stations at once per position; the arrays and their g0,
+evaluated for all stations at once per altitude group; the arrays and their g0,
 once per ChannelParams, and the map from station pairs to offsets, once per M.
 
 The gain at a column is g0 * (ratio_x * ratio_y)^2, the squared product of
@@ -245,22 +245,6 @@ def los_probability(params: ChannelParams, elevation):
         return 1.0 / (1.0 + params.los_alpha * np.exp(-params.los_b * (deg - params.los_alpha)))
 
 
-@dataclass
-class _LinkGeometry:
-    """Everything about the stations seen from one UAV position that does not depend on draws.
-
-    The UAV gain is looked up at (1 + M(M-1)/2, S) per-axis offsets per block
-    of draws: row 0 is the jitter alone (the desired gain, shared by every
-    link) and row 1 + p adds the axis angles of unordered station pair p
-    (_pairs).
-    """
-
-    power: np.ndarray             # (M,) tx * |h_L|^2 * g0_sbs: W per unit of UAV gain
-    p_los: np.ndarray             # (M,)
-    offset_x: np.ndarray          # (1 + M(M-1)/2,) zero, then pair axis angles
-    offset_y: np.ndarray          # (1 + M(M-1)/2,)
-
-
 @functools.cache
 def _pairs(m: int) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
     """(upper, row): m stations' unordered pairs, in triu_indices order, and their gain-table rows.
@@ -274,43 +258,53 @@ def _pairs(m: int) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
     return upper, row + row.T
 
 
-def _precompute(sbs: np.ndarray, uav: Vec3, params: ChannelParams) -> _LinkGeometry:
-    """The link geometry of the (M, 3) stations sbs at uav."""
+def _precompute(sbs: np.ndarray, uavs: np.ndarray, params: ChannelParams):
+    """(power, p_los, offset_x, offset_y): the (M, 3) stations sbs seen from the (G, 3) uavs.
+
+    Everything about the link geometry at each position that does not
+    depend on draws, a row per position. power (G, M) is
+    tx * |h_L|^2 * g0_sbs, each link's W per unit of UAV gain, and p_los
+    (G, M) its LoS probability. The UAV gain is looked up at
+    1 + M(M-1)/2 per-axis offsets per draw, so offset_x and offset_y are
+    (G, 1 + M(M-1)/2): column 0 is zero, the jitter alone (the desired
+    gain, shared by every link), and column 1 + p adds the axis angles of
+    unordered station pair p (_pairs).
+    """
     upper, _ = _pairs(len(sbs))
-    thx, thy = geometry.pair_axis_angles(uav, sbs)
-    power = params.tx_power_w * path_loss(params, geometry.link_length(uav, sbs)) * params.sbs_g0
-    return _LinkGeometry(power, los_probability(params, geometry.elevation_angle(uav, sbs)),
-                         np.concatenate(([0.0], thx[upper])), np.concatenate(([0.0], thy[upper])))
+    power = params.tx_power_w * path_loss(params, geometry.link_length(uavs, sbs)) * params.sbs_g0
+    offset_x, offset_y = np.zeros((2, len(uavs), 1 + len(upper[0])))
+    offset_x[:, 1:], offset_y[:, 1:] = geometry.pair_axis_angles(uavs, sbs[upper[0]], sbs[upper[1]])
+    return power, los_probability(params, geometry.elevation_angle(uavs, sbs)), offset_x, offset_y
 
 
 def _ratio_table(jitter: np.ndarray, offset: np.ndarray, params: ChannelParams) -> np.ndarray:
     """The UAV's float32 axis_ratio factor at offset[c] + jitter[s], one axis, (1 + M(M-1)/2, S).
 
-    jitter is (S,) and offset one position's offset_x or offset_y; their sum
-    is rounded into float32 before the pattern.
+    jitter is (S,) and offset one position's row of offset_x or offset_y
+    (_precompute); their sum is rounded into float32 before the pattern.
     """
     theta = (offset[:, None] + jitter).astype(np.float32)
     return antenna.axis_ratio(params.uav_array, theta)
 
 
 def _float32_terms(power: np.ndarray, params: ChannelParams):
-    """(desired, weights, noise): one position's float32 verdict terms, in its unit 2^k.
+    """(desired, weights, noise): float32 verdict terms of the (G, M) powers, a row in its unit 2^k.
 
-    2^k puts the largest power in [1/2, 1) (frexp). desired (M,) is power /
-    2^k; weights (2, M, 1) is thr * power / 2^k in line of sight (weights[0])
-    and times nlos_extra_loss not (weights[1]); noise is thr * N / 2^k. Each
-    is computed in float64 and rounded into float32, the weights saturated
-    at float32's largest value and the noise kept at least its smallest
-    subnormal (MAX_POWER_RATIO states why).
+    2^k puts the row's largest power in [1/2, 1) (frexp). desired (G, M) is
+    power / 2^k; weights (2, G, M, 1) is thr * power / 2^k in line of sight
+    (weights[0]) and times nlos_extra_loss not (weights[1]); noise (G,) is
+    thr * N / 2^k. Each is computed in float64 and rounded into float32, the
+    weights saturated at float32's largest value and the noise kept at least
+    its smallest subnormal (MAX_POWER_RATIO states why).
     """
-    k = np.frexp(power.max())[1]
-    unit_power = np.ldexp(power, -k)
+    k = np.frexp(power.max(axis=1))[1]
+    unit_power = np.ldexp(power, -k[:, None])
     thr = params.sinr_threshold
-    weights = np.minimum(thr * np.multiply.outer((1.0, params.nlos_extra_loss), unit_power[:, None]),
-                         _FLOAT32_MAX)
+    weights = np.minimum(
+        thr * np.multiply.outer((1.0, params.nlos_extra_loss), unit_power[..., None]), _FLOAT32_MAX)
     with np.errstate(over="ignore", under="ignore"):
-        return (unit_power.astype(np.float32), weights.astype(np.float32),
-                np.float32(max(thr * np.ldexp(params.noise_power_w, -k), _FLOAT32_TINY)))
+        noise = np.maximum(thr * np.ldexp(params.noise_power_w, -k), _FLOAT32_TINY)
+        return unit_power.astype(np.float32), weights.astype(np.float32), noise.astype(np.float32)
 
 
 def _link_powers(params: ChannelParams, ratio_x: np.ndarray, ratio_y: np.ndarray,
@@ -355,12 +349,11 @@ def instantaneous_sinr(links, uav: Vec3, orientation: tuple[float, float],
     One fixed orientation, every link in line of sight; links, the (M, 3)
     station array, and uav are checked as in outage_scan.
     """
-    sbs, uav = as_points(links), _checked_uavs((uav,))[0]
-    geom = _precompute(sbs, uav, params)
-    ratio_x = _ratio_table(np.array([float(orientation[0])]), geom.offset_x, params)
-    ratio_y = _ratio_table(np.array([float(orientation[1])]), geom.offset_y, params)
-    desired, interference = _link_powers(params, ratio_x, ratio_y, geom.power,
-                                         geom.power[:, None], 0.0)
+    sbs = as_points(links)
+    power, _, offset_x, offset_y = (a[0] for a in _precompute(sbs, _checked_uavs((uav,)), params))
+    ratio_x = _ratio_table(np.array([float(orientation[0])]), offset_x, params)
+    ratio_y = _ratio_table(np.array([float(orientation[1])]), offset_y, params)
+    desired, interference = _link_powers(params, ratio_x, ratio_y, power, power[:, None], 0.0)
     return desired[:, 0] / (interference[:, 0] + params.noise_power_w), interference[:, 0]
 
 
@@ -494,10 +487,12 @@ def outage_scan(links, uavs, params: ChannelParams, n_samples: int, seed: int,
     own state is independent of its D and I, so the expectation of each term
     is the plain estimator's, and the estimate is unbiased.
 
-    Positions are evaluated by altitude group (_altitude_groups), over fixed
-    blocks of _DRAW_BLOCK draws: per block, one x-factor table per distinct
-    x and one y-factor table per distinct y of the group, then per position
-    the float32 verdict stage (_link_powers on _float32_terms; see the
+    Positions are evaluated by altitude group (_altitude_groups). A group's
+    link geometry and float32 verdict terms are set up in one array pass
+    (_precompute, then _float32_terms) and freed before the next group's.
+    Then, over fixed blocks of _DRAW_BLOCK draws: per block, one x-factor
+    table per distinct x and one y-factor table per distinct y of the group,
+    then per position the float32 verdict stage (_link_powers; see the
     module docstring for its precision) and the two integer failure counts,
     which are summed. Every draw's verdicts come from the same column-wise
     arithmetic whatever its block and whichever position built its tables,
@@ -516,16 +511,14 @@ def outage_scan(links, uavs, params: ChannelParams, n_samples: int, seed: int,
     nlos_failures = np.zeros((len(uavs), m), dtype=np.int64)
     done = 0
     for group in _altitude_groups(uavs):
-        geoms = [_precompute(sbs, uavs[i], params) for i in group]
-        terms = [_float32_terms(geom.power, params) for geom in geoms]
+        power, p_los[group], offset_x, offset_y = _precompute(sbs, uavs[group], params)
+        unit_power, state_weights, noise = _float32_terms(power, params)
         # the x-axis pair angles depend on the UAV's (x, z) alone, the y-axis
         # ones on (y, z) (geometry.pair_axis_angles), so positions of one
-        # altitude that share x share their x-factor table, and likewise y
-        offsets_x, offsets_y = {}, {}
-        for i, geom in zip(group, geoms):
-            p_los[i] = geom.p_los
-            offsets_x.setdefault(uavs[i, 0], geom.offset_x)
-            offsets_y.setdefault(uavs[i, 1], geom.offset_y)
+        # altitude that share x have equal offset_x rows and share their
+        # x-factor table, and likewise y
+        offsets_x = dict(zip(uavs[group, 0], offset_x))
+        offsets_y = dict(zip(uavs[group, 1], offset_y))
         table_x, table_y = {}, {}
         for lo in range(0, n_samples, _DRAW_BLOCK):
             block = slice(lo, lo + _DRAW_BLOCK)
@@ -535,11 +528,11 @@ def outage_scan(links, uavs, params: ChannelParams, n_samples: int, seed: int,
             for y, offset in offsets_y.items():
                 table_y[y] = _ratio_table(theta_jy[block], offset, params)
             los_uniforms = uniforms[block].T.copy()     # (M, S), a row per link
-            for i, geom, (unit_power, state_weights, noise) in zip(group, geoms, terms):
+            for g, i in enumerate(group):
                 # each interferer at its sampled state's weight
-                weights = np.where(los_uniforms < geom.p_los[:, None], *state_weights)
+                weights = np.where(los_uniforms < p_los[i, :, None], *state_weights[:, g])
                 desired, bound = _link_powers(params, table_x[uavs[i, 0]], table_y[uavs[i, 1]],
-                                              unit_power, weights, noise)
+                                              unit_power[g], weights, noise[g])
                 los_failures[i] += np.count_nonzero(desired < bound, axis=1)
                 nlos_failures[i] += np.count_nonzero(params.nlos_extra_loss * desired < bound,
                                                      axis=1)

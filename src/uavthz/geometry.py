@@ -4,10 +4,12 @@ Positions are plain numpy arrays of shape (3,) in meters; N of them (the
 ground stations, or the UAV positions of a scan) stack into an (N, 3) array.
 A position is checked once, where it enters the program (as_vec3, as_points):
 numbers, finite and at most MAX_COORD_M in magnitude, else InvalidInputError.
-The link functions take a checked (3,) UAV at altitude at least MIN_ALTITUDE_M
-and checked (M, 3) ground stations, and check nothing; on such positions every
-link function is finite. All functions here are pure and safe to call
-concurrently.
+The link functions take checked ground stations and, as uav, one checked (3,)
+UAV position or an (N, 3) stack of them, each at altitude at least
+MIN_ALTITUDE_M, and check nothing; on such positions every link function is
+finite. A stack adds a leading axis of N rows to the result, and row n equals
+the (3,) call at uav[n] bit for bit. All functions here are pure and safe to
+call concurrently.
 """
 
 from dataclasses import dataclass
@@ -111,32 +113,34 @@ def _axis_angle(u, a, b, z):
     return np.arccos(np.clip(num / den, -1.0, 1.0))
 
 
-def pair_axis_angles(uav: Vec3, sbs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-axis angular separations between the links to every pair of ground stations.
+def pair_axis_angles(uav: np.ndarray, a: np.ndarray,
+                     b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-axis angular separations between the links to the ground-station pairs (a[p], b[p]).
 
-    sbs is (M, 3). Returns (theta_x, theta_y), each an (M, M) symmetric
-    matrix with zero diagonal and entries in [0, pi]: entry (i, j) is the
-    angle between the links to stations i and j projected onto the x-z
-    (resp. y-z) vertical plane.
+    a and b are (P, 3). Returns (theta_x, theta_y), each (P,) for a (3,) uav
+    and (N, P) for an (N, 3) one, with entries in [0, pi]: entry p is the
+    angle between the links to stations a[p] and b[p] projected onto the
+    x-z (resp. y-z) vertical plane. It is symmetric in (a, b) bit for bit and
+    exactly 0 where a[p] == b[p].
     """
-    tx = _axis_angle(uav[0], sbs[:, 0, None], sbs[None, :, 0], uav[2])
-    ty = _axis_angle(uav[1], sbs[:, 1, None], sbs[None, :, 1], uav[2])
-    return tx, ty
+    z = uav[..., 2, None]
+    return (_axis_angle(uav[..., 0, None], a[:, 0], b[:, 0], z),
+            _axis_angle(uav[..., 1, None], a[:, 1], b[:, 1], z))
 
 
-def elevation_angle(uav: Vec3, sbs: np.ndarray) -> np.ndarray:
-    """Elevation of the UAV as seen from each of the (M, 3) ground stations sbs.
+def elevation_angle(uav: np.ndarray, sbs: np.ndarray) -> np.ndarray:
+    """Elevation of the UAV as seen from each of the (M, 3) ground stations sbs, (M,) or (N, M).
 
     Each value lies in (0, pi/2]; directly overhead (zero horizontal offset)
     returns exactly pi/2.
     """
-    horiz = np.hypot(uav[0] - sbs[:, 0], uav[1] - sbs[:, 1])
-    return np.arctan2(uav[2], horiz)
+    horiz = np.hypot(uav[..., 0, None] - sbs[:, 0], uav[..., 1, None] - sbs[:, 1])
+    return np.arctan2(uav[..., 2, None], horiz)
 
 
-def link_length(uav: Vec3, sbs: np.ndarray) -> np.ndarray:
-    """Euclidean distance from the UAV to each of the (M, 3) endpoints sbs."""
-    d = uav - sbs
+def link_length(uav: np.ndarray, sbs: np.ndarray) -> np.ndarray:
+    """Euclidean distance from the UAV to each of the (M, 3) endpoints sbs, (M,) or (N, M)."""
+    d = uav[..., None, :] - sbs
     # vecdot is the dot product np.linalg.norm takes of one vector, so each
     # length equals np.linalg.norm of its difference bit for bit.
     return np.sqrt(np.vecdot(d, d))

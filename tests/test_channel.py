@@ -480,7 +480,7 @@ class TestOutageProbability:
             warnings.simplefilter("error")
             est = channel.outage_probability(links, uav, p, 700, 5)
         assert np.array_equal(est, oracle_outage(links, uav, p, 700, 5))
-        p_los = channel._precompute(links, uav, p).p_los
+        p_los = channel._precompute(links, uav[None], p)[1][0]
         if nlos_extra_loss == 0.0:
             assert np.all(est >= (1.0 - p_los) * (1.0 - 1e-12))
 
@@ -525,60 +525,69 @@ def check_scan_against_oracle(positions, los, spacing, n):
 
     And they equal the per-position oracle calls: at these sample counts the
     stated tolerance lets no verdict differ. Each scan takes the positions
-    once as a list of (3,) arrays and once as one (k, 3) array.
+    once as a list of (3,) arrays and once as one (k, 3) array. Each check
+    runs at one, two and four stations: no station pair, one, and six.
     """
     block = channel._DRAW_BLOCK
     n = {"B-1": block - 1, "B+1": block + 1, "2B+7": 2 * block + 7}.get(n, n)
-    links = station_positions((12, 30), (40, 44), (75, 140), (110, 95))
     p = make_params(spacing_over_lambda=spacing, vibration_std_rad=np.deg2rad(4.0),
                     **LOS_REGIMES[los])
     positions = [vec3(*uav) for uav in positions]
-    want = [oracle_outage(links, uav, p, n, 23) for uav in positions]
-    alone = [channel.outage_probability(links, uav, p, n, 23)
-             for uav in positions]
-    for k in (1, 2, len(positions)):
-        for uavs in (positions[:k], np.array(positions[:k])):
-            got = channel.outage_scan(links, uavs, p, n, 23)
-            assert got.shape == (k, len(links)) and got.dtype == np.float64
-            for est, single, ref in zip(got, alone, want):
-                assert np.array_equal(est, single)
-                assert np.array_equal(est, ref)
+    for m in (1, 2, 4):
+        links = station_positions((12, 30), (40, 44), (75, 140), (110, 95))[:m]
+        want = [oracle_outage(links, uav, p, n, 23) for uav in positions]
+        alone = [channel.outage_probability(links, uav, p, n, 23)
+                 for uav in positions]
+        for k in (1, 2, len(positions)):
+            for uavs in (positions[:k], np.array(positions[:k])):
+                got = channel.outage_scan(links, uavs, p, n, 23)
+                assert got.shape == (k, m) and got.dtype == np.float64
+                for est, single, ref in zip(got, alone, want):
+                    assert np.array_equal(est, single), m
+                    assert np.array_equal(est, ref), m
 
 
 class TestKernelMatchesReference:
     @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
     def test_geometry_and_sinr_bit_identical(self, case):
+        # the case's position is row 0 of a group whose other row is a
+        # position at its altitude with a largest power in another octave
         stations, uav, spacing = KERNEL_CASES[case]
         links = station_positions(*stations)
         uav = vec3(*uav)
+        group = np.array([uav, uav + (60.0, -40.0, 0.0)])
         p = make_params(spacing_over_lambda=spacing)
         m, s = len(links), 4000
-        ref = oracle_precompute(links, uav, p)
         _, row = channel._pairs(m)
-        geom = channel._precompute(links, uav, p)
-        assert np.all(ref[0] == p.tx_power_w) and np.all(ref[2] == p.sbs_g0)
-        assert np.array_equal(geom.power, ref[0] * ref[1] * ref[2])
-        assert np.array_equal(geom.p_los, ref[3])
-        assert all(cfg == p.uav_array for cfg in ref[6])
         pairs = ~np.eye(m, dtype=bool)
-        for offset, theta in ((geom.offset_x, ref[4]), (geom.offset_y, ref[5])):
-            assert offset[0] == 0.0 and offset.shape == (1 + m * (m - 1) // 2,)
-            assert np.array_equal(offset[row][pairs], theta[pairs])
+        setup = channel._precompute(links, group, p)
+        assert [a.shape for a in setup] == [(2, m)] * 2 + [(2, 1 + m * (m - 1) // 2)] * 2
+        refs = [oracle_precompute(links, uav_g, p) for uav_g in group]
+        for ref, (power_g, p_los_g, offset_x_g, offset_y_g) in zip(refs, zip(*setup)):
+            assert np.all(ref[0] == p.tx_power_w) and np.all(ref[2] == p.sbs_g0)
+            assert np.array_equal(power_g, ref[0] * ref[1] * ref[2])
+            assert np.array_equal(p_los_g, ref[3])
+            assert all(cfg == p.uav_array for cfg in ref[6])
+            for offset, theta in ((offset_x_g, ref[4]), (offset_y_g, ref[5])):
+                assert offset[0] == 0.0
+                assert np.array_equal(offset[row][pairs], theta[pairs])
+        ref = refs[0]
+        power, _, offset_x, offset_y = (a[0] for a in setup)
         if spacing > 0.5:
             # some |psi| = k*d*|sin(offset)| exceed pi, so the reduction acts
-            assert np.any(2 * np.pi * spacing * np.sin(geom.offset_x) > np.pi)
+            assert np.any(2 * np.pi * spacing * np.sin(offset_x) > np.pi)
         rng = np.random.default_rng(5)
         jx = rng.normal(0.0, 0.05, s)
         jy = rng.normal(0.0, 0.05, s)
         los = rng.random((s, m)) < 0.6
         alpha = np.where(los, 1.0, p.nlos_extra_loss)
         ratio_x, ratio_y = (channel._ratio_table(jitter, offset, p)
-                            for jitter, offset in ((jx, geom.offset_x), (jy, geom.offset_y)))
+                            for jitter, offset in ((jx, offset_x), (jy, offset_y)))
         assert ratio_x.shape == (1 + m * (m - 1) // 2, s)
         assert ratio_x.dtype == ratio_y.dtype == np.float32
         # in W, as instantaneous_sinr calls the stage
-        desired, interference = channel._link_powers(p, ratio_x, ratio_y, geom.power,
-                                                     geom.power[:, None] * alpha.T, 0.0)
+        desired, interference = channel._link_powers(p, ratio_x, ratio_y, power,
+                                                     power[:, None] * alpha.T, 0.0)
         assert desired.dtype == interference.dtype == np.float64
         assert desired.shape == interference.shape == (m, s)
         # the desired power is the link's in line of sight, whatever its alpha
@@ -588,12 +597,16 @@ class TestKernelMatchesReference:
         # in the scan's float32 unit, on the same gains: the unit's desired
         # power and its bound thr * (I + N) round within the module's stated
         # gamma terms (two roundings for D, M + 1 for each term of the
-        # bound), plus float32's subnormal spacing per term
-        unit, weight, noise = channel._float32_terms(geom.power, p)
-        desired32, bound32 = channel._link_powers(p, ratio_x, ratio_y, unit,
-                                                  np.where(los.T, *weight), noise)
+        # bound), plus float32's subnormal spacing per term; each row of the
+        # group has its own unit
+        unit, weight, noise = channel._float32_terms(setup[0], p)
+        assert unit.shape == (2, m) and weight.shape == (2, 2, m, 1) and noise.shape == (2,)
+        assert np.frexp(setup[0][0].max())[1] != np.frexp(setup[0][1].max())[1]
+        assert np.all((0.5 <= unit.max(axis=1)) & (unit.max(axis=1) < 1.0))
+        desired32, bound32 = channel._link_powers(p, ratio_x, ratio_y, unit[0],
+                                                  np.where(los.T, *weight[:, 0]), noise[0])
         assert desired32.dtype == bound32.dtype == np.float32
-        scale = 2.0 ** -np.frexp(geom.power.max())[1]
+        scale = 2.0 ** -np.frexp(power.max())[1]
         tiny = float(np.finfo(np.float32).smallest_subnormal)
         for got, exact, n in ((desired32, desired * scale, 2),
                               (bound32, p.sinr_threshold * (interference + p.noise_power_w)
@@ -948,6 +961,23 @@ class TestScanMemory:
         large = scan_peak_bytes(self.LINKS, [vec3(70, 70, 75)], p, 6 * block)
         draws = 4 * block * 8 * (2 + len(self.LINKS))
         assert large - small <= draws + 64 * 1024
+
+    def test_distinct_altitudes_set_up_one_group_at_a_time(self):
+        # 1,000 positions at 1,000 altitudes are 1,000 altitude groups. Each
+        # group's set-up is freed before the next group's, so above a
+        # one-position scan the peak holds only what every position keeps
+        # through the scan: its (N, M) float64 rows (p_los and the two
+        # failure counts, and the three temporaries that combine them into
+        # the estimates) and its altitude's entry in _altitude_groups (a
+        # key, a list and a dict slot, about 170 bytes). A set-up of every
+        # position at once would add its (N, M) powers and (N, 1 + M(M-1)/2)
+        # offsets, 380 bytes a position for six links.
+        p = make_params()
+        n_pos, m = 1000, len(self.LINKS)
+        positions = np.array([(20 + 0.1 * k, 30 + 0.1 * k, 50 + 0.05 * k) for k in range(n_pos)])
+        one = scan_peak_bytes(self.LINKS, positions[:1], p, 64)
+        many = scan_peak_bytes(self.LINKS, positions, p, 64)
+        assert many - one <= n_pos * (6 * 8 * m + 256) + 64 * 1024
 
     def test_lattice_peak_within_its_ratio_tables(self):
         # an nx x ny lattice at one altitude keeps one float32 x-factor table

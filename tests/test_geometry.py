@@ -10,6 +10,7 @@ from uavthz.geometry import vec3
 coord = st.floats(-200.0, 200.0)
 altitude = st.floats(1.0, 300.0)
 stations = st.lists(st.tuples(coord, coord), min_size=1, max_size=7)
+uav_stacks = st.lists(st.tuples(coord, coord, altitude), min_size=1, max_size=6)
 
 
 def ground(xy):
@@ -68,62 +69,69 @@ class TestPositions:
             geometry.as_points(bad)
 
 
+def all_pairs(pts):
+    """(a, b): every ordered pair of the (M, 3) stations pts, self-pairs included, (M*M, 3) each."""
+    i, j = np.indices((len(pts), len(pts))).reshape(2, -1)
+    return pts[i], pts[j]
+
+
 class TestSpatialAngles:
     def test_same_station_gives_zero(self):
-        s = vec3(10, 20, 0)
-        tx, ty = geometry.pair_axis_angles(vec3(0, 0, 50), np.array([s, s]))
+        s = np.array([vec3(10, 20, 0)])
+        tx, ty = geometry.pair_axis_angles(vec3(0, 0, 50), s, s)
+        assert tx.shape == ty.shape == (1,)
         assert not tx.any() and not ty.any()
 
     def test_orthogonal_links_x(self):
-        tx, ty = geometry.pair_axis_angles(vec3(0, 0, 50), ground([(-50, 0), (50, 0)]))
+        a, b = ground([(-50, 0)]), ground([(50, 0)])
+        tx, ty = geometry.pair_axis_angles(vec3(0, 0, 50), a, b)
         # link vectors (-50,0,-50) and (50,0,-50) are orthogonal in the x-z plane
-        assert tx[0, 1] == pytest.approx(np.pi / 2, abs=1e-12)
-        assert ty[0, 1] == pytest.approx(0.0, abs=1e-12)
+        assert tx[0] == pytest.approx(np.pi / 2, abs=1e-12)
+        assert ty[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_orthogonal_links_y(self):
-        tx, ty = geometry.pair_axis_angles(vec3(0, 0, 50), ground([(0, -50), (0, 50)]))
-        assert ty[0, 1] == pytest.approx(np.pi / 2, abs=1e-12)
-        assert tx[0, 1] == pytest.approx(0.0, abs=1e-12)
+        a, b = ground([(0, -50)]), ground([(0, 50)])
+        tx, ty = geometry.pair_axis_angles(vec3(0, 0, 50), a, b)
+        assert ty[0] == pytest.approx(np.pi / 2, abs=1e-12)
+        assert tx[0] == pytest.approx(0.0, abs=1e-12)
 
     @given(coord, coord, altitude, stations)
     @settings(max_examples=100)
     def test_symmetric_in_station_order(self, ux, uy, uz, xy):
-        u, pts = vec3(ux, uy, uz), ground(xy)
-        tx, ty = geometry.pair_axis_angles(u, pts)
-        assert np.array_equal(tx, tx.T) and np.array_equal(ty, ty.T)
-        order = np.arange(len(pts))[::-1]
-        rx, ry = geometry.pair_axis_angles(u, pts[order])
-        assert np.array_equal(rx, tx[np.ix_(order, order)])
-        assert np.array_equal(ry, ty[np.ix_(order, order)])
+        u, (a, b) = vec3(ux, uy, uz), all_pairs(ground(xy))
+        tx, ty = geometry.pair_axis_angles(u, a, b)
+        rx, ry = geometry.pair_axis_angles(u, b, a)
+        assert np.array_equal(tx, rx) and np.array_equal(ty, ry)
 
     @given(coord, coord, altitude, stations)
     def test_self_pair_is_zero(self, ux, uy, uz, xy):
-        tx, ty = geometry.pair_axis_angles(vec3(ux, uy, uz), ground(xy))
-        assert not np.diag(tx).any() and not np.diag(ty).any()
+        pts = ground(xy)
+        tx, ty = geometry.pair_axis_angles(vec3(ux, uy, uz), pts, pts)
+        assert not tx.any() and not ty.any()
 
     @given(coord, coord, altitude, stations)
     def test_range(self, ux, uy, uz, xy):
-        for theta in geometry.pair_axis_angles(vec3(ux, uy, uz), ground(xy)):
+        for theta in geometry.pair_axis_angles(vec3(ux, uy, uz), *all_pairs(ground(xy))):
             assert np.all((0.0 <= theta) & (theta <= np.pi))
 
     @given(coord, coord, altitude, stations)
     def test_each_pair_independent_of_the_others(self, ux, uy, uz, xy):
-        u, pts = vec3(ux, uy, uz), ground(xy)
-        tx, ty = geometry.pair_axis_angles(u, pts)
-        for i in range(len(pts)):
-            for j in range(len(pts)):
-                px, py = geometry.pair_axis_angles(u, pts[[i, j]])
-                assert tx[i, j] == px[0, 1] and ty[i, j] == py[0, 1]
+        u, (a, b) = vec3(ux, uy, uz), all_pairs(ground(xy))
+        tx, ty = geometry.pair_axis_angles(u, a, b)
+        assert tx.shape == ty.shape == (len(a),)
+        for p in range(len(a)):
+            px, py = geometry.pair_axis_angles(u, a[p:p + 1], b[p:p + 1])
+            assert tx[p] == px[0] and ty[p] == py[0]
 
     # channel.outage_scan shares one x-factor table between positions with the
     # same (x, z) and one y-factor table between those with the same (y, z)
     @given(coord, coord, coord, altitude, stations)
     @settings(max_examples=100)
     def test_each_axis_depends_on_its_coordinate_and_altitude_alone(self, a, b, c, uz, xy):
-        pts = ground(xy)
-        tx, ty = geometry.pair_axis_angles(vec3(a, b, uz), pts)
-        assert np.array_equal(tx, geometry.pair_axis_angles(vec3(a, c, uz), pts)[0])
-        assert np.array_equal(ty, geometry.pair_axis_angles(vec3(c, b, uz), pts)[1])
+        pairs = all_pairs(ground(xy))
+        tx, ty = geometry.pair_axis_angles(vec3(a, b, uz), *pairs)
+        assert np.array_equal(tx, geometry.pair_axis_angles(vec3(a, c, uz), *pairs)[0])
+        assert np.array_equal(ty, geometry.pair_axis_angles(vec3(c, b, uz), *pairs)[1])
 
 
 class TestElevationAngle:
@@ -183,14 +191,17 @@ class TestLinkLength:
             assert lengths[k] == geometry.link_length(u, pts[k:k + 1])[0]
             assert elevations[k] == geometry.elevation_angle(u, pts[k:k + 1])[0]
 
-    # At the coordinate bound every link function is finite: no overflow
-    # turns an outage into a NaN SINR that counts as a success.
+    # At the coordinate bound every link function is finite, for one UAV and
+    # for a stack: no overflow turns an outage into a NaN SINR that counts as
+    # a success.
     def test_finite_at_the_coordinate_bound(self):
         edge = geometry.MAX_COORD_M
-        u, pts = vec3(edge, -edge, edge), ground([(-edge, edge), (edge, edge), (0, 0)])
-        for values in (geometry.link_length(u, pts), geometry.elevation_angle(u, pts),
-                       *geometry.pair_axis_angles(u, pts)):
-            assert np.all(np.isfinite(values))
+        pts = ground([(-edge, edge), (edge, edge), (0, 0)])
+        corners = np.array([(x, y, edge) for x in (-edge, edge) for y in (-edge, edge)])
+        for u in (corners[1], corners):
+            for values in (geometry.link_length(u, pts), geometry.elevation_angle(u, pts),
+                           *geometry.pair_axis_angles(u, *all_pairs(pts))):
+                assert np.all(np.isfinite(values))
 
     def test_matches_vector_norm(self):
         rng = np.random.default_rng(0)
@@ -199,6 +210,27 @@ class TestLinkLength:
         want = [np.linalg.norm(u - p) for p in pts]
         assert np.array_equal(geometry.link_length(u, pts), want)
 
+
+class TestUavStacks:
+    # channel.outage_scan sets up an altitude group's positions in one call,
+    # so a position's estimates equal a scan of it alone only if each row of
+    # a stacked call equals the call at that row's UAV
+    @given(uav_stacks, stations)
+    @settings(max_examples=100)
+    def test_each_row_equals_the_call_at_its_uav(self, uavs, xy):
+        stack, pts = np.array(uavs), ground(xy)
+        pairs = all_pairs(pts)
+
+        def link_values(u):
+            return (geometry.link_length(u, pts), geometry.elevation_angle(u, pts),
+                    *geometry.pair_axis_angles(u, *pairs))
+
+        stacked = link_values(stack)
+        assert [v.shape for v in stacked] == [(len(stack), len(pts))] * 2 + [
+            (len(stack), len(pts) ** 2)] * 2
+        for n, u in enumerate(stack):
+            for got, want in zip(stacked, link_values(u)):
+                assert np.array_equal(got[n], want)
 
 
 class TestKinematicLimits:
