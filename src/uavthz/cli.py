@@ -21,8 +21,9 @@ is byte-identical.
 `train` leaves its policy in checkpoint/nets.npz, the checkpoint's only
 file: the float32 parameter blocks of the actor, the twin critics and their
 targets (layout in uavthz.neural). The config is recorded once, in the manifest.
-`eval` builds the agent from its own --config and fills the four blocks, so
-a checkpoint read under other network widths ends with exit 2.
+`eval` reads all four blocks into empty nets of its own --config's widths
+and checks them, so a checkpoint read under other network widths ends with
+exit 2; it keeps only the actor, the policy it rolls out.
 """
 
 import argparse
@@ -164,18 +165,20 @@ def save_checkpoint(ck_dir: Path, agent: td3.Td3Agent) -> Path:
     return path
 
 
-def load_checkpoint(ck_dir: Path, cfg: RunConfig, seed: int) -> td3.Td3Agent:
-    """An agent built from cfg and seed whose four nets are read from ck_dir.
+def load_checkpoint(ck_dir: Path, cfg: RunConfig) -> neural.DenseNet:
+    """The actor read from ck_dir, at cfg's network widths.
 
-    The checkpoint overwrites every net, so the seed sets only the agent's
-    generators, which a greedy rollout never reads.
+    All four nets of the checkpoint are read into empty blocks and checked
+    (neural.load_net), so a checkpoint of other widths or a damaged entry of
+    any net is refused. Only the actor is kept: no agent, optimizer state,
+    replay buffer or generator is built.
     """
     path = ck_dir / CHECKPOINT_FILE
     if not path.is_file():
         raise ConfigError(f"no checkpoint at {ck_dir}")
-    agent = td3.Td3Agent.create(cfg.hyperparams(), seed)
-    neural.load_net(path, agent.nets())
-    return agent
+    nets = td3.empty_nets(cfg.hyperparams().hidden_dims)
+    neural.load_net(path, nets)
+    return nets["actor"]
 
 
 # ------------------------------------------------------------------ subcommands
@@ -198,8 +201,8 @@ def write_sbs_layout(out_dir: Path, env: Environment, seed: int) -> Path:
 
 
 def cmd_eval(cfg: RunConfig, env: Environment, args) -> tuple[dict, list[Path]]:
-    agent = load_checkpoint(args.checkpoint, cfg, args.seed)
-    times, positions = td3.greedy_rollout(env, agent, cfg.steps_per_episode)
+    actor = load_checkpoint(args.checkpoint, cfg)
+    times, positions = td3.greedy_rollout(env, actor, cfg.steps_per_episode)
     # The rollout only moves the UAV; every visited position is scored here,
     # at evaluation-grade sample counts in one scan with one shared seed, so
     # along-trajectory comparisons share their randomness.

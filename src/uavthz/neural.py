@@ -24,8 +24,9 @@ check nothing but adam_step's finite gradient.
 
 A checkpoint is one .npz archive (save_net, load_net) that holds `version`
 and each named net's float32 parameter block, bit for bit. The architecture
-is not stored: the reader builds its nets from its own config and fills
-their blocks in place, and an entry of another shape or type is an error.
+is not stored: the reader builds empty nets (empty_net) from its own config
+and fills their blocks in place, and an entry of another shape or type is an
+error.
 """
 
 import math
@@ -118,6 +119,16 @@ class AdamState:
     learning_rate: float
 
 
+def empty_net(layer_dims, rows: int = 0, output_activation: str = ACT_LINEAR) -> DenseNet:
+    """An unfilled net, one (n,) block or, for rows K >= 1, a (K, n) stack.
+
+    The block is np.empty: its values are whatever memory held, for init_net
+    or load_net to overwrite.
+    """
+    dims, n = block_size(layer_dims)
+    return DenseNet(dims, np.empty((rows, n) if rows else n, dtype=DTYPE), output_activation)
+
+
 def init_net(layer_dims, seed, output_activation: str = ACT_LINEAR) -> DenseNet:
     """Seeded initialization, uniform in +-1/sqrt(fan_in) per layer.
 
@@ -125,15 +136,14 @@ def init_net(layer_dims, seed, output_activation: str = ACT_LINEAR) -> DenseNet:
     gives a stack whose row k equals init_net(layer_dims, seed[k]).
     """
     seeds = seed if isinstance(seed, tuple) else (seed,)
-    dims, n = block_size(layer_dims)
-    params = np.empty((len(seeds), n), dtype=DTYPE)
-    for row, s in zip(params, seeds):
+    net = empty_net(layer_dims, len(seed) if isinstance(seed, tuple) else 0, output_activation)
+    for row, s in zip(net.params.reshape(len(seeds), -1), seeds):
         rng = np.random.default_rng(s)
-        for w, b in zip(*_layer_views(row, dims)):
+        for w, b in zip(*_layer_views(row, net.layer_dims)):
             bound = 1.0 / np.sqrt(w.shape[0])
             w[...] = rng.uniform(-bound, bound, size=w.shape)
             b[...] = rng.uniform(-bound, bound, size=b.shape)
-    return DenseNet(dims, params if isinstance(seed, tuple) else params[0], output_activation)
+    return net
 
 
 def init_adam(net: DenseNet, learning_rate: float) -> AdamState:

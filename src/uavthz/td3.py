@@ -21,12 +21,16 @@ as_vec3) turns them into float64 meters. The environment, the rewards as
 logged and every output file stay float64.
 
 A checkpoint holds the four nets alone (actor, actor_target, critics,
-critics_target). The Adam states, the replay buffer and the generators are
-not saved, so training does not resume from one; greedy_rollout reads none
-of them.
+critics_target), as CHECKPOINT_NETS declares them. The Adam states, the
+replay buffer and the generators are not saved, so training does not resume
+from one. select_action takes the actor and draws nothing itself: train
+passes it the agent's exploration noise, and greedy_rollout, which takes the
+actor alone, passes none. eval reads a checkpoint into empty_nets and keeps
+only the actor.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,6 +60,29 @@ MAX_NOISE = 1e3
 MAX_NET_PARAMS = 10 ** 17
 
 
+class NetLayout(NamedTuple):
+    """One net of the agent: input and output widths, stacked rows, output activation.
+
+    rows 0 is a single net, an (n,) block; rows K stacks K nets in a (K, n) block.
+    """
+
+    n_in: int
+    n_out: int
+    rows: int
+    activation: str
+
+    def dims(self, hidden_dims) -> tuple:
+        return (self.n_in, *hidden_dims, self.n_out)
+
+
+ACTOR = NetLayout(STATE_DIM, ACTION_DIM, 0, neural.ACT_TANH)
+CRITICS = NetLayout(STATE_DIM + ACTION_DIM, 1, 2, neural.ACT_LINEAR)   # the twin critics
+# The nets an agent trains and a checkpoint holds, by name; a target net has
+# its online twin's layout.
+CHECKPOINT_NETS = {"actor": ACTOR, "actor_target": ACTOR,
+                   "critics": CRITICS, "critics_target": CRITICS}
+
+
 @dataclass
 class Td3Hyperparams:
     """Network widths, optimizer and exploration settings and the training schedule.
@@ -81,8 +108,8 @@ class Td3Hyperparams:
     steps_per_episode: int
 
     def __post_init__(self):
-        for dims in (self.actor_dims, self.critic_dims):
-            require(neural.block_size(dims)[1] <= MAX_NET_PARAMS,
+        for layout in (ACTOR, CRITICS):
+            require(neural.block_size(layout.dims(self.hidden_dims))[1] <= MAX_NET_PARAMS,
                     f"a net of these widths holds more than {MAX_NET_PARAMS:,} parameters",
                     "hidden_dims")
         for name in ("actor_lr", "critic_lr"):
@@ -94,14 +121,6 @@ class Td3Hyperparams:
                     f"{name} must lie in [0, {MAX_NOISE:g}]", name)
         require(self.warmup_steps > self.batch_size, "warmup must exceed the batch size",
                 "warmup_steps", "batch_size")
-
-    @property
-    def actor_dims(self) -> tuple:
-        return (STATE_DIM, *self.hidden_dims, ACTION_DIM)
-
-    @property
-    def critic_dims(self) -> tuple:
-        return (STATE_DIM + ACTION_DIM, *self.hidden_dims, 1)
 
 
 def norm_state(cfg: EnvConfig, position) -> np.ndarray:
@@ -175,10 +194,12 @@ class Td3Agent:
     def create(cls, hp: Td3Hyperparams, seed: int) -> "Td3Agent":
         ss = np.random.SeedSequence(seed)
         s_actor, s_c1, s_c2, s_buf, s_noise = ss.spawn(5)
-        actor = neural.init_net(hp.actor_dims, _seed_int(s_actor), neural.ACT_TANH)
+        actor = neural.init_net(ACTOR.dims(hp.hidden_dims), _seed_int(s_actor),
+                                ACTOR.activation)
         actor.weights[-1] *= ACTOR_HEAD_SCALE
         actor.biases[-1] *= ACTOR_HEAD_SCALE
-        critics = neural.init_net(hp.critic_dims, (_seed_int(s_c1), _seed_int(s_c2)))
+        critics = neural.init_net(CRITICS.dims(hp.hidden_dims),
+                                  (_seed_int(s_c1), _seed_int(s_c2)), CRITICS.activation)
         return cls(
             actor=actor,
             actor_target=neural.clone_net(actor),
@@ -193,25 +214,35 @@ class Td3Agent:
 
     def nets(self) -> dict:
         """The four nets a checkpoint holds, by name; the blocks are shared, not copied."""
-        return {"actor": self.actor, "actor_target": self.actor_target,
-                "critics": self.critics, "critics_target": self.critics_target}
+        return {name: getattr(self, name) for name in CHECKPOINT_NETS}
 
 
 def _seed_int(ss: np.random.SeedSequence) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def select_action(agent: Td3Agent, state, explore: bool) -> np.ndarray:
-    """Policy action for a normalized float32 (3,) state, on the closed unit ball.
+def empty_nets(hidden_dims) -> dict:
+    """The checkpoint's nets at these hidden widths, by name, as unfilled float32 blocks.
 
-    With explore set, adds zero-mean Gaussian noise to the action (the sum is
-    rounded into the float32 action) before projecting it back onto the
-    ball; deterministic otherwise. The caller multiplies by the environment's
-    action scale to get meters.
+    No parameter is initialized and no generator, optimizer state or replay
+    buffer is built: the blocks only take what neural.load_net fills in.
     """
-    a = neural.forward(agent.actor, state[None, :])[0]
-    if explore:
-        a += agent.rng.normal(0.0, agent.hp.exploration_noise_std, size=ACTION_DIM)
+    return {name: neural.empty_net(layout.dims(hidden_dims), layout.rows, layout.activation)
+            for name, layout in CHECKPOINT_NETS.items()}
+
+
+def select_action(actor: DenseNet, state, noise=None) -> np.ndarray:
+    """The actor's action for a normalized float32 (3,) state, on the closed unit ball.
+
+    A noise vector, if given, is added to the action (the sum is rounded into
+    the float32 action) before it is projected back onto the ball; without
+    one the action is deterministic and nothing is drawn. The caller
+    multiplies by the environment's action scale to get meters. Keep the
+    name: the benchmark's tracer wraps this function by name.
+    """
+    a = neural.forward(actor, state[None, :])[0]
+    if noise is not None:
+        a += noise
     return _project_unit_ball(a)[0]
 
 
@@ -328,7 +359,8 @@ def train(env: Environment, agent: Td3Agent) -> list[EpisodeLog]:
             if global_step <= hp.warmup_steps:
                 action = random_action(agent)
             else:
-                action = select_action(agent, state, explore=True)
+                noise = agent.rng.normal(0.0, hp.exploration_noise_std, size=ACTION_DIM)
+                action = select_action(agent.actor, state, noise)
             result = env.step(action * scale)
             nxt = norm_state(env.config, result.next_state.uav_position)
             agent.buffer.add(state, action, REWARD_SCALE * result.reward, nxt)
@@ -341,21 +373,23 @@ def train(env: Environment, agent: Td3Agent) -> list[EpisodeLog]:
     return logs
 
 
-def greedy_rollout(env: Environment, agent: Td3Agent,
+def greedy_rollout(env: Environment, actor: DenseNet,
                    max_steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Noise-free policy rollout from the environment's current state.
+    """Noise-free rollout of the actor from the environment's current state.
 
-    Returns (times, positions), (max_steps + 1,) and (max_steps + 1, 3):
-    the UAV after k moves and its cumulative flight time, from the start at
-    time 0. The UAV only moves: no position is scored and no Monte-Carlo
-    seed is drawn, so the caller scores the positions in one outage_scan.
+    Only the actor is read: no critic, target, optimizer state, replay buffer
+    or generator. Returns (times, positions), (max_steps + 1,) and
+    (max_steps + 1, 3): the UAV after k moves and its cumulative flight time,
+    from the start at time 0. The UAV only moves: no position is scored and
+    no Monte-Carlo seed is drawn, so the caller scores the positions in one
+    outage_scan.
     """
     scale = env.config.limits.action_scale
     times = np.zeros(max_steps + 1)
     positions = np.empty((max_steps + 1, 3))
     positions[0] = env.state.uav_position
     for k in range(1, max_steps + 1):
-        action = select_action(agent, norm_state(env.config, positions[k - 1]), explore=False)
+        action = select_action(actor, norm_state(env.config, positions[k - 1]))
         positions[k], elapsed = env.move(action * scale)
         times[k] = times[k - 1] + elapsed
     return times, positions

@@ -4,12 +4,13 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from uavthz import antenna, channel, cli, geometry, neural
+from uavthz import antenna, channel, cli, geometry, neural, td3
 from uavthz.config import load_config
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -270,6 +271,56 @@ def test_eval_manifest_names_the_best_point_of_the_trajectory(tmp_path, trained)
     assert float(f"{data['best_max_outage']:.9g}") == best
     assert data["best_step"] == int(rows[worst.index(best)][0])
     assert data["best_max_outage"] <= min(data["initial_max_outage"], data["final_max_outage"])
+
+
+def test_eval_never_builds_the_replay_buffer(tmp_path, trained):
+    # a buffer of 1e14 transitions exceeds any address space; eval reads no
+    # buffer, so it runs and flies the same trajectory as under the plain config
+    config, out = trained
+    huge = tmp_path / "huge.cfg"
+    huge.write_text(config.read_text(encoding="utf-8")
+                    + "td3.buffer_capacity = 100000000000000\n", encoding="utf-8")
+    plain, big = tmp_path / "plain", tmp_path / "big"
+    assert run_eval(config, out, plain) == cli.EXIT_OK
+    assert run_eval(huge, out, big) == cli.EXIT_OK
+    assert (big / "trajectory.csv").read_bytes() == (plain / "trajectory.csv").read_bytes()
+
+
+def test_eval_builds_no_training_state(tmp_path, monkeypatch, trained):
+    # eval loads the policy alone: no seeded init, optimizer state or buffer
+    def refuse(*args, **kwargs):
+        raise AssertionError("eval built training state")
+
+    monkeypatch.setattr(neural, "init_net", refuse)
+    monkeypatch.setattr(neural, "init_adam", refuse)
+    monkeypatch.setattr(td3, "ReplayBuffer", refuse)
+    config, out = trained
+    assert run_eval(config, out, tmp_path / "eval") == cli.EXIT_OK
+
+
+def test_eval_memory_peak_is_the_checkpoint_read_and_little_else(tmp_path):
+    # At the default widths (256, 128) the four blocks are 812 KiB. eval
+    # holds them twice at most, while load_net checks the archive's copies
+    # before it fills the blocks. Everything else, at tiny Monte-Carlo
+    # counts, fits in 1 MiB; an agent's Adam moments alone would add the
+    # blocks' size again.
+    config = tmp_path / "wide.cfg"
+    config.write_text(TINY.replace("td3.hidden1 = 16", "td3.hidden1 = 256")
+                      .replace("td3.hidden2 = 8", "td3.hidden2 = 128"), encoding="utf-8")
+    cfg = load_config(config)
+    agent = td3.Td3Agent.create(cfg.hyperparams(), 0)
+    cli.save_checkpoint(tmp_path / "checkpoint", agent)
+    blocks = sum(net.params.nbytes for net in agent.nets().values())
+    del agent
+    assert blocks // 1024 == 812
+    assert run_eval(config, tmp_path, tmp_path / "warm") == cli.EXIT_OK
+    tracemalloc.start()
+    try:
+        assert run_eval(config, tmp_path, tmp_path / "eval") == cli.EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * blocks + 2 ** 20, peak
 
 
 @pytest.mark.parametrize("command,flag", [

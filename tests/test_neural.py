@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from uavthz import neural
+from uavthz import neural, td3
 from uavthz.config import RunConfig
 from uavthz.errors import InvalidInputError, NumericFailureError
 
@@ -237,8 +237,10 @@ class TestDeterminismAndCheckpoint:
         with np.load(path) as data:
             assert sorted(data.files) == ["single", "stack", "version"]
             assert int(data["version"]) == neural.CHECKPOINT_VERSION
-        loaded = {"single": neural.init_net((4, 9, 3), 0, neural.ACT_TANH),
-                  "stack": neural.init_net((5, 7, 1), (0, 1))}
+        # the reader fills unfilled blocks, as eval does
+        loaded = {"single": neural.empty_net((4, 9, 3), 0, neural.ACT_TANH),
+                  "stack": neural.empty_net((5, 7, 1), 2)}
+        assert loaded["stack"].params.shape == nets["stack"].params.shape
         views = {name: net.weights[0] for name, net in loaded.items()}
         neural.load_net(path, loaded)
         for name, net in nets.items():
@@ -335,8 +337,8 @@ class TestFloat32Tolerance:
 
     HP = RunConfig().hyperparams()
 
-    @pytest.mark.parametrize("dims,act", [(HP.actor_dims, neural.ACT_TANH),
-                                          (HP.critic_dims, neural.ACT_LINEAR)],
+    @pytest.mark.parametrize("dims,act", [(td3.ACTOR.dims(HP.hidden_dims), neural.ACT_TANH),
+                                          (td3.CRITICS.dims(HP.hidden_dims), neural.ACT_LINEAR)],
                              ids=["actor", "critic"])
     def test_each_layer_within_the_dot_product_bound(self, dims, act):
         rng = np.random.default_rng(7)

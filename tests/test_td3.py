@@ -121,41 +121,52 @@ class TestReplayBuffer:
         assert chi2 < 74.91947430847816
 
 
+def zero_actor(agent):
+    """The agent's actor with every weight and bias set to 0: its action is 0."""
+    for w in agent.actor.weights:
+        w[:] = 0.0
+    for b in agent.actor.biases:
+        b[:] = 0.0
+    return agent.actor
+
+
 class TestSelectAction:
     def test_deterministic_without_exploration(self):
         agent = make_agent(3)
         s = np.array([0.2, -0.1, 0.4], F32)
-        a1 = td3.select_action(agent, s, explore=False)
-        a2 = td3.select_action(agent, s, explore=False)
+        a1 = td3.select_action(agent.actor, s)
+        a2 = td3.select_action(agent.actor, s)
         assert np.array_equal(a1, a2)
 
     def test_zero_noise_matches_deterministic(self):
-        agent = make_agent(4, exploration_noise_std=0.0)
+        agent = make_agent(4)
         s = np.array([0.2, -0.1, 0.4], F32)
-        det = td3.select_action(agent, s, explore=False)
-        noisy = td3.select_action(agent, s, explore=True)
-        assert np.allclose(det, noisy)
+        det = td3.select_action(agent.actor, s)
+        noisy = td3.select_action(agent.actor, s, np.zeros(3))
+        assert np.array_equal(det, noisy)
 
     def test_action_within_ball(self):
-        agent = make_agent(5, exploration_noise_std=0.8)
+        agent = make_agent(5)
         rng = np.random.default_rng(0)
         for _ in range(200):
             s = uniform32(rng, 3)
-            a = td3.select_action(agent, s, explore=True)
+            a = td3.select_action(agent.actor, s, rng.normal(0.0, 0.8, 3))
             assert np.linalg.norm(as64(a)) <= 1.0 + BALL_SLACK
 
-    def test_noise_standard_deviation(self):
-        agent = make_agent(6, exploration_noise_std=0.05)
-        # zero out the actor so the noise is isolated, well inside the ball
-        for w in agent.actor.weights:
-            w[:] = 0.0
-        for b in agent.actor.biases:
-            b[:] = 0.0
+    def test_noise_inside_the_ball_is_the_action_offset(self):
+        # a zero actor isolates the noise: well inside the ball it is the
+        # action, rounded into float32, and nothing projects it
+        actor = zero_actor(make_agent(6))
+        rng = np.random.default_rng(1)
         s = np.zeros(3, F32)
-        draws = np.array([td3.select_action(agent, s, explore=True)
-                          for _ in range(10_000)])
-        measured = draws.std(axis=0)
-        assert np.all(np.abs(measured - 0.05) < 0.05 * 0.05)
+        for noise in rng.normal(0.0, 0.05, (1000, 3)):
+            a = td3.select_action(actor, s, noise)
+            assert a.dtype == F32 and np.array_equal(a, noise.astype(F32))
+
+    def test_noise_outside_the_ball_is_projected(self):
+        a = td3.select_action(zero_actor(make_agent(6)), np.zeros(3, F32),
+                              np.array([3.0, 0.0, 4.0]))
+        assert np.allclose(as64(a), [0.6, 0.0, 0.8], rtol=0, atol=1e-7)
 
     def test_warmup_action_inside_ball(self):
         agent = make_agent(7)
@@ -175,9 +186,10 @@ def test_noise_settings_are_bounded(name):
 # A warning is an error here: at the bound a noisy action still has a norm.
 @pytest.mark.filterwarnings("error")
 def test_noisiest_action_lands_on_the_ball():
-    agent = make_agent(12, exploration_noise_std=td3.MAX_NOISE)
+    agent = make_agent(12)
     for _ in range(100):
-        a = td3.select_action(agent, np.zeros(3, F32), explore=True)
+        noise = agent.rng.normal(0.0, td3.MAX_NOISE, size=3)
+        a = td3.select_action(agent.actor, np.zeros(3, F32), noise)
         assert np.linalg.norm(a) == pytest.approx(1.0)
 
 
@@ -402,6 +414,38 @@ class TestTrainLoop:
         norms = np.linalg.norm(as64(agent.buffer._actions[:len(agent.buffer)]), axis=1)
         assert np.all(norms <= 1.0 + BALL_SLACK) and np.any(norms > 1.0 - BALL_SLACK)
 
+    def test_exploration_noise_is_the_agents_draw_at_its_std(self, monkeypatch):
+        # after warm-up, every step draws its noise from agent.rng just before
+        # it selects the action, at exploration_noise_std
+        env = self._env()
+        hp = tiny_hp(exploration_noise_std=0.3)
+        agent = Td3Agent.create(hp, 26)
+        rng, draws, passed = agent.rng, [], []
+
+        class RecordingRng:
+            def normal(self, *args, **kwargs):
+                out = rng.normal(*args, **kwargs)
+                draws.append((args, kwargs, out))
+                return out
+
+            def __getattr__(self, name):
+                return getattr(rng, name)
+
+        agent.rng = RecordingRng()
+        select = td3.select_action
+
+        def recording(actor, state, noise=None):
+            passed.append((len(draws), noise))
+            assert actor is agent.actor
+            return select(actor, state, noise)
+
+        monkeypatch.setattr(td3, "select_action", recording)
+        td3.train(env, agent)
+        assert len(passed) == hp.episodes * hp.steps_per_episode - hp.warmup_steps
+        for n, noise in passed:
+            args, kwargs, out = draws[n - 1]
+            assert noise is out and args == (0.0, 0.3) and kwargs == {"size": td3.ACTION_DIM}
+
     def test_episode_count_and_log_shape(self):
         env = self._env()
         hp = tiny_hp(episodes=5)
@@ -431,12 +475,13 @@ def test_every_agent_array_is_float32(monkeypatch):
     env.reset(0)
     agent = make_agent(29)
     td3.train(env, agent)
-    times, positions = td3.greedy_rollout(env, agent, 2)
+    times, positions = td3.greedy_rollout(env, agent.actor, 2)
     assert {name for _, name, _ in seen} == {"x", "output_grad", "grad", "result"}
     assert {dtype for *_, dtype in seen} == {np.dtype(F32)}
     state = td3.norm_state(env.config, positions[-1])
     assert times.dtype == positions.dtype == np.float64 and state.dtype == F32
-    arrays = [td3.select_action(agent, state, explore=True), td3.random_action(agent)]
+    arrays = [td3.select_action(agent.actor, state, agent.rng.normal(0.0, 0.1, size=3)),
+              td3.random_action(agent)]
     for net in agent.nets().values():
         arrays.append(net.params)
     for adam in (agent.adam_actor, agent.adam_critics):
@@ -466,16 +511,27 @@ def test_block_sizes_tell_the_hidden_widths_apart():
     assert np.unique(actor).size < h1.size   # the actor's size alone does not
 
 
+@pytest.mark.parametrize("hidden", [(1, 1), (16, 8), (256, 128)])
+def test_empty_nets_have_the_agents_layouts(hidden):
+    # a checkpoint is read into empty_nets and written from Td3Agent.nets
+    agent = make_agent(hidden_dims=hidden)
+    empty = td3.empty_nets(hidden)
+    assert list(empty) == list(agent.nets()) == list(td3.CHECKPOINT_NETS)
+    for name, net in agent.nets().items():
+        assert empty[name].layer_dims == net.layer_dims
+        assert empty[name].params.shape == net.params.shape
+        assert empty[name].params.dtype == net.params.dtype == F32
+        assert empty[name].output_activation == net.output_activation
+    # a policy bounded to the unit ball's cube, unbounded Q-values
+    assert agent.actor.output_activation == agent.actor_target.output_activation == "tanh"
+    assert agent.critics.output_activation == agent.critics_target.output_activation == "linear"
+
+
 class TestGreedyRollout:
     def test_zero_actor_is_stationary(self):
         env = small_env(mc_samples=30)
         env.reset(1)
-        agent = make_agent(24)
-        for w in agent.actor.weights:
-            w[:] = 0.0
-        for b in agent.actor.biases:
-            b[:] = 0.0
-        times, positions = td3.greedy_rollout(env, agent, 5)
+        times, positions = td3.greedy_rollout(env, zero_actor(make_agent(24)), 5)
         assert times.shape == (6,) and positions.shape == (6, 3)
         assert np.array_equal(positions, np.broadcast_to(positions[0], (6, 3)))
         lo, hi = env.config.box
@@ -485,11 +541,9 @@ class TestGreedyRollout:
     def test_rollout_moves_by_the_action_scale(self):
         env = small_env(mc_samples=30)
         env.reset(1)
-        agent = make_agent(24)
-        for w in agent.actor.weights:
-            w[:] = 0.0
-        agent.actor.biases[-1][:] = np.arctanh([0.3, 0.0, -0.4])
-        times, positions = td3.greedy_rollout(env, agent, 1)
+        actor = zero_actor(make_agent(24))
+        actor.biases[-1][:] = np.arctanh([0.3, 0.0, -0.4])
+        times, positions = td3.greedy_rollout(env, actor, 1)
         scale = env.config.limits.action_scale
         assert np.allclose(positions[1] - positions[0], [0.3 * scale, 0.0, -0.4 * scale])
         assert times[1] == pytest.approx(0.5 * scale / env.config.limits.v_max)
@@ -500,8 +554,7 @@ class TestGreedyRollout:
         for _ in range(2):
             env = small_env(mc_samples=30)
             env.reset(2)
-            agent = make_agent(25)
-            traces.append(td3.greedy_rollout(env, agent, 6))
+            traces.append(td3.greedy_rollout(env, make_agent(25).actor, 6))
         for first, second in zip(*traces):
             assert np.array_equal(first, second)
 
@@ -510,23 +563,30 @@ class TestGreedyRollout:
         monkeypatch.setattr(channel, "outage_scan", lambda *a, **k: calls.append(a))
         env = small_env(mc_samples=30)
         env.reset(4)
-        times, positions = td3.greedy_rollout(env, make_agent(27), 6)
+        times, positions = td3.greedy_rollout(env, make_agent(27).actor, 6)
         assert times.shape == (7,) and positions.shape == (7, 3) and calls == []
 
     def test_rollout_draws_nothing_from_the_agent(self):
-        # eval builds its agent from any seed: the rollout never reads the generator
-        env = small_env(mc_samples=30)
-        env.reset(5)
+        # the rollout reads the actor alone: an actor filled into empty nets,
+        # as eval loads one, flies the agent's trajectory, and the agent's
+        # generator is not touched
         agent = make_agent(28)
+        loaded = td3.empty_nets(tiny_hp().hidden_dims)["actor"]
+        loaded.params[...] = agent.actor.params
         before = agent.rng.bit_generator.state
-        td3.greedy_rollout(env, agent, 6)
+        traces = []
+        for actor in (agent.actor, loaded):
+            env = small_env(mc_samples=30)
+            env.reset(5)
+            traces.append(td3.greedy_rollout(env, actor, 6))
+        for first, second in zip(*traces):
+            assert np.array_equal(first, second)
         assert agent.rng.bit_generator.state == before
 
     def test_time_column_is_cumulative_and_bounded(self):
         env = small_env(mc_samples=30)
         env.reset(3)
-        agent = make_agent(26)
-        times, positions = td3.greedy_rollout(env, agent, 10)
+        times, positions = td3.greedy_rollout(env, make_agent(26).actor, 10)
         assert times.shape == (11,) and positions.shape == (11, 3)
         assert times[0] == 0.0 and np.all(np.diff(times) >= 0.0)
         assert times[-1] <= 10 * 10.0 / 8.0 + 1e-9
